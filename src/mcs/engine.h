@@ -8,17 +8,21 @@
 // (driver.h) are thin wrappers that fill in a config; benches and tests
 // that sweep transport parameters use run() directly.
 //
-// Transport stack assembled by run(), bottom-up:
+// Transport stack assembled by run(), bottom-up — the same assembly on
+// every root; only the root differs:
 //
 //   Simulator | ThreadRuntime |
-//   ParallelSimulator | SocketTransport  (root HostTransport)
+//   ParallelSimulator | SocketTransport  (root RootTransport)
 //     └─ BatchingTransport               (placement kBelowReliable)
 //         └─ ReliableTransport           (when the run needs ARQ)
 //             └─ BatchingTransport       (placement kAboveReliable, default)
-//                 └─ McsProcess endpoints
+//                 └─ McsProcess endpoints, each driven by one Client
 //
 // Layers are only constructed when configured: a lossless, unbatched run
-// wires processes straight to the root runtime, exactly as before.
+// wires processes straight to the root runtime.  The Client schedules
+// every step through the root's two-method seam (now() and
+// schedule_at(when, owner, fn)), so the same client drives ops on all
+// four roots.
 #pragma once
 
 #include <chrono>
@@ -58,60 +62,41 @@ struct ScriptOp {
 /// A per-process operation script.
 using Script = std::vector<ScriptOp>;
 
-/// Drives one McsProcess through its script (simulator runtime).
+/// Drives one McsProcess through its load — a stored Script replayed
+/// verbatim, or a stream pulled out of a workload::Generator — on any root
+/// runtime.  Every step is scheduled through the root's seam
+/// (RootTransport::schedule_at, owned by this client's process): the
+/// simulators queue it at its virtual time, the wall-clock roots post it
+/// to the process's mailbox.  A completion never issues the next op
+/// inline, so a stream of any length runs in constant stack depth.
+///
+/// Closed loop (scripts; generators with arrival_rate == 0): op k+1 is
+/// issued when op k completes, after the script's think time, latency
+/// measured from the issue instant.  Open loop (a generator with a
+/// positive rate; simulator roots only): op k *arrives* at start + k/rate
+/// on the simulated clock regardless of system progress; at most one op
+/// is outstanding, the rest queue as a backlog counter, and latency is
+/// measured from the scheduled arrival, so head-of-line queueing behind a
+/// slow (or crashed) system is charged to the op rather than omitted.
 ///
 /// Crash-aware: the application is co-located with its MCS process, so
 /// while the process is down the client neither issues operations (an
-/// issue attempt stalls) nor loses its place in the script.  The scenario
-/// driver calls resume() from the recovery hook; an operation that was
-/// in flight at crash time simply completes late — its response is
-/// retransmitted by the ARQ layer — and the script continues from there.
-class ScriptedClient {
- public:
-  ScriptedClient(McsProcess& process, Simulator& sim, Script script);
-
-  /// Schedule the first operation at `start`.
-  void start(TimePoint start);
-
-  /// Re-issue the stalled operation after the process recovered (no-op if
-  /// the client was not stalled).
-  void resume(TimePoint at);
-
-  [[nodiscard]] bool done() const { return next_ >= script_.size(); }
-  [[nodiscard]] bool stalled() const { return stalled_; }
-  [[nodiscard]] const std::vector<Value>& read_results() const {
-    return reads_;
-  }
-
- private:
-  void issue();
-
-  McsProcess& process_;
-  Simulator& sim_;
-  Script script_;
-  std::size_t next_ = 0;
-  std::vector<Value> reads_;
-  bool stalled_ = false;
-};
-
-/// ScriptedClient's twin for generated workloads (EngineConfig::workload,
-/// simulator runtime): streams ops out of a workload::Generator instead
-/// of replaying a stored Script, so a million-op run holds no per-op
-/// state — the client is a fixed-size cursor (indices, a latency
-/// histogram, a digest of read results) no matter how long the stream is.
+/// issue attempt stalls) nor loses its place in the load.  The scenario
+/// driver calls resume() from the recovery hook; an operation that was in
+/// flight at crash time simply completes late — its response is
+/// retransmitted by the ARQ layer — and the load continues from there.
 ///
-/// Closed loop (arrival_rate == 0): op k+1 is issued when op k completes,
-/// latency measured from the issue instant.  Open loop (positive rate):
-/// op k *arrives* at start + k/rate on the simulated clock regardless of
-/// system progress; at most one op is outstanding per process, the rest
-/// queue as a backlog counter, and latency is measured from the scheduled
-/// arrival, so head-of-line queueing behind a slow (or crashed — the
-/// stall/resume handshake matches ScriptedClient) system is charged to
-/// the op rather than omitted.
-class WorkloadClient {
+/// Generator-driven clients hold no per-op state — a fixed-size cursor, a
+/// latency histogram and a digest of read results — no matter how long
+/// the stream is.  Script-driven clients also keep every read result.
+class Client {
  public:
-  WorkloadClient(McsProcess& process, Simulator& sim,
-                 const workload::Generator& gen);
+  Client(McsProcess& process, RootTransport& root, Script script);
+  Client(McsProcess& process, RootTransport& root,
+         const workload::Generator& gen);
+  /// Scheduled steps and protocol callbacks capture `this`.
+  Client(const Client&) = delete;
+  Client& operator=(const Client&) = delete;
 
   /// Schedule the first arrival (open loop) or first issue (closed loop).
   void start(TimePoint start);
@@ -120,27 +105,43 @@ class WorkloadClient {
   /// client was not stalled).
   void resume(TimePoint at);
 
-  [[nodiscard]] bool done() const {
-    return completed_ == gen_.ops_per_process();
-  }
-  [[nodiscard]] bool stalled() const { return stalled_; }
+  /// Every op of the load has *completed* — an op issued but never
+  /// answered keeps the client unfinished.
+  [[nodiscard]] bool done() const { return completed_ == total_; }
   /// Ops handed to the protocol / completed so far.  At quiescence
   /// issued - completed is 0 or, with a dead channel, the censored op.
   [[nodiscard]] std::uint64_t issued() const { return issued_; }
   [[nodiscard]] std::uint64_t completed() const { return completed_; }
-  /// Order-sensitive digest of every read result — O(1) memory stand-in
-  /// for ScriptedClient's stored read vector.
+  /// Order-sensitive digest of every read result.
   [[nodiscard]] std::uint64_t reads_digest() const { return reads_digest_; }
-  [[nodiscard]] const LatencyHistogram& latency() const { return latency_; }
+  /// Every read result in program order (script-driven clients only).
+  [[nodiscard]] const std::vector<Value>& read_results() const {
+    return reads_;
+  }
+  /// Per-op latency (generator-driven clients only).
+  [[nodiscard]] const LatencyHistogram& latency() const { return *latency_; }
 
  private:
+  [[nodiscard]] bool open_loop() const {
+    return gen_ != nullptr && gen_->open_loop();
+  }
+  [[nodiscard]] workload::OpSpec op(std::uint64_t k) const;
+  [[nodiscard]] Duration think_time(std::uint64_t k) const {
+    return gen_ != nullptr ? Duration{} : script_[k].delay;
+  }
   void arrive();
   void pump();
   void complete(TimePoint t0);
 
   McsProcess& process_;
-  Simulator& sim_;
-  const workload::Generator& gen_;
+  RootTransport& root_;
+  Script script_;
+  const workload::Generator* gen_ = nullptr;
+  /// Histogram storage is ~15 KB, so script-driven clients (scale runs
+  /// hold thousands) carry none.
+  std::unique_ptr<LatencyHistogram> latency_;
+  std::vector<Value> reads_;
+  std::uint64_t total_ = 0;
   TimePoint start_{};
   std::uint64_t arrivals_ = 0;  ///< ops arrived (== total in closed loop)
   std::uint64_t issued_ = 0;
@@ -148,7 +149,6 @@ class WorkloadClient {
   std::uint64_t reads_digest_ = 0;
   bool outstanding_ = false;
   bool stalled_ = false;
-  LatencyHistogram latency_;
 };
 
 /// Final (value, provenance) copy of one replicated variable.

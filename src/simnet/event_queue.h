@@ -9,8 +9,8 @@
 //
 //   * Events are *typed* (Deliver / Timer / Closure) instead of captured
 //     std::function closures; a delivery carries its Message in place and
-//     a timer is two integers.  Closures remain only for the rare driver-
-//     injection path (ScriptedClient, tests).
+//     a timer is two integers.  Closures remain only for the driver-
+//     injection path (the engine's Client, scenario events, tests).
 //   * Event payloads live in a free-list pool of stable slots (a deque, so
 //     scheduling from inside a firing handler never invalidates anything).
 //     The pool grows to the peak queue depth once and is then reused.

@@ -70,7 +70,7 @@ struct ParallelSimOptions {
 };
 
 /// Multi-threaded deterministic event-loop Transport implementation.
-class ParallelSimulator final : public HostTransport {
+class ParallelSimulator final : public RootTransport {
  public:
   explicit ParallelSimulator(ParallelSimOptions options);
   ~ParallelSimulator() override;
@@ -108,7 +108,8 @@ class ParallelSimulator final : public HostTransport {
   /// Schedule a closure at `when`, owned by process `owner` (the owner
   /// fixes the shard it runs on and its canonical ordering slot).  From a
   /// worker thread the owner must live on the calling shard.
-  void schedule_at(TimePoint when, ProcessId owner, std::function<void()> fn);
+  void schedule_at(TimePoint when, ProcessId owner,
+                   std::function<void()> fn) override;
 
   /// Schedule a stop-the-world closure at `when`: it runs on the
   /// coordinator with every worker parked, and may mutate fault state,

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "simnet/event_queue.h"
@@ -31,7 +32,7 @@ struct SimOptions {
 };
 
 /// Single-threaded deterministic event-loop Transport implementation.
-class Simulator final : public HostTransport {
+class Simulator final : public RootTransport {
  public:
   explicit Simulator(SimOptions options = {});
   ~Simulator() override;
@@ -62,6 +63,12 @@ class Simulator final : public HostTransport {
   /// Schedule an arbitrary closure at an absolute time (drivers use this to
   /// inject initial operations).
   void schedule_at(TimePoint when, std::function<void()> fn);
+  /// The root seam: one event loop, so `owner` plays no part.
+  void schedule_at(TimePoint when, ProcessId owner,
+                   std::function<void()> fn) override {
+    (void)owner;
+    schedule_at(when, std::move(fn));
+  }
 
   /// Run one event; returns false when the queue is empty.
   bool step();

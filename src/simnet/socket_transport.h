@@ -54,6 +54,7 @@
 #include <queue>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "simnet/network.h"
@@ -143,7 +144,7 @@ struct SocketCounters {
 };
 
 /// TCP transport root.  See the file comment for the architecture.
-class SocketTransport final : public HostTransport {
+class SocketTransport final : public RootTransport {
  public:
   explicit SocketTransport(SocketOptions options);
   ~SocketTransport() override;
@@ -176,6 +177,13 @@ class SocketTransport final : public HostTransport {
 
   /// Run `task` on the mailbox thread owning local process `who`.
   void post(ProcessId who, std::function<void()> task);
+  /// The root seam: posts `fn` to `owner`'s mailbox.  There is no
+  /// virtual clock to wait on, so `when` (think time) is ignored.
+  void schedule_at(TimePoint when, ProcessId owner,
+                   std::function<void()> fn) override {
+    (void)when;
+    post(owner, std::move(fn));
+  }
 
   // -- Transport ------------------------------------------------------------
   void send(ProcessId from, ProcessId to, BodyRef body,

@@ -22,6 +22,7 @@
 #include <mutex>
 #include <queue>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "simnet/network.h"
@@ -40,7 +41,7 @@ struct ThreadRuntimeOptions {
 };
 
 /// Transport implementation where every endpoint runs on its own thread.
-class ThreadRuntime final : public HostTransport {
+class ThreadRuntime final : public RootTransport {
  public:
   explicit ThreadRuntime(ThreadRuntimeOptions options = {});
   ~ThreadRuntime() override;
@@ -65,6 +66,13 @@ class ThreadRuntime final : public HostTransport {
   /// Run `task` on the thread owning process `who`.  This is how drivers
   /// invoke protocol operations without data races.
   void post(ProcessId who, std::function<void()> task);
+  /// The root seam: posts `fn` to `owner`'s mailbox.  There is no
+  /// virtual clock to wait on, so `when` (think time) is ignored.
+  void schedule_at(TimePoint when, ProcessId owner,
+                   std::function<void()> fn) override {
+    (void)when;
+    post(owner, std::move(fn));
+  }
 
   // -- Transport interface ---------------------------------------------------
   void send(ProcessId from, ProcessId to, BodyRef body,

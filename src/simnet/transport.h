@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 
 #include "simnet/message.h"
 #include "simnet/sim_time.h"
@@ -76,6 +77,22 @@ class HostTransport : public Transport {
   /// Register the endpoint for the next free ProcessId (0, 1, 2, ...).
   /// The endpoint must outlive the transport.  Returns the assigned id.
   virtual ProcessId add_endpoint(Endpoint* ep) = 0;
+};
+
+/// The bottom of a stack: a HostTransport that owns the clock and can run
+/// a closure on a process's behalf.  The four roots (Simulator,
+/// ParallelSimulator, ThreadRuntime, SocketTransport) implement it; the
+/// decorators do not.  Together with now() this is the whole scheduling
+/// seam the engine's client drives its operations through, so one client
+/// runs unchanged on every root.
+class RootTransport : public HostTransport {
+ public:
+  /// Run `fn` at `when` on behalf of process `owner`.  The simulator
+  /// ignores `owner`; the parallel simulator routes by it (shard and
+  /// canonical ordering slot); the wall-clock roots post `fn` to `owner`'s
+  /// mailbox and ignore `when`.
+  virtual void schedule_at(TimePoint when, ProcessId owner,
+                           std::function<void()> fn) = 0;
 };
 
 }  // namespace pardsm

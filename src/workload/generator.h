@@ -8,7 +8,7 @@
 // of process p is the same no matter when, where, or in what order it is
 // asked for.  Nothing is ever materialized: a million-op stream costs the
 // same memory as a ten-op stream, which is what lets the engine's
-// WorkloadClient (mcs/engine.h) stream millions of ops per run with peak
+// Client (mcs/engine.h) stream millions of ops per run with peak
 // RSS independent of the op count — the property a Script (one stored
 // ScriptOp per op) cannot have.
 //

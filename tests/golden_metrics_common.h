@@ -53,9 +53,9 @@ inline Metrics measure(mcs::ProtocolKind kind,
     sim.add_endpoint(proc.get());
     proc->attach(sim);
   }
-  std::vector<std::unique_ptr<mcs::ScriptedClient>> clients;
+  std::vector<std::unique_ptr<mcs::Client>> clients;
   for (std::size_t p = 0; p < processes.size(); ++p) {
-    clients.push_back(std::make_unique<mcs::ScriptedClient>(
+    clients.push_back(std::make_unique<mcs::Client>(
         *processes[p], sim, scripts[p]));
     clients.back()->start(kTimeZero);
   }

@@ -85,9 +85,9 @@ TEST(ScriptedClient, ReadResultsCollected) {
     sim.add_endpoint(p.get());
     p->attach(sim);
   }
-  mcs::ScriptedClient writer(*procs[0], sim,
+  mcs::Client writer(*procs[0], sim,
                              {mcs::ScriptOp::write(0, 9)});
-  mcs::ScriptedClient reader(
+  mcs::Client reader(
       *procs[1], sim, {mcs::ScriptOp::read(0, millis(100))});
   writer.start(kTimeZero);
   reader.start(kTimeZero);

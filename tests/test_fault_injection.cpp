@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "history/checkers.h"
 #include "mcs/driver.h"
 #include "sharegraph/topologies.h"
@@ -103,6 +105,28 @@ INSTANTIATE_TEST_SUITE_P(WaitFree, LossTolerance,
                            return sanitize(to_string(info.param));
                          });
 
+// A lost completion must fail the run even when the lost op is the
+// script's last: a client counts an op finished once it *completes*, not
+// once it is issued.  Atomic-home's remote read is an RPC to the home;
+// with every message dropped and no ARQ, process 1's only read never
+// returns, and with every channel alive that is a hard error.
+TEST(LostCompletion, LastScriptOpFailsTheRunOnBothSimulatorRoots) {
+  const auto dist = graph::topo::complete(2, 1);
+  const std::vector<Script> scripts(2, Script{ScriptOp::read(0)});
+  for (const auto runtime :
+       {EngineRuntime::kSimulator, EngineRuntime::kParallelSim}) {
+    EngineConfig config;
+    config.protocol = ProtocolKind::kAtomicHome;
+    config.distribution = &dist;
+    config.scripts = &scripts;
+    config.runtime = runtime;
+    config.reliability = ReliabilityMode::kNever;
+    config.channel.drop_probability = 1.0;
+    EXPECT_THROW((void)run(std::move(config)), std::logic_error)
+        << (runtime == EngineRuntime::kSimulator ? "simulator" : "parallel");
+  }
+}
+
 // A severed link: PRAM updates to the victim never arrive; everyone else
 // keeps functioning and safety holds.
 TEST(Partition, PramSafeUnderOneWayPartition) {
@@ -121,10 +145,10 @@ TEST(Partition, PramSafeUnderOneWayPartition) {
     sim.add_endpoint(p.get());
     p->attach(sim);
   }
-  std::vector<std::unique_ptr<ScriptedClient>> clients;
+  std::vector<std::unique_ptr<Client>> clients;
   for (std::size_t p = 0; p < 3; ++p) {
     clients.push_back(
-        std::make_unique<ScriptedClient>(*procs[p], sim, scripts[p]));
+        std::make_unique<Client>(*procs[p], sim, scripts[p]));
     clients.back()->start(kTimeZero + micros(1));
   }
   // network() is created lazily at first send; sever just after start.

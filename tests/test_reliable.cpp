@@ -104,10 +104,10 @@ TEST(Reliable, PramProtocolLiveUnderLoss) {
   spec.ops_per_process = 8;
   spec.seed = 2;
   const auto scripts = mcs::make_random_scripts(dist, spec);
-  std::vector<std::unique_ptr<mcs::ScriptedClient>> clients;
+  std::vector<std::unique_ptr<mcs::Client>> clients;
   for (std::size_t p = 0; p < procs.size(); ++p) {
     clients.push_back(
-        std::make_unique<mcs::ScriptedClient>(*procs[p], sim, scripts[p]));
+        std::make_unique<mcs::Client>(*procs[p], sim, scripts[p]));
     clients.back()->start(kTimeZero);
   }
   sim.run();
@@ -139,10 +139,10 @@ TEST(Reliable, CausalProtocolLiveUnderLoss) {
   spec.ops_per_process = 6;
   spec.seed = 4;
   const auto scripts = mcs::make_random_scripts(dist, spec);
-  std::vector<std::unique_ptr<mcs::ScriptedClient>> clients;
+  std::vector<std::unique_ptr<mcs::Client>> clients;
   for (std::size_t p = 0; p < procs.size(); ++p) {
     clients.push_back(
-        std::make_unique<mcs::ScriptedClient>(*procs[p], sim, scripts[p]));
+        std::make_unique<mcs::Client>(*procs[p], sim, scripts[p]));
     clients.back()->start(kTimeZero);
   }
   sim.run();

@@ -104,6 +104,37 @@ TEST(Sockets, EveryProtocolConvergesOverLoopback) {
 }
 
 // ---------------------------------------------------------------------------
+// A closed-loop stream on the wall-clock roots runs in constant stack
+// depth.  A wait-free protocol completes an op inline, so a client that
+// issued its next op from inside the completion callback would recurse
+// once per op and overflow the mailbox thread's stack long before 200k
+// ops; the client posts each next op to its mailbox instead.  Covers
+// kThreads as well — the same client and seam drive both roots.
+// ---------------------------------------------------------------------------
+
+TEST(Sockets, ClosedLoopStreamsRunInConstantStackDepth) {
+  const auto dist = graph::topo::random_replication(4, 16, 3, 1);
+  workload::Spec spec;
+  spec.ops_per_process = 200'000;
+  spec.read_fraction = 0.95;
+  const std::uint64_t target = spec.ops_per_process * dist.process_count();
+  for (const auto runtime :
+       {mcs::EngineRuntime::kThreads, mcs::EngineRuntime::kSockets}) {
+    SCOPED_TRACE(runtime == mcs::EngineRuntime::kThreads ? "threads"
+                                                         : "sockets");
+    mcs::EngineConfig config;
+    config.protocol = mcs::ProtocolKind::kPramPartial;
+    config.distribution = &dist;
+    config.workload = &spec;
+    config.record_history = false;
+    config.runtime = runtime;
+    const auto r = mcs::run(std::move(config));
+    EXPECT_EQ(r.ops_completed, target);
+    EXPECT_EQ(r.ops_censored, 0u);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // The decorator stacks (ARQ, batching, both stacking orders) compose
 // above the socket root exactly as above the simulator.
 // ---------------------------------------------------------------------------

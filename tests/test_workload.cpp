@@ -2,7 +2,7 @@
 // histogram (exactness vs a sorted-vector reference, merge algebra, the
 // zero-allocation gate), the lazy YCSB-style generator (purity, mix and
 // skew shape, the packing/offset wrap guards), and the engine surface
-// (WorkloadClient on all four runtimes, open-loop arrivals, censored
+// (the engine Client on all four runtimes, open-loop arrivals, censored
 // accounting on dead channels, peak-RSS independence of the op count).
 
 #include <gtest/gtest.h>
