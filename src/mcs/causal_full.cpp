@@ -1,7 +1,5 @@
 #include "mcs/causal_full.h"
 
-#include <algorithm>
-
 #include "simnet/wire.h"
 
 namespace pardsm::mcs {
@@ -63,6 +61,7 @@ CausalFullProcess::CausalFullProcess(ProcessId self,
     : McsProcess(self, dist, recorder), vc_(dist.process_count()) {
   // Replace the partial store with a complete one.
   mutable_store() = ReplicaStore(all_vars(dist));
+  buffer_.set_key_count(dist.process_count());
 }
 
 void CausalFullProcess::on_attach() {
@@ -102,32 +101,22 @@ void CausalFullProcess::write(VarId x, Value v, WriteCallback done) {
 }
 
 void CausalFullProcess::handle_message(const Message& m) {
-  buffer_.push_back(m);
-  mutable_stats().max_buffer_depth = std::max(
-      mutable_stats().max_buffer_depth,
-      static_cast<std::uint64_t>(buffer_.size()));
-  try_deliver();
+  buffer_.arrive(m, *this, mutable_stats());
 }
 
-void CausalFullProcess::try_deliver() {
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (auto it = buffer_.begin(); it != buffer_.end(); ++it) {
-      const auto* u = it->as<CausalUpdate>();
-      PARDSM_CHECK(u != nullptr, "causal-full: unexpected message body");
-      if (!vc_.ready_from(u->vc, it->from)) {
-        ++mutable_stats().updates_buffered;
-        continue;
-      }
-      vc_.merge(u->vc);
-      mutable_store().put(u->x, u->v, u->id);
-      ++mutable_stats().updates_applied;
-      buffer_.erase(it);
-      progress = true;
-      break;
-    }
-  }
+Readiness CausalFullProcess::check(const Message& m,
+                                   std::uint64_t& resume) const {
+  const auto* u = m.as<CausalUpdate>();
+  PARDSM_CHECK(u != nullptr, "causal-full: unexpected message body");
+  return clock_readiness(vc_, u->vc, m.from, resume);
+}
+
+std::uint32_t CausalFullProcess::deliver(const Message& m) {
+  const auto* u = m.as<CausalUpdate>();
+  vc_.merge(u->vc);  // raises only vc_[m.from]: ready means the rest is ≤
+  mutable_store().put(u->x, u->v, u->id);
+  ++mutable_stats().updates_applied;
+  return static_cast<std::uint32_t>(m.from);
 }
 
 }  // namespace pardsm::mcs

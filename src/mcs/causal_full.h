@@ -10,8 +10,7 @@
 // bench_control_overhead.
 #pragma once
 
-#include <deque>
-
+#include "mcs/causal_buffer.h"
 #include "mcs/protocol.h"
 #include "mcs/vector_clock.h"
 
@@ -44,13 +43,15 @@ class CausalFullProcess final : public McsProcess {
   }
 
  private:
-  void try_deliver();
+  friend class CausalBuffer;
+  [[nodiscard]] Readiness check(const Message& m, std::uint64_t& resume) const;
+  std::uint32_t deliver(const Message& m);
 
   /// Pool handle cached at attach() so each write is a freelist pop.
   BodyPool<CausalUpdate>* update_pool_ = nullptr;
   VectorClock vc_;
   std::int64_t next_write_seq_ = 0;
-  std::deque<Message> buffer_;
+  CausalBuffer buffer_;  ///< keyed by writer
 };
 
 }  // namespace pardsm::mcs

@@ -1,7 +1,5 @@
 #include "mcs/causal_partial_adhoc.h"
 
-#include <algorithm>
-
 #include "simnet/wire.h"
 
 namespace pardsm::mcs {
@@ -131,9 +129,17 @@ CausalPartialAdHocProcess::CausalPartialAdHocProcess(
     : McsProcess(self, dist, recorder), analysis_(std::move(analysis)) {
   PARDSM_CHECK(analysis_ != nullptr, "ad-hoc protocol needs analysis");
   seen_.resize(dist.var_count);
-  for (VarId y : analysis_->tracks[static_cast<std::size_t>(self)]) {
-    seen_[static_cast<std::size_t>(y)].assign(dist.process_count(), 0);
+  key_base_.resize(dist.var_count);
+  const std::size_t n = dist.process_count();
+  const auto& tracked = analysis_->tracks[static_cast<std::size_t>(self)];
+  PARDSM_CHECK(tracked.size() * n < 0xFFFF'FFFFU,
+               "ad-hoc: too many counters for 32-bit buffer keys");
+  for (std::size_t t = 0; t < tracked.size(); ++t) {
+    const auto y = static_cast<std::size_t>(tracked[t]);
+    seen_[y].assign(n, 0);
+    key_base_[y] = static_cast<std::uint32_t>(t * n);
   }
+  buffer_.set_key_count(tracked.size() * n);
 }
 
 void CausalPartialAdHocProcess::on_attach() {
@@ -218,66 +224,61 @@ void CausalPartialAdHocProcess::write(VarId x, Value v, WriteCallback done) {
 }
 
 void CausalPartialAdHocProcess::handle_message(const Message& m) {
-  buffer_.push_back(m);
-  mutable_stats().max_buffer_depth = std::max(
-      mutable_stats().max_buffer_depth,
-      static_cast<std::uint64_t>(buffer_.size()));
-  try_deliver();
+  buffer_.arrive(m, *this, mutable_stats());
 }
 
-bool CausalPartialAdHocProcess::ready(const Message& m) const {
+std::uint32_t CausalPartialAdHocProcess::key_of(std::size_t y,
+                                                std::size_t k) const {
+  return key_base_[y] + static_cast<std::uint32_t>(k);
+}
+
+Readiness CausalPartialAdHocProcess::check(const Message& m,
+                                           std::uint64_t& resume) const {
   const auto* u = m.as<AdHocMsg>();
   PARDSM_CHECK(u != nullptr, "ad-hoc: unexpected message body");
 
   // Per-(writer, var) FIFO: this must be the next write of the sender on x
-  // that we incorporate.
+  // that we incorporate; a write already counted is a stale copy.
   const auto xi = static_cast<std::size_t>(u->x);
   PARDSM_CHECK(xi < seen_.size() && !seen_[xi].empty(),
                "ad-hoc: received metadata for an untracked variable — "
                "routing violates Theorem 1 sets");
-  if (seen_[xi][static_cast<std::size_t>(m.from)] != u->var_seq - 1) {
-    return false;
-  }
+  const auto from = static_cast<std::size_t>(m.from);
+  const std::int64_t have = seen_[xi][from];
+  if (have >= u->var_seq) return Readiness::stale();
+  if (have != u->var_seq - 1) return Readiness::wait(key_of(xi, from));
+
   // Dependency domination for every variable we track (entries of the
-  // shared snapshot we do not track carry no constraint for us).
+  // shared snapshot we do not track carry no constraint for us).  The
+  // cursor packs (snapshot entry, writer) of the first unchecked counter.
   const DepSnapshotBody* snap = u->snapshot();
-  for (std::size_t i = 0; i < snap->count; ++i) {
+  std::size_t i = resume >> 32;
+  std::size_t k = resume & 0xFFFF'FFFFU;
+  for (; i < snap->count; ++i, k = 0) {
     const auto& [y, counts] = snap->entries[i];
     const auto yi = static_cast<std::size_t>(y);
     if (yi >= seen_.size() || seen_[yi].empty()) continue;  // not tracked
     const auto& mine = seen_[yi];
-    for (std::size_t k = 0; k < counts.size(); ++k) {
-      if (mine[k] < counts[k]) return false;
+    for (; k < counts.size(); ++k) {
+      if (mine[k] < counts[k]) {
+        resume = (static_cast<std::uint64_t>(i) << 32) | k;
+        return Readiness::wait(key_of(yi, k));
+      }
     }
   }
-  return true;
+  resume = static_cast<std::uint64_t>(i) << 32;
+  return Readiness::ready();
 }
 
-void CausalPartialAdHocProcess::deliver(const Message& m) {
+std::uint32_t CausalPartialAdHocProcess::deliver(const Message& m) {
   const auto* u = m.as<AdHocMsg>();
-  seen_[static_cast<std::size_t>(u->x)][static_cast<std::size_t>(m.from)] =
-      u->var_seq;
+  const auto xi = static_cast<std::size_t>(u->x);
+  seen_[xi][static_cast<std::size_t>(m.from)] = u->var_seq;
   if (u->has_value && replicates(u->x)) {
     mutable_store().put(u->x, u->v, u->id);
     ++mutable_stats().updates_applied;
   }
-}
-
-void CausalPartialAdHocProcess::try_deliver() {
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (auto it = buffer_.begin(); it != buffer_.end(); ++it) {
-      if (!ready(*it)) {
-        ++mutable_stats().updates_buffered;
-        continue;
-      }
-      deliver(*it);
-      buffer_.erase(it);
-      progress = true;
-      break;
-    }
-  }
+  return key_of(xi, static_cast<std::size_t>(m.from));
 }
 
 }  // namespace pardsm::mcs

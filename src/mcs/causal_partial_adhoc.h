@@ -22,11 +22,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <set>
 #include <vector>
 
+#include "mcs/causal_buffer.h"
 #include "mcs/protocol.h"
 #include "sharegraph/hoops.h"
 
@@ -73,9 +73,11 @@ class CausalPartialAdHocProcess final : public McsProcess {
   [[nodiscard]] std::int64_t seen(VarId y, ProcessId k) const;
 
  private:
-  void try_deliver();
-  [[nodiscard]] bool ready(const Message& m) const;
-  void deliver(const Message& m);
+  friend class CausalBuffer;
+  [[nodiscard]] Readiness check(const Message& m, std::uint64_t& resume) const;
+  std::uint32_t deliver(const Message& m);
+  /// Buffer key of counter seen_[y][k].
+  [[nodiscard]] std::uint32_t key_of(std::size_t y, std::size_t k) const;
 
   /// Pool handles cached at attach() so each write is two freelist pops
   /// (one snapshot shared by the round, one message per recipient).
@@ -87,8 +89,11 @@ class CausalPartialAdHocProcess final : public McsProcess {
   /// the single hottest protocol predicate — a straight array walk with
   /// no map lookups.
   std::vector<std::vector<std::int64_t>> seen_;
+  /// key_base_[y]: first buffer key of tracked y.  Tracked variables are
+  /// numbered densely, so the key table holds |tracks|·n heads, not m·n.
+  std::vector<std::uint32_t> key_base_;
   std::int64_t next_write_seq_ = 0;
-  std::deque<Message> buffer_;
+  CausalBuffer buffer_;
 };
 
 }  // namespace pardsm::mcs

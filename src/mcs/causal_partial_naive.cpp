@@ -1,7 +1,5 @@
 #include "mcs/causal_partial_naive.h"
 
-#include <algorithm>
-
 #include "simnet/wire.h"
 
 namespace pardsm::mcs {
@@ -56,7 +54,9 @@ const KindId kNotifyKind("PNOT");
 CausalPartialNaiveProcess::CausalPartialNaiveProcess(
     ProcessId self, const graph::Distribution& dist,
     HistoryRecorder& recorder)
-    : McsProcess(self, dist, recorder), vc_(dist.process_count()) {}
+    : McsProcess(self, dist, recorder), vc_(dist.process_count()) {
+  buffer_.set_key_count(dist.process_count());
+}
 
 void CausalPartialNaiveProcess::on_attach() {
   msg_pool_ = &arena().pool<PartialCausalMsg>();
@@ -116,34 +116,24 @@ void CausalPartialNaiveProcess::write(VarId x, Value v, WriteCallback done) {
 }
 
 void CausalPartialNaiveProcess::handle_message(const Message& m) {
-  buffer_.push_back(m);
-  mutable_stats().max_buffer_depth = std::max(
-      mutable_stats().max_buffer_depth,
-      static_cast<std::uint64_t>(buffer_.size()));
-  try_deliver();
+  buffer_.arrive(m, *this, mutable_stats());
 }
 
-void CausalPartialNaiveProcess::try_deliver() {
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (auto it = buffer_.begin(); it != buffer_.end(); ++it) {
-      const auto* u = it->as<PartialCausalMsg>();
-      PARDSM_CHECK(u != nullptr, "causal-partial: unexpected message body");
-      if (!vc_.ready_from(u->vc, it->from)) {
-        ++mutable_stats().updates_buffered;
-        continue;
-      }
-      vc_.merge(u->vc);
-      if (u->has_value && replicates(u->x)) {
-        mutable_store().put(u->x, u->v, u->id);
-        ++mutable_stats().updates_applied;
-      }
-      buffer_.erase(it);
-      progress = true;
-      break;
-    }
+Readiness CausalPartialNaiveProcess::check(const Message& m,
+                                           std::uint64_t& resume) const {
+  const auto* u = m.as<PartialCausalMsg>();
+  PARDSM_CHECK(u != nullptr, "causal-partial: unexpected message body");
+  return clock_readiness(vc_, u->vc, m.from, resume);
+}
+
+std::uint32_t CausalPartialNaiveProcess::deliver(const Message& m) {
+  const auto* u = m.as<PartialCausalMsg>();
+  vc_.merge(u->vc);  // raises only vc_[m.from]: ready means the rest is ≤
+  if (u->has_value && replicates(u->x)) {
+    mutable_store().put(u->x, u->v, u->id);
+    ++mutable_stats().updates_applied;
   }
+  return static_cast<std::uint32_t>(m.from);
 }
 
 }  // namespace pardsm::mcs

@@ -12,8 +12,7 @@
 // contradicting scalability".
 #pragma once
 
-#include <deque>
-
+#include "mcs/causal_buffer.h"
 #include "mcs/protocol.h"
 #include "mcs/vector_clock.h"
 
@@ -40,13 +39,15 @@ class CausalPartialNaiveProcess final : public McsProcess {
   [[nodiscard]] const VectorClock& clock() const { return vc_; }
 
  private:
-  void try_deliver();
+  friend class CausalBuffer;
+  [[nodiscard]] Readiness check(const Message& m, std::uint64_t& resume) const;
+  std::uint32_t deliver(const Message& m);
 
   /// Pool handle cached at attach() so each write is a freelist pop.
   BodyPool<PartialCausalMsg>* msg_pool_ = nullptr;
   VectorClock vc_;
   std::int64_t next_write_seq_ = 0;
-  std::deque<Message> buffer_;
+  CausalBuffer buffer_;  ///< keyed by writer
 };
 
 }  // namespace pardsm::mcs

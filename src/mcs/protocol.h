@@ -39,7 +39,12 @@ struct ProtocolStats {
   std::uint64_t remote_reads = 0;   ///< reads that required a round trip
   std::uint64_t writes = 0;
   std::uint64_t updates_applied = 0;
-  std::uint64_t updates_buffered = 0;  ///< delayed for causal readiness
+  /// Causal protocols: failed readiness checks, one per check that left a
+  /// buffered update waiting (an update re-checked k times counts k), not
+  /// the number of delayed updates.  slow-partial: updates held for their
+  /// delivery timer.
+  std::uint64_t updates_buffered = 0;
+  /// Most updates held in the delivery buffer at once, the arrival included.
   std::uint64_t max_buffer_depth = 0;
 };
 

@@ -1,22 +1,27 @@
 // Unit tests for the allocation-free hot-path containers introduced by
 // the pooled-event refactor: the event pool (slot reuse, (time, seq) tie
 // ordering), the kind interner (stable ids, round-trip names, ARQ
-// wrapping) and the small-buffer variable list (inline → heap spill).
+// wrapping), the small-buffer variable list (inline → heap spill) and the
+// wake-indexed causal buffer (rescan-equivalent delivery order).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <deque>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "mcs/causal_buffer.h"
 #include "mcs/driver.h"
 #include "mcs/factory.h"
 #include "sharegraph/topologies.h"
 #include "simnet/event_queue.h"
 #include "simnet/kind_table.h"
 #include "simnet/pair_map.h"
+#include "simnet/rng.h"
 #include "simnet/simulator.h"
 #include "simnet/small_vec.h"
 
@@ -252,6 +257,143 @@ TEST(PairMapTest, SurvivesGrowthWithRegularPairKeys) {
   EXPECT_TRUE(map.empty());
   EXPECT_EQ(map.find(0), nullptr);
   EXPECT_EQ(map.memory_bytes(), 0u);
+}
+
+// ----------------------------------------------------------- CausalBuffer
+// A causally consistent update set: writer[u] issued update u with clock
+// clock[u], after incorporating a random earlier update (and, through its
+// clock, everything that update depended on).
+struct UpdateSet {
+  std::vector<ProcessId> writer;
+  std::vector<mcs::VectorClock> clock;
+};
+
+UpdateSet make_update_set(std::size_t writers, std::size_t writes, Rng& rng) {
+  UpdateSet set;
+  std::vector<mcs::VectorClock> at(writers, mcs::VectorClock(writers));
+  for (std::size_t u = 0; u < writes; ++u) {
+    const auto w = static_cast<ProcessId>(rng.below(writers));
+    auto& vc = at[static_cast<std::size_t>(w)];
+    if (u > 0 && rng.below(2) == 0) vc.merge(set.clock[rng.below(u)]);
+    vc.increment(w);
+    set.writer.push_back(w);
+    set.clock.push_back(vc);
+  }
+  return set;
+}
+
+// Arrivals of update u are messages with id = u, from its writer.
+Message arrival_of(const UpdateSet& set, std::size_t u) {
+  Message m;
+  m.from = set.writer[u];
+  m.id = u;
+  return m;
+}
+
+// The receiving side: a process outside the writer set.
+struct ClockOwner {
+  const UpdateSet* set = nullptr;
+  mcs::VectorClock mine;
+  std::vector<std::uint64_t> delivered;
+
+  [[nodiscard]] mcs::Readiness check(const Message& m,
+                                     std::uint64_t& resume) const {
+    return mcs::clock_readiness(mine, set->clock[m.id], m.from, resume);
+  }
+  std::uint32_t deliver(const Message& m) {
+    mine.merge(set->clock[m.id]);
+    delivered.push_back(m.id);
+    return static_cast<std::uint32_t>(m.from);
+  }
+};
+
+// The oracle: the rescan every causal protocol used before the buffer —
+// after each arrival, deliver the first ready update in arrival order
+// until none is ready.
+std::vector<std::uint64_t> rescan_order(const UpdateSet& set,
+                                        const std::vector<Message>& arrivals) {
+  mcs::VectorClock mine(set.clock.front().size());
+  std::deque<Message> buffer;
+  std::vector<std::uint64_t> order;
+  for (const Message& m : arrivals) {
+    buffer.push_back(m);
+    bool progress = true;
+    while (progress) {
+      progress = false;
+      for (auto it = buffer.begin(); it != buffer.end(); ++it) {
+        if (!mine.ready_from(set.clock[it->id], it->from)) continue;
+        mine.merge(set.clock[it->id]);
+        order.push_back(it->id);
+        buffer.erase(it);
+        progress = true;
+        break;
+      }
+    }
+  }
+  return order;
+}
+
+TEST(CausalBufferTest, DeliversInTheRescanOrder) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t writers = 2 + rng.below(5);
+    const UpdateSet set = make_update_set(writers, 8 + rng.below(40), rng);
+    std::vector<Message> arrivals;
+    for (std::size_t u = 0; u < set.writer.size(); ++u) {
+      arrivals.push_back(arrival_of(set, u));
+    }
+    const bool duplicates = trial % 2 == 1;
+    if (duplicates) {
+      for (std::size_t u = 0; u < set.writer.size(); ++u) {
+        if (rng.below(3) == 0) arrivals.push_back(arrival_of(set, u));
+      }
+    }
+    for (std::size_t i = arrivals.size(); i > 1; --i) {  // Fisher-Yates
+      std::swap(arrivals[i - 1], arrivals[rng.below(i)]);
+    }
+
+    ClockOwner owner{&set, mcs::VectorClock(writers), {}};
+    mcs::CausalBuffer buffer;
+    buffer.set_key_count(writers);
+    mcs::ProtocolStats stats;
+    for (const Message& m : arrivals) buffer.arrive(m, owner, stats);
+
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    EXPECT_EQ(owner.delivered, rescan_order(set, arrivals));
+    EXPECT_EQ(owner.delivered.size(), set.writer.size());
+    // Every update got delivered, so every copy left is stale: dropped.
+    EXPECT_EQ(buffer.size(), 0u);
+  }
+}
+
+TEST(CausalBufferTest, SteadyStateIsAllocationFree) {
+  Rng rng(7);
+  const std::size_t writers = 4;
+  const UpdateSet set = make_update_set(writers, 200, rng);
+  ClockOwner owner{&set, mcs::VectorClock(writers), {}};
+  owner.delivered.reserve(set.writer.size());
+  mcs::CausalBuffer buffer;
+  buffer.set_key_count(writers);
+  mcs::ProtocolStats stats;
+  // Reversed arrival order: nearly every update waits for its
+  // predecessors, so the buffer is driven to (almost) full depth.
+  const auto drive = [&] {
+    for (std::size_t u = set.writer.size(); u-- > 0;) {
+      buffer.arrive(arrival_of(set, u), owner, stats);
+    }
+  };
+  drive();
+  ASSERT_EQ(owner.delivered.size(), set.writer.size());
+  ASSERT_GT(stats.max_buffer_depth, set.writer.size() / 2);
+
+  owner.mine = mcs::VectorClock(writers);
+  owner.delivered.clear();
+  g_alloc_count.store(0);
+  g_count_allocs.store(true);
+  drive();
+  g_count_allocs.store(false);
+  EXPECT_EQ(owner.delivered.size(), set.writer.size());
+  EXPECT_EQ(g_alloc_count.load(), 0u);
 }
 
 // ------------------------------------------------- steady-state allocation
