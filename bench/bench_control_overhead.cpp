@@ -50,11 +50,14 @@ void sweep(bu::Harness& h, const std::string& label,
         }
       }
       if (writes == 0) continue;
-      const auto run = run_workload(kind, dist, scripts, {});
+      const auto run = mcs::run(
+          {.protocol = kind, .distribution = &dist, .scripts = &scripts});
       // wall_ns times a second, warm run of the identical (deterministic)
       // workload so the row measures the engine, not cold-start noise.
-      const std::uint64_t wall_ns =
-          bu::time_ns([&] { (void)run_workload(kind, dist, scripts, {}); });
+      const std::uint64_t wall_ns = bu::time_ns([&] {
+        (void)mcs::run(
+            {.protocol = kind, .distribution = &dist, .scripts = &scripts});
+      });
       const auto model = core::predict(kind, dist);
       bu::row({to_string(kind), bu::num(static_cast<std::uint64_t>(n)),
                bu::num(static_cast<double>(run.total_traffic.msgs_sent) /
@@ -96,7 +99,8 @@ void BM_ControlSweep(benchmark::State& state, ProtocolKind kind) {
   const auto dist = graph::topo::random_replication(n, 2 * n, 3, 11);
   const auto scripts = write_heavy_scripts(dist, 5, 11);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_workload(kind, dist, scripts, {}));
+    benchmark::DoNotOptimize(mcs::run(
+        {.protocol = kind, .distribution = &dist, .scripts = &scripts}));
   }
 }
 BENCHMARK_CAPTURE(BM_ControlSweep, pram, ProtocolKind::kPramPartial)

@@ -34,9 +34,11 @@ Latencies measure(ProtocolKind kind, Duration lo, Duration hi) {
   spec.read_fraction = 0.5;
   spec.seed = 9;
   const auto scripts = make_random_scripts(dist, spec);
-  RunOptions options;
-  options.latency = std::make_unique<UniformLatency>(lo, hi);
-  const auto run = run_workload(kind, dist, scripts, std::move(options));
+  const auto run =
+      mcs::run({.protocol = kind,
+                .distribution = &dist,
+                .scripts = &scripts,
+                .latency = std::make_unique<UniformLatency>(lo, hi)});
 
   Latencies out;
   double read_total = 0, write_total = 0;

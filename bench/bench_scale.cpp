@@ -131,15 +131,23 @@ void sweep(bu::Harness& h, unsigned threads) {
         std::uint64_t wall_1t_ns = 0;
         if (threads > 0) {
           bu::WallTimer t1;
-          const auto r1 = run_workload_parallel(kind, dist, scripts, 1, {});
+          const auto r1 =
+              mcs::run({.protocol = kind,
+                        .distribution = &dist,
+                        .scripts = &scripts,
+                        .runtime = EngineRuntime::kParallelSim,
+                        .parallel = {.num_threads = 1}});
           wall_1t_ns = t1.ns();
           benchmark::DoNotOptimize(&r1);
         }
         bu::WallTimer timer;
-        const auto r =
-            threads > 0
-                ? run_workload_parallel(kind, dist, scripts, threads, {})
-                : run_workload(kind, dist, scripts, {});
+        const auto r = mcs::run(
+            {.protocol = kind,
+             .distribution = &dist,
+             .scripts = &scripts,
+             .runtime = threads > 0 ? EngineRuntime::kParallelSim
+                                    : EngineRuntime::kSimulator,
+             .parallel = {.num_threads = threads}});
         const std::uint64_t wall_ns = timer.ns();
         const std::uint64_t rss_kb = bu::max_rss_kb();
         const double speedup_vs_1t =
@@ -202,7 +210,8 @@ void BM_Scale(benchmark::State& state, ProtocolKind kind) {
   spec.seed = 42;
   const auto scripts = make_random_scripts(dist, spec);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_workload(kind, dist, scripts, {}));
+    benchmark::DoNotOptimize(mcs::run(
+        {.protocol = kind, .distribution = &dist, .scripts = &scripts}));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n * spec.ops_per_process));

@@ -3,10 +3,10 @@
 //
 // The paper's efficiency results assume reliable FIFO channels.  This
 // bench charges recovery traffic to the same ledger: every (protocol,
-// schedule, loss-rate) cell runs the identical workload through
-// run_scenario — ARQ framing, retransmissions, partition backlogs and
-// crash re-syncs included — and reports the overhead relative to the
-// lossless run of the same scripts.  Expected shape:
+// schedule, loss-rate) cell runs the identical workload and fault
+// timeline through mcs::run — ARQ framing, retransmissions, partition
+// backlogs and crash re-syncs included — and reports the overhead
+// relative to the lossless run of the same scripts.  Expected shape:
 //
 //   loss 0          : ARQ framing only (acks + 16B/frame) — the fixed
 //                     price of not trusting the channel
@@ -88,7 +88,8 @@ void sweep(bu::Harness& h) {
   for (auto kind : all_protocols()) {
     // The lossless, ARQ-free run of the same scripts: the denominator of
     // every overhead ratio in this protocol's rows.
-    const auto lossless = run_workload(kind, dist, scripts, {});
+    const auto lossless = mcs::run(
+        {.protocol = kind, .distribution = &dist, .scripts = &scripts});
     const auto lossless_bytes =
         static_cast<double>(lossless.total_traffic.wire_bytes_sent());
 
@@ -97,10 +98,11 @@ void sweep(bu::Harness& h) {
       for (double loss : kLossRates) {
         const auto scenario = make_scenario(schedule, loss);
         const auto run = [&] {
-          RunOptions options;
-          options.sim_seed = 7;
-          return run_scenario(kind, dist, scripts, scenario,
-                              std::move(options));
+          return mcs::run({.protocol = kind,
+                           .distribution = &dist,
+                           .scripts = &scripts,
+                           .scenario = &scenario,
+                           .sim_seed = 7});
         };
         const auto r = run();
         // wall_ns times a second, warm run of the identical deterministic
@@ -152,11 +154,11 @@ void BM_Scenario(benchmark::State& state, Schedule schedule, double loss) {
   const auto scripts = scenario_scripts(dist);
   const auto scenario = make_scenario(schedule, loss);
   for (auto _ : state) {
-    RunOptions options;
-    options.sim_seed = 7;
-    benchmark::DoNotOptimize(run_scenario(ProtocolKind::kPramPartial, dist,
-                                          scripts, scenario,
-                                          std::move(options)));
+    benchmark::DoNotOptimize(mcs::run({.protocol = ProtocolKind::kPramPartial,
+                                       .distribution = &dist,
+                                       .scripts = &scripts,
+                                       .scenario = &scenario,
+                                       .sim_seed = 7}));
   }
 }
 BENCHMARK_CAPTURE(BM_Scenario, steady_loss10, Schedule::kSteady, 0.1);

@@ -54,16 +54,17 @@ void print_table(bu::Harness& h) {
              "efficient?"});
     for (auto kind : all_protocols()) {
       const auto scripts = exhaustive_scripts(dist);
-      RunOptions options;
-      options.latency = std::make_unique<UniformLatency>(millis(1), millis(8));
-      const auto run = run_workload(kind, dist, scripts, std::move(options));
+      const auto run_once = [&] {
+        return mcs::run({.protocol = kind,
+                         .distribution = &dist,
+                         .scripts = &scripts,
+                         .latency = std::make_unique<UniformLatency>(
+                             millis(1), millis(8))});
+      };
+      const auto run = run_once();
       // wall_ns times a second, warm run of the identical (deterministic)
       // workload so the row measures the engine, not cold-start noise.
-      const std::uint64_t wall_ns = bu::time_ns([&] {
-        RunOptions rerun;
-        rerun.latency = std::make_unique<UniformLatency>(millis(1), millis(8));
-        (void)run_workload(kind, dist, scripts, std::move(rerun));
-      });
+      const std::uint64_t wall_ns = bu::time_ns([&] { (void)run_once(); });
       const auto report = core::analyze_run(dist, run.observed_relevant,
                                             run.total_traffic);
       std::size_t observed = 0;
@@ -110,9 +111,8 @@ void BM_WorkloadAdhocVsNaive(benchmark::State& state, ProtocolKind kind) {
   const auto dist = graph::topo::clusters(3, 2, true);
   const auto scripts = exhaustive_scripts(dist);
   for (auto _ : state) {
-    RunOptions options;
-    benchmark::DoNotOptimize(run_workload(kind, dist, scripts,
-                                          std::move(options)));
+    benchmark::DoNotOptimize(mcs::run(
+        {.protocol = kind, .distribution = &dist, .scripts = &scripts}));
   }
 }
 BENCHMARK_CAPTURE(BM_WorkloadAdhocVsNaive, naive,

@@ -49,7 +49,10 @@ else
 fi
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 
-CMAKE_EXTRA=()
+# Every flavour builds warning-clean: a new warning (e.g. a
+# designated-initializer mcs::run({...}) call that trips
+# -Wmissing-field-initializers) fails CI instead of scrolling past.
+CMAKE_EXTRA=(-DPARDSM_WERROR=ON)
 if command -v ccache >/dev/null 2>&1; then
   CMAKE_EXTRA+=(-DCMAKE_C_COMPILER_LAUNCHER=ccache
                 -DCMAKE_CXX_COMPILER_LAUNCHER=ccache)

@@ -89,10 +89,11 @@ int main() {
   for (auto kind : {mcs::ProtocolKind::kCausalPartialNaive,
                     mcs::ProtocolKind::kCausalPartialAdHoc,
                     mcs::ProtocolKind::kPramPartial}) {
-    mcs::RunOptions options;
-    options.latency = std::make_unique<UniformLatency>(millis(5), millis(40));
-    const auto run =
-        mcs::run_workload(kind, dist, scripts, std::move(options));
+    const auto run = mcs::run(
+        {.protocol = kind,
+         .distribution = &dist,
+         .scripts = &scripts,
+         .latency = std::make_unique<UniformLatency>(millis(5), millis(40))});
     const auto report =
         core::analyze_run(dist, run.observed_relevant, run.total_traffic);
     std::size_t exposure = 0;

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 
-#include "mcs/factory.h"
+#include "core/dsm.h"
 #include "simnet/check.h"
 #include "simnet/rng.h"
 
@@ -152,29 +152,22 @@ class Component {
 JacobiResult run_async_jacobi(const JacobiProblem& p,
                               const JacobiOptions& options) {
   const std::size_t n = p.size();
-  const auto dist = make_distribution(n);
-
-  SimOptions sim_options;
-  sim_options.seed = options.sim_seed;
-  sim_options.latency = std::make_unique<UniformLatency>(millis(1), millis(6));
-  Simulator sim(std::move(sim_options));
-
-  mcs::HistoryRecorder recorder(dist.process_count(), dist.var_count);
-  auto procs = mcs::make_processes(options.protocol, dist, recorder);
-  for (auto& proc : procs) {
-    sim.add_endpoint(proc.get());
-    proc->attach(sim);
-  }
+  System dsm({.protocol = options.protocol,
+              .distribution = make_distribution(n),
+              .seed = options.sim_seed,
+              .latency_lo = millis(1),
+              .latency_hi = millis(6)});
+  Simulator& sim = dsm.simulator();
 
   std::vector<std::unique_ptr<Component>> comps;
   for (std::size_t i = 0; i < n; ++i) {
-    comps.push_back(
-        std::make_unique<Component>(i, p, *procs[i], sim, options));
+    comps.push_back(std::make_unique<Component>(
+        i, p, dsm.process(static_cast<ProcessId>(i)), sim, options));
   }
   for (auto& c : comps) {
     sim.schedule_at(kTimeZero, [comp = c.get()] { comp->start(); });
   }
-  sim.run();
+  dsm.run();
 
   JacobiResult result;
   const auto reference = jacobi_reference(p);
@@ -188,8 +181,8 @@ JacobiResult run_async_jacobi(const JacobiProblem& p,
   }
   // Tolerance: a few fixed-point ulps per unit magnitude.
   result.converged = result.max_abs_error <= kJacobiScale / 256;
-  result.total_traffic = sim.stats().total();
-  result.finished_at = sim.now();
+  result.total_traffic = dsm.stats().total();
+  result.finished_at = dsm.now();
   return result;
 }
 

@@ -4,7 +4,7 @@
 #include <set>
 #include <sstream>
 
-#include "mcs/factory.h"
+#include "core/dsm.h"
 #include "simnet/check.h"
 
 namespace pardsm::apps {
@@ -162,32 +162,24 @@ class BfNode {
 
 BellmanFordResult run_bellman_ford(const WeightedGraph& g,
                                    const BellmanFordOptions& options) {
-  const auto dist = bellman_ford_distribution(g);
-
-  SimOptions sim_options;
-  sim_options.seed = options.sim_seed;
-  sim_options.latency = std::make_unique<UniformLatency>(options.latency_lo,
-                                                         options.latency_hi);
-  Simulator sim(std::move(sim_options));
-
-  mcs::HistoryRecorder recorder(dist.process_count(), dist.var_count);
-  auto processes = mcs::make_processes(options.protocol, dist, recorder);
-  for (auto& proc : processes) {
-    const ProcessId assigned = sim.add_endpoint(proc.get());
-    PARDSM_CHECK(assigned == proc->id(), "process id mismatch");
-    proc->attach(sim);
-  }
+  System dsm({.protocol = options.protocol,
+              .distribution = bellman_ford_distribution(g),
+              .seed = options.sim_seed,
+              .latency_lo = options.latency_lo,
+              .latency_hi = options.latency_hi});
+  Simulator& sim = dsm.simulator();
 
   std::vector<std::unique_ptr<BfNode>> nodes;
   for (std::size_t i = 0; i < g.size(); ++i) {
-    nodes.push_back(std::make_unique<BfNode>(static_cast<int>(i), g,
-                                             *processes[i], sim, options));
+    const auto id = static_cast<int>(i);
+    nodes.push_back(
+        std::make_unique<BfNode>(id, g, dsm.process(id), sim, options));
   }
   for (auto& node : nodes) {
     sim.schedule_at(kTimeZero, [n = node.get()] { n->start(); });
   }
 
-  sim.run();
+  dsm.run();
 
   BellmanFordResult result;
   result.reference = bellman_ford_reference(g, options.source);
@@ -199,9 +191,9 @@ BellmanFordResult run_bellman_ford(const WeightedGraph& g,
     result.handoff_violations += node->handoff_violations();
   }
   result.matches_reference = result.distances == result.reference;
-  result.total_traffic = sim.stats().total();
-  result.finished_at = sim.now();
-  result.history = recorder.history();
+  result.total_traffic = dsm.stats().total();
+  result.finished_at = dsm.now();
+  result.history = dsm.history();
   return result;
 }
 

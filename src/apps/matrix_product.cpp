@@ -1,6 +1,6 @@
 #include "apps/matrix_product.h"
 
-#include "mcs/factory.h"
+#include "core/dsm.h"
 #include "simnet/check.h"
 #include "simnet/rng.h"
 
@@ -223,29 +223,23 @@ MatrixProductResult run_matrix_product(const Matrix& a, const Matrix& b,
   PARDSM_CHECK(processes >= 1 && processes <= n,
                "process count must be in [1, n]");
   Layout lay{n, processes};
-  const auto dist = make_distribution(lay);
-
-  SimOptions sim_options;
-  sim_options.seed = options.sim_seed;
-  sim_options.latency = std::make_unique<UniformLatency>(millis(1), millis(4));
-  Simulator sim(std::move(sim_options));
-
-  mcs::HistoryRecorder recorder(dist.process_count(), dist.var_count);
-  auto procs = mcs::make_processes(options.protocol, dist, recorder);
-  for (auto& proc : procs) {
-    sim.add_endpoint(proc.get());
-    proc->attach(sim);
-  }
+  System dsm({.protocol = options.protocol,
+              .distribution = make_distribution(lay),
+              .seed = options.sim_seed,
+              .latency_lo = millis(1),
+              .latency_hi = millis(4)});
+  Simulator& sim = dsm.simulator();
 
   std::vector<std::unique_ptr<Worker>> workers;
   for (std::size_t p = 0; p < processes; ++p) {
-    workers.push_back(std::make_unique<Worker>(p, lay, a, b, *procs[p], sim,
-                                               options.poll));
+    workers.push_back(std::make_unique<Worker>(
+        p, lay, a, b, dsm.process(static_cast<ProcessId>(p)), sim,
+        options.poll));
   }
   for (auto& w : workers) {
     sim.schedule_at(kTimeZero, [worker = w.get()] { worker->start(); });
   }
-  sim.run();
+  dsm.run();
 
   MatrixProductResult result;
   result.product.assign(n, std::vector<std::int64_t>(n, 0));
@@ -257,8 +251,8 @@ MatrixProductResult run_matrix_product(const Matrix& a, const Matrix& b,
     }
   }
   result.matches_reference = result.product == multiply_reference(a, b);
-  result.total_traffic = sim.stats().total();
-  result.finished_at = sim.now();
+  result.total_traffic = dsm.stats().total();
+  result.finished_at = dsm.now();
   return result;
 }
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "mcs/factory.h"
+#include "core/dsm.h"
 #include "sharegraph/hoops.h"
 #include "simnet/check.h"
 
@@ -138,36 +138,30 @@ LcsResult run_wavefront_lcs(const std::string& s, const std::string& t,
                             const LcsOptions& options) {
   PARDSM_CHECK(!s.empty() && !t.empty(), "LCS needs non-empty strings");
   Layout lay{s.size() + 1, t.size() + 1};
-  const auto dist = make_distribution(lay);
+  System dsm({.protocol = options.protocol,
+              .distribution = make_distribution(lay),
+              .seed = options.sim_seed,
+              .latency_lo = millis(1),
+              .latency_hi = millis(3)});
+  Simulator& sim = dsm.simulator();
 
   // The app's distribution is hoop-free by construction; report it.
-  const graph::ShareGraph sg(dist);
+  const graph::ShareGraph sg(dsm.distribution());
   bool hoop_free = true;
   for (std::size_t x = 0; x < sg.var_count() && hoop_free; ++x) {
     if (graph::hoop_exists(sg, static_cast<VarId>(x))) hoop_free = false;
   }
 
-  SimOptions sim_options;
-  sim_options.seed = options.sim_seed;
-  sim_options.latency = std::make_unique<UniformLatency>(millis(1), millis(3));
-  Simulator sim(std::move(sim_options));
-
-  mcs::HistoryRecorder recorder(dist.process_count(), dist.var_count);
-  auto procs = mcs::make_processes(options.protocol, dist, recorder);
-  for (auto& proc : procs) {
-    sim.add_endpoint(proc.get());
-    proc->attach(sim);
-  }
-
   std::vector<std::unique_ptr<RowWorker>> workers;
   for (std::size_t p = 0; p < s.size(); ++p) {
-    workers.push_back(std::make_unique<RowWorker>(p, lay, s, t, *procs[p],
-                                                  sim, options.poll));
+    workers.push_back(std::make_unique<RowWorker>(
+        p, lay, s, t, dsm.process(static_cast<ProcessId>(p)), sim,
+        options.poll));
   }
   for (auto& w : workers) {
     sim.schedule_at(kTimeZero, [worker = w.get()] { worker->start(); });
   }
-  sim.run();
+  dsm.run();
 
   LcsResult result;
   for (const auto& w : workers) {
@@ -175,8 +169,8 @@ LcsResult run_wavefront_lcs(const std::string& s, const std::string& t,
   }
   result.length = static_cast<std::size_t>(workers.back()->last_cell());
   result.matches_reference = result.length == lcs_reference(s, t);
-  result.total_traffic = sim.stats().total();
-  result.finished_at = sim.now();
+  result.total_traffic = dsm.stats().total();
+  result.finished_at = dsm.now();
   result.hoop_free = hoop_free;
   return result;
 }

@@ -12,8 +12,14 @@
 //   dsm.read_now(3, 0);           // wait-free local read
 //   auto h = dsm.history();       // exact recorded history
 //
-// The System owns a deterministic Simulator; for std::thread execution use
-// mcs::run_workload_threaded (the protocols are runtime-agnostic).
+// The System owns a deterministic Simulator and attaches the processes to
+// it directly: no client, decorator or workload generator sits between the
+// caller and McsProcess, so the apps (src/apps) drive processes by hand.
+// For scripted or generated batch runs on any runtime — including
+// std::thread execution — use mcs::run (mcs/engine.h):
+//
+//   mcs::run({.protocol = kind, .distribution = &dist, .scripts = &scripts,
+//             .runtime = mcs::EngineRuntime::kThreads});
 #pragma once
 
 #include <functional>
@@ -28,9 +34,9 @@ namespace pardsm {
 /// Configuration of a System.
 struct SystemConfig {
   mcs::ProtocolKind protocol = mcs::ProtocolKind::kPramPartial;
-  graph::Distribution distribution;
+  graph::Distribution distribution{};
   std::uint64_t seed = 1;
-  ChannelOptions channel;
+  ChannelOptions channel{};
   /// Uniform message latency bounds.
   Duration latency_lo = millis(1);
   Duration latency_hi = millis(1);

@@ -1,11 +1,14 @@
-// Workload drivers: the classic entry points over the unified engine.
+// Script generators for the engine.
 //
-// Script generation (make_random_scripts / make_single_writer_scripts)
-// plus the three historical run functions.  All three are thin wrappers
-// over mcs::run (engine.h) — they fill in an EngineConfig and forward, so
-// every bench, test and example executes through the same code path.
-// Benches that sweep transport parameters (batching windows, stacking
-// order) build an EngineConfig themselves.
+// make_random_scripts / make_single_writer_scripts turn a distribution
+// and a WorkloadSpec into per-process scripts; mcs::run (engine.h)
+// executes them:
+//
+//   const auto scripts = mcs::make_random_scripts(dist, {.seed = 3});
+//   auto r = mcs::run({.protocol = ProtocolKind::kPramPartial,
+//                      .distribution = &dist,
+//                      .scripts = &scripts,
+//                      .sim_seed = 7});
 #pragma once
 
 #include "mcs/engine.h"
@@ -32,68 +35,5 @@ struct WorkloadSpec {
 /// convergence test (P6) compares across fault scenarios.
 [[nodiscard]] std::vector<Script> make_single_writer_scripts(
     const graph::Distribution& dist, const WorkloadSpec& spec);
-
-/// Options for run_workload / run_scenario.
-struct RunOptions {
-  std::uint64_t sim_seed = 1;
-  ChannelOptions channel;
-  std::unique_ptr<LatencyModel> latency;  ///< null = constant 1ms
-  /// ARQ configuration for scenario runs routed through ReliableTransport
-  /// (ignored by run_workload; see kEngineReliableDefaults).
-  ReliableOptions reliable = kEngineReliableDefaults;
-};
-
-/// Execute `scripts` against a fresh system of `kind` over `dist` on the
-/// deterministic simulator; returns the recorded history and traffic.
-/// Deliberately raw even when the caller's ChannelOptions drop or
-/// duplicate: the fault-injection tests exercise protocol *safety* on an
-/// unrepaired channel, where lost completions are expected behaviour.
-[[nodiscard]] RunResult run_workload(ProtocolKind kind,
-                                     const graph::Distribution& dist,
-                                     const std::vector<Script>& scripts,
-                                     RunOptions options = {});
-
-/// Execute `scripts` under a scripted fault timeline.  Every protocol runs
-/// every scenario unmodified: when any loss source exists — the timeline's
-/// faults or lossy ChannelOptions — the system is routed through
-/// ReliableTransport (ARQ restores the reliable FIFO channels the
-/// protocols assume — its retransmissions and control bytes are charged to
-/// the same NetworkStats ledger), crash events pause the victim's client
-/// and drop its traffic, and recovery re-syncs the victim's replicas from
-/// peers.  Deterministic per (scenario, seeds).
-[[nodiscard]] ScenarioRunResult run_scenario(ProtocolKind kind,
-                                             const graph::Distribution& dist,
-                                             const std::vector<Script>& scripts,
-                                             const Scenario& scenario,
-                                             RunOptions options = {});
-
-/// run_workload on the sharded parallel simulator: same raw-channel
-/// semantics (ReliabilityMode::kNever), executed by `threads` worker
-/// threads over share-graph-derived shards.  Deterministic per (config,
-/// seed) and — unlike the thread runtime — independent of the thread
-/// count itself; the differential suite pins that.
-[[nodiscard]] RunResult run_workload_parallel(
-    ProtocolKind kind, const graph::Distribution& dist,
-    const std::vector<Script>& scripts, unsigned threads,
-    RunOptions options = {});
-
-/// run_scenario on the sharded parallel simulator: fault timelines become
-/// stop-the-world events between barrier windows, ARQ rides on top
-/// unchanged.  Deterministic per (scenario, seeds) at any thread count.
-[[nodiscard]] ScenarioRunResult run_scenario_parallel(
-    ProtocolKind kind, const graph::Distribution& dist,
-    const std::vector<Script>& scripts, const Scenario& scenario,
-    unsigned threads, RunOptions options = {});
-
-/// Execute the same shape of run on the std::thread runtime (one OS thread
-/// per MCS process, genuine preemptive parallelism).  Script think-times
-/// are ignored; executions are non-deterministic by design — the property
-/// tests assert that consistency holds regardless of interleaving.
-/// `quiesce_timeout` bounds the wait for the system to drain.
-[[nodiscard]] RunResult run_workload_threaded(
-    ProtocolKind kind, const graph::Distribution& dist,
-    const std::vector<Script>& scripts,
-    std::chrono::milliseconds quiesce_timeout = std::chrono::milliseconds(
-        10000));
 
 }  // namespace pardsm::mcs

@@ -4,9 +4,17 @@
 // the load (per-process scripts, or a generated streaming workload), the
 // transport stack (raw / ARQ / batching, in either stacking order), an
 // optional fault timeline and the runtime to execute on — and run()
-// executes it.  run_workload, run_scenario and run_workload_threaded
-// (driver.h) are thin wrappers that fill in a config; benches and tests
-// that sweep transport parameters use run() directly.
+// executes it.  run() is the only batch entry point: every bench, test and
+// example names what it needs with designated initializers (in declaration
+// order) and leaves the rest at the defaults,
+//
+//   auto r = mcs::run({.protocol = ProtocolKind::kCausalPartialAdHoc,
+//                      .distribution = &dist,
+//                      .scripts = &scripts,
+//                      .scenario = &scenario,   // optional fault timeline
+//                      .sim_seed = 7});
+//
+// (script generators live in driver.h).
 //
 // Transport stack assembled by run(), bottom-up — the same assembly on
 // every root; only the root differs:
@@ -190,8 +198,8 @@ struct RunResult {
   std::uint64_t ops_censored = 0;
 };
 
-/// run() / run_scenario result: the ordinary run outcome plus the fault
-/// and transport-stack ledgers.
+/// run() result: the ordinary run outcome plus the fault and
+/// transport-stack ledgers.
 struct ScenarioRunResult : RunResult {
   /// True when the run was routed through ReliableTransport (any faulty
   /// scenario); false for fault-free timelines on the raw simulator.
@@ -223,20 +231,14 @@ struct ScenarioRunResult : RunResult {
   SocketCounters socket_counters;
 };
 
-/// The engine's ARQ default: effectively never gives up — scenario
-/// liveness comes from healing timelines, not retransmit caps.  Shared by
-/// EngineConfig and driver.h's RunOptions so the wrappers and direct
-/// engine runs cannot drift apart.
-inline constexpr ReliableOptions kEngineReliableDefaults{millis(40),
-                                                         1'000'000};
-
 /// When the run must be routed through the ARQ layer.
 enum class ReliabilityMode : std::uint8_t {
   /// ReliableTransport iff the scenario is faulty or the channel can drop
-  /// or duplicate — what run_scenario always did.
+  /// or duplicate.
   kAuto,
-  /// Raw channel even when lossy (fault-injection tests exercise protocol
-  /// *safety* on an unrepaired channel) — what run_workload always did.
+  /// Raw channel even when lossy: the fault-injection tests exercise
+  /// protocol *safety* on an unrepaired channel, where lost completions
+  /// are expected behaviour.
   kNever,
   /// Always wrap, pricing ARQ framing into a lossless run.
   kAlways,
@@ -301,18 +303,19 @@ struct EngineConfig {
 
   // -- simulator ------------------------------------------------------------
   std::uint64_t sim_seed = 1;
-  ChannelOptions channel;
-  std::unique_ptr<LatencyModel> latency;  ///< null = constant 1ms
+  ChannelOptions channel{};
+  std::unique_ptr<LatencyModel> latency{};  ///< null = constant 1ms
 
   // -- parallel simulator ---------------------------------------------------
-  ParallelOptions parallel;
+  ParallelOptions parallel{};
 
   // -- transport stack ------------------------------------------------------
   ReliabilityMode reliability = ReliabilityMode::kAuto;
-  /// ARQ configuration (see kEngineReliableDefaults).
-  ReliableOptions reliable = kEngineReliableDefaults;
+  /// ARQ configuration.  The default effectively never gives up: scenario
+  /// liveness comes from healing timelines, not retransmit caps.
+  ReliableOptions reliable{millis(40), 1'000'000};
   /// Batching window 0 = no batching layer at all (unless forced below).
-  BatchingOptions batching;
+  BatchingOptions batching{};
   BatchPlacement batch_placement = BatchPlacement::kAboveReliable;
   /// Construct the batching layer even at window 0 (the pass-through
   /// regression in tests/test_transport_conformance.cpp pins that this is
@@ -330,7 +333,7 @@ struct EngineConfig {
   /// Socket-root knobs (heartbeats, backoff, chaos injection).  The engine
   /// always runs the all-local loopback shape: total_processes and
   /// local_ids are derived from the distribution and must be left alone.
-  SocketOptions sockets;
+  SocketOptions sockets{};
 };
 
 /// Execute the configured run.  Deterministic per config on the simulator

@@ -33,7 +33,7 @@
 // Liveness contract: every partition must heal and every crash must
 // recover (enforced at build time).  Messages lost to faults are repaired
 // by the ARQ layer when the run is routed through ReliableTransport —
-// mcs::run_scenario does that automatically whenever faulty() is true —
+// mcs::run does that automatically whenever faulty() is true —
 // so a run always quiesces with every channel drained.
 #pragma once
 

@@ -139,6 +139,8 @@ class SmallVec {
 
   void grow() {
     const auto new_capacity = next_capacity(capacity_);
+    PARDSM_CHECK(new_capacity > size_,
+                 "SmallVec: grown capacity must exceed the size");
     T* bigger = new T[new_capacity];
     std::copy(data(), data() + size_, bigger);
     delete[] heap_;

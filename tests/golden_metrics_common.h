@@ -1,7 +1,7 @@
 // Shared runner for the golden-metrics determinism gate.
 //
 // Runs one (protocol, topology) workload on the deterministic simulator —
-// the exact wiring of mcs::run_workload — and reduces the run to a small
+// the exact wiring of a lossless mcs::run — and reduces the run to a small
 // tuple of counters plus an FNV-1a fingerprint of the full per-(process,
 // variable) exposure matrix.  test_golden_metrics.cpp asserts these tuples
 // against values captured before the allocation-free hot-path refactor;
@@ -128,10 +128,11 @@ inline ScenarioMetrics measure_scenario(mcs::ProtocolKind kind) {
   scenario.partition({{0, 1, 2}, {3, 4, 5}}, after(millis(2)),
                      after(millis(6)));
 
-  mcs::RunOptions options;
-  options.sim_seed = 7;
-  const auto r =
-      mcs::run_scenario(kind, dist, scripts, scenario, std::move(options));
+  const auto r = mcs::run({.protocol = kind,
+                           .distribution = &dist,
+                           .scripts = &scripts,
+                           .scenario = &scenario,
+                           .sim_seed = 7});
 
   ScenarioMetrics out;
   out.messages = r.total_traffic.msgs_sent;

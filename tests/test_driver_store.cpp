@@ -65,10 +65,9 @@ TEST(ScriptedClient, ThinkTimeDelaysOperations) {
   std::vector<mcs::Script> scripts(2);
   scripts[0] = {mcs::ScriptOp::write(0, 1, millis(10)),
                 mcs::ScriptOp::write(0, 2, millis(10))};
-  mcs::RunOptions options;
-  const auto run =
-      mcs::run_workload(mcs::ProtocolKind::kPramPartial, dist, scripts,
-                        std::move(options));
+  const auto run = mcs::run({.protocol = mcs::ProtocolKind::kPramPartial,
+                             .distribution = &dist,
+                             .scripts = &scripts});
   // Second write issued 10ms after the first completed.
   const auto& h = run.history;
   ASSERT_EQ(h.ops_of(0).size(), 2u);

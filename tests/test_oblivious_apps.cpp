@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/async_jacobi.h"
+#include "apps/bellman_ford.h"
 #include "apps/matrix_product.h"
 #include "apps/wavefront_lcs.h"
 
@@ -109,6 +110,83 @@ TEST(AsyncJacobi, DifferentSeedsDifferentProblemsAllConverge) {
     options.sim_seed = seed;
     const auto result = run_async_jacobi(p, options);
     EXPECT_TRUE(result.converged) << "seed " << seed;
+  }
+}
+
+// ------------------------------------------------------ fixed-seed pins
+// One fixed-seed run per app, pinned to its exact traffic ledger, finish
+// time and answer.  The values are a pure function of (app, input, seed):
+// any change to how the apps assemble their system — simulator, recorder,
+// process wiring — must leave every one of them unchanged.
+struct AppRun {
+  ProcessTraffic traffic;
+  TimePoint finished_at;
+  std::vector<std::int64_t> answer;
+};
+
+struct AppPin {
+  const char* app;
+  AppRun (*run)();
+  std::uint64_t msgs_sent;
+  std::uint64_t control_bytes_sent;
+  std::uint64_t payload_bytes_sent;
+  std::int64_t finished_at_us;
+  std::vector<std::int64_t> answer;
+};
+
+AppRun bellman_ford_run() {
+  BellmanFordOptions options;
+  options.sim_seed = 7;
+  const auto r = run_bellman_ford(WeightedGraph::fig8(), options);
+  return {r.total_traffic, r.finished_at, r.distances};
+}
+
+AppRun jacobi_run() {
+  JacobiOptions options;
+  options.sim_seed = 3;
+  const auto r = run_async_jacobi(JacobiProblem::contraction(6, 7), options);
+  return {r.total_traffic, r.finished_at, r.solution};
+}
+
+AppRun matrix_product_run() {
+  MatrixProductOptions options;
+  options.sim_seed = 5;
+  const auto r = run_matrix_product(random_matrix(4, 9, 1),
+                                    random_matrix(4, 9, 2), 2, options);
+  std::vector<std::int64_t> cells;
+  for (const auto& row : r.product) {
+    cells.insert(cells.end(), row.begin(), row.end());
+  }
+  return {r.total_traffic, r.finished_at, cells};
+}
+
+AppRun lcs_run() {
+  LcsOptions options;
+  options.sim_seed = 2;
+  const auto r = run_wavefront_lcs("GATTACA", "TACGATC", options);
+  return {r.total_traffic, r.finished_at,
+          {static_cast<std::int64_t>(r.length)}};
+}
+
+TEST(ObliviousApps, FixedSeedRunsArePinned) {
+  const AppPin pins[] = {
+      {"bellman-ford", bellman_ford_run, 96, 2304, 768, 26777,
+       {0, 2, 1, 4, 4}},
+      {"async-jacobi", jacobi_run, 810, 25920, 6480, 164085,
+       {94216, 180264, -257894, -556493, -591849, -500212}},
+      {"matrix-product", matrix_product_run, 18, 432, 144, 4000,
+       {-5, -38, 46, 31, -11, 29, -2, 19, -19, -87, 54, 83, 42, 42, 50,
+        -102}},
+      {"wavefront-lcs", lcs_run, 96, 2304, 768, 18000, {4}},
+  };
+  for (const AppPin& pin : pins) {
+    SCOPED_TRACE(pin.app);
+    const AppRun got = pin.run();
+    EXPECT_EQ(got.traffic.msgs_sent, pin.msgs_sent);
+    EXPECT_EQ(got.traffic.control_bytes_sent, pin.control_bytes_sent);
+    EXPECT_EQ(got.traffic.payload_bytes_sent, pin.payload_bytes_sent);
+    EXPECT_EQ(got.finished_at.us, pin.finished_at_us);
+    EXPECT_EQ(got.answer, pin.answer);
   }
 }
 

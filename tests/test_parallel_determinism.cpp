@@ -74,11 +74,14 @@ TEST_P(ParallelDeterminism, FiveLosslessRunsAreByteIdentical) {
 
   std::string first;
   for (int i = 0; i < kRuns; ++i) {
-    RunOptions options;
-    options.sim_seed = 7;
-    options.latency = std::make_unique<UniformLatency>(millis(1), millis(4));
-    const std::string got =
-        ledger(run_workload_parallel(kind, dist, scripts, 4, std::move(options)));
+    const std::string got = ledger(
+        run({.protocol = kind,
+             .distribution = &dist,
+             .scripts = &scripts,
+             .runtime = EngineRuntime::kParallelSim,
+             .sim_seed = 7,
+             .latency = std::make_unique<UniformLatency>(millis(1), millis(4)),
+             .parallel = {.num_threads = 4}}));
     if (i == 0) {
       first = got;
       EXPECT_FALSE(first.empty());
@@ -105,10 +108,13 @@ TEST_P(ParallelDeterminism, FiveLossyScenarioRunsAreByteIdentical) {
   std::string first;
   std::uint64_t dropped = 0;
   for (int i = 0; i < kRuns; ++i) {
-    RunOptions options;
-    options.sim_seed = 13;
-    const ScenarioRunResult r = run_scenario_parallel(
-        kind, dist, scripts, scenario, 4, std::move(options));
+    const ScenarioRunResult r = run({.protocol = kind,
+                                     .distribution = &dist,
+                                     .scripts = &scripts,
+                                     .scenario = &scenario,
+                                     .runtime = EngineRuntime::kParallelSim,
+                                     .sim_seed = 13,
+                                     .parallel = {.num_threads = 4}});
     const std::string got = ledger(r);
     if (i == 0) {
       first = got;

@@ -141,21 +141,22 @@ TEST(CrossShardFaults, CrashAndRecoverOnDistinctShards) {
   scenario.crash(4, after(millis(4)), after(millis(10)));
 
   // Lossless sequential run = the P6 ground truth for final replicas.
-  const RunResult truth = run_workload(
-      ProtocolKind::kCausalPartialAdHoc, dist, scripts, [] {
-        RunOptions o;
-        o.sim_seed = 5;
-        return o;
-      }());
+  const RunResult truth = run({.protocol = ProtocolKind::kCausalPartialAdHoc,
+                               .distribution = &dist,
+                               .scripts = &scripts,
+                               .sim_seed = 5});
 
   std::optional<std::string> first_history;
   for (unsigned threads : {1u, 2u, 4u}) {
     SCOPED_TRACE(threads);
-    RunOptions options;
-    options.sim_seed = 5;
     const ScenarioRunResult r =
-        run_scenario_parallel(ProtocolKind::kCausalPartialAdHoc, dist,
-                              scripts, scenario, threads, std::move(options));
+        run({.protocol = ProtocolKind::kCausalPartialAdHoc,
+             .distribution = &dist,
+             .scripts = &scripts,
+             .scenario = &scenario,
+             .runtime = EngineRuntime::kParallelSim,
+             .sim_seed = 5,
+             .parallel = {.num_threads = threads}});
 
     // PR 3 pause/resume semantics: both victims crashed, both recovered
     // and re-synced, every script ran to completion (the engine throws on
@@ -177,11 +178,16 @@ TEST(CrossShardFaults, CrashAndRecoverOnDistinctShards) {
 // ---------------------------------------------------------------------------
 // Runtime coexistence.
 
-RunOptions stress_options() {
-  RunOptions o;
-  o.sim_seed = 23;
-  o.latency = std::make_unique<UniformLatency>(millis(1), millis(3));
-  return o;
+/// One run of `kind` on the parallel simulator with `threads` workers.
+RunResult stress_run(ProtocolKind kind, const graph::Distribution& dist,
+                     const std::vector<Script>& scripts, unsigned threads) {
+  return run({.protocol = kind,
+              .distribution = &dist,
+              .scripts = &scripts,
+              .runtime = EngineRuntime::kParallelSim,
+              .sim_seed = 23,
+              .latency = std::make_unique<UniformLatency>(millis(1), millis(3)),
+              .parallel = {.num_threads = threads}});
 }
 
 TEST(RuntimeCoexistence, ParallelRunUnchangedBesideThreadRuntime) {
@@ -192,16 +198,18 @@ TEST(RuntimeCoexistence, ParallelRunUnchangedBesideThreadRuntime) {
   spec.think_time = millis(1);
   const auto scripts = make_random_scripts(dist, spec);
 
-  const RunResult solo = run_workload_parallel(
-      ProtocolKind::kPramPartial, dist, scripts, 2, stress_options());
+  const RunResult solo =
+      stress_run(ProtocolKind::kPramPartial, dist, scripts, 2);
 
   RunResult threaded;
   std::thread other([&] {
-    threaded =
-        run_workload_threaded(ProtocolKind::kPramPartial, dist, scripts);
+    threaded = run({.protocol = ProtocolKind::kPramPartial,
+                    .distribution = &dist,
+                    .scripts = &scripts,
+                    .runtime = EngineRuntime::kThreads});
   });
-  const RunResult beside = run_workload_parallel(
-      ProtocolKind::kPramPartial, dist, scripts, 2, stress_options());
+  const RunResult beside =
+      stress_run(ProtocolKind::kPramPartial, dist, scripts, 2);
   other.join();
 
   EXPECT_EQ(beside.history.to_string(), solo.history.to_string());
@@ -218,18 +226,17 @@ TEST(RuntimeCoexistence, TwoParallelRunsSideBySide) {
   spec.think_time = millis(1);
   const auto scripts = make_random_scripts(dist, spec);
 
-  const RunResult solo_a = run_workload_parallel(
-      ProtocolKind::kAtomicHome, dist, scripts, 2, stress_options());
-  const RunResult solo_b = run_workload_parallel(
-      ProtocolKind::kProcessorPartial, dist, scripts, 4, stress_options());
+  const RunResult solo_a =
+      stress_run(ProtocolKind::kAtomicHome, dist, scripts, 2);
+  const RunResult solo_b =
+      stress_run(ProtocolKind::kProcessorPartial, dist, scripts, 4);
 
   RunResult beside_b;
   std::thread other([&] {
-    beside_b = run_workload_parallel(ProtocolKind::kProcessorPartial, dist,
-                                     scripts, 4, stress_options());
+    beside_b = stress_run(ProtocolKind::kProcessorPartial, dist, scripts, 4);
   });
-  const RunResult beside_a = run_workload_parallel(
-      ProtocolKind::kAtomicHome, dist, scripts, 2, stress_options());
+  const RunResult beside_a =
+      stress_run(ProtocolKind::kAtomicHome, dist, scripts, 2);
   other.join();
 
   // Two coordinator threads, six worker threads, one address space: each

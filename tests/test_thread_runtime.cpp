@@ -81,7 +81,10 @@ TEST_P(ThreadedProtocol, ConsistencyHoldsUnderRealThreads) {
   spec.seed = 23;
   const auto scripts = make_random_scripts(dist, spec);
 
-  const auto result = run_workload_threaded(kind, dist, scripts);
+  const auto result = run({.protocol = kind,
+                           .distribution = &dist,
+                           .scripts = &scripts,
+                           .runtime = EngineRuntime::kThreads});
 
   std::vector<Criterion> required;
   switch (guarantee_of(kind)) {
@@ -135,8 +138,10 @@ TEST(ThreadRuntime, AtomicHomeLinearizableUnderThreads) {
   spec.read_fraction = 0.6;
   spec.seed = 31;
   const auto scripts = make_random_scripts(dist, spec);
-  const auto result =
-      run_workload_threaded(ProtocolKind::kAtomicHome, dist, scripts);
+  const auto result = run({.protocol = ProtocolKind::kAtomicHome,
+                           .distribution = &dist,
+                           .scripts = &scripts,
+                           .runtime = EngineRuntime::kThreads});
   const auto lin = hist::check_linearizable(result.history);
   EXPECT_TRUE(lin.definitive);
   EXPECT_TRUE(lin.linearizable) << result.history.to_string();
@@ -152,8 +157,10 @@ TEST(ThreadRuntime, PramExposureConfinedToCliqueUnderThreads) {
       scripts[p].push_back(ScriptOp::read(x));
     }
   }
-  const auto result =
-      run_workload_threaded(ProtocolKind::kPramPartial, dist, scripts);
+  const auto result = run({.protocol = ProtocolKind::kPramPartial,
+                           .distribution = &dist,
+                           .scripts = &scripts,
+                           .runtime = EngineRuntime::kThreads});
   for (std::size_t x = 0; x < dist.var_count; ++x) {
     const auto clique = dist.replicas_of(static_cast<VarId>(x));
     const std::set<ProcessId> cset(clique.begin(), clique.end());

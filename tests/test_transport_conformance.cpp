@@ -367,33 +367,35 @@ TEST(TransportConformance, Window0BatchingLayerIsBitIdentical) {
   }
 }
 
-// The wrappers and the engine are the same code path: run_workload must
-// produce exactly what an equivalent EngineConfig produces.
-TEST(TransportConformance, RunWorkloadEqualsEngineRun) {
+// On a channel that can neither drop nor duplicate, the default
+// ReliabilityMode::kAuto adds no ARQ layer: the run is exactly the raw
+// kNever run.  Callers therefore only name kNever when their channel is
+// lossy.
+TEST(TransportConformance, LosslessAutoReliabilityEqualsNever) {
   const auto dist = graph::topo::ring(6);
   mcs::WorkloadSpec spec;
   spec.ops_per_process = 8;
   spec.seed = 42;
   const auto scripts = mcs::make_random_scripts(dist, spec);
 
-  const auto via_wrapper =
-      mcs::run_workload(mcs::ProtocolKind::kCausalPartialAdHoc, dist, scripts);
+  const auto automatic =
+      mcs::run({.protocol = mcs::ProtocolKind::kCausalPartialAdHoc,
+                .distribution = &dist,
+                .scripts = &scripts});
+  const auto never =
+      mcs::run({.protocol = mcs::ProtocolKind::kCausalPartialAdHoc,
+                .distribution = &dist,
+                .scripts = &scripts,
+                .reliability = mcs::ReliabilityMode::kNever});
 
-  mcs::EngineConfig config;
-  config.protocol = mcs::ProtocolKind::kCausalPartialAdHoc;
-  config.distribution = &dist;
-  config.scripts = &scripts;
-  config.reliability = mcs::ReliabilityMode::kNever;
-  const auto via_engine = mcs::run(std::move(config));
-
-  EXPECT_EQ(via_wrapper.total_traffic.msgs_sent,
-            via_engine.total_traffic.msgs_sent);
-  EXPECT_EQ(via_wrapper.total_traffic.wire_bytes_sent(),
-            via_engine.total_traffic.wire_bytes_sent());
-  EXPECT_EQ(via_wrapper.events, via_engine.events);
-  EXPECT_EQ(via_wrapper.finished_at.us, via_engine.finished_at.us);
-  EXPECT_EQ(via_wrapper.history.to_string(), via_engine.history.to_string());
-  EXPECT_EQ(via_wrapper.final_replicas, via_engine.final_replicas);
+  EXPECT_FALSE(automatic.used_reliable_transport);
+  EXPECT_EQ(automatic.total_traffic.msgs_sent, never.total_traffic.msgs_sent);
+  EXPECT_EQ(automatic.total_traffic.wire_bytes_sent(),
+            never.total_traffic.wire_bytes_sent());
+  EXPECT_EQ(automatic.events, never.events);
+  EXPECT_EQ(automatic.finished_at.us, never.finished_at.us);
+  EXPECT_EQ(automatic.history.to_string(), never.history.to_string());
+  EXPECT_EQ(automatic.final_replicas, never.final_replicas);
 }
 
 // ---------------------------------------------------------------------------
