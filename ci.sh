@@ -13,6 +13,12 @@
 #                           # multi-process pardsm_node drills over
 #                           # loopback TCP, incl. a kill -9 / respawn /
 #                           # resync cycle (see docs/DEPLOYMENT.md)
+#   PERFBENCH=1 ./ci.sh     # the repo benchmark's own checks: perfbench
+#                           # --smoke (every workload, both modes, each
+#                           # metric present, finite, in its unit) and
+#                           # --selftest (simulator counts repeat per seed)
+#                           # — a src/ change that breaks either fails here
+#                           # first (perfbench/run.py builds .bench_build/)
 #   LINT=1 ./ci.sh          # static analysis: pardsm_lint over src/ (the
 #                           # determinism / rng / pooled-reset / unordered /
 #                           # layer-DAG contracts, docs/LINT.md), the
@@ -26,6 +32,17 @@
 set -euo pipefail
 
 cd "$(dirname "$0")"
+
+if [ "${PERFBENCH:-0}" != "0" ]; then
+  # perfbench builds itself (Release, its own tree); nothing else is needed.
+  echo "== perfbench: smoke =="
+  python3 perfbench/run.py --smoke
+  echo "== perfbench: seed determinism =="
+  python3 perfbench/run.py --selftest
+  echo "== done (perfbench) =="
+  exit 0
+fi
+
 SANITIZE="${SANITIZE:-0}"
 if [ "$SANITIZE" = "tsan" ]; then
   BUILD_DIR="${BUILD_DIR:-build-tsan}"

@@ -103,18 +103,11 @@ ControlModel predict(mcs::ProtocolKind kind, const graph::Distribution& dist) {
           break;
         }
         case mcs::ProtocolKind::kCausalPartialAdHoc: {
-          const auto& relevant = analysis->relevant[x];
-          const auto& tw = analysis->tracks[static_cast<std::size_t>(w)];
-          for (ProcessId q : relevant) {
+          for (ProcessId q : analysis->relevant[x]) {
             if (q == w) continue;
-            const auto& tq = analysis->tracks[static_cast<std::size_t>(q)];
-            std::size_t shared = 0;
-            for (VarId y : tw) {
-              if (std::binary_search(tq.begin(), tq.end(), y)) ++shared;
-            }
             total_msgs += 1;
-            total_bytes += 32.0 + static_cast<double>(shared) *
-                                      static_cast<double>(8 + 8 * n);
+            total_bytes +=
+                static_cast<double>(analysis->control_bytes(w, q));
             if (!cset.count(q)) total_outside += 1;
           }
           break;

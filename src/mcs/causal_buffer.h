@@ -8,7 +8,7 @@
 //
 //   * A waiting update is parked on the first counter key it waits on.
 //     Keys are the owner's counter indices: writer k for the vector-clock
-//     protocols, the (y, k) entry of seen[y][k] for ad-hoc.
+//     protocols, the counter of C(y) member k on y for ad-hoc.
 //   * Each slot keeps a resume point for the dependency walk.  Counters
 //     only grow, so the entries before it stay satisfied.  The owner's
 //     per-(writer, var) FIFO test is re-evaluated on every check.

@@ -53,22 +53,25 @@ struct ResyncResponse final : MessageBody {
 const wire::BodyRegistrar resync_req_codec(
     wire::kResyncRequest, [](WireReader& r, BodyArena& arena) -> BodyRef {
       auto* b = arena.create<ResyncRequest>();
+      BodyRef owner = BodyRef::adopt(b);
       b->epoch = r.u32();
-      b->vars.resize(r.u32());
+      b->vars.resize(wire::get_count(r, 4));
       for (auto& x : b->vars) x = r.i32();
-      return BodyRef::adopt(b);
+      return owner;
     });
 const wire::BodyRegistrar resync_resp_codec(
     wire::kResyncResponse, [](WireReader& r, BodyArena& arena) -> BodyRef {
       auto* b = arena.create<ResyncResponse>();
+      BodyRef owner = BodyRef::adopt(b);
       b->epoch = r.u32();
-      b->entries.resize(r.u32());
+      // An entry is a variable, a value and a write id.
+      b->entries.resize(wire::get_count(r, 4 + 8 + 12));
       for (auto& e : b->entries) {
         e.x = r.i32();
         e.value = r.i64();
         e.source = wire::get_write_id(r);
       }
-      return BodyRef::adopt(b);
+      return owner;
     });
 
 /// Message kinds, interned once (the base intercepts them by KindId before

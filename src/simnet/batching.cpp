@@ -17,13 +17,16 @@ const KindId kBatchKind("BATCH");
 const wire::BodyRegistrar batch_codec(
     wire::kBatchFrame, [](WireReader& r, BodyArena& arena) -> BodyRef {
       BatchFrame* f = arena.create<BatchFrame>();
-      f->items.resize(r.u32());
+      BodyRef owner = BodyRef::adopt(f);
+      // An item is at least its enqueue time, a meta and a body tag.
+      f->items.resize(wire::get_count(
+          r, 8 + wire::kMinMetaWireBytes + wire::kMinBodyWireBytes));
       for (auto& item : f->items) {
         item.enqueued = wire::get_time(r);
         item.meta = wire::decode_meta(r);
         item.body = wire::decode_body(r, arena);
       }
-      return BodyRef::adopt(f);
+      return owner;
     });
 
 }  // namespace

@@ -741,7 +741,10 @@ void SocketTransport::reader_loop(int fd) {
         (static_cast<std::uint32_t>(len_bytes[1]) << 8) |
         (static_cast<std::uint32_t>(len_bytes[2]) << 16) |
         (static_cast<std::uint32_t>(len_bytes[3]) << 24);
-    if (len > kMaxFrameBytes) return;  // corrupt stream: drop connection
+    if (len > kMaxFrameBytes) {  // corrupt stream: drop connection
+      reject_frame();
+      return;
+    }
     payload.resize(len);
     if (!read_all(fd, payload.data(), len)) return;
     {
@@ -754,9 +757,15 @@ void SocketTransport::reader_loop(int fd) {
       // Undecodable frame (truncated, unknown tag, foreign destination):
       // drop the connection rather than the whole process — the sender
       // will reconnect and the ARQ/RSYNC layers repair the stream.
+      reject_frame();
       return;
     }
   }
+}
+
+void SocketTransport::reject_frame() {
+  std::lock_guard lock(counters_mu_);
+  ++counters_.frames_rejected;
 }
 
 void SocketTransport::handle_frame(const std::vector<std::uint8_t>& payload) {

@@ -128,6 +128,8 @@ struct SocketOptions {
 struct SocketCounters {
   std::uint64_t frames_sent = 0;       ///< data frames written
   std::uint64_t frames_received = 0;   ///< data frames decoded
+  std::uint64_t frames_rejected = 0;   ///< oversized or undecodable frames
+                                       ///< (each drops its connection)
   std::uint64_t bytes_sent = 0;        ///< wire bytes written (all frames)
   std::uint64_t bytes_received = 0;    ///< wire bytes read (all frames)
   std::uint64_t heartbeats_sent = 0;
@@ -315,6 +317,7 @@ class SocketTransport final : public RootTransport {
   void note_activity() { activity_.fetch_add(1, std::memory_order_relaxed); }
   void note_rx(ProcessId from, std::uint64_t incarnation, bool is_hello);
   void handle_frame(const std::vector<std::uint8_t>& payload);
+  void reject_frame();
   [[nodiscard]] std::chrono::steady_clock::time_point steady_now() const {
     return std::chrono::steady_clock::now();
   }

@@ -17,7 +17,13 @@
 // The format favours obviousness over compactness (fixed-width fields,
 // kind tags as strings re-interned on receipt): the paper's byte ledger is
 // MessageMeta::wire_bytes(), not the frame encoding, and SocketTransport
-// reports real frame bytes separately (SocketCounters::bytes_*).
+// reports real frame bytes separately (SocketCounters::bytes_*).  A body's
+// fields still carry what its meta charges: the ad-hoc causal message,
+// for one, encodes only the dependency entries its recipient tracks, each
+// with |C(y)| counters.
+//
+// Decoders never trust a count: wire::get_count() rejects an element
+// count the rest of the frame cannot hold before anything is sized by it.
 #pragma once
 
 #include <cstdint>
@@ -163,6 +169,24 @@ void encode_meta(WireWriter& w, const MessageMeta& meta);
 [[nodiscard]] MessageMeta decode_meta(WireReader& r);
 
 // -- small shared field helpers ---------------------------------------------
+
+/// Smallest encodings, for bounding element counts: a framed body is at
+/// least its tag; a meta at least its empty kind string, two byte counts,
+/// the urgency flag and an empty variable list.
+inline constexpr std::size_t kMinBodyWireBytes = 4;
+inline constexpr std::size_t kMinMetaWireBytes = 2 + 8 + 8 + 1 + 2;
+
+/// Read a u32 element count, rejecting it unless the rest of the frame can
+/// hold that many elements of at least `min_bytes` each.  Decoders call
+/// this before sizing a container, so a hostile count never sizes an
+/// allocation.
+[[nodiscard]] inline std::size_t get_count(WireReader& r,
+                                           std::size_t min_bytes) {
+  const std::size_t count = r.u32();
+  PARDSM_CHECK(count <= r.remaining() / min_bytes,
+               "wire: element count exceeds the frame");
+  return count;
+}
 
 inline void put_time(WireWriter& w, TimePoint t) { w.i64(t.us); }
 inline TimePoint get_time(WireReader& r) { return TimePoint{r.i64()}; }

@@ -201,6 +201,44 @@ TEST(Analysis, PredictCacheAndProcessorMatchMeasurement) {
   }
 }
 
+TEST(Analysis, PredictAdHocMatchesMeasurement) {
+  // The same uniform load as above, on hoop-rich distributions: every
+  // write reaches R(x) \ {writer} and each recipient's dependency bytes
+  // depend only on the (writer, recipient) pair, so the model is exact.
+  for (const auto& dist :
+       {graph::topo::ring(6), graph::topo::random_replication(8, 12, 3, 7)}) {
+    const auto model =
+        core::predict(mcs::ProtocolKind::kCausalPartialAdHoc, dist);
+
+    SystemConfig config;
+    config.protocol = mcs::ProtocolKind::kCausalPartialAdHoc;
+    config.distribution = dist;
+    System dsm(std::move(config));
+    std::size_t writes = 0;
+    dsm.at(kTimeZero, [&] {
+      const auto& per_process = dsm.distribution().per_process;
+      for (std::size_t p = 0; p < per_process.size(); ++p) {
+        for (VarId x : per_process[p]) {
+          dsm.write(static_cast<ProcessId>(p), x,
+                    static_cast<Value>(p) * 100 + x, [] {});
+          ++writes;
+        }
+      }
+    });
+    dsm.run();
+    const auto traffic = dsm.stats().total();
+    ASSERT_GT(writes, 0u);
+    EXPECT_DOUBLE_EQ(
+        static_cast<double>(traffic.msgs_sent) / static_cast<double>(writes),
+        model.messages_per_write)
+        << dist.name;
+    EXPECT_DOUBLE_EQ(static_cast<double>(traffic.control_bytes_sent) /
+                         static_cast<double>(writes),
+                     model.control_bytes_per_write)
+        << dist.name;
+  }
+}
+
 TEST(Analysis, PredictAdHocBetweenPramAndNaive) {
   const auto dist = graph::topo::clusters(3, 3, /*cyclic=*/false);
   const auto pram = core::predict(mcs::ProtocolKind::kPramPartial, dist);

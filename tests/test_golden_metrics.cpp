@@ -38,7 +38,7 @@ constexpr GoldenRow kGolden[] = {
     {"sequencer-sc", "ring-6", 79ull, 4640ull, 79ull, 9331455010116791436ull, 127ull, 12002},
     {"causal-full", "ring-6", 155ull, 14880ull, 155ull, 15314204951945354565ull, 203ull, 1005},
     {"causal-partial-naive", "ring-6", 155ull, 13888ull, 155ull, 15314204951945354565ull, 203ull, 1005},
-    {"causal-partial-adhoc", "ring-6", 155ull, 59768ull, 155ull, 15314204951945354565ull, 203ull, 1005},
+    {"causal-partial-adhoc", "ring-6", 155ull, 30008ull, 155ull, 15314204951945354565ull, 203ull, 1005},
     {"pram-partial", "ring-6", 31ull, 1488ull, 31ull, 10483959652504495909ull, 79ull, 1003},
     {"slow-partial", "ring-6", 31ull, 1736ull, 31ull, 10483959652504495909ull, 110ull, 1300},
     {"cache-partial", "ring-6", 47ull, 3128ull, 47ull, 12703365952814952494ull, 95ull, 12000},
@@ -47,7 +47,7 @@ constexpr GoldenRow kGolden[] = {
     {"sequencer-sc", "open-chain-5", 64ull, 3776ull, 64ull, 15072611533784925675ull, 104ull, 12002},
     {"causal-full", "open-chain-5", 100ull, 8800ull, 100ull, 15035716856385438925ull, 140ull, 1005},
     {"causal-partial-naive", "open-chain-5", 100ull, 8200ull, 100ull, 15035716856385438925ull, 140ull, 1005},
-    {"causal-partial-adhoc", "open-chain-5", 25ull, 2600ull, 25ull, 8609637033548555748ull, 65ull, 1004},
+    {"causal-partial-adhoc", "open-chain-5", 25ull, 2000ull, 25ull, 8609637033548555748ull, 65ull, 1004},
     {"pram-partial", "open-chain-5", 25ull, 1200ull, 25ull, 8609637033548555748ull, 65ull, 1004},
     {"slow-partial", "open-chain-5", 25ull, 1400ull, 25ull, 8609637033548555748ull, 90ull, 1300},
     {"cache-partial", "open-chain-5", 35ull, 2360ull, 35ull, 11919175246014146478ull, 75ull, 8000},
@@ -56,7 +56,7 @@ constexpr GoldenRow kGolden[] = {
     {"sequencer-sc", "random-8p12v-r3", 140ull, 8432ull, 140ull, 17727836339076882593ull, 204ull, 12005},
     {"causal-full", "random-8p12v-r3", 266ull, 29792ull, 266ull, 13853321093889372039ull, 330ull, 1005},
     {"causal-partial-naive", "random-8p12v-r3", 266ull, 28272ull, 266ull, 13853321093889372039ull, 330ull, 1005},
-    {"causal-partial-adhoc", "random-8p12v-r3", 266ull, 243200ull, 266ull, 13853321093889372039ull, 330ull, 1005},
+    {"causal-partial-adhoc", "random-8p12v-r3", 266ull, 115520ull, 266ull, 13853321093889372039ull, 330ull, 1005},
     {"pram-partial", "random-8p12v-r3", 76ull, 3648ull, 76ull, 10796424339989580450ull, 140ull, 1004},
     {"slow-partial", "random-8p12v-r3", 76ull, 4256ull, 76ull, 10796424339989580450ull, 216ull, 1296},
     {"cache-partial", "random-8p12v-r3", 96ull, 6592ull, 96ull, 10711403704131691044ull, 160ull, 12000},
@@ -83,7 +83,7 @@ constexpr GoldenScenarioRow kGoldenScenario[] = {
     {"sequencer-sc", 171ull, 8568ull, 9ull, 6ull, 82000},
     {"causal-full", 438ull, 32072ull, 90ull, 67ull, 122000},
     {"causal-partial-naive", 438ull, 30432ull, 90ull, 67ull, 122000},
-    {"causal-partial-adhoc", 438ull, 102952ull, 90ull, 67ull, 122000},
+    {"causal-partial-adhoc", 438ull, 55912ull, 90ull, 67ull, 122000},
     {"pram-partial", 75ull, 3400ull, 9ull, 5ull, 82000},
     {"slow-partial", 75ull, 3720ull, 9ull, 5ull, 82000},
     {"cache-partial", 99ull, 5352ull, 4ull, 3ull, 86000},

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <deque>
 #include <new>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,13 +25,16 @@
 #include "simnet/rng.h"
 #include "simnet/simulator.h"
 #include "simnet/small_vec.h"
+#include "simnet/wire.h"
 
 // ---------------------------------------------------------------------------
-// Global allocation counter: counts every operator new while armed.  Used
-// by the steady-state gate at the bottom of this file.
+// Global allocation counter: counts every operator new while armed and
+// records the largest single request.  Used by the steady-state gates and
+// the hostile-frame decoder test at the bottom of this file.
 namespace {
 std::atomic<bool> g_count_allocs{false};
 std::atomic<std::uint64_t> g_alloc_count{0};
+std::atomic<std::size_t> g_max_alloc{0};
 }  // namespace
 
 // new is malloc-backed so the matching delete frees with std::free; GCC
@@ -41,6 +45,10 @@ std::atomic<std::uint64_t> g_alloc_count{0};
 void* operator new(std::size_t size) {
   if (g_count_allocs.load(std::memory_order_relaxed)) {
     g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+    std::size_t seen = g_max_alloc.load(std::memory_order_relaxed);
+    while (size > seen && !g_max_alloc.compare_exchange_weak(
+                              seen, size, std::memory_order_relaxed)) {
+    }
   }
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
@@ -494,6 +502,74 @@ TEST(SteadyStateAllocations, EveryProtocolSteadyStateOpIsAllocationFree) {
     EXPECT_EQ(g_alloc_count.load(), 0u)
         << mcs::to_string(kind) << ": " << g_alloc_count.load()
         << " heap allocations across " << ops << " steady-state operations";
+  }
+}
+
+// ------------------------------------------------------- hostile frames
+// A decoder must check every wire count against the bytes left in the
+// frame before it sizes a container: a short frame claiming 2^28 elements
+// is rejected by the wire check without ever asking for the memory.
+TEST(HostileFrames, CountsNeverSizeAnAllocation) {
+  constexpr std::uint32_t kHuge = 1U << 28;
+  const auto adhoc_header = [](WireWriter& w, std::uint32_t entries) {
+    w.u32(wire::kAdHocMsg);
+    w.i32(0);         // x
+    w.i64(7);         // v
+    w.boolean(true);  // has_value
+    w.i32(1);         // writer
+    w.i64(0);         // write seq
+    w.i64(1);         // var_seq
+    w.u32(entries);
+  };
+  std::vector<std::pair<std::string, std::vector<std::uint8_t>>> frames;
+  {
+    WireWriter w;  // 2^28 dependency entries
+    adhoc_header(w, kHuge);
+    w.i32(0);
+    w.u32(0);
+    frames.emplace_back("ad-hoc entries", w.take());
+  }
+  {
+    WireWriter w;  // one entry claiming 2^28 counters
+    adhoc_header(w, 1);
+    w.i32(0);
+    w.u32(kHuge);
+    frames.emplace_back("ad-hoc counters", w.take());
+  }
+  {
+    WireWriter w;
+    w.u32(wire::kBatchFrame);
+    w.u32(kHuge);
+    frames.emplace_back("batch items", w.take());
+  }
+  for (const auto type : {wire::kResyncRequest, wire::kResyncResponse}) {
+    WireWriter w;
+    w.u32(type);
+    w.u32(1);  // epoch
+    w.u32(kHuge);
+    frames.emplace_back("resync " + std::to_string(type), w.take());
+  }
+  ASSERT_EQ(frames[0].second.size(), 49u);
+  ASSERT_EQ(frames[1].second.size(), 49u);
+  ASSERT_EQ(frames[2].second.size(), 8u);
+
+  BodyArena arena(/*concurrent=*/false);
+  for (const auto& [name, bytes] : frames) {
+    SCOPED_TRACE(name);
+    WireReader r(bytes);
+    std::string error;
+    g_max_alloc.store(0);
+    g_count_allocs.store(true);
+    try {
+      (void)wire::decode_body(r, arena);
+    } catch (const std::logic_error& e) {
+      error = e.what();
+    }
+    g_count_allocs.store(false);
+    EXPECT_NE(error.find("element count exceeds the frame"),
+              std::string::npos)
+        << error;
+    EXPECT_LE(g_max_alloc.load(), std::size_t{1} << 20);
   }
 }
 

@@ -1,7 +1,8 @@
 // Sockets runtime end-to-end: every protocol over real loopback TCP, the
 // decorator stacks composed above the socket root, chaos injection routed
 // through ARQ, scenario crash/recover with RSYNC on the wall clock, the
-// receiver-side heartbeat failure detector, and the multi-process
+// receiver-side heartbeat failure detector, the ad-hoc protocol's
+// per-recipient wire, rejected-frame accounting, and the multi-process
 // bootstrap (pardsm_node) including a SIGKILL/respawn drill.
 //
 // Everything timing-sensitive here asserts *outcomes* (delivery,
@@ -22,15 +23,20 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <deque>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "mcs/causal_partial_adhoc.h"
 #include "mcs/driver.h"
+#include "mcs/factory.h"
 #include "sharegraph/topologies.h"
 #include "simnet/socket_transport.h"
+#include "simnet/wire.h"
 
 namespace pardsm {
 namespace {
@@ -372,6 +378,202 @@ TEST(Sockets, HeartbeatDetectorTracksPeerLifecycle) {
   a.stop();
   ::close(fd_a);
   ::close(fd_b);
+}
+
+// ---------------------------------------------------------------------------
+// Hand-assembled loopback systems: the protocol processes of one
+// distribution on one all-local SocketTransport — the shape
+// EngineRuntime::kSockets runs — with a tap in front of every process, so
+// a test can reach the transport and see each decoded message before its
+// process does.
+// ---------------------------------------------------------------------------
+
+class LoopbackSystem {
+ public:
+  /// Called on mailbox threads, serialized by the system.
+  using Inspect = std::function<void(const Message&)>;
+
+  LoopbackSystem(mcs::ProtocolKind kind, const graph::Distribution& dist,
+                 Inspect inspect = {})
+      : dist_(dist),
+        recorder_(dist.process_count(), dist.var_count),
+        inspect_(std::move(inspect)),
+        transport_(options(dist.process_count())) {
+    recorder_.use_discard_mode();
+    processes_ = mcs::make_processes(kind, dist_, recorder_);
+    for (auto& proc : processes_) {
+      Tap& tap = taps_.emplace_back(this, proc.get());
+      EXPECT_EQ(transport_.add_endpoint(&tap), proc->id());
+      proc->attach(transport_);
+    }
+    transport_.start();
+  }
+  ~LoopbackSystem() { transport_.stop(); }
+  LoopbackSystem(const LoopbackSystem&) = delete;
+  LoopbackSystem& operator=(const LoopbackSystem&) = delete;
+
+  [[nodiscard]] SocketTransport& transport() { return transport_; }
+
+  /// `rounds` times, the lowest member of every C(x) writes x (one writer
+  /// per variable, so replicas converge whatever the interleaving).
+  /// Returns whether the system went quiescent afterwards.
+  bool write_rounds(int rounds) {
+    for (std::size_t x = 0; x < dist_.var_count; ++x) {
+      const auto writer = dist_.replicas_of(static_cast<VarId>(x)).front();
+      mcs::McsProcess* proc =
+          processes_[static_cast<std::size_t>(writer)].get();
+      transport_.post(writer, [proc, x, rounds] {
+        for (int i = 1; i <= rounds; ++i) {
+          proc->write(static_cast<VarId>(x), static_cast<Value>(x) * 100 + i,
+                      [] {});
+        }
+      });
+    }
+    return transport_.await_quiescence(std::chrono::milliseconds(10000));
+  }
+
+  /// Every replica holds the last value written by write_rounds(rounds).
+  [[nodiscard]] bool converged(int rounds) const {
+    for (const auto& proc : processes_) {
+      for (VarId x : dist_.per_process[static_cast<std::size_t>(proc->id())]) {
+        const Value last = static_cast<Value>(x) * 100 + rounds;
+        if (proc->store().get(x).value != last) return false;
+      }
+    }
+    return true;
+  }
+
+ private:
+  struct Tap final : Endpoint {
+    LoopbackSystem* system;
+    mcs::McsProcess* process;
+    Tap(LoopbackSystem* s, mcs::McsProcess* p) : system(s), process(p) {}
+    Tap(const Tap&) = delete;
+    Tap& operator=(const Tap&) = delete;
+    void on_message(const Message& m) override {
+      if (system->inspect_) {
+        std::lock_guard lock(system->inspect_mu_);
+        system->inspect_(m);
+      }
+      process->on_message(m);
+    }
+    void on_timer(TimerTag tag) override { process->on_timer(tag); }
+  };
+
+  static SocketOptions options(std::size_t n) {
+    SocketOptions o;
+    o.total_processes = n;
+    return o;
+  }
+
+  const graph::Distribution& dist_;
+  mcs::HistoryRecorder recorder_;
+  Inspect inspect_;
+  std::mutex inspect_mu_;
+  std::vector<std::unique_ptr<mcs::McsProcess>> processes_;
+  std::deque<Tap> taps_;  ///< stable addresses: the transport holds them
+  SocketTransport transport_;
+};
+
+// ---------------------------------------------------------------------------
+// The ad-hoc protocol's wire is its model: every decoded frame carries
+// only the dependency entries its recipient tracks, each with exactly
+// |C(y)| counters, and the control bytes its meta charges are the ones
+// the shared StaticRelevance formula gives for those entries.  Checked on
+// a hoop-free chain (senders track variables their recipients do not)
+// and a ring (every process tracks everything, |C(y)| = 2 < n).
+// ---------------------------------------------------------------------------
+
+TEST(Sockets, AdHocFramesCarryExactlyTheRecipientsEntries) {
+  for (const auto& dist : {graph::topo::open_chain(5), graph::topo::ring(6)}) {
+    SCOPED_TRACE(dist.name);
+    const auto analysis = mcs::StaticRelevance::analyze(dist);
+    std::size_t frames = 0;
+    std::vector<std::string> violations;
+    const auto inspect = [&](const Message& m) {
+      if (m.body.get() == nullptr ||
+          m.body->wire_type() != wire::kAdHocMsg) {
+        return;
+      }
+      ++frames;
+      // Re-encode the decoded body (the codec is its own inverse) and walk
+      // the dependency entries in wire order.
+      WireWriter w;
+      m.body->wire_encode(w);
+      WireReader r(w.bytes());
+      (void)r.i32();      // x
+      (void)r.i64();      // v
+      (void)r.boolean();  // has_value
+      (void)wire::get_write_id(r);
+      (void)r.i64();  // var_seq
+      const std::uint32_t entries = r.u32();
+      std::uint64_t control = mcs::StaticRelevance::kFixedControlBytes;
+      const auto& tracked =
+          analysis->tracks_mask[static_cast<std::size_t>(m.to)];
+      for (std::uint32_t i = 0; i < entries; ++i) {
+        const auto y = static_cast<std::size_t>(r.i32());
+        const std::uint32_t counters = r.u32();
+        for (std::uint32_t k = 0; k < counters; ++k) (void)r.i64();
+        control += mcs::StaticRelevance::entry_bytes(counters);
+        if (y >= tracked.size() || tracked[y] == 0) {
+          violations.push_back("p" + std::to_string(m.to) + " got x" +
+                               std::to_string(y) + ", which it does not track");
+        } else if (counters != analysis->clique_size[y]) {
+          violations.push_back("x" + std::to_string(y) + " entry has " +
+                               std::to_string(counters) + " counters");
+        }
+      }
+      if (!r.done()) violations.push_back("trailing bytes after the entries");
+      if (control != m.meta.control_bytes) {
+        violations.push_back("entries come to " + std::to_string(control) +
+                             " control bytes, meta charges " +
+                             std::to_string(m.meta.control_bytes));
+      }
+    };
+
+    {
+      LoopbackSystem system(mcs::ProtocolKind::kCausalPartialAdHoc, dist,
+                            inspect);
+      ASSERT_TRUE(system.write_rounds(3));
+      EXPECT_TRUE(system.converged(3));
+    }
+    EXPECT_GT(frames, 0u);
+    EXPECT_TRUE(violations.empty())
+        << violations.size() << " violations, first: " << violations.front();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// A garbage frame on a raw loopback connection is rejected and counted;
+// only that connection drops, and the run over the transport's own
+// connections still converges.
+// ---------------------------------------------------------------------------
+
+TEST(Sockets, RejectedFramesAreCountedAndTheRunConverges) {
+  const auto dist = graph::topo::ring(4);
+  LoopbackSystem system(mcs::ProtocolKind::kPramPartial, dist);
+  SocketTransport& transport = system.transport();
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(transport.port());
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  // [u32 length = 5][u8 frame type 0xEE][4 garbage bytes]
+  const std::uint8_t garbage[] = {5, 0, 0, 0, 0xEE, 0xDE, 0xAD, 0xBE, 0xEF};
+  ASSERT_EQ(::write(fd, garbage, sizeof(garbage)),
+            static_cast<ssize_t>(sizeof(garbage)));
+  EXPECT_TRUE(
+      wait_for([&] { return transport.counters().frames_rejected == 1; }));
+  ::close(fd);
+
+  ASSERT_TRUE(system.write_rounds(2));
+  EXPECT_TRUE(system.converged(2));
+  EXPECT_EQ(transport.counters().frames_rejected, 1u);
+  EXPECT_GT(transport.counters().frames_received, 0u);
 }
 
 // ---------------------------------------------------------------------------
