@@ -8,7 +8,8 @@
 #                           # teardown are exactly where lifetime bugs hide
 #   SANITIZE=tsan ./ci.sh   # ThreadSanitizer build + ctest — gates the
 #                           # parallel engine's worker threads and the
-#                           # std::thread runtime
+#                           # std::thread runtime; the parallel suites
+#                           # then run three more times
 #   SOCKETS_SMOKE=1 ./ci.sh # release build + socket-layer tests + real
 #                           # multi-process pardsm_node drills over
 #                           # loopback TCP, incl. a kill -9 / respawn /
@@ -150,6 +151,16 @@ fi
 
 echo "== test =="
 (cd "$BUILD_DIR" && ctest --output-on-failure -j "$JOBS")
+
+if [ "$SANITIZE" = "tsan" ]; then
+  # The parallel root's window barrier is lock-free (atomic epoch + spin),
+  # so one instrumented pass can miss a rare interleaving: re-run the
+  # parallel suites until one fails, up to three more times.
+  echo "== test: parallel suites, repeated =="
+  (cd "$BUILD_DIR" && ctest --output-on-failure -j "$JOBS" \
+      -R 'Parallel|QuantumBoundary|CrossShard|ShardAssignment' \
+      --repeat until-fail:3)
+fi
 
 if [ "$SANITIZE" != "0" ]; then
   echo "== done (sanitized) =="

@@ -5,40 +5,34 @@
 namespace pardsm::mcs {
 
 void HistoryRecorder::use_canonical_order() {
-  std::lock_guard lock(mu_);
-  PARDSM_CHECK(history_.size() == 0 && pending_.empty(),
+  PARDSM_CHECK(size() == 0,
                "use_canonical_order: operations already recorded");
   canonical_ = true;
-  pending_.resize(process_count_);
 }
 
 void HistoryRecorder::use_discard_mode() {
-  std::lock_guard lock(mu_);
-  PARDSM_CHECK(history_.size() == 0 && discarded_ == 0,
-               "use_discard_mode: operations already recorded");
-  for (const auto& ops : pending_) {
-    PARDSM_CHECK(ops.empty(), "use_discard_mode: operations already recorded");
-  }
+  PARDSM_CHECK(size() == 0, "use_discard_mode: operations already recorded");
   discard_ = true;
 }
 
 std::uint64_t HistoryRecorder::discarded_ops() const {
-  std::lock_guard lock(mu_);
-  return discarded_;
+  std::uint64_t total = 0;
+  for (const Slot& s : slots_) total += s.discarded;
+  return total;
 }
 
 void HistoryRecorder::record_write(ProcessId p, VarId x, Value v, WriteId id,
                                    TimePoint invoked, TimePoint responded) {
-  std::lock_guard lock(mu_);
   if (discard_) {
-    ++discarded_;
+    ++slots_[static_cast<std::size_t>(p)].discarded;
     return;
   }
   if (canonical_) {
-    pending_[static_cast<std::size_t>(p)].push_back(
+    slots_[static_cast<std::size_t>(p)].pending.push_back(
         {true, x, v, id, invoked, responded});
     return;
   }
+  std::lock_guard lock(mu_);
   const auto op = history_.push_write(p, x, v, id);
   history_.set_interval(op, invoked, responded);
 }
@@ -46,16 +40,16 @@ void HistoryRecorder::record_write(ProcessId p, VarId x, Value v, WriteId id,
 void HistoryRecorder::record_read(ProcessId p, VarId x, Value value,
                                   WriteId source, TimePoint invoked,
                                   TimePoint responded) {
-  std::lock_guard lock(mu_);
   if (discard_) {
-    ++discarded_;
+    ++slots_[static_cast<std::size_t>(p)].discarded;
     return;
   }
   if (canonical_) {
-    pending_[static_cast<std::size_t>(p)].push_back(
+    slots_[static_cast<std::size_t>(p)].pending.push_back(
         {false, x, value, source, invoked, responded});
     return;
   }
+  std::lock_guard lock(mu_);
   const auto op = history_.push_read(p, x, value, source);
   history_.set_interval(op, invoked, responded);
 }
@@ -65,8 +59,8 @@ hist::History HistoryRecorder::build_canonical() const {
   // deterministic execution, so the rebuilt History is independent of how
   // the processes' operations interleaved in wall time.
   hist::History h(process_count_, var_count_);
-  for (std::size_t p = 0; p < pending_.size(); ++p) {
-    for (const PendingOp& op : pending_[p]) {
+  for (std::size_t p = 0; p < slots_.size(); ++p) {
+    for (const PendingOp& op : slots_[p].pending) {
       const auto idx =
           op.is_write
               ? h.push_write(static_cast<ProcessId>(p), op.x, op.value, op.id)
@@ -78,29 +72,29 @@ hist::History HistoryRecorder::build_canonical() const {
 }
 
 hist::History HistoryRecorder::history() const {
-  std::lock_guard lock(mu_);
   if (canonical_) return build_canonical();
+  std::lock_guard lock(mu_);
   return history_;
 }
 
 hist::History HistoryRecorder::take_history() {
-  std::lock_guard lock(mu_);
   if (canonical_) {
     hist::History h = build_canonical();
-    pending_.assign(process_count_, {});
+    for (Slot& s : slots_) s.pending = {};
     return h;
   }
+  std::lock_guard lock(mu_);
   return std::move(history_);
 }
 
 std::size_t HistoryRecorder::size() const {
-  std::lock_guard lock(mu_);
-  if (discard_) return static_cast<std::size_t>(discarded_);
+  if (discard_) return static_cast<std::size_t>(discarded_ops());
   if (canonical_) {
     std::size_t total = 0;
-    for (const auto& ops : pending_) total += ops.size();
+    for (const Slot& s : slots_) total += s.pending.size();
     return total;
   }
+  std::lock_guard lock(mu_);
   return history_.size();
 }
 

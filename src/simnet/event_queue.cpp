@@ -6,38 +6,42 @@
 
 namespace pardsm {
 
-Event& EventQueue::alloc(TimePoint when, Event::Type type) {
+Event& EventQueue::alloc(TimePoint when, Event::Type type,
+                         std::uint64_t key) {
   std::uint32_t slot;
   if (free_.empty()) {
-    slot = checked_slot(pool_.size());
-    pool_.emplace_back();
+    slot = checked_slot(pool_size_);
+    if (pool_size_ % kPoolChunk == 0) {
+      pool_.push_back(std::make_unique<Event[]>(kPoolChunk));
+    }
+    ++pool_size_;
   } else {
     slot = free_.back();
     free_.pop_back();
   }
-  Event& e = pool_[slot];
+  Event& e = slot_at(slot);
   e.type = type;
   e.when = when;
-  e.seq = next_seq_++;
+  e.seq = key;
   e.slot = slot;
-  heap_.push_back(HeapEntry{when, e.seq, slot});
+  heap_.push_back(HeapEntry{when, key, slot});
   sift_up(heap_.size() - 1);
   return e;
 }
 
 void EventQueue::schedule(TimePoint when, std::function<void()> fn) {
-  Event& e = alloc(when, Event::Type::kClosure);
+  Event& e = alloc(when, Event::Type::kClosure, next_seq_++);
   e.fire = std::move(fn);
 }
 
 void EventQueue::schedule_deliver(TimePoint when, Message msg) {
-  Event& e = alloc(when, Event::Type::kDeliver);
+  Event& e = alloc(when, Event::Type::kDeliver, next_seq_++);
   e.msg = std::move(msg);
 }
 
 void EventQueue::schedule_timer(TimePoint when, ProcessId who,
                                 std::uint64_t tag) {
-  Event& e = alloc(when, Event::Type::kTimer);
+  Event& e = alloc(when, Event::Type::kTimer, next_seq_++);
   e.timer_who = who;
   e.timer_tag = tag;
 }
@@ -49,7 +53,7 @@ TimePoint EventQueue::next_time() const {
 
 Event EventQueue::pop() {
   Event out = std::move(pop_ref());
-  release(pool_[out.slot]);
+  release(slot_at(out.slot));
   return out;
 }
 
@@ -59,7 +63,7 @@ Event& EventQueue::pop_ref() {
   heap_.front() = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) sift_down(0);
-  return pool_[top.slot];
+  return slot_at(top.slot);
 }
 
 void EventQueue::release(Event& e) {

@@ -1,8 +1,11 @@
 // Discrete-event priority queue with pooled typed events.
 //
-// Events are ordered by (time, insertion sequence), which makes simulation
-// runs fully deterministic: ties are broken by insertion order, never by
-// container internals.
+// Events are ordered by (time, tie-break key), which makes simulation runs
+// fully deterministic: ties are broken by the key, never by container
+// internals.  The schedule_* calls key an event by its insertion sequence
+// (the sequential Simulator's order); alloc() takes the key from its
+// caller (the ParallelSimulator's shards pass their canonical key, see
+// parallel_sim.h).
 //
 // The hot path of every benchmark is schedule-deliver/pop, so the queue is
 // engineered to be allocation-free per event in steady state:
@@ -11,18 +14,19 @@
 //     std::function closures; a delivery carries its Message in place and
 //     a timer is two integers.  Closures remain only for the driver-
 //     injection path (the engine's Client, scenario events, tests).
-//   * Event payloads live in a free-list pool of stable slots (a deque, so
-//     scheduling from inside a firing handler never invalidates anything).
-//     The pool grows to the peak queue depth once and is then reused.
+//   * Event payloads live in a free-list pool of stable slots (fixed-size
+//     chunks, so scheduling from inside a firing handler never invalidates
+//     anything).  The pool grows to the peak queue depth once, a chunk of
+//     kPoolChunk events per allocation, and is then reused.
 //   * The priority queue itself is an explicit 4-ary heap over 24-byte
-//     (when, seq, slot) entries — sift operations move handles (hole
+//     (when, key, slot) entries — sift operations move handles (hole
 //     insertion, one final store instead of swap chains), never the event
 //     payload, and popping detaches the payload with a move.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "simnet/check.h"
@@ -38,7 +42,7 @@ struct Event {
 
   Type type = Type::kClosure;
   TimePoint when{};
-  std::uint64_t seq = 0;      ///< tie-breaker: insertion order
+  std::uint64_t seq = 0;      ///< tie-break key (insertion order by default)
   std::uint32_t slot = 0;     ///< pool slot (for EventQueue::release)
 
   /// kDeliver payload: the message, stored in place (no indirection).
@@ -52,9 +56,15 @@ struct Event {
   std::function<void()> fire;
 };
 
-/// Min-heap of pooled events keyed by (when, seq).
+/// Min-heap of pooled events keyed by (when, tie-break key).
 class EventQueue {
  public:
+  /// Take a slot from the free list (growing the pool if exhausted), stamp
+  /// (type, when, key) and push its heap entry; the caller fills the
+  /// payload.  Keys must be unique among pending events, so the pop order
+  /// is a total order independent of the heap's shape.
+  Event& alloc(TimePoint when, Event::Type type, std::uint64_t key);
+
   /// Schedule `fn` to run at absolute time `when` (driver/test path).
   void schedule(TimePoint when, std::function<void()> fn);
 
@@ -80,7 +90,7 @@ class EventQueue {
 
   /// In-place variant of pop(): removes the next event from the heap but
   /// leaves the payload in its pooled slot, returning a reference that
-  /// stays valid across schedule_* calls (slots are deque-stable and this
+  /// stays valid across schedule_* calls (slots never move and this
   /// one is not recycled until release()).  Saves the payload move on the
   /// hottest path.
   Event& pop_ref();
@@ -88,11 +98,12 @@ class EventQueue {
   /// Recycle the slot of an event obtained via pop_ref().
   void release(Event& e);
 
-  /// Total number of events ever scheduled (diagnostics).
+  /// Events ever scheduled through schedule_* (diagnostics; keyed
+  /// alloc() calls are not counted).
   [[nodiscard]] std::uint64_t scheduled_total() const { return next_seq_; }
 
   /// Pool slots ever allocated (== peak queue depth; tests assert reuse).
-  [[nodiscard]] std::size_t pool_slots() const { return pool_.size(); }
+  [[nodiscard]] std::size_t pool_slots() const { return pool_size_; }
 
   /// Slot handles are 32-bit (they ride in every 24-byte heap entry), so
   /// a pool asked to grow past 2^32 slots — four billion *simultaneously
@@ -118,7 +129,7 @@ class EventQueue {
   /// 4-ary: half the levels of a binary heap, and the four children of a
   /// node share two cache lines — pop-heavy simulation loops spend most
   /// of their heap time in sift_down, which this roughly halves.  The
-  /// comparator's (when, seq) order is total (seq is unique), so the pop
+  /// comparator's (when, key) order is total (keys are unique), so the pop
   /// sequence — and with it simulation determinism — is independent of
   /// the heap's shape.
   static constexpr std::size_t kArity = 4;
@@ -128,14 +139,18 @@ class EventQueue {
     return a.seq < b.seq;
   }
 
-  /// Take a slot from the free list (growing the pool if exhausted), stamp
-  /// (type, when, seq) and push its heap entry.  Caller fills the payload.
-  Event& alloc(TimePoint when, Event::Type type);
-
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
 
-  std::deque<Event> pool_;            ///< stable payload slots
+  /// Slot `s` lives at pool_[s / kPoolChunk][s % kPoolChunk].  A deque
+  /// would allocate a node per two events as the pool grows.
+  static constexpr std::size_t kPoolChunk = 64;
+  [[nodiscard]] Event& slot_at(std::uint32_t s) {
+    return pool_[s / kPoolChunk][s % kPoolChunk];
+  }
+
+  std::vector<std::unique_ptr<Event[]>> pool_;  ///< stable payload slots
+  std::size_t pool_size_ = 0;                   ///< slots handed out
   std::vector<std::uint32_t> free_;   ///< recycled slot indices
   std::vector<HeapEntry> heap_;       ///< explicit binary min-heap
   std::uint64_t next_seq_ = 0;

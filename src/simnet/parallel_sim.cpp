@@ -15,6 +15,12 @@ constexpr std::uint64_t kTagLatency = 0x4C41544EULL;  // "LATN"
 constexpr std::uint64_t kTagFault = 0x4641554CULL;    // "FAUL"
 constexpr std::uint64_t kTagChannel = 0x4348414EULL;  // "CHAN"
 
+/// Event classes of the canonical key: deliveries before timers before
+/// closures at equal times.
+constexpr std::uint64_t kDeliverClass = 0;
+constexpr std::uint64_t kTimerClass = 1;
+constexpr std::uint64_t kClosureClass = 2;
+
 /// Which shard (if any) the calling thread is currently draining, per
 /// simulator: workers of one simulator never call into another.
 struct ShardContext {
@@ -22,6 +28,29 @@ struct ShardContext {
   void* shard = nullptr;
 };
 thread_local ShardContext tl_shard_ctx;
+
+/// Polls before a barrier wait sleeps in the kernel.  A busy run's shards
+/// finish a window within tens of microseconds of each other; a spin
+/// catches that without a futex round trip, and yielding (not pausing)
+/// between polls hands the core to the threads being waited for when
+/// there are more threads than cores.  At about 0.4 us a yield, 250 polls
+/// cover about 0.1 ms.  docs/PARALLEL.md has the measurements: this spin
+/// against pause spins and a pure futex wait, on par-pram-large and on
+/// the parallel ctest suites at -j4.
+constexpr int kSpinBeforeWait = 250;
+
+/// Wait until `a` no longer holds `old` and return its new value (with
+/// acquire ordering): a bounded spin, then std::atomic::wait.
+std::uint32_t await_change(const std::atomic<std::uint32_t>& a,
+                           std::uint32_t old) {
+  for (int i = 0; i < kSpinBeforeWait; ++i) {
+    const std::uint32_t now = a.load(std::memory_order_acquire);
+    if (now != old) return now;
+    std::this_thread::yield();
+  }
+  a.wait(old, std::memory_order_acquire);
+  return a.load(std::memory_order_acquire);
+}
 
 }  // namespace
 
@@ -36,20 +65,8 @@ ParallelSimulator::ParallelSimulator(ParallelSimOptions options)
   }
 }
 
-ParallelSimulator::~ParallelSimulator() {
-  // run() joins its workers on every path; this is a safety net for a
-  // simulator destroyed mid-run by an exception unwinding past run().
-  if (!workers_.empty()) {
-    {
-      std::lock_guard lk(mu_);
-      stop_workers_ = true;
-    }
-    cv_work_.notify_all();
-    for (auto& t : workers_) {
-      if (t.joinable()) t.join();
-    }
-  }
-}
+// run() joins its helpers on every path, the throwing ones included.
+ParallelSimulator::~ParallelSimulator() = default;
 
 ProcessId ParallelSimulator::add_endpoint(Endpoint* ep) {
   PARDSM_CHECK(ep != nullptr, "add_endpoint: null endpoint");
@@ -97,9 +114,14 @@ void ParallelSimulator::freeze() {
   for (unsigned w = 0; w < options_.num_threads; ++w) {
     auto shard = std::make_unique<Shard>();
     shard->latency = options_.latency->clone();
-    shard->stats.set_var_hint(var_hint_);
     shard->stats.resize(n);
     shards_.push_back(std::move(shard));
+  }
+  // A shard's ledger only ever records deliveries to its own processes,
+  // so only their exposure rows are pre-sized (n x m per shard otherwise).
+  for (std::size_t p = 0; p < n; ++p) {
+    shards_[static_cast<std::size_t>(shard_of_[p])]
+        ->stats.presize_exposure_row(static_cast<ProcessId>(p), var_hint_);
   }
 
   // The fault network carries severed/down/rate-override state only; its
@@ -129,11 +151,6 @@ ParallelSimulator::Shard* ParallelSimulator::current_shard() const {
 TimePoint ParallelSimulator::now() const {
   if (const Shard* shard = current_shard()) return shard->now;
   return coordinator_now_;
-}
-
-void ParallelSimulator::push_event(Shard& shard, PEvent e) {
-  shard.heap.push_back(std::move(e));
-  std::push_heap(shard.heap.begin(), shard.heap.end());
 }
 
 void ParallelSimulator::send(ProcessId from, ProcessId to, BodyRef body,
@@ -222,27 +239,24 @@ void ParallelSimulator::plan_and_schedule(Shard& ss, Message&& m) {
   Shard* ctx = current_shard();
   const int dest_shard = shard_of_[static_cast<std::size_t>(to)];
   Shard& ds = *shards_[static_cast<std::size_t>(dest_shard)];
+  // Cross-shard deliveries park in the sender's outbox until the barrier;
+  // the coordinator merges them before the next window.  Delivery lands at
+  // or after the window's end, so the detour is never late.
+  const bool cross = ctx != nullptr && &ds != ctx;
   for (std::size_t i = 0; i < deliveries.size(); ++i) {
-    PEvent ev;
-    ev.when = deliveries[i];
-    ev.klass = 0;
-    ev.origin = from;
-    ev.seq = (send_seq << 1) | static_cast<std::uint64_t>(i);
-    ev.type = Event::Type::kDeliver;
+    const TimePoint when = deliveries[i];
+    // A duplicate orders after its original: (send_seq << 1) | copy.
+    const std::uint64_t key = canonical_key(
+        kDeliverClass, from, (send_seq << 1) | static_cast<std::uint64_t>(i));
+    Message& slot =
+        cross ? ss.outbox.emplace_back(Outgoing{when, key, {}}).msg
+              : ds.queue.alloc(when, Event::Type::kDeliver, key).msg;
     if (i + 1 < deliveries.size()) {
-      ev.msg = m;  // duplicated delivery keeps a copy
+      slot = m;  // duplicated delivery keeps a copy
     } else {
-      ev.msg = std::move(m);
+      slot = std::move(m);
     }
-    ev.msg.deliver_time = deliveries[i];
-    if (ctx != nullptr && &ds != ctx) {
-      // Cross-shard: parked in the sender's outbox until the barrier; the
-      // coordinator merges it before the next window.  Delivery lands at
-      // or after the window's end, so the detour is never late.
-      ss.outbox.push_back(std::move(ev));
-    } else {
-      push_event(ds, std::move(ev));
-    }
+    slot.deliver_time = when;
   }
 }
 
@@ -259,15 +273,13 @@ void ParallelSimulator::set_timer(ProcessId who, Duration delay,
   PARDSM_CHECK(ctx == nullptr || ctx == &owner,
                "set_timer: cross-shard timers are not supported (timers are "
                "process-local by contract)");
-  PEvent ev;
-  ev.when = (ctx != nullptr ? owner.now : coordinator_now_) + delay;
-  ev.klass = 1;
-  ev.origin = who;
-  ev.seq = timer_seq_[static_cast<std::size_t>(who)]++;
-  ev.type = Event::Type::kTimer;
-  ev.timer_who = who;
-  ev.timer_tag = tag;
-  push_event(owner, std::move(ev));
+  Event& e = owner.queue.alloc(
+      (ctx != nullptr ? owner.now : coordinator_now_) + delay,
+      Event::Type::kTimer,
+      canonical_key(kTimerClass, who,
+                    timer_seq_[static_cast<std::size_t>(who)]++));
+  e.timer_who = who;
+  e.timer_tag = tag;
 }
 
 void ParallelSimulator::schedule_at(TimePoint when, ProcessId owner,
@@ -283,14 +295,11 @@ void ParallelSimulator::schedule_at(TimePoint when, ProcessId owner,
                "schedule_at: owner does not live on the calling shard");
   PARDSM_CHECK(when >= (ctx != nullptr ? os.now : coordinator_now_),
                "schedule_at: time in the past");
-  PEvent ev;
-  ev.when = when;
-  ev.klass = 2;
-  ev.origin = owner;
-  ev.seq = closure_seq_[static_cast<std::size_t>(owner)]++;
-  ev.type = Event::Type::kClosure;
-  ev.fire = std::move(fn);
-  push_event(os, std::move(ev));
+  os.queue
+      .alloc(when, Event::Type::kClosure,
+             canonical_key(kClosureClass, owner,
+                           closure_seq_[static_cast<std::size_t>(owner)]++))
+      .fire = std::move(fn);
 }
 
 void ParallelSimulator::schedule_global(TimePoint when,
@@ -307,7 +316,7 @@ void ParallelSimulator::schedule_global(TimePoint when,
                  });
 }
 
-void ParallelSimulator::dispatch(Shard& shard, PEvent& e) {
+void ParallelSimulator::dispatch(Shard& shard, Event& e) {
   switch (e.type) {
     case Event::Type::kDeliver: {
       Message& m = e.msg;
@@ -331,91 +340,72 @@ void ParallelSimulator::dispatch(Shard& shard, PEvent& e) {
   }
 }
 
-void ParallelSimulator::drain_window(Shard& shard, TimePoint window_end) {
+void ParallelSimulator::drain_shard(unsigned w) noexcept {
+  Shard& shard = *shards_[w];
   tl_shard_ctx = {this, &shard};
-  while (!shard.heap.empty() && shard.heap.front().when < window_end) {
-    std::pop_heap(shard.heap.begin(), shard.heap.end());
-    PEvent e = std::move(shard.heap.back());
-    shard.heap.pop_back();
-    PARDSM_CHECK(e.when >= shard.now, "shard clock went backwards");
-    shard.now = e.when;
-    ++shard.events_fired;
-    PARDSM_CHECK(shard.events_fired <= options_.max_events,
-                 "simulation exceeded max_events — non-terminating "
-                 "protocol?");
-    dispatch(shard, e);
+  try {
+    EventQueue& queue = shard.queue;
+    while (!queue.empty() && queue.next_time() < window_end_) {
+      // In place, as in Simulator::step: the payload stays in its pooled
+      // slot while the handler runs and is recycled afterwards.
+      Event& e = queue.pop_ref();
+      PARDSM_CHECK(e.when >= shard.now, "shard clock went backwards");
+      shard.now = e.when;
+      ++shard.events_fired;
+      PARDSM_CHECK(shard.events_fired <= options_.max_events,
+                   "simulation exceeded max_events — non-terminating "
+                   "protocol?");
+      dispatch(shard, e);
+      queue.release(e);
+    }
+  } catch (...) {
+    worker_errors_[w] = std::current_exception();
   }
   tl_shard_ctx = {};
 }
 
-void ParallelSimulator::worker_loop(unsigned w) {
-  std::unique_lock lk(mu_);
-  // Start from generation 0 unconditionally: the coordinator only advances
-  // the generation after every worker acknowledged the previous one, so a
-  // worker that reads the *current* generation here could silently skip
-  // the first window and deadlock the barrier.
-  std::uint64_t seen_gen = 0;
+void ParallelSimulator::helper_loop(unsigned w, std::uint32_t epoch) {
   for (;;) {
-    cv_work_.wait(lk, [&] {
-      return stop_workers_ || generation_ != seen_gen;
-    });
-    if (stop_workers_) return;
-    seen_gen = generation_;
-    const TimePoint window_end = window_end_;
-    lk.unlock();
-    try {
-      drain_window(*shards_[w], window_end);
-    } catch (...) {
-      tl_shard_ctx = {};
-      lk.lock();
-      worker_errors_[w] = std::current_exception();
-      lk.unlock();
+    epoch = await_change(epoch_, epoch);
+    if (stop_) return;
+    drain_shard(w);
+    if (working_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      working_.notify_one();
     }
-    lk.lock();
-    if (--working_ == 0) cv_done_.notify_one();
   }
 }
 
 void ParallelSimulator::run_window(TimePoint window_end) {
-  std::unique_lock lk(mu_);
   window_end_ = window_end;
-  working_ = static_cast<unsigned>(workers_.size());
-  ++generation_;
-  cv_work_.notify_all();
-  cv_done_.wait(lk, [&] { return working_ == 0; });
-  for (auto& err : worker_errors_) {
-    if (err) {
-      const std::exception_ptr e = err;
-      err = nullptr;
-      lk.unlock();
-      std::rethrow_exception(e);
-    }
+  if (!helpers_.empty()) {
+    working_.store(static_cast<std::uint32_t>(helpers_.size()),
+                   std::memory_order_relaxed);
+    epoch_.fetch_add(1, std::memory_order_release);
+    epoch_.notify_all();
   }
+  drain_shard(0);
+  for (std::uint32_t left = working_.load(std::memory_order_acquire);
+       left != 0; left = await_change(working_, left)) {
+  }
+  // Every shard has finished the window, so the first error can unwind.
+  for (std::exception_ptr& err : worker_errors_) {
+    if (err) std::rethrow_exception(std::exchange(err, nullptr));
+  }
+}
+
+void ParallelSimulator::stop_helpers() {
+  if (helpers_.empty()) return;
+  stop_ = true;
+  epoch_.fetch_add(1, std::memory_order_release);
+  epoch_.notify_all();
+  for (std::thread& t : helpers_) t.join();
+  helpers_.clear();
 }
 
 void ParallelSimulator::run() {
   freeze();
   PARDSM_CHECK(!running_, "run: already running");
   running_ = true;
-
-  worker_errors_.assign(options_.num_threads, nullptr);
-  stop_workers_ = false;
-  workers_.reserve(options_.num_threads);
-  for (unsigned w = 0; w < options_.num_threads; ++w) {
-    workers_.emplace_back([this, w] { worker_loop(w); });
-  }
-
-  const auto shutdown = [this] {
-    {
-      std::lock_guard lk(mu_);
-      stop_workers_ = true;
-    }
-    cv_work_.notify_all();
-    for (auto& t : workers_) {
-      if (t.joinable()) t.join();
-    }
-    workers_.clear();
-  };
 
   const auto global_min = [this] {
     return globals_.empty() ? kTimeForever : globals_.front().when;
@@ -431,14 +421,24 @@ void ParallelSimulator::run() {
     return g;
   };
 
+  worker_errors_.assign(options_.num_threads, nullptr);
+  stop_ = false;
   try {
+    // Helpers start from the current epoch, read here before any bump, so
+    // none can mistake an earlier run's last epoch for a new window.
+    const std::uint32_t epoch = epoch_.load(std::memory_order_relaxed);
+    helpers_.reserve(options_.num_threads - 1);
+    for (unsigned w = 1; w < options_.num_threads; ++w) {
+      helpers_.emplace_back([this, w, epoch] { helper_loop(w, epoch); });
+    }
+
     for (;;) {
       TimePoint shard_min = kTimeForever;
       bool have_shard_event = false;
       for (const auto& shard : shards_) {
-        if (!shard->heap.empty()) {
+        if (!shard->queue.empty()) {
           have_shard_event = true;
-          shard_min = std::min(shard_min, shard->heap.front().when);
+          shard_min = std::min(shard_min, shard->queue.next_time());
         }
       }
       const TimePoint g_min = global_min();
@@ -464,14 +464,15 @@ void ParallelSimulator::run() {
       coordinator_now_ = window_start;
       run_window(window_end);
 
-      // Merge the windows' cross-shard deliveries.  Heap order is the
+      // Merge the windows' cross-shard deliveries.  Queue order is the
       // canonical key, so merge order is irrelevant to execution order.
       std::uint64_t total_events = coordinator_events_;
       for (auto& src : shards_) {
-        for (PEvent& ev : src->outbox) {
+        for (Outgoing& o : src->outbox) {
           Shard& dst = *shards_[static_cast<std::size_t>(
-              shard_of_[static_cast<std::size_t>(ev.msg.to)])];
-          push_event(dst, std::move(ev));
+              shard_of_[static_cast<std::size_t>(o.msg.to)])];
+          dst.queue.alloc(o.when, Event::Type::kDeliver, o.key).msg =
+              std::move(o.msg);
         }
         src->outbox.clear();
         total_events += src->events_fired;
@@ -481,11 +482,11 @@ void ParallelSimulator::run() {
                    "protocol?");
     }
   } catch (...) {
-    shutdown();
+    stop_helpers();
     running_ = false;
     throw;
   }
-  shutdown();
+  stop_helpers();
 
   for (const auto& shard : shards_) {
     coordinator_now_ = std::max(coordinator_now_, shard->now);

@@ -15,7 +15,10 @@
 //     a pure function of the logical computation — which process sent or
 //     armed what, and in which position of its own deterministic
 //     execution — so each process handles its events in the same order
-//     for ANY thread count and ANY OS interleaving.
+//     for ANY thread count and ANY OS interleaving.  Each shard keeps its
+//     events in the sequential engine's pooled EventQueue, with
+//     (class, origin, sequence) packed into the queue's tie-break key
+//     (canonical_key).
 //   * Channel randomness is *counter-based*: every send's latency and
 //     fault draws come from a fresh generator keyed on (run seed, sender,
 //     dest, per-pair message counter, stream tag) — see counter_rng().
@@ -33,14 +36,15 @@
 // and the MCS layer run unmodified above it.
 #pragma once
 
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
+#include "simnet/check.h"
 #include "simnet/event_queue.h"
 #include "simnet/network.h"
 #include "simnet/pair_map.h"
@@ -57,7 +61,8 @@ struct ParallelSimOptions {
   std::unique_ptr<LatencyModel> latency;
   /// Abort (throw) if more than this many events fire in total.
   std::uint64_t max_events = 50'000'000;
-  /// Worker thread count == shard count.
+  /// Shard count == thread count: the calling thread drains shard 0 and
+  /// num_threads - 1 helper threads drain the rest (1 spawns none).
   unsigned num_threads = 4;
   /// Barrier window size; {} (zero) derives the largest safe value from
   /// the latency model's lower_bound().  Must not exceed it.
@@ -149,31 +154,32 @@ class ParallelSimulator final : public RootTransport {
   }
   [[nodiscard]] Duration quantum() const { return quantum_; }
 
- private:
-  /// A scheduled event with its canonical ordering key.  `klass` ranks
-  /// deliveries before timers before closures at equal times; `origin` is
-  /// the sending process (deliveries) or the owning process (timers,
+  /// Pack an event's canonical order (when aside) into EventQueue's 64-bit
+  /// tie-break key: `klass` (2 bits) | `origin` (21) | `seq` (41), so the
+  /// key order is exactly (klass, origin, seq).  `klass` ranks deliveries
+  /// (0) before timers (1) before closures (2) at equal times; `origin` is
+  /// the sending process (deliveries) or the owning one (timers,
   /// closures); `seq` is the origin's per-class counter at creation.
-  struct PEvent {
-    TimePoint when{};
-    std::uint8_t klass = 0;  ///< 0=deliver, 1=timer, 2=closure
-    ProcessId origin = kNoProcess;
-    std::uint64_t seq = 0;
+  /// Fails loudly past 2^21 processes or 2^41 events of one class from
+  /// one origin rather than let a field bleed into its neighbour (public
+  /// static so a test can probe the bounds, like
+  /// EventQueue::checked_slot).
+  [[nodiscard]] static std::uint64_t canonical_key(std::uint64_t klass,
+                                                   ProcessId origin,
+                                                   std::uint64_t seq) {
+    PARDSM_CHECK(klass < 3, "canonical key: bad event class");
+    PARDSM_CHECK(origin >= 0 && static_cast<std::uint64_t>(origin) <
+                                    (std::uint64_t{1} << kOriginBits),
+                 "canonical key: process id exceeds 2^21");
+    PARDSM_CHECK(seq < (std::uint64_t{1} << kSeqBits),
+                 "canonical key: per-origin sequence exceeds 2^41");
+    return klass << (kOriginBits + kSeqBits) |
+           static_cast<std::uint64_t>(origin) << kSeqBits | seq;
+  }
 
-    Event::Type type = Event::Type::kClosure;
-    Message msg;                    // kDeliver
-    ProcessId timer_who = kNoProcess;  // kTimer
-    std::uint64_t timer_tag = 0;
-    std::function<void()> fire;     // kClosure
-
-    /// Min-first canonical order (std::*_heap wants "less important").
-    friend bool operator<(const PEvent& a, const PEvent& b) {
-      if (a.when != b.when) return a.when > b.when;
-      if (a.klass != b.klass) return a.klass > b.klass;
-      if (a.origin != b.origin) return a.origin > b.origin;
-      return a.seq > b.seq;
-    }
-  };
+ private:
+  static constexpr unsigned kOriginBits = 21;
+  static constexpr unsigned kSeqBits = 41;
 
   /// One coordinator-scheduled stop-the-world closure.
   struct GlobalEvent {
@@ -182,11 +188,18 @@ class ParallelSimulator final : public RootTransport {
     std::function<void()> fire;
   };
 
-  /// Everything one worker owns: its event heap, the channel state of its
+  /// A delivery bound for another shard, parked until the barrier.
+  struct Outgoing {
+    TimePoint when{};
+    std::uint64_t key = 0;  ///< canonical_key of the delivery
+    Message msg;
+  };
+
+  /// Everything one shard owns: its event queue, the channel state of its
   /// processes' outgoing pairs, its slice of the traffic ledger and the
   /// cross-shard deliveries the current window produced.
   struct Shard {
-    std::vector<PEvent> heap;  ///< binary min-heap in canonical order
+    EventQueue queue;  ///< keyed by canonical_key
     std::unique_ptr<LatencyModel> latency;
     PairMap<TimePoint> last_delivery;  ///< FIFO clamp, sender-side pairs
     PairMap<std::uint64_t> pair_seq;   ///< per-pair send counter (RNG key)
@@ -194,18 +207,26 @@ class ParallelSimulator final : public RootTransport {
     NetworkStats stats;
     TimePoint now{};
     std::uint64_t events_fired = 0;
-    std::vector<PEvent> outbox;  ///< deliveries bound for other shards
+    std::vector<Outgoing> outbox;  ///< deliveries bound for other shards
   };
 
-  void push_event(Shard& shard, PEvent e);
-  void drain_window(Shard& shard, TimePoint window_end);
-  void dispatch(Shard& shard, PEvent& e);
+  /// Drain shard `w` up to window_end_ on the calling thread, parking any
+  /// exception in worker_errors_[w] (run_window rethrows it once every
+  /// shard is done).
+  void drain_shard(unsigned w) noexcept;
+  void dispatch(Shard& shard, Event& e);
   /// Mirror of Network::plan_delivery over counter-based streams and the
-  /// calling shard's clamp state; appends deliver events locally or to the
+  /// calling shard's clamp state; queues deliver events locally or in the
   /// outbox.
   void plan_and_schedule(Shard& shard, Message&& m);
-  void worker_loop(unsigned w);
+  /// Helper thread body for shard `w` (>= 1): drain a window each time
+  /// epoch_ moves past `epoch`, until stop_.
+  void helper_loop(unsigned w, std::uint32_t epoch);
+  /// Run one window: release the helpers, drain shard 0 on the calling
+  /// (coordinator) thread, wait for the helpers, rethrow a shard's error.
   void run_window(TimePoint window_end);
+  /// Wake every helper with the stop flag set and join them.
+  void stop_helpers();
   [[nodiscard]] Shard* current_shard() const;
 
   ParallelSimOptions options_;
@@ -236,16 +257,18 @@ class ParallelSimulator final : public RootTransport {
   bool frozen_ = false;
   bool running_ = false;
 
-  // -- worker parking -------------------------------------------------------
-  std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
-  std::uint64_t generation_ = 0;
+  // -- window barrier ---------------------------------------------------------
+  // The coordinator drains shard 0 itself; helpers_[w-1] drains shard w.
+  // A window starts when the coordinator bumps epoch_ (release) and ends
+  // when the last helper takes working_ to 0 (release) — both plain
+  // futex-backed atomics, no mutex.  window_end_ and stop_ are written
+  // only while every helper waits on the epoch.
+  std::atomic<std::uint32_t> epoch_{0};
+  std::atomic<std::uint32_t> working_{0};
   TimePoint window_end_{};
-  unsigned working_ = 0;
-  bool stop_workers_ = false;
-  std::vector<std::exception_ptr> worker_errors_;
+  bool stop_ = false;
+  std::vector<std::exception_ptr> worker_errors_;  ///< one slot per shard
+  std::vector<std::thread> helpers_;  ///< joined by run() on every path
 };
 
 }  // namespace pardsm

@@ -49,11 +49,12 @@ struct AckFrame final : MessageBody {
 const wire::BodyRegistrar arq_data_codec(
     wire::kArqData, [](WireReader& r, BodyArena& arena) -> BodyRef {
       DataFrame* f = arena.create<DataFrame>();
+      BodyRef owner = BodyRef::adopt(f);  // a rejected frame frees its slot
       f->seq = r.u64();
       f->payload_meta = wire::decode_meta(r);
       f->payload = wire::decode_body(r, arena);
       f->wrapped_kind = arq_wrapped(f->payload_meta.kind);
-      return BodyRef::adopt(f);
+      return owner;
     });
 
 const wire::BodyRegistrar arq_ack_codec(

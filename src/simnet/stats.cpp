@@ -21,6 +21,14 @@ void NetworkStats::set_var_hint(std::size_t m) {
   }
 }
 
+void NetworkStats::presize_exposure_row(ProcessId p, std::size_t m) {
+  std::lock_guard lock(mu_);
+  PARDSM_CHECK(p >= 0 && static_cast<std::size_t>(p) < exposure_.size(),
+               "presize_exposure_row: bad process");
+  auto& row = exposure_[static_cast<std::size_t>(p)];
+  if (row.size() < m) row.resize(m, 0);
+}
+
 void NetworkStats::on_send(const Message& m) {
   std::lock_guard lock(mu_);
   PARDSM_CHECK(m.from >= 0 &&

@@ -54,6 +54,11 @@ class NetworkStats {
   /// a larger hint extends existing rows in place.
   void set_var_hint(std::size_t m);
 
+  /// Pre-size only process `p`'s exposure row to `m` entries, for a ledger
+  /// that records deliveries to some processes only (a parallel shard's
+  /// slice); the other rows stay empty and merge_from skips them.
+  void presize_exposure_row(ProcessId p, std::size_t m);
+
   /// Record a message leaving `m.from`.
   void on_send(const Message& m);
 

@@ -18,6 +18,9 @@ std::array<DecodeFn, kMaxWireType>& table() {
   return t;
 }
 
+/// decode_body calls active on this thread (decoders nest through it).
+thread_local int tl_body_depth = 0;
+
 }  // namespace
 
 void register_decoder(std::uint32_t type, DecodeFn fn) {
@@ -37,6 +40,14 @@ void encode_body(WireWriter& w, const MessageBody& body) {
 }
 
 BodyRef decode_body(WireReader& r, BodyArena& arena) {
+  PARDSM_CHECK(tl_body_depth < kMaxBodyDepth,
+               "wire: body nesting exceeds the limit");
+  struct Depth {
+    Depth() { ++tl_body_depth; }
+    ~Depth() { --tl_body_depth; }
+    Depth(const Depth&) = delete;
+    Depth& operator=(const Depth&) = delete;
+  } depth;
   const std::uint32_t type = r.u32();
   PARDSM_CHECK(type < kMaxWireType && table()[type] != nullptr,
                "wire: unknown body tag in frame");

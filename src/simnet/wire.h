@@ -24,6 +24,8 @@
 //
 // Decoders never trust a count: wire::get_count() rejects an element
 // count the rest of the frame cannot hold before anything is sized by it.
+// Nor a nesting depth: decode_body rejects bodies nested deeper than
+// kMaxBodyDepth.
 #pragma once
 
 #include <cstdint>
@@ -160,7 +162,14 @@ void register_decoder(std::uint32_t type, DecodeFn fn);
 /// Encode [wire_type][fields]; rejects bodies with wire_type() == 0.
 void encode_body(WireWriter& w, const MessageBody& body);
 
-/// Decode one framed body; rejects unknown tags.
+/// Deepest nesting decode_body accepts.  The deepest legal stack is
+/// batch -> ARQ -> batch -> body (four levels); without a cap a hostile
+/// frame of nested ARQ or batch headers recurses until the reader's stack
+/// overflows, at about 3 MB of frame.
+inline constexpr int kMaxBodyDepth = 8;
+
+/// Decode one framed body; rejects unknown tags and nesting deeper than
+/// kMaxBodyDepth.
 [[nodiscard]] BodyRef decode_body(WireReader& r, BodyArena& arena);
 
 /// MessageMeta: kind travels as its string spelling and is re-interned on

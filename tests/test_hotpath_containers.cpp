@@ -1,8 +1,9 @@
 // Unit tests for the allocation-free hot-path containers introduced by
 // the pooled-event refactor: the event pool (slot reuse, (time, seq) tie
 // ordering), the kind interner (stable ids, round-trip names, ARQ
-// wrapping), the small-buffer variable list (inline → heap spill) and the
-// wake-indexed causal buffer (rescan-equivalent delivery order).
+// wrapping), the small-buffer variable list (inline → heap spill), the
+// wake-indexed causal buffer (rescan-equivalent delivery order) and the
+// wire decoders' defences against hostile frames.
 
 #include <gtest/gtest.h>
 
@@ -570,6 +571,44 @@ TEST(HostileFrames, CountsNeverSizeAnAllocation) {
               std::string::npos)
         << error;
     EXPECT_LE(g_max_alloc.load(), std::size_t{1} << 20);
+  }
+}
+
+// Nested frames must hit the nesting cap, not the reader's stack: a chain
+// of 100 000 ARQ DATA headers (about 3 MB, far below the socket's frame
+// limit) overflowed the decoder's recursion before the cap existed.
+TEST(HostileFrames, NestingDepthIsCapped) {
+  const auto chain = [](int levels) {
+    WireWriter w;
+    for (int i = 0; i < levels; ++i) {
+      w.u32(wire::kArqData);
+      w.u64(static_cast<std::uint64_t>(i));  // seq
+      wire::encode_meta(w, MessageMeta{});
+    }
+    w.u32(wire::kArqAck);
+    w.u64(0);  // cumulative
+    return w.take();
+  };
+  BodyArena arena(/*concurrent=*/false);
+  {
+    // The deepest accepted stack: kMaxBodyDepth decode_body levels.
+    const std::vector<std::uint8_t> bytes = chain(wire::kMaxBodyDepth - 1);
+    WireReader r(bytes);
+    EXPECT_NO_THROW((void)wire::decode_body(r, arena));
+    EXPECT_TRUE(r.done());
+  }
+  for (const int levels : {wire::kMaxBodyDepth, 100'000}) {
+    SCOPED_TRACE(levels);
+    const std::vector<std::uint8_t> bytes = chain(levels);
+    WireReader r(bytes);
+    std::string error;
+    try {
+      (void)wire::decode_body(r, arena);
+    } catch (const std::logic_error& e) {
+      error = e.what();
+    }
+    EXPECT_NE(error.find("body nesting exceeds the limit"), std::string::npos)
+        << error;
   }
 }
 
