@@ -15,7 +15,9 @@
 //                     protocols (causal-full/naive) pay the most wire
 //                     bytes while wait-free protocols hide the latency
 //   partition/crash : bounded backlog + re-sync cost, dominated by the
-//                     retransmit timer, not by protocol complexity
+//                     frames' retransmit deadlines (a frame lost in the
+//                     fault window is resent at its first deadline after
+//                     it), not by protocol complexity
 
 #include <benchmark/benchmark.h>
 

@@ -142,6 +142,12 @@ if [ "${SOCKETS_SMOKE:-0}" != "0" ]; then
   echo "== sockets smoke: chaos disconnect sweep =="
   "$NODE" --spawn --protocol atomic-home --nodes 3 --writes 4 \
       --delay-us 1000 --chaos-disconnect 0.1
+  echo "== sockets smoke: chaos drop through ARQ =="
+  # The only run where ARQ's rings handle frames decoded from real TCP
+  # across OS processes: 10% of frames vanish, ARQ above each node's
+  # socket layer must still land every replica on the reference state.
+  "$NODE" --spawn --protocol atomic-home --nodes 3 --writes 4 \
+      --delay-us 1000 --chaos-drop 0.1
   echo "== sockets smoke: kill -9 / respawn / resync drill =="
   "$NODE" --spawn --protocol cache-partial --nodes 3 --writes 5 \
       --delay-us 2000 --kill 2 --kill-after-ms 120 --respawn-after-ms 350

@@ -18,7 +18,8 @@
 //
 //   pardsm_node --node <spec> <result>
 //     One node.  Parses the spec, instantiates its McsProcess above a
-//     SocketTransport (local_ids = {node}), runs its script with
+//     SocketTransport (local_ids = {node}) — through a ReliableTransport
+//     when the spec's chaos drops or duplicates frames — runs its script with
 //     wall-clock think-time pacing, and participates in the DONE/FINISH
 //     control-frame barrier: every node reports DONE to node 0 when its
 //     script (and, after a respawn, its re-sync) completed; node 0
@@ -44,6 +45,7 @@
 #include <fstream>
 #include <iostream>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -53,6 +55,7 @@
 #include "mcs/factory.h"
 #include "mcs/node_config.h"
 #include "sharegraph/topologies.h"
+#include "simnet/reliable.h"
 
 namespace pardsm::mcs {
 namespace {
@@ -132,12 +135,20 @@ int run_node(const std::string& spec_path, const std::string& result_path) {
   const auto me_id = spec.node;
 
   SocketTransport st(spec.sockets);
+  // Chaos that loses or duplicates frames needs ARQ above the sockets, as
+  // the engine's automatic reliability mode arranges in-process.
+  const ChaosOptions& chaos = spec.sockets.chaos;
+  std::optional<ReliableTransport> arq;
+  if (chaos.drop_probability > 0.0 || chaos.duplicate_probability > 0.0) {
+    arq.emplace(st, ReliableOptions{});
+  }
+  HostTransport& stack = arq ? static_cast<HostTransport&>(*arq) : st;
   HistoryRecorder recorder(n, spec.distribution.var_count);
   auto processes = make_processes(spec.protocol, spec.distribution, recorder);
   McsProcess& me = *processes[static_cast<std::size_t>(me_id)];
-  const ProcessId assigned = st.add_endpoint(&me);
+  const ProcessId assigned = stack.add_endpoint(&me);
   PARDSM_CHECK(assigned == me_id, "pardsm_node: endpoint id mismatch");
-  me.attach(st);
+  me.attach(stack);
 
   // DONE/FINISH barrier state (node 0 coordinates; everyone waits).
   std::mutex barrier_mu;
@@ -276,6 +287,7 @@ struct SpawnOptions {
   std::uint32_t kill_after_ms = 150;
   std::uint32_t respawn_after_ms = 400;
   double chaos_disconnect = 0.0;
+  double chaos_drop = 0.0;
   std::string dir = "/tmp";
   bool verbose = false;
 };
@@ -425,6 +437,7 @@ int run_spawn(const std::string& exe, const SpawnOptions& opt) {
     spec.incarnation = incarnation;
     spec.listen_fd = listen_fds[p];
     spec.sockets.chaos.disconnect_probability = opt.chaos_disconnect;
+    spec.sockets.chaos.drop_probability = opt.chaos_drop;
     return spec;
   };
 
@@ -490,7 +503,10 @@ int run_spawn(const std::string& exe, const SpawnOptions& opt) {
     }
   }
 
-  const bool lossless = opt.kill == kNoProcess && opt.chaos_disconnect == 0.0;
+  // Dropped frames and their ARQ resends, or a killed node's lost
+  // traffic, break sent == received.
+  const bool lossless = opt.kill == kNoProcess &&
+                        opt.chaos_disconnect == 0.0 && opt.chaos_drop == 0.0;
   if (lossless && sent != received) {
     std::cerr << "pardsm_node: conservation violated: sent " << sent
               << " != received " << received << "\n";
@@ -523,7 +539,7 @@ int usage() {
       << "  pardsm_node --spawn [--protocol NAME] [--nodes N] [--writes K]\n"
       << "              [--delay-us D] [--kill ID] [--kill-after-ms MS]\n"
       << "              [--respawn-after-ms MS] [--chaos-disconnect P]\n"
-      << "              [--dir PATH] [--verbose]\n";
+      << "              [--chaos-drop P] [--dir PATH] [--verbose]\n";
   return 2;
 }
 
@@ -558,6 +574,8 @@ int run_main(int argc, char** argv) {
       opt.respawn_after_ms = static_cast<std::uint32_t>(std::stoul(value()));
     } else if (flag == "--chaos-disconnect") {
       opt.chaos_disconnect = std::stod(value());
+    } else if (flag == "--chaos-drop") {
+      opt.chaos_drop = std::stod(value());
     } else if (flag == "--dir") {
       opt.dir = value();
     } else if (flag == "--verbose") {

@@ -1,7 +1,6 @@
 #include "simnet/reliable.h"
 
 #include <algorithm>
-#include <deque>
 
 #include "simnet/check.h"
 #include "simnet/rng.h"
@@ -76,20 +75,47 @@ const KindId kAckKind("ARQ:ACK");
 
 }  // namespace
 
+/// Slots for a sliding range of sequence numbers: seq s lives at
+/// s & (capacity - 1).  The capacity is a power of two that doubles on
+/// demand and is never released, so a warm ring never allocates.
+template <typename T>
+class SeqRing {
+ public:
+  T& operator[](std::uint64_t seq) { return slots_[seq & (slots_.size() - 1)]; }
+
+  /// Make room for the `span` seqs starting at `lo`, carrying every seq
+  /// the old ring could hold from `lo` on over to its new slot.
+  void fit(std::uint64_t lo, std::uint64_t span) {
+    if (span <= slots_.size()) return;
+    std::uint64_t cap = slots_.size();
+    while (cap < span) cap *= 2;
+    std::vector<T> grown(cap);
+    for (std::uint64_t s = lo; s < lo + slots_.size(); ++s) {
+      grown[s & (cap - 1)] = std::move((*this)[s]);
+    }
+    slots_ = std::move(grown);
+  }
+
+ private:
+  std::vector<T> slots_ = std::vector<T>(8);
+};
+
 /// Per-process shim: the simulator endpoint that hides the ARQ machinery
 /// from the real application endpoint.
 class ReliableTransport::Shim final : public Endpoint {
  public:
-  Shim(ReliableTransport& owner, Endpoint* app, ProcessId self)
-      : owner_(owner),
-        app_(app),
-        self_(self),
-        data_pool_(&owner.lower_.arena(self).pool<DataFrame>()),
-        ack_pool_(&owner.lower_.arena(self).pool<AckFrame>()) {}
+  Shim(ReliableTransport& owner, Endpoint* app) : owner_(owner), app_(app) {}
+
+  /// Take the id the layer below assigned this shim.
+  void bind(ProcessId self) {
+    self_ = self;
+    data_pool_ = &owner_.lower_.arena(self).pool<DataFrame>();
+    ack_pool_ = &owner_.lower_.arena(self).pool<AckFrame>();
+  }
 
   // ---- sending side -------------------------------------------------------
   void send_app(ProcessId to, BodyRef body, MessageMeta meta) {
-    auto& out = outgoing_[to];
+    Outgoing& out = peer(to).out;
     if (out.dead) {
       ++dead_drops_;
       return;
@@ -101,19 +127,15 @@ class ReliableTransport::Shim final : public Endpoint {
     frame->payload_meta = meta;
     frame->wrapped_kind = arq_wrapped(meta.kind);
 
+    out.unacked.fit(out.first, seq - out.first + 1);
     Pending& pending = out.unacked[seq];
     pending.frame = BodyRef::adopt(frame);
+    pending.interval = owner_.options_.retransmit_after;
+    pending.deadline =
+        owner_.lower_.now() + jittered(to, out, pending.interval);
+    pending.retries = 0;
     transmit(to, pending.frame);
-    if (owner_.adaptive_) {
-      if (out.unacked.size() == 1) {
-        // First pending frame on this channel: (re)base the schedule.
-        out.interval = owner_.options_.retransmit_after;
-        out.next_fire = owner_.lower_.now() + jittered(to, out.interval);
-        arm_until(out.next_fire);
-      }
-    } else {
-      arm_timer();
-    }
+    arm_until(pending.deadline);
   }
 
   void transmit(ProcessId to, const BodyRef& frame) {
@@ -127,13 +149,7 @@ class ReliableTransport::Shim final : public Endpoint {
   // ---- receiving side -------------------------------------------------------
   void on_message(const Message& m) override {
     if (const auto* ack = m.try_as<AckFrame>()) {
-      auto& out = outgoing_[m.from];
-      for (auto it = out.unacked.begin();
-           it != out.unacked.end() && it->first <= ack->cumulative;) {
-        it = out.unacked.erase(it);
-      }
-      // Progress resets the backoff: the channel is alive again.
-      if (out.unacked.empty()) out.interval = Duration{};
+      on_ack(m.from, ack->cumulative);
       return;
     }
     const auto* frame = m.try_as<DataFrame>();
@@ -142,25 +158,33 @@ class ReliableTransport::Shim final : public Endpoint {
       app_->on_message(m);
       return;
     }
-    auto& in = incoming_[m.from];
+    Incoming& in = peer(m.from).in;
     if (frame->seq > in.delivered) {
-      in.pending.emplace(frame->seq, m.body);
-      // Deliver any in-sequence prefix exactly once.
-      while (!in.pending.empty() &&
-             in.pending.begin()->first == in.delivered + 1) {
-        const auto& next = *static_cast<const DataFrame*>(
-            in.pending.begin()->second.get());
-        Message app_msg;
-        app_msg.from = m.from;
-        app_msg.to = self_;
-        app_msg.body = next.payload;
-        app_msg.meta = next.payload_meta;
-        app_msg.id = m.id;
-        app_msg.send_time = m.send_time;
-        app_msg.deliver_time = m.deliver_time;
-        ++in.delivered;
-        in.pending.erase(in.pending.begin());
-        app_->on_message(app_msg);
+      const std::uint64_t ahead = frame->seq - in.delivered;
+      if (ahead > kReceiveWindow) {
+        ++window_discards_;
+      } else if (ahead > 1) {
+        in.early.fit(in.delivered + 1, ahead);
+        BodyRef& slot = in.early[frame->seq];
+        if (!slot) slot = m.body;
+      } else {
+        // In sequence: deliver it, then the buffered run it completes,
+        // each exactly once.  A slot is emptied before its frame goes up.
+        BodyRef next = m.body;
+        while (next) {
+          const auto& f = *static_cast<const DataFrame*>(next.get());
+          Message app_msg;
+          app_msg.from = m.from;
+          app_msg.to = self_;
+          app_msg.body = f.payload;
+          app_msg.meta = f.payload_meta;
+          app_msg.id = m.id;
+          app_msg.send_time = m.send_time;
+          app_msg.deliver_time = m.deliver_time;
+          ++in.delivered;
+          app_->on_message(app_msg);
+          next = std::move(in.early[in.delivered + 1]);
+        }
       }
     }
     // Cumulative ack (also for duplicates — the original ack may be lost).
@@ -178,60 +202,117 @@ class ReliableTransport::Shim final : public Endpoint {
       app_->on_timer(tag);
       return;
     }
-    if (owner_.adaptive_) {
-      on_backoff_timer();
-      return;
-    }
     timer_armed_ = false;
-    bool anything_pending = false;
-    for (auto& [to, out] : outgoing_) {
-      if (retransmit_all(to, out)) anything_pending = true;
+    const TimePoint t = owner_.lower_.now();
+    bool have_next = false;
+    TimePoint next{};
+    for (std::size_t to = 0; to < peers_.size(); ++to) {
+      if (!peers_[to]) continue;
+      Outgoing& out = peers_[to]->out;
+      for (std::uint64_t seq = out.first; seq <= out.next_seq; ++seq) {
+        Pending& pending = out.unacked[seq];
+        if (pending.deadline.us <= t.us &&
+            !resend(static_cast<ProcessId>(to), out, pending)) {
+          break;
+        }
+        if (!have_next || pending.deadline.us < next.us) {
+          have_next = true;
+          next = pending.deadline;
+        }
+      }
     }
-    if (anything_pending) arm_timer();
+    if (have_next) arm_until(next);
   }
 
   [[nodiscard]] std::uint64_t retransmissions() const {
     return retransmissions_;
   }
   [[nodiscard]] std::uint64_t dead_drops() const { return dead_drops_; }
+  [[nodiscard]] std::uint64_t window_discards() const {
+    return window_discards_;
+  }
   [[nodiscard]] const std::vector<ProcessId>& dead_targets() const {
     return dead_targets_;
   }
 
  private:
-  /// An unacked frame plus its retransmit count (acking erases both, so
-  /// the counter's lifetime is exactly the frame's).  The frame is never
-  /// mutated after construction, so a plain owning ref suffices.
+  /// An unacked frame and its resend schedule (a cumulative ACK pops the
+  /// slot, so the schedule's lifetime is exactly the frame's).  The frame
+  /// is never mutated after construction, so a plain owning ref suffices.
   struct Pending {
-    BodyRef frame;  ///< always a DataFrame
+    BodyRef frame;         ///< always a DataFrame
+    TimePoint deadline{};  ///< resend when no ACK covers it by then
+    Duration interval{};   ///< timeout the deadline was last set from
     std::uint32_t retries = 0;
   };
   struct Outgoing {
-    std::uint64_t next_seq = 0;
-    std::map<std::uint64_t, Pending> unacked;
-    // Backoff-scheduler state (unused by the legacy fixed-period path).
-    Duration interval{};    ///< current retransmit interval
-    TimePoint next_fire{};  ///< next scheduled retransmission round
+    std::uint64_t first = 1;     ///< oldest unacked seq
+    std::uint64_t next_seq = 0;  ///< newest seq sent; unacked: [first, it]
+    SeqRing<Pending> unacked;
     std::uint64_t jitter_draws = 0;  ///< per-destination draw index
     bool dead = false;
   };
   struct Incoming {
     std::uint64_t delivered = 0;
-    std::map<std::uint64_t, BodyRef> pending;  ///< out-of-order DataFrames
+    /// Frames (DataFrames) that arrived past a gap, by seq; the slot of
+    /// delivered + 1 is always empty.
+    SeqRing<BodyRef> early;
+  };
+  struct Peer {
+    Outgoing out;
+    Incoming in;
   };
 
-  /// Retransmit every pending frame to `to`; returns true if frames remain
-  /// pending afterwards (false also when the channel just died).
-  bool retransmit_all(ProcessId to, Outgoing& out) {
-    for (auto& [seq, pending] : out.unacked) {
-      if (++pending.retries > owner_.options_.max_retransmits) {
-        give_up(to, out);
-        return false;
+  /// State shared with `p`, created on first contact.  Peers live behind
+  /// pointers so references stay valid while an app callback contacts a
+  /// new peer.
+  Peer& peer(ProcessId p) {
+    PARDSM_CHECK(p >= 0, "ARQ: bad peer id");
+    const auto i = static_cast<std::size_t>(p);
+    if (i >= peers_.size()) peers_.resize(i + 1);
+    if (!peers_[i]) peers_[i] = std::make_unique<Peer>();
+    return *peers_[i];
+  }
+
+  void on_ack(ProcessId from, std::uint64_t cumulative) {
+    Outgoing& out = peer(from).out;
+    if (cumulative > out.next_seq) return;  // acks a frame never sent
+    if (cumulative + 1 == out.first) {
+      // Duplicate ack: the receiver holds a frame past a gap at `first`.
+      // Resend the head now rather than at its deadline — but only its
+      // first transmission: once a resend is in flight, a duplicate ack
+      // may predate it, and the head's deadline covers a resend lost too.
+      if (out.first > out.next_seq) return;
+      Pending& head = out.unacked[out.first];
+      if (head.retries == 0 && resend(from, out, head)) {
+        arm_until(head.deadline);
       }
-      ++retransmissions_;
-      transmit(to, pending.frame);
+      return;
     }
-    return !out.unacked.empty();
+    for (; out.first <= cumulative; ++out.first) {
+      out.unacked[out.first].frame.reset();
+    }
+  }
+
+  /// Resend one frame and push its deadline out, backing the timeout off;
+  /// returns false if the frame exhausted max_retransmits instead (the
+  /// channel just died).
+  bool resend(ProcessId to, Outgoing& out, Pending& pending) {
+    const ReliableOptions& o = owner_.options_;
+    if (++pending.retries > o.max_retransmits) {
+      give_up(to, out);
+      return false;
+    }
+    ++retransmissions_;
+    const auto grown = static_cast<std::int64_t>(
+        static_cast<double>(pending.interval.us) *
+        std::max(o.backoff_factor, 1.0));
+    pending.interval =
+        Duration{std::min<std::int64_t>(grown, interval_cap().us)};
+    pending.deadline =
+        owner_.lower_.now() + jittered(to, out, pending.interval);
+    transmit(to, pending.frame);
+    return true;
   }
 
   /// A frame exhausted max_retransmits.
@@ -239,33 +320,25 @@ class ReliableTransport::Shim final : public Endpoint {
     if (owner_.options_.on_exhausted == OnExhausted::kThrow) {
       PARDSM_CHECK(false, "ARQ gave up: frame retransmitted too often");
     }
-    dead_drops_ += out.unacked.size();
-    out.unacked.clear();
+    dead_drops_ += out.next_seq + 1 - out.first;
+    for (; out.first <= out.next_seq; ++out.first) {
+      out.unacked[out.first].frame.reset();
+    }
     out.dead = true;
     dead_targets_.push_back(to);
   }
-
-  /// Legacy scheduler: one shared fixed-period timer per process.
-  void arm_timer() {
-    if (timer_armed_) return;
-    timer_armed_ = true;
-    owner_.lower_.set_timer(self_, owner_.options_.retransmit_after,
-                          kArqTimerBit);
-  }
-
-  // ---- per-destination backoff scheduler ----------------------------------
 
   /// Scale `interval` by a deterministic jitter factor in
   /// [1 - jitter, 1 + jitter].  The draw is keyed on logical coordinates
   /// (seed, sender, destination, draw index), so it does not depend on the
   /// interleaving of timers across destinations or processes.
-  Duration jittered(ProcessId to, Duration interval) {
+  Duration jittered(ProcessId to, Outgoing& out, Duration interval) const {
     const double j = owner_.options_.jitter;
     if (j <= 0.0) return interval;
     Rng rng = counter_rng(owner_.options_.jitter_seed,
                           static_cast<std::uint64_t>(self_),
-                          static_cast<std::uint64_t>(to),
-                          outgoing_[to].jitter_draws++, kJitterStreamTag);
+                          static_cast<std::uint64_t>(to), out.jitter_draws++,
+                          kJitterStreamTag);
     const double factor = 1.0 + j * (2.0 * rng.uniform01() - 1.0);
     const auto us = static_cast<std::int64_t>(
         static_cast<double>(interval.us) * factor);
@@ -278,7 +351,7 @@ class ReliableTransport::Shim final : public Endpoint {
                : Duration{owner_.options_.retransmit_after.us * 32};
   }
 
-  /// Make sure an ARQ timer fires no later than `deadline`.  Extra timers
+  /// Make sure the ARQ timer fires no later than `deadline`.  Extra timers
   /// from earlier arms fire spuriously and simply re-scan.
   void arm_until(TimePoint deadline) {
     if (timer_armed_ && armed_deadline_.us <= deadline.us) return;
@@ -290,39 +363,15 @@ class ReliableTransport::Shim final : public Endpoint {
         kArqTimerBit);
   }
 
-  void on_backoff_timer() {
-    timer_armed_ = false;
-    const TimePoint t = owner_.lower_.now();
-    bool have_next = false;
-    TimePoint next{};
-    for (auto& [to, out] : outgoing_) {
-      if (out.dead || out.unacked.empty()) continue;
-      if (out.next_fire.us <= t.us) {
-        if (!retransmit_all(to, out)) continue;  // acked empty or died
-        const double f = std::max(owner_.options_.backoff_factor, 1.0);
-        const auto grown = static_cast<std::int64_t>(
-            static_cast<double>(out.interval.us) * f);
-        out.interval =
-            Duration{std::min<std::int64_t>(grown, interval_cap().us)};
-        out.next_fire = t + jittered(to, out.interval);
-      }
-      if (!have_next || out.next_fire.us < next.us) {
-        have_next = true;
-        next = out.next_fire;
-      }
-    }
-    if (have_next) arm_until(next);
-  }
-
   ReliableTransport& owner_;
   Endpoint* app_;
-  ProcessId self_;
-  BodyPool<DataFrame>* data_pool_;
-  BodyPool<AckFrame>* ack_pool_;
-  std::map<ProcessId, Outgoing> outgoing_;
-  std::map<ProcessId, Incoming> incoming_;
+  ProcessId self_ = 0;
+  BodyPool<DataFrame>* data_pool_ = nullptr;
+  BodyPool<AckFrame>* ack_pool_ = nullptr;
+  std::vector<std::unique_ptr<Peer>> peers_;  ///< by ProcessId
   std::uint64_t retransmissions_ = 0;
   std::uint64_t dead_drops_ = 0;
+  std::uint64_t window_discards_ = 0;
   std::vector<ProcessId> dead_targets_;
   bool timer_armed_ = false;
   TimePoint armed_deadline_{};
@@ -330,24 +379,29 @@ class ReliableTransport::Shim final : public Endpoint {
 
 ReliableTransport::ReliableTransport(HostTransport& lower,
                                      ReliableOptions options)
-    : lower_(lower), options_(options), adaptive_(options.adaptive()) {}
+    : lower_(lower), options_(options) {}
 
 ReliableTransport::~ReliableTransport() = default;
 
 ProcessId ReliableTransport::add_endpoint(Endpoint* ep) {
   PARDSM_CHECK(ep != nullptr, "add_endpoint: null endpoint");
-  auto shim = std::make_unique<Shim>(*this, ep,
-                                     static_cast<ProcessId>(shims_.size()));
+  auto shim = std::make_unique<Shim>(*this, ep);
+  // The layer below numbers the endpoints: 0, 1, 2, ... on an all-local
+  // root, just its local ids on one node of a multi-process deployment.
   const ProcessId assigned = lower_.add_endpoint(shim.get());
-  PARDSM_CHECK(assigned == static_cast<ProcessId>(shims_.size()),
+  PARDSM_CHECK(assigned >= 0 &&
+                   static_cast<std::size_t>(assigned) >= shims_.size(),
                "interleaved registration with the layer below");
+  shim->bind(assigned);
+  shims_.resize(static_cast<std::size_t>(assigned));
   shims_.push_back(std::move(shim));
   return assigned;
 }
 
 void ReliableTransport::send(ProcessId from, ProcessId to, BodyRef body,
                              MessageMeta meta) {
-  PARDSM_CHECK(from >= 0 && static_cast<std::size_t>(from) < shims_.size(),
+  PARDSM_CHECK(from >= 0 && static_cast<std::size_t>(from) < shims_.size() &&
+                   shims_[static_cast<std::size_t>(from)] != nullptr,
                "send: bad sender");
   shims_[static_cast<std::size_t>(from)]->send_app(to, std::move(body),
                                                    std::move(meta));
@@ -360,11 +414,15 @@ void ReliableTransport::set_timer(ProcessId who, Duration delay,
   lower_.set_timer(who, delay, tag);
 }
 
-std::size_t ReliableTransport::process_count() const { return shims_.size(); }
+std::size_t ReliableTransport::process_count() const {
+  return lower_.process_count();
+}
 
 std::uint64_t ReliableTransport::retransmissions() const {
   std::uint64_t sum = 0;
-  for (const auto& shim : shims_) sum += shim->retransmissions();
+  for (const auto& shim : shims_) {
+    if (shim) sum += shim->retransmissions();
+  }
   return sum;
 }
 
@@ -372,6 +430,7 @@ std::vector<std::pair<ProcessId, ProcessId>> ReliableTransport::dead_channels()
     const {
   std::vector<std::pair<ProcessId, ProcessId>> out;
   for (std::size_t i = 0; i < shims_.size(); ++i) {
+    if (!shims_[i]) continue;
     for (ProcessId to : shims_[i]->dead_targets()) {
       out.emplace_back(static_cast<ProcessId>(i), to);
     }
@@ -381,7 +440,17 @@ std::vector<std::pair<ProcessId, ProcessId>> ReliableTransport::dead_channels()
 
 std::uint64_t ReliableTransport::dead_channel_drops() const {
   std::uint64_t sum = 0;
-  for (const auto& shim : shims_) sum += shim->dead_drops();
+  for (const auto& shim : shims_) {
+    if (shim) sum += shim->dead_drops();
+  }
+  return sum;
+}
+
+std::uint64_t ReliableTransport::window_discards() const {
+  std::uint64_t sum = 0;
+  for (const auto& shim : shims_) {
+    if (shim) sum += shim->window_discards();
+  }
   return sum;
 }
 

@@ -3,10 +3,13 @@
 // The consistency protocols assume reliable FIFO channels for liveness.
 // ReliableTransport restores that assumption on top of a lossy/duplicating
 // Network: every payload is wrapped in a DATA frame with a per-directed-
-// pair sequence number; the receiver acknowledges, delivers in sequence
-// exactly once, and the sender retransmits unacknowledged frames on a
-// timer.  A stop-and-repeat sliding window (go-back-none: selective
-// retransmit of every pending frame) keeps the implementation compact.
+// pair sequence number; the receiver delivers in sequence exactly once and
+// answers every DATA frame with a cumulative ACK.  The sender resends a
+// frame only when it looks lost: when its own deadline passes without an
+// ACK covering it, or straight away when a duplicate ACK says the
+// receiver holds a later frame past it and the frame has not been resent
+// yet (selective repeat, no go-back-N).  Unacked and out-of-order frames
+// live in seq-indexed rings that stop allocating once warm.
 //
 // Usage mirrors a plain Transport:
 //
@@ -21,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -46,10 +48,11 @@ namespace pardsm {
 ///     on_deliver — received <= sent stays invariant under loss only.
 ///
 /// Scenario timelines must heal partitions and recover crashes; liveness
-/// then follows because every frame is eventually acknowledged.  The
-/// retransmit timer, not protocol complexity, dominates recovery latency:
-/// a frame lost to a fault window is repaired at the first timer fire
-/// after the window closes (bench_scenarios measures this).
+/// then follows because every frame is eventually acknowledged.  Recovery
+/// latency is set by the per-frame deadline, not by protocol complexity:
+/// a frame lost to a fault window is resent at its first deadline after
+/// the window closes, or at once if a later frame draws a duplicate ACK
+/// before the frame was ever resent (bench_scenarios measures this).
 ///
 /// Reaction when one frame exhausts `max_retransmits`.
 enum class OnExhausted : std::uint8_t {
@@ -63,39 +66,31 @@ enum class OnExhausted : std::uint8_t {
 };
 
 struct ReliableOptions {
-  /// Retransmit timer: base period between retransmission rounds.
+  /// Retransmission timeout: a frame is resent when this long has passed
+  /// since it was last sent without an ACK covering it.
   Duration retransmit_after = millis(40);
   /// Give up on a directed channel after this many retransmissions of one
-  /// frame (see on_exhausted for what "give up" means).
+  /// frame (see on_exhausted for what "give up" means).  The one-shot
+  /// duplicate-ACK resend counts too.
   std::uint32_t max_retransmits = 100;
 
   // Members below are appended so existing two-field aggregate inits keep
-  // their meaning; the defaults preserve the fixed-period schedule and its
-  // golden traffic tables bit-for-bit.
+  // their meaning; the defaults keep a fixed retransmit_after timeout.
 
-  /// Per-round interval multiplier for a destination with pending frames.
-  /// <= 1.0 selects the legacy fixed-period scheduler (one shared timer
-  /// per process, every destination retransmitted each round); > 1.0
-  /// selects per-destination capped exponential backoff.
+  /// Multiplier applied to a frame's timeout on each of its resends
+  /// (capped exponential backoff).  <= 1.0 keeps the timeout fixed.
   double backoff_factor = 1.0;
-  /// Interval cap for the backoff scheduler.  Zero means 32x
-  /// retransmit_after.  Ignored by the legacy scheduler.
+  /// Timeout cap for the backoff.  Zero means 32x retransmit_after.
   Duration retransmit_max{};
-  /// Jitter amplitude: each scheduled interval is scaled by a factor
-  /// uniform in [1 - jitter, 1 + jitter].  Draws come from a counter-based
-  /// stream keyed on (jitter_seed, sender, destination, draw index), so
-  /// they are independent of timer interleaving.  Zero disables jitter
-  /// (and keeps the legacy scheduler when backoff_factor <= 1).
+  /// Jitter amplitude: each timeout is scaled by a factor uniform in
+  /// [1 - jitter, 1 + jitter].  Draws come from a counter-based stream
+  /// keyed on (jitter_seed, sender, destination, draw index), so they are
+  /// independent of timer interleaving.  Zero disables jitter.
   double jitter = 0.0;
   /// Seed of the jitter stream.
   std::uint64_t jitter_seed = 0x51C0'0C15ULL;
   /// What to do when a frame exhausts max_retransmits.
   OnExhausted on_exhausted = OnExhausted::kDeadChannel;
-
-  /// True if the per-destination backoff scheduler is selected.
-  [[nodiscard]] bool adaptive() const {
-    return backoff_factor > 1.0 || jitter > 0.0;
-  }
 };
 
 /// Exactly-once, per-pair-FIFO transport decorator.
@@ -108,7 +103,9 @@ class ReliableTransport final : public HostTransport {
   ~ReliableTransport() override;
 
   /// Register an application endpoint (do not register it with the layer
-  /// below yourself — the decorator interposes a shim).
+  /// below yourself — the decorator interposes a shim).  The id is the one
+  /// the layer below assigns, so one node of a multi-process deployment
+  /// (a SocketTransport with local_ids = {i}) registers as process i.
   ProcessId add_endpoint(Endpoint* ep) override;
 
   // -- Transport ------------------------------------------------------------
@@ -135,13 +132,28 @@ class ReliableTransport final : public HostTransport {
   /// attempted on a dead channel.
   [[nodiscard]] std::uint64_t dead_channel_drops() const;
 
+  /// A receiver buffers out-of-order frames at most this many sequence
+  /// numbers past the last one it delivered; a DATA frame further ahead
+  /// is discarded (counted in window_discards()) and its sender resends
+  /// it after its deadline.  An honest sender only gets that far ahead
+  /// after a long outage: the sim-adhoc-lossy benchmark sends a few
+  /// hundred frames per second on a directed pair, so 2^14 frames are
+  /// most of a minute of sending while one frame stays missing.  Frames
+  /// beyond the window are delayed, never lost.  The bound is for hostile
+  /// or corrupt frames (seq 2^63): the out-of-order ring is one 8-byte
+  /// slot per sequence number, so no peer can make a receiver hold more
+  /// than 128 KiB of ring per directed pair.
+  static constexpr std::uint64_t kReceiveWindow = std::uint64_t{1} << 14;
+
+  /// DATA frames discarded for lying beyond kReceiveWindow.
+  [[nodiscard]] std::uint64_t window_discards() const;
+
  private:
   class Shim;
 
   HostTransport& lower_;
   ReliableOptions options_;
-  bool adaptive_ = false;  ///< options_.adaptive(), resolved once
-  std::vector<std::unique_ptr<Shim>> shims_;
+  std::vector<std::unique_ptr<Shim>> shims_;  ///< by ProcessId; null = remote
 };
 
 }  // namespace pardsm

@@ -163,8 +163,8 @@ TEST(StaleDuplicates, AreDroppedInsteadOfBufferedForever) {
 // counts failed readiness checks: rescanning the whole buffer after every
 // delivery made it 55.8 per applied update on this input, waking only the
 // updates parked on a raised counter makes it 3.3.  The deepest buffer is
-// pinned to the rescanning implementation's value (159): the delivery
-// order, and with it the buffer's whole history, is unchanged.
+// pinned (143).  It depends on when ARQ repairs each gap, so a change to
+// ARQ's resend policy moves it, and must say so.
 TEST(CausalDelivery, ReadinessChecksStayLinearUnderLossyBatchedArq) {
   const auto dist = graph::topo::random_replication(8, 32, 3, 7);
   workload::Spec spec;
@@ -194,7 +194,7 @@ TEST(CausalDelivery, ReadinessChecksStayLinearUnderLossyBatchedArq) {
   EXPECT_LE(static_cast<double>(buffered) / static_cast<double>(applied), 8.0)
       << buffered << " failed readiness checks for " << applied
       << " applied updates";
-  EXPECT_EQ(max_depth(result), 159u);
+  EXPECT_EQ(max_depth(result), 143u);
 }
 
 // A lost completion must fail the run even when the lost op is the

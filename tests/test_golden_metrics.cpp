@@ -79,15 +79,15 @@ struct GoldenScenarioRow {
 /// message complexity.
 constexpr GoldenScenarioRow kGoldenScenario[] = {
     // generated by golden_metrics_gen — do not hand-edit
-    {"atomic-home", 136ull, 5816ull, 4ull, 2ull, 85000},
-    {"sequencer-sc", 171ull, 8568ull, 9ull, 6ull, 82000},
-    {"causal-full", 438ull, 32072ull, 90ull, 67ull, 122000},
-    {"causal-partial-naive", 438ull, 30432ull, 90ull, 67ull, 122000},
-    {"causal-partial-adhoc", 438ull, 55912ull, 90ull, 67ull, 122000},
-    {"pram-partial", 75ull, 3400ull, 9ull, 5ull, 82000},
-    {"slow-partial", 75ull, 3720ull, 9ull, 5ull, 82000},
-    {"cache-partial", 99ull, 5352ull, 4ull, 3ull, 86000},
-    {"processor-partial", 99ull, 6984ull, 4ull, 3ull, 86000},
+    {"atomic-home", 132ull, 5656ull, 2ull, 2ull, 84000},
+    {"sequencer-sc", 163ull, 8168ull, 5ull, 6ull, 83000},
+    {"causal-full", 393ull, 29056ull, 68ull, 67ull, 88000},
+    {"causal-partial-naive", 393ull, 27568ull, 68ull, 67ull, 88000},
+    {"causal-partial-adhoc", 393ull, 50760ull, 68ull, 67ull, 88000},
+    {"pram-partial", 67ull, 3048ull, 5ull, 5ull, 48000},
+    {"slow-partial", 67ull, 3336ull, 5ull, 5ull, 48000},
+    {"cache-partial", 97ull, 5240ull, 3ull, 3ull, 89000},
+    {"processor-partial", 97ull, 6840ull, 3ull, 3ull, 89000},
 };
 
 TEST(GoldenMetrics, EveryProtocolEveryTopologyBitIdentical) {

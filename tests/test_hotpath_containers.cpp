@@ -2,8 +2,9 @@
 // the pooled-event refactor: the event pool (slot reuse, (time, seq) tie
 // ordering), the kind interner (stable ids, round-trip names, ARQ
 // wrapping), the small-buffer variable list (inline → heap spill), the
-// wake-indexed causal buffer (rescan-equivalent delivery order) and the
-// wire decoders' defences against hostile frames.
+// wake-indexed causal buffer (rescan-equivalent delivery order), the ARQ
+// layer's seq-indexed rings and the wire decoders' and ARQ receiver's
+// defences against hostile frames.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +24,7 @@
 #include "simnet/event_queue.h"
 #include "simnet/kind_table.h"
 #include "simnet/pair_map.h"
+#include "simnet/reliable.h"
 #include "simnet/rng.h"
 #include "simnet/simulator.h"
 #include "simnet/small_vec.h"
@@ -506,6 +508,51 @@ TEST(SteadyStateAllocations, EveryProtocolSteadyStateOpIsAllocationFree) {
   }
 }
 
+// The ARQ layer's gate: once its rings have grown to the traffic's
+// high-water mark, sending, acknowledging, buffering frames past a gap
+// and resending a lost one allocate nothing.  A per-frame container node
+// on either side would show up here as 10 000 allocations or more.
+struct Tick final : MessageBody {};
+
+struct CountingSink final : Endpoint {
+  std::uint64_t got = 0;
+  void on_message(const Message&) override { ++got; }
+};
+
+TEST(SteadyStateAllocations, ArqFramesAreAllocationFree) {
+  SimOptions options;
+  options.seed = 17;
+  options.channel.drop_probability = 0.01;  // FIFO: a loss opens a gap
+  Simulator sim(std::move(options));
+  ReliableTransport rel(sim, {});
+  CountingSink a, b;
+  const ProcessId s = rel.add_endpoint(&a);
+  const ProcessId r = rel.add_endpoint(&b);
+  BodyPool<Tick>& pool = sim.arena(s).pool<Tick>();
+  const MessageMeta meta{KindId("TICK"), 4, 0, {}};
+  constexpr int kBurst = 100;
+  const auto burst = [&] {
+    for (int i = 0; i < kBurst; ++i) {
+      rel.send(s, r, BodyRef::adopt(pool.create()), meta);
+    }
+    sim.run();
+  };
+  for (int warm = 0; warm < 50; ++warm) burst();
+  const std::uint64_t retx_before = rel.retransmissions();
+  const std::uint64_t got_before = b.got;
+
+  g_alloc_count.store(0);
+  g_count_allocs.store(true);
+  for (int round = 0; round < 100; ++round) burst();
+  g_count_allocs.store(false);
+
+  EXPECT_EQ(b.got - got_before, 100u * kBurst);
+  EXPECT_GT(rel.retransmissions(), retx_before);  // losses were repaired
+  EXPECT_LE(g_alloc_count.load(), 4u)
+      << g_alloc_count.load() << " heap allocations across "
+      << 100 * kBurst << " ARQ frames";
+}
+
 // ------------------------------------------------------- hostile frames
 // A decoder must check every wire count against the bytes left in the
 // frame before it sizes a container: a short frame claiming 2^28 elements
@@ -610,6 +657,82 @@ TEST(HostileFrames, NestingDepthIsCapped) {
     EXPECT_NE(error.find("body nesting exceeds the limit"), std::string::npos)
         << error;
   }
+}
+
+// The ARQ receiver's reordering ring is sized by how far a frame's seq
+// lies past the last delivered one, so a frame claiming seq 2^63 (or just
+// 10^9 ahead) must be discarded and counted, without allocating.  A frame
+// at the edge of the window is buffered, in a ring of at most the
+// window's size.
+TEST(HostileFrames, ArqSeqFarAheadIsDiscardedNotBuffered) {
+  const auto data_frame = [](std::uint64_t seq) {
+    WireWriter w;
+    w.u32(wire::kArqData);
+    w.u64(seq);
+    wire::encode_meta(w, MessageMeta{});
+    w.u32(wire::kArqAck);  // any decodable payload
+    w.u64(0);
+    return w.take();
+  };
+  Simulator sim;
+  ReliableTransport rel(sim, {});
+  CountingSink a, b;
+  const ProcessId s = rel.add_endpoint(&a);
+  const ProcessId r = rel.add_endpoint(&b);
+  const std::uint64_t window = ReliableTransport::kReceiveWindow;
+  const auto inject = [&](std::uint64_t seq) {
+    const std::vector<std::uint8_t> bytes = data_frame(seq);
+    WireReader reader(bytes);
+    BodyRef body = wire::decode_body(reader, sim.arena(s));
+    g_alloc_count.store(0);
+    g_max_alloc.store(0);
+    g_count_allocs.store(true);
+    sim.send(s, r, std::move(body), MessageMeta{});
+    sim.run();
+    g_count_allocs.store(false);
+  };
+  inject(0);  // a stale duplicate: warms the network, pools and peer state
+  for (const std::uint64_t seq :
+       {std::uint64_t{1} << 63, std::uint64_t{1'000'000'000}, ~std::uint64_t{0},
+        window + 1}) {
+    SCOPED_TRACE(seq);
+    const std::uint64_t discards = rel.window_discards();
+    inject(seq);
+    EXPECT_EQ(rel.window_discards(), discards + 1);
+    EXPECT_EQ(g_alloc_count.load(), 0u);
+  }
+  inject(window);  // the farthest seq a receiver buffers
+  EXPECT_EQ(rel.window_discards(), 4u);
+  EXPECT_LE(g_max_alloc.load(), window * sizeof(BodyRef));
+  EXPECT_EQ(b.got, 0u);  // nothing delivered past the gap at seq 1
+}
+
+// An ACK for a frame the sender never sent (cumulative = 2^64 - 1) is
+// ignored: it must not pop the frames still in flight, which are then
+// resent and delivered in order once the channel heals.
+TEST(HostileFrames, ArqAckBeyondLastSentSeqIsIgnored) {
+  Simulator sim;
+  ReliableTransport rel(sim, {});
+  CountingSink a, b;
+  const ProcessId s = rel.add_endpoint(&a);
+  const ProcessId r = rel.add_endpoint(&b);
+  sim.ensure_network().sever(s, r);
+  BodyPool<Tick>& pool = sim.arena(s).pool<Tick>();
+  for (int i = 0; i < 3; ++i) {
+    rel.send(s, r, BodyRef::adopt(pool.create()), MessageMeta{});
+  }
+  WireWriter w;
+  w.u32(wire::kArqAck);
+  w.u64(~std::uint64_t{0});
+  const std::vector<std::uint8_t> bytes = w.take();
+  WireReader reader(bytes);
+  sim.send(r, s, wire::decode_body(reader, sim.arena(r)), MessageMeta{});
+  sim.run_until(TimePoint{millis(5).us});
+  sim.network().heal(s, r);
+  sim.run();
+  EXPECT_EQ(b.got, 3u);
+  EXPECT_EQ(rel.retransmissions(), 3u);  // one deadline resend per frame
+  EXPECT_TRUE(rel.dead_channels().empty());
 }
 
 }  // namespace
