@@ -51,10 +51,6 @@ const char* schedule_name(Schedule s) {
 Scenario make_scenario(Schedule schedule, double loss) {
   Scenario s(std::string(schedule_name(schedule)) + "-loss" +
              bu::num(loss, 2));
-  // Every cell of the sweep runs over the ARQ layer — including
-  // steady/loss-0, whose overhead vs the raw lossless run is then exactly
-  // the ARQ framing price (frames + acks).
-  s.force_reliable();
   if (loss > 0.0) s.set_loss(loss);
   switch (schedule) {
     case Schedule::kSteady:
@@ -99,12 +95,16 @@ void sweep(bu::Harness& h) {
          {Schedule::kSteady, Schedule::kPartition, Schedule::kCrash}) {
       for (double loss : kLossRates) {
         const auto scenario = make_scenario(schedule, loss);
+        // Every cell runs over the ARQ layer — including steady/loss-0,
+        // whose overhead vs the raw lossless run is then exactly the ARQ
+        // framing price (frames + acks).
         const auto run = [&] {
           return mcs::run({.protocol = kind,
                            .distribution = &dist,
                            .scripts = &scripts,
                            .scenario = &scenario,
-                           .sim_seed = 7});
+                           .sim_seed = 7,
+                           .reliability = ReliabilityMode::kAlways});
         };
         const auto r = run();
         // wall_ns times a second, warm run of the identical deterministic
@@ -160,7 +160,9 @@ void BM_Scenario(benchmark::State& state, Schedule schedule, double loss) {
                                        .distribution = &dist,
                                        .scripts = &scripts,
                                        .scenario = &scenario,
-                                       .sim_seed = 7}));
+                                       .sim_seed = 7,
+                                       .reliability =
+                                           ReliabilityMode::kAlways}));
   }
 }
 BENCHMARK_CAPTURE(BM_Scenario, steady_loss10, Schedule::kSteady, 0.1);

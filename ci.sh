@@ -8,7 +8,8 @@
 #                           # teardown are exactly where lifetime bugs hide
 #   SANITIZE=tsan ./ci.sh   # ThreadSanitizer build + ctest — gates the
 #                           # parallel engine's worker threads and the
-#                           # std::thread runtime; the parallel suites
+#                           # mailbox executor both wall-clock roots run
+#                           # on; the parallel and wall-clock suites
 #                           # then run three more times
 #   SOCKETS_SMOKE=1 ./ci.sh # release build + socket-layer tests + real
 #                           # multi-process pardsm_node drills over
@@ -160,11 +161,13 @@ echo "== test =="
 
 if [ "$SANITIZE" = "tsan" ]; then
   # The parallel root's window barrier is lock-free (atomic epoch + spin),
-  # so one instrumented pass can miss a rare interleaving: re-run the
-  # parallel suites until one fails, up to three more times.
-  echo "== test: parallel suites, repeated =="
+  # and the wall-clock roots' interleavings come from the OS scheduler, so
+  # one instrumented pass can miss a rare race: re-run the parallel suites
+  # and the mailbox-executor suites (threads + sockets) until one fails,
+  # up to three more times.
+  echo "== test: parallel and wall-clock suites, repeated =="
   (cd "$BUILD_DIR" && ctest --output-on-failure -j "$JOBS" \
-      -R 'Parallel|QuantumBoundary|CrossShard|ShardAssignment' \
+      -R 'Parallel|QuantumBoundary|CrossShard|ShardAssignment|ThreadRuntime|ThreadedProtocol|SocketStacks|MailboxExecutor' \
       --repeat until-fail:3)
 fi
 

@@ -135,6 +135,9 @@ int run_node(const std::string& spec_path, const std::string& result_path) {
   const auto me_id = spec.node;
 
   SocketTransport st(spec.sockets);
+  // Declares m: frames mentioning a variable outside it are rejected, and
+  // the exposure rows are pre-sized (as the engine does in-process).
+  st.stats().set_var_hint(spec.distribution.var_count);
   // Chaos that loses or duplicates frames needs ARQ above the sockets, as
   // the engine's automatic reliability mode arranges in-process.
   const ChaosOptions& chaos = spec.sockets.chaos;

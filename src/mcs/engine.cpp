@@ -219,8 +219,8 @@ class Stack {
 
   /// Fold every ledger into the result.  With every channel alive an
   /// unfinished client is a hard error; once the ARQ layer gave a channel
-  /// up (OnExhausted::kDeadChannel) some loads legitimately cannot
-  /// complete — the run reports them instead of throwing.
+  /// up after max_retransmits some loads legitimately cannot complete —
+  /// the run reports them instead of throwing.
   [[nodiscard]] ScenarioRunResult collect(const RootLedger& root) {
     ScenarioRunResult result;
     result.history = recorder_.take_history();

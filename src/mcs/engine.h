@@ -218,8 +218,8 @@ struct ScenarioRunResult : RunResult {
   /// Batching-layer ledger (all zero without a batching layer).
   BatchingStats batching;
   /// Directed pairs the ARQ layer declared dead after exhausting
-  /// max_retransmits (OnExhausted::kDeadChannel).  Empty on every default
-  /// configuration — the engine default effectively never gives up.
+  /// max_retransmits.  Empty on every default configuration — the engine
+  /// default effectively never gives up.
   std::vector<std::pair<ProcessId, ProcessId>> dead_channels;
   /// Clients that could not finish their script because a channel died.
   /// Non-zero only when dead_channels is non-empty; with live channels an

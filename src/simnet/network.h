@@ -82,7 +82,7 @@ struct DropCounters {
   std::uint64_t down = 0;       ///< sender or receiver process down
   std::uint64_t in_flight = 0;  ///< delivery suppressed: receiver went down
   /// Frames discarded by the ARQ layer on a channel it declared dead
-  /// (OnExhausted::kDeadChannel); the engine folds
+  /// after max_retransmits; the engine folds
   /// ReliableTransport::dead_channel_drops() in here.
   std::uint64_t dead_channel = 0;
 

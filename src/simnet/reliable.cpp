@@ -317,9 +317,6 @@ class ReliableTransport::Shim final : public Endpoint {
 
   /// A frame exhausted max_retransmits.
   void give_up(ProcessId to, Outgoing& out) {
-    if (owner_.options_.on_exhausted == OnExhausted::kThrow) {
-      PARDSM_CHECK(false, "ARQ gave up: frame retransmitted too often");
-    }
     dead_drops_ += out.next_seq + 1 - out.first;
     for (; out.first <= out.next_seq; ++out.first) {
       out.unacked[out.first].frame.reset();

@@ -54,24 +54,16 @@ namespace pardsm {
 /// the window closes, or at once if a later frame draws a duplicate ACK
 /// before the frame was ever resent (bench_scenarios measures this).
 ///
-/// Reaction when one frame exhausts `max_retransmits`.
-enum class OnExhausted : std::uint8_t {
-  /// Declare the directed channel dead: drop its pending frames (counted
-  /// in dead_channel_drops()), silently discard later sends on it, and
-  /// let the run continue degraded.  RunResult surfaces the dead pairs.
-  kDeadChannel,
-  /// Abort the run (the pre-dead-channel behavior; opt-in for tests that
-  /// want a hard liveness guarantee).
-  kThrow,
-};
-
+/// When one frame exhausts `max_retransmits` the directed channel is
+/// declared dead: its pending frames are dropped (counted in
+/// dead_channel_drops()), later sends on it are silently discarded, and
+/// the run continues degraded.  RunResult surfaces the dead pairs.
 struct ReliableOptions {
   /// Retransmission timeout: a frame is resent when this long has passed
   /// since it was last sent without an ACK covering it.
   Duration retransmit_after = millis(40);
-  /// Give up on a directed channel after this many retransmissions of one
-  /// frame (see on_exhausted for what "give up" means).  The one-shot
-  /// duplicate-ACK resend counts too.
+  /// Declare a directed channel dead after this many retransmissions of
+  /// one frame.  The one-shot duplicate-ACK resend counts too.
   std::uint32_t max_retransmits = 100;
 
   // Members below are appended so existing two-field aggregate inits keep
@@ -89,8 +81,6 @@ struct ReliableOptions {
   double jitter = 0.0;
   /// Seed of the jitter stream.
   std::uint64_t jitter_seed = 0x51C0'0C15ULL;
-  /// What to do when a frame exhausts max_retransmits.
-  OnExhausted on_exhausted = OnExhausted::kDeadChannel;
 };
 
 /// Exactly-once, per-pair-FIFO transport decorator.
@@ -122,8 +112,8 @@ class ReliableTransport final : public HostTransport {
   /// Retransmissions performed so far (all senders).
   [[nodiscard]] std::uint64_t retransmissions() const;
 
-  /// Directed (from, to) channels declared dead under
-  /// OnExhausted::kDeadChannel, in the order they died.
+  /// Directed (from, to) channels declared dead after exhausting
+  /// max_retransmits, in the order they died.
   [[nodiscard]] std::vector<std::pair<ProcessId, ProcessId>> dead_channels()
       const;
 

@@ -135,14 +135,6 @@ class Scenario {
   /// not overlap (enforced here).
   Scenario& crash(ProcessId p, TimePoint at, TimePoint recover_at);
 
-  /// Route the run through ReliableTransport even if the timeline itself
-  /// cannot lose traffic — prices the ARQ framing (frames + acks) in an
-  /// otherwise fault-free run, e.g. the loss-0 baseline cells of a sweep.
-  Scenario& force_reliable() {
-    faulty_ = true;
-    return *this;
-  }
-
   // -- introspection --------------------------------------------------------
 
   [[nodiscard]] const std::string& name() const { return name_; }

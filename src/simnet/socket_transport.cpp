@@ -75,7 +75,7 @@ bool read_all(int fd, std::uint8_t* data, std::size_t size) {
 }  // namespace
 
 SocketTransport::SocketTransport(SocketOptions options)
-    : options_(std::move(options)), start_time_(std::chrono::steady_clock::now()) {
+    : options_(std::move(options)) {
   PARDSM_CHECK(options_.total_processes > 0, "sockets: need total_processes");
   PARDSM_CHECK(options_.total_processes <= 1024,
                "sockets: at most 1024 processes");
@@ -114,13 +114,11 @@ std::size_t SocketTransport::local_index(ProcessId p) const {
 ProcessId SocketTransport::add_endpoint(Endpoint* ep) {
   PARDSM_CHECK(ep != nullptr, "add_endpoint: null endpoint");
   PARDSM_CHECK(!running_.load(), "add_endpoint: already started");
-  PARDSM_CHECK(endpoints_.size() < options_.local_ids.size(),
+  PARDSM_CHECK(exec_.size() < options_.local_ids.size(),
                "add_endpoint: more endpoints than local_ids");
-  const ProcessId assigned = options_.local_ids[endpoints_.size()];
-  endpoints_.push_back(ep);
-  mailboxes_.push_back(std::make_unique<Mailbox>());
+  const ProcessId assigned = options_.local_ids[exec_.size()];
+  local_index_[assigned] = exec_.add(ep);
   local_ids_.push_back(assigned);
-  local_index_[assigned] = endpoints_.size() - 1;
   return assigned;
 }
 
@@ -134,8 +132,9 @@ void SocketTransport::set_peer_addr(ProcessId p, std::string host_port) {
 
 void SocketTransport::start() {
   PARDSM_CHECK(!running_.exchange(true), "start: already running");
-  PARDSM_CHECK(endpoints_.size() == options_.local_ids.size(),
+  PARDSM_CHECK(exec_.size() == options_.local_ids.size(),
                "start: not all local endpoints registered");
+  var_count_ = stats_.var_hint();
 
   // Listener: inherited fd (bootstrap respawn path) or bind our own.
   if (options_.listen_fd >= 0) {
@@ -170,11 +169,11 @@ void SocketTransport::start() {
     listen_port_ = ntohs(bound.sin_port);
   }
 
-  start_time_ = std::chrono::steady_clock::now();
   {
+    const auto t = steady_now();
     std::lock_guard lock(peers_mu_);
     for (auto& p : peers_) {
-      p.last_rx = start_time_;
+      p.last_rx = t;
       p.up = true;
     }
   }
@@ -192,9 +191,7 @@ void SocketTransport::start() {
     }
   }
 
-  for (std::size_t i = 0; i < mailboxes_.size(); ++i) {
-    mailboxes_[i]->worker = std::thread([this, i] { worker_loop(i); });
-  }
+  exec_.start();
   for (auto& ch : channels_) {
     OutChannel* raw = ch.get();
     raw->writer = std::thread([this, raw] { writer_loop(*raw); });
@@ -216,15 +213,12 @@ void SocketTransport::stop() {
     std::lock_guard lock(readers_mu_);
     for (int fd : reader_fds_) ::shutdown(fd, SHUT_RDWR);
   }
-  // Wake writers and workers.
+  // Wake writers; stop the mailbox workers.
   for (auto& ch : channels_) {
     std::lock_guard lock(ch->mu);
     ch->cv.notify_all();
   }
-  for (auto& mb : mailboxes_) {
-    std::lock_guard lock(mb->mu);
-    mb->cv.notify_all();
-  }
+  exec_.stop();
 
   if (acceptor_.joinable()) acceptor_.join();
   if (detector_.joinable()) detector_.join();
@@ -240,26 +234,17 @@ void SocketTransport::stop() {
     readers_.clear();
     reader_fds_.clear();
   }
-  for (auto& mb : mailboxes_) {
-    if (mb->worker.joinable()) mb->worker.join();
-  }
   own_listen_fd_ = -1;
-}
-
-bool SocketTransport::await_quiescence(std::chrono::milliseconds timeout) {
-  std::unique_lock lock(quiesce_mu_);
-  return quiesce_cv_.wait_for(lock, timeout,
-                              [this] { return pending_.load() == 0; });
 }
 
 bool SocketTransport::drain(std::chrono::milliseconds idle,
                             std::chrono::milliseconds timeout) {
   const auto deadline = steady_now() + timeout;
-  std::uint64_t last = activity_.load();
+  std::uint64_t last = exec_.activity();
   auto last_change = steady_now();
   while (steady_now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    const std::uint64_t cur = activity_.load();
+    const std::uint64_t cur = exec_.activity();
     const auto t = steady_now();
     if (cur != last) {
       last = cur;
@@ -268,11 +253,7 @@ bool SocketTransport::drain(std::chrono::milliseconds idle,
     }
     if (t - last_change < idle) continue;
     // The idle window also requires empty mailboxes and channel queues.
-    bool busy = false;
-    for (auto& mb : mailboxes_) {
-      std::lock_guard lock(mb->mu);
-      if (!mb->messages.empty() || !mb->tasks.empty()) busy = true;
-    }
+    bool busy = exec_.has_queued();
     for (auto& ch : channels_) {
       std::lock_guard lock(ch->mu);
       if (!ch->queue.empty()) busy = true;
@@ -283,14 +264,7 @@ bool SocketTransport::drain(std::chrono::milliseconds idle,
 }
 
 void SocketTransport::post(ProcessId who, std::function<void()> task) {
-  const std::size_t idx = local_index(who);
-  pending_.fetch_add(1);
-  auto& mb = *mailboxes_[idx];
-  {
-    std::lock_guard lock(mb.mu);
-    mb.tasks.push_back(std::move(task));
-  }
-  mb.cv.notify_one();
+  exec_.post(local_index(who), std::move(task));
 }
 
 void SocketTransport::send(ProcessId from, ProcessId to, BodyRef body,
@@ -299,7 +273,7 @@ void SocketTransport::send(ProcessId from, ProcessId to, BodyRef body,
                    static_cast<std::size_t>(to) < options_.total_processes,
                "send: bad destination");
   PARDSM_CHECK(is_local(from), "send: sender not hosted here");
-  note_activity();
+  exec_.note_activity();
 
   Message m;
   m.from = from;
@@ -325,9 +299,9 @@ void SocketTransport::send(ProcessId from, ProcessId to, BodyRef body,
 
   if (to == from) {
     // Self-delivery: straight to our own mailbox (no socket, no chaos).
-    pending_.fetch_add(1);
+    exec_.add_pending();
     m.deliver_time = m.send_time;
-    enqueue_local(to, std::move(m));
+    exec_.enqueue(local_index(to), std::move(m));
     return;
   }
 
@@ -400,7 +374,7 @@ void SocketTransport::send(ProcessId from, ProcessId to, BodyRef body,
     // remote ones until the bytes are on the wire.
     qf.counts_pending = !local_dest;
     qf.chaos_disconnect = disconnect && c + 1 == copies;
-    pending_.fetch_add(1);
+    exec_.add_pending();
     enqueue_frame(*ch, std::move(qf));
   }
 }
@@ -413,31 +387,8 @@ void SocketTransport::enqueue_frame(OutChannel& ch, QueuedFrame frame) {
   ch.cv.notify_one();
 }
 
-void SocketTransport::enqueue_local(ProcessId to, Message m) {
-  auto& mb = *mailboxes_[local_index(to)];
-  {
-    std::lock_guard lock(mb.mu);
-    mb.messages.push_back(std::move(m));
-  }
-  mb.cv.notify_one();
-}
-
-TimePoint SocketTransport::now() const {
-  const auto elapsed = std::chrono::steady_clock::now() - start_time_;
-  return TimePoint{
-      std::chrono::duration_cast<std::chrono::microseconds>(elapsed).count()};
-}
-
 void SocketTransport::set_timer(ProcessId who, Duration delay, TimerTag tag) {
-  auto& mb = *mailboxes_[local_index(who)];
-  pending_.fetch_add(1);
-  {
-    std::lock_guard lock(mb.mu);
-    mb.timers.push(TimerItem{steady_now() +
-                                 std::chrono::microseconds(delay.us),
-                             tag});
-  }
-  mb.cv.notify_one();
+  exec_.set_timer(local_index(who), delay, tag);
 }
 
 std::size_t SocketTransport::process_count() const {
@@ -679,7 +630,7 @@ void SocketTransport::writer_loop(OutChannel& ch) {
         continue;
       }
       last_write = steady_now();
-      if (qf.counts_pending) finish_item();
+      if (qf.counts_pending) exec_.finish_item();
       if (qf.chaos_disconnect) {
         // Injected mid-stream disconnect: the frame itself was written.
         ::close(ch.fd);
@@ -754,9 +705,10 @@ void SocketTransport::reader_loop(int fd) {
     try {
       handle_frame(payload);
     } catch (const std::exception&) {
-      // Undecodable frame (truncated, unknown tag, foreign destination):
-      // drop the connection rather than the whole process — the sender
-      // will reconnect and the ARQ/RSYNC layers repair the stream.
+      // Undecodable frame (truncated, unknown tag, foreign destination,
+      // out-of-range sender or variable): drop the connection rather than
+      // the whole process — the sender will reconnect and the ARQ/RSYNC
+      // layers repair the stream.
       reject_frame();
       return;
     }
@@ -788,15 +740,26 @@ void SocketTransport::handle_frame(const std::vector<std::uint8_t>& payload) {
       return;
     }
     case kFrameMsg: {
+      // Everything downstream indexes by these ids (stats rows, exposure
+      // columns, protocol tables), so a well-formed frame naming a process
+      // or variable outside the system is rejected here, before its body
+      // is even decoded.
       Message m;
       m.from = r.i32();
       m.to = r.i32();
       m.id = r.u64();
-      m.meta = wire::decode_meta(r);
-      m.body = wire::decode_body(r, arena_);
+      PARDSM_CHECK(m.from >= 0 && static_cast<std::size_t>(m.from) <
+                                      options_.total_processes,
+                   "sockets: frame from a process outside the system");
       PARDSM_CHECK(is_local(m.to), "sockets: frame for a foreign process");
+      m.meta = wire::decode_meta(r);
+      for (VarId x : m.meta.vars_mentioned) {
+        PARDSM_CHECK(x >= 0 && static_cast<std::size_t>(x) < var_count_,
+                     "sockets: frame mentions an undeclared variable");
+      }
+      m.body = wire::decode_body(r, arena_);
       note_rx(m.from, 0, /*is_hello=*/false);
-      note_activity();
+      exec_.note_activity();
       {
         std::lock_guard lock(counters_mu_);
         ++counters_.frames_received;
@@ -805,8 +768,8 @@ void SocketTransport::handle_frame(const std::vector<std::uint8_t>& payload) {
       m.deliver_time = m.send_time;
       // A frame from a remote OS process was never counted by our send();
       // one from a local sender (loopback) was.
-      if (!is_local(m.from)) pending_.fetch_add(1);
-      enqueue_local(m.to, std::move(m));
+      if (!is_local(m.from)) exec_.add_pending();
+      exec_.enqueue(local_index(m.to), std::move(m));
       return;
     }
     case kFrameControl: {
@@ -816,7 +779,7 @@ void SocketTransport::handle_frame(const std::vector<std::uint8_t>& payload) {
       const std::uint64_t arg = r.u64();
       PARDSM_CHECK(is_local(to), "sockets: control for a foreign process");
       note_rx(from, 0, /*is_hello=*/false);
-      note_activity();
+      exec_.note_activity();
       ControlCallback cb;
       {
         std::lock_guard lock(cb_mu_);
@@ -901,84 +864,21 @@ void SocketTransport::detector_loop() {
   }
 }
 
-// -- mailbox workers ---------------------------------------------------------
+// -- mailbox delivery --------------------------------------------------------
 
-void SocketTransport::finish_item() {
-  if (pending_.fetch_sub(1) == 1) {
-    std::lock_guard lock(quiesce_mu_);
-    quiesce_cv_.notify_all();
+void SocketTransport::deliver(Endpoint& ep, const Message& m) {
+  if (down_[static_cast<std::size_t>(m.to)].load(std::memory_order_relaxed)) {
+    // Fail-pause window (scenario set_down): suppress the delivery *below*
+    // the decorator shims, like the simulator's network does.  The ARQ
+    // layer never sees (or acks) the message, so it repairs it after
+    // recovery — an op in flight at crash completes late instead of losing
+    // its response above the reliable layer.
+    std::lock_guard lock(counters_mu_);
+    ++drops_.down;
+    return;
   }
-}
-
-void SocketTransport::worker_loop(std::size_t local_idx) {
-  auto& mb = *mailboxes_[local_idx];
-  Endpoint* ep = endpoints_[local_idx];
-
-  std::unique_lock lock(mb.mu);
-  while (true) {
-    const auto has_work = [&] {
-      if (!running_.load()) return true;
-      if (!mb.messages.empty() || !mb.tasks.empty()) return true;
-      return !mb.timers.empty() &&
-             mb.timers.top().deadline <= std::chrono::steady_clock::now();
-    };
-
-    while (!has_work()) {
-      if (mb.timers.empty()) {
-        mb.cv.wait(lock);
-      } else {
-        mb.cv.wait_until(lock, mb.timers.top().deadline);
-      }
-    }
-
-    if (!running_.load()) break;
-
-    if (!mb.tasks.empty()) {
-      auto task = std::move(mb.tasks.front());
-      mb.tasks.pop_front();
-      lock.unlock();
-      task();
-      note_activity();
-      finish_item();
-      lock.lock();
-      continue;
-    }
-
-    if (!mb.messages.empty()) {
-      Message m = std::move(mb.messages.front());
-      mb.messages.pop_front();
-      lock.unlock();
-      if (down_[static_cast<std::size_t>(m.to)].load(
-              std::memory_order_relaxed)) {
-        // Fail-pause window (scenario set_down): suppress the delivery
-        // *below* the decorator shims, like the simulator's network does.
-        // The ARQ layer never sees (or acks) the message, so it repairs
-        // it after recovery — an op in flight at crash completes late
-        // instead of losing its response above the reliable layer.
-        std::lock_guard counters_lock(counters_mu_);
-        ++drops_.down;
-      } else {
-        stats_.on_deliver(m);
-        ep->on_message(m);
-      }
-      note_activity();
-      finish_item();
-      lock.lock();
-      continue;
-    }
-
-    if (!mb.timers.empty() &&
-        mb.timers.top().deadline <= std::chrono::steady_clock::now()) {
-      const TimerTag tag = mb.timers.top().tag;
-      mb.timers.pop();
-      lock.unlock();
-      ep->on_timer(tag);
-      note_activity();
-      finish_item();
-      lock.lock();
-      continue;
-    }
-  }
+  stats_.on_deliver(m);
+  ep.on_message(m);
 }
 
 }  // namespace pardsm

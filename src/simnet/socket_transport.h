@@ -3,10 +3,14 @@
 //
 // SocketTransport is the fourth HostTransport root, next to Simulator,
 // ThreadRuntime and ParallelSimulator.  Endpoints registered here run on
-// mailbox worker threads exactly like under ThreadRuntime, but every
+// the same MailboxExecutor as ThreadRuntime's (simnet/thread_runtime.h):
+// this root owns the channels, readers, failure detector and chaos, and
+// hands the executor its mailboxes, timers and quiescence ledger.  Every
 // message is serialized (simnet/wire.h), framed and written onto a real
 // TCP connection — even when sender and receiver live in the same OS
-// process.  Two deployment shapes share the implementation:
+// process — and reaches its endpoint through the executor's delivery
+// hook, where the fail-pause window of set_down() suppresses it.  Two
+// deployment shapes share the implementation:
 //
 //   * all-local (EngineRuntime::kSockets): every endpoint is registered in
 //     one process, ids 0..n-1 in order, one auto-bound loopback listener.
@@ -51,7 +55,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <string>
 #include <thread>
 #include <utility>
@@ -59,6 +62,7 @@
 
 #include "simnet/network.h"
 #include "simnet/stats.h"
+#include "simnet/thread_runtime.h"
 #include "simnet/transport.h"
 
 namespace pardsm {
@@ -128,8 +132,9 @@ struct SocketOptions {
 struct SocketCounters {
   std::uint64_t frames_sent = 0;       ///< data frames written
   std::uint64_t frames_received = 0;   ///< data frames decoded
-  std::uint64_t frames_rejected = 0;   ///< oversized or undecodable frames
-                                       ///< (each drops its connection)
+  std::uint64_t frames_rejected = 0;   ///< oversized, undecodable or
+                                       ///< out-of-range frames (each
+                                       ///< drops its connection)
   std::uint64_t bytes_sent = 0;        ///< wire bytes written (all frames)
   std::uint64_t bytes_received = 0;    ///< wire bytes read (all frames)
   std::uint64_t heartbeats_sent = 0;
@@ -146,7 +151,8 @@ struct SocketCounters {
 };
 
 /// TCP transport root.  See the file comment for the architecture.
-class SocketTransport final : public RootTransport {
+class SocketTransport final : public RootTransport,
+                              private MailboxExecutor::Delivery {
  public:
   explicit SocketTransport(SocketOptions options);
   ~SocketTransport() override;
@@ -170,7 +176,9 @@ class SocketTransport final : public RootTransport {
   /// All-local shape only: block until no queued message, running handler,
   /// pending timer or undelivered frame remains.  Returns true on
   /// quiescence, false on timeout.
-  bool await_quiescence(std::chrono::milliseconds timeout);
+  bool await_quiescence(std::chrono::milliseconds timeout) {
+    return exec_.await_quiescence(timeout);
+  }
 
   /// Multi-process settle: block until no local activity (message, task or
   /// non-heartbeat frame) has happened for `idle`, or `timeout` elapses.
@@ -190,7 +198,7 @@ class SocketTransport final : public RootTransport {
   // -- Transport ------------------------------------------------------------
   void send(ProcessId from, ProcessId to, BodyRef body,
             MessageMeta meta) override;
-  [[nodiscard]] TimePoint now() const override;
+  [[nodiscard]] TimePoint now() const override { return exec_.now(); }
   void set_timer(ProcessId who, Duration delay, TimerTag tag) override;
   [[nodiscard]] std::size_t process_count() const override;
   /// Concurrent arena: bodies are created on app/mailbox threads and
@@ -237,30 +245,14 @@ class SocketTransport final : public RootTransport {
   // -- introspection ---------------------------------------------------------
   /// The port the listener is bound to (valid after start()).
   [[nodiscard]] std::uint16_t port() const;
+  /// Declare the run's variable count m here (set_var_hint) before
+  /// start(): a MSG frame from a process outside [0, n) or mentioning a
+  /// variable outside [0, m) is rejected on the reader thread.
   [[nodiscard]] NetworkStats& stats() { return stats_; }
   [[nodiscard]] DropCounters drops() const;
   [[nodiscard]] SocketCounters counters() const;
 
  private:
-  struct TimerItem {
-    std::chrono::steady_clock::time_point deadline;
-    TimerTag tag = 0;
-    friend bool operator>(const TimerItem& a, const TimerItem& b) {
-      return a.deadline > b.deadline;
-    }
-  };
-
-  /// One per local process: its queue, timers and worker thread.
-  struct Mailbox {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<Message> messages;
-    std::deque<std::function<void()>> tasks;
-    std::priority_queue<TimerItem, std::vector<TimerItem>, std::greater<>>
-        timers;
-    std::thread worker;
-  };
-
   /// An encoded frame queued on an outbound channel.
   struct QueuedFrame {
     std::vector<std::uint8_t> bytes;
@@ -304,17 +296,14 @@ class SocketTransport final : public RootTransport {
            static_cast<std::size_t>(b);
   }
 
+  void deliver(Endpoint& ep, const Message& m) override;
   void enqueue_frame(OutChannel& ch, QueuedFrame frame);
-  void enqueue_local(ProcessId to, Message m);
   void writer_loop(OutChannel& ch);
   bool ensure_connected(OutChannel& ch);
   bool write_all(int fd, const std::uint8_t* data, std::size_t size);
   void acceptor_loop();
   void reader_loop(int fd);
   void detector_loop();
-  void worker_loop(std::size_t local_idx);
-  void finish_item();
-  void note_activity() { activity_.fetch_add(1, std::memory_order_relaxed); }
   void note_rx(ProcessId from, std::uint64_t incarnation, bool is_hello);
   void handle_frame(const std::vector<std::uint8_t>& payload);
   void reject_frame();
@@ -324,9 +313,7 @@ class SocketTransport final : public RootTransport {
 
   SocketOptions options_;
   BodyArena arena_{/*concurrent=*/true};
-  std::vector<ProcessId> local_ids_;          ///< registration order
-  std::vector<Endpoint*> endpoints_;          ///< parallel to local_ids_
-  std::vector<std::unique_ptr<Mailbox>> mailboxes_;
+  std::vector<ProcessId> local_ids_;  ///< registration order = exec_ slot
   std::map<ProcessId, std::size_t> local_index_;
   std::vector<std::unique_ptr<OutChannel>> channels_;
   std::map<std::size_t, OutChannel*> channel_by_pair_;
@@ -355,13 +342,14 @@ class SocketTransport final : public RootTransport {
   std::vector<std::thread> readers_;
 
   std::atomic<bool> running_{false};
-  std::atomic<std::int64_t> pending_{0};
-  std::mutex quiesce_mu_;
-  std::condition_variable quiesce_cv_;
-  std::atomic<std::uint64_t> activity_{0};
-
-  std::chrono::steady_clock::time_point start_time_;
   std::atomic<std::uint64_t> next_msg_id_{1};
+  /// Variable count declared through stats() before start(); MSG frames
+  /// mentioning a variable outside [0, var_count_) are rejected.
+  std::size_t var_count_ = 0;
+
+  // Last: its workers deliver into arena bodies, stats_ and drops_, so it
+  // must be destroyed (and its threads joined) before any of them.
+  MailboxExecutor exec_{*this};
 };
 
 }  // namespace pardsm

@@ -21,6 +21,11 @@ void NetworkStats::set_var_hint(std::size_t m) {
   }
 }
 
+std::size_t NetworkStats::var_hint() const {
+  std::lock_guard lock(mu_);
+  return var_hint_;
+}
+
 void NetworkStats::presize_exposure_row(ProcessId p, std::size_t m) {
   std::lock_guard lock(mu_);
   PARDSM_CHECK(p >= 0 && static_cast<std::size_t>(p) < exposure_.size(),

@@ -53,6 +53,8 @@ class NetworkStats {
   /// branch-free and row shapes receipt-order independent.  Idempotent;
   /// a larger hint extends existing rows in place.
   void set_var_hint(std::size_t m);
+  /// The largest variable count declared so far (0 = none).
+  [[nodiscard]] std::size_t var_hint() const;
 
   /// Pre-size only process `p`'s exposure row to `m` entries, for a ledger
   /// that records deliveries to some processes only (a parallel shard's

@@ -4,39 +4,32 @@
 
 namespace pardsm {
 
-ThreadRuntime::ThreadRuntime(ThreadRuntimeOptions options)
-    : options_(options), rng_(options.seed) {}
+// -- MailboxExecutor ----------------------------------------------------------
 
-ThreadRuntime::~ThreadRuntime() {
-  if (running_.load()) stop();
-}
+MailboxExecutor::MailboxExecutor(Delivery& delivery)
+    : delivery_(delivery), start_time_(std::chrono::steady_clock::now()) {}
 
-ProcessId ThreadRuntime::add_endpoint(Endpoint* ep) {
+MailboxExecutor::~MailboxExecutor() { stop(); }
+
+std::size_t MailboxExecutor::add(Endpoint* ep) {
   PARDSM_CHECK(ep != nullptr, "add_endpoint: null endpoint");
   PARDSM_CHECK(!running_.load(), "add_endpoint: runtime already started");
-  endpoints_.push_back(ep);
-  mailboxes_.push_back(std::make_unique<Mailbox>());
-  return static_cast<ProcessId>(endpoints_.size() - 1);
+  auto mb = std::make_unique<Mailbox>();
+  mb->ep = ep;
+  mailboxes_.push_back(std::move(mb));
+  return mailboxes_.size() - 1;
 }
 
-void ThreadRuntime::start() {
-  PARDSM_CHECK(!running_.load(), "start: already running");
-  stats_.resize(endpoints_.size());
-  running_.store(true);
+void MailboxExecutor::start() {
+  PARDSM_CHECK(!running_.exchange(true), "start: already running");
   start_time_ = std::chrono::steady_clock::now();
-  for (std::size_t p = 0; p < mailboxes_.size(); ++p) {
-    mailboxes_[p]->worker = std::thread(
-        [this, p] { worker_loop(static_cast<ProcessId>(p)); });
+  for (auto& mb : mailboxes_) {
+    Mailbox* raw = mb.get();
+    raw->worker = std::thread([this, raw] { worker_loop(*raw); });
   }
 }
 
-bool ThreadRuntime::await_quiescence(std::chrono::milliseconds timeout) {
-  std::unique_lock lock(quiesce_mu_);
-  return quiesce_cv_.wait_for(lock, timeout,
-                              [this] { return pending_.load() == 0; });
-}
-
-void ThreadRuntime::stop() {
+void MailboxExecutor::stop() {
   if (!running_.exchange(false)) return;
   for (auto& mb : mailboxes_) {
     std::lock_guard lock(mb->mu);
@@ -47,11 +40,14 @@ void ThreadRuntime::stop() {
   }
 }
 
-void ThreadRuntime::post(ProcessId who, std::function<void()> task) {
-  PARDSM_CHECK(who >= 0 && static_cast<std::size_t>(who) < mailboxes_.size(),
-               "post: bad process");
-  pending_.fetch_add(1);
-  auto& mb = *mailboxes_[static_cast<std::size_t>(who)];
+MailboxExecutor::Mailbox& MailboxExecutor::mailbox(std::size_t slot) {
+  PARDSM_CHECK(slot < mailboxes_.size(), "mailbox: bad process");
+  return *mailboxes_[slot];
+}
+
+void MailboxExecutor::post(std::size_t slot, std::function<void()> task) {
+  auto& mb = mailbox(slot);
+  add_pending();
   {
     std::lock_guard lock(mb.mu);
     mb.tasks.push_back(std::move(task));
@@ -59,52 +55,19 @@ void ThreadRuntime::post(ProcessId who, std::function<void()> task) {
   mb.cv.notify_one();
 }
 
-void ThreadRuntime::send(ProcessId from, ProcessId to, BodyRef body,
-                         MessageMeta meta) {
-  PARDSM_CHECK(to >= 0 && static_cast<std::size_t>(to) < mailboxes_.size(),
-               "send: bad destination");
-  Message m;
-  m.from = from;
-  m.to = to;
-  m.body = std::move(body);
-  m.meta = std::move(meta);
+void MailboxExecutor::enqueue(std::size_t slot, Message m) {
+  auto& mb = mailbox(slot);
   {
-    std::lock_guard lock(msg_id_mu_);
-    m.id = next_msg_id_++;
+    std::lock_guard lock(mb.mu);
+    mb.messages.push_back(std::move(m));
   }
-  m.send_time = now();
-  stats_.on_send(m);
-
-  int copies = 1;
-  {
-    std::lock_guard lock(rng_mu_);
-    if (rng_.chance(options_.drop_probability)) copies = 0;
-    if (copies == 1 && rng_.chance(options_.duplicate_probability)) copies = 2;
-  }
-
-  auto& mb = *mailboxes_[static_cast<std::size_t>(to)];
-  for (int c = 0; c < copies; ++c) {
-    pending_.fetch_add(1);
-    {
-      std::lock_guard lock(mb.mu);
-      mb.messages.push_back(m);
-    }
-    mb.cv.notify_one();
-  }
+  mb.cv.notify_one();
 }
 
-TimePoint ThreadRuntime::now() const {
-  const auto elapsed = std::chrono::steady_clock::now() - start_time_;
-  return TimePoint{std::chrono::duration_cast<std::chrono::microseconds>(
-                       elapsed)
-                       .count()};
-}
-
-void ThreadRuntime::set_timer(ProcessId who, Duration delay, TimerTag tag) {
-  PARDSM_CHECK(who >= 0 && static_cast<std::size_t>(who) < mailboxes_.size(),
-               "set_timer: bad process");
-  pending_.fetch_add(1);
-  auto& mb = *mailboxes_[static_cast<std::size_t>(who)];
+void MailboxExecutor::set_timer(std::size_t slot, Duration delay,
+                                TimerTag tag) {
+  auto& mb = mailbox(slot);
+  add_pending();
   {
     std::lock_guard lock(mb.mu);
     mb.timers.push(TimerItem{std::chrono::steady_clock::now() +
@@ -114,26 +77,43 @@ void ThreadRuntime::set_timer(ProcessId who, Duration delay, TimerTag tag) {
   mb.cv.notify_one();
 }
 
-std::size_t ThreadRuntime::process_count() const { return endpoints_.size(); }
+TimePoint MailboxExecutor::now() const {
+  const auto elapsed = std::chrono::steady_clock::now() - start_time_;
+  return TimePoint{
+      std::chrono::duration_cast<std::chrono::microseconds>(elapsed).count()};
+}
 
-void ThreadRuntime::finish_item() {
+void MailboxExecutor::finish_item() {
   if (pending_.fetch_sub(1) == 1) {
     std::lock_guard lock(quiesce_mu_);
     quiesce_cv_.notify_all();
   }
 }
 
-void ThreadRuntime::worker_loop(ProcessId self) {
-  auto& mb = *mailboxes_[static_cast<std::size_t>(self)];
-  Endpoint* ep = endpoints_[static_cast<std::size_t>(self)];
+bool MailboxExecutor::await_quiescence(std::chrono::milliseconds timeout) {
+  std::unique_lock lock(quiesce_mu_);
+  return quiesce_cv_.wait_for(lock, timeout,
+                              [this] { return pending_.load() == 0; });
+}
 
+bool MailboxExecutor::has_queued() const {
+  for (const auto& mb : mailboxes_) {
+    std::lock_guard lock(mb->mu);
+    if (!mb->messages.empty() || !mb->tasks.empty()) return true;
+  }
+  return false;
+}
+
+void MailboxExecutor::worker_loop(Mailbox& mb) {
   std::unique_lock lock(mb.mu);
   while (true) {
-    const auto has_work = [&] {
-      if (!running_.load()) return true;
-      if (!mb.messages.empty() || !mb.tasks.empty()) return true;
+    const auto timer_due = [&] {
       return !mb.timers.empty() &&
              mb.timers.top().deadline <= std::chrono::steady_clock::now();
+    };
+    const auto has_work = [&] {
+      return !running_.load() || !mb.messages.empty() || !mb.tasks.empty() ||
+             timer_due();
     };
 
     // Re-pick the wait flavour on every wakeup: a timer armed after this
@@ -146,41 +126,57 @@ void ThreadRuntime::worker_loop(ProcessId self) {
         mb.cv.wait_until(lock, mb.timers.top().deadline);
       }
     }
-
     if (!running_.load()) break;
 
+    // One item per iteration, tasks first, then messages, then due timers;
+    // the handler runs unlocked so other threads can keep enqueueing.
     if (!mb.tasks.empty()) {
       auto task = std::move(mb.tasks.front());
       mb.tasks.pop_front();
       lock.unlock();
       task();
-      finish_item();
-      lock.lock();
-      continue;
-    }
-
-    if (!mb.messages.empty()) {
+    } else if (!mb.messages.empty()) {
       Message m = std::move(mb.messages.front());
       mb.messages.pop_front();
       lock.unlock();
-      stats_.on_deliver(m);
-      ep->on_message(m);
-      finish_item();
-      lock.lock();
-      continue;
-    }
-
-    if (!mb.timers.empty() &&
-        mb.timers.top().deadline <= std::chrono::steady_clock::now()) {
+      delivery_.deliver(*mb.ep, m);
+    } else {
       const TimerTag tag = mb.timers.top().tag;
       mb.timers.pop();
       lock.unlock();
-      ep->on_timer(tag);
-      finish_item();
-      lock.lock();
-      continue;
+      mb.ep->on_timer(tag);
     }
+    note_activity();
+    finish_item();
+    lock.lock();
   }
+}
+
+// -- ThreadRuntime ------------------------------------------------------------
+
+ProcessId ThreadRuntime::add_endpoint(Endpoint* ep) {
+  return static_cast<ProcessId>(exec_.add(ep));
+}
+
+void ThreadRuntime::start() {
+  stats_.resize(exec_.size());
+  exec_.start();
+}
+
+void ThreadRuntime::send(ProcessId from, ProcessId to, BodyRef body,
+                         MessageMeta meta) {
+  PARDSM_CHECK(to >= 0 && static_cast<std::size_t>(to) < exec_.size(),
+               "send: bad destination");
+  Message m;
+  m.from = from;
+  m.to = to;
+  m.body = std::move(body);
+  m.meta = std::move(meta);
+  m.id = next_msg_id_.fetch_add(1);
+  m.send_time = now();
+  stats_.on_send(m);
+  exec_.add_pending();
+  exec_.enqueue(static_cast<std::size_t>(to), std::move(m));
 }
 
 }  // namespace pardsm

@@ -6,10 +6,17 @@
 // state touched only by its own thread, and all interaction happens through
 // messages — a faithful shared-nothing execution on one machine.
 //
+// The per-process automaton lives in MailboxExecutor: one worker thread
+// per registered endpoint, reacting to one task, message or due timer at
+// a time, plus the quiescence ledger that tells a driver when every queue
+// has drained.  Both wall-clock roots run on it: ThreadRuntime is the
+// executor plus an in-memory send, and SocketTransport (socket_transport.h)
+// feeds it frames decoded from real TCP connections.
+//
 // Delivery guarantees: per sender-receiver pair, FIFO (a mailbox is a
-// mutex-protected queue appended in program order).  Loss/duplication can
-// be injected like in the simulator.  There is no artificial latency;
-// asynchrony comes from the OS scheduler.
+// mutex-protected queue appended in program order), lossless and
+// duplicate-free.  There is no artificial latency; asynchrony comes from
+// the OS scheduler.
 #pragma once
 
 #include <atomic>
@@ -26,25 +33,115 @@
 #include <vector>
 
 #include "simnet/network.h"
-#include "simnet/rng.h"
 #include "simnet/stats.h"
 #include "simnet/transport.h"
 
 namespace pardsm {
 
-/// Options for the thread runtime.
-struct ThreadRuntimeOptions {
-  std::uint64_t seed = 1;
-  /// Loss / duplication (FIFO ordering is inherent and cannot be disabled).
-  double drop_probability = 0.0;
-  double duplicate_probability = 0.0;
+/// One mailbox worker thread per registered endpoint.  Slots are numbered
+/// in add() order; the owning root maps its ProcessIds onto them.
+///
+/// Quiescence: every queued task, message and timer holds one unit of the
+/// pending count from when it is announced (add_pending(), or implicitly by
+/// post()/set_timer()) until its handler returns (finish_item()).  A root
+/// whose items leave through another path (socket frames on the wire)
+/// takes and releases units itself.
+class MailboxExecutor {
+ public:
+  /// The root's delivery step, called on the worker thread for every
+  /// dequeued message.  Implementations account the delivery and hand the
+  /// message to `ep` — or suppress it (the socket root's fail-pause
+  /// window).  A virtual call, so the per-message path allocates nothing.
+  class Delivery {
+   public:
+    virtual void deliver(Endpoint& ep, const Message& m) = 0;
+
+   protected:
+    ~Delivery() = default;
+  };
+
+  explicit MailboxExecutor(Delivery& delivery);
+  ~MailboxExecutor();
+
+  MailboxExecutor(const MailboxExecutor&) = delete;
+  MailboxExecutor& operator=(const MailboxExecutor&) = delete;
+
+  /// Register an endpoint; returns its slot.  Must precede start().
+  std::size_t add(Endpoint* ep);
+  [[nodiscard]] std::size_t size() const { return mailboxes_.size(); }
+
+  /// Reset the clock epoch and spawn one worker per slot.
+  void start();
+  /// Wake and join every worker; queued items are abandoned (pair with
+  /// await_quiescence for a clean shutdown).  Idempotent.
+  void stop();
+
+  /// Run `task` on `slot`'s worker.
+  void post(std::size_t slot, std::function<void()> task);
+  /// Queue `m` for `slot`'s endpoint.  The caller has already taken its
+  /// pending unit (add_pending()) — possibly long before, on another
+  /// thread, as a loopback socket frame does.
+  void enqueue(std::size_t slot, Message m);
+  /// Fire `ep->on_timer(tag)` on `slot`'s worker after `delay`.
+  void set_timer(std::size_t slot, Duration delay, TimerTag tag);
+
+  /// Wall time since start() (since construction before it).
+  [[nodiscard]] TimePoint now() const;
+
+  void add_pending() { pending_.fetch_add(1); }
+  void finish_item();
+  /// Block until the pending count reaches zero or `timeout` elapses.
+  /// Returns true on quiescence.
+  bool await_quiescence(std::chrono::milliseconds timeout);
+
+  /// Monotone activity counter: bumped after every handled item and by
+  /// the root for its own events; an unchanged value over a window means
+  /// nothing happened.
+  void note_activity() { activity_.fetch_add(1, std::memory_order_relaxed); }
+  [[nodiscard]] std::uint64_t activity() const { return activity_.load(); }
+  /// True while any mailbox holds an unhandled task or message.
+  [[nodiscard]] bool has_queued() const;
+
+ private:
+  struct TimerItem {
+    std::chrono::steady_clock::time_point deadline;
+    TimerTag tag = 0;
+    friend bool operator>(const TimerItem& a, const TimerItem& b) {
+      return a.deadline > b.deadline;
+    }
+  };
+
+  /// One per slot: its queues, timers, endpoint and worker thread.
+  struct Mailbox {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::deque<Message> messages;
+    std::deque<std::function<void()>> tasks;
+    std::priority_queue<TimerItem, std::vector<TimerItem>, std::greater<>>
+        timers;
+    Endpoint* ep = nullptr;
+    std::thread worker;
+  };
+
+  [[nodiscard]] Mailbox& mailbox(std::size_t slot);
+  void worker_loop(Mailbox& mb);
+
+  Delivery& delivery_;
+  std::vector<std::unique_ptr<Mailbox>> mailboxes_;
+  std::atomic<bool> running_{false};
+  std::atomic<std::int64_t> pending_{0};
+  std::mutex quiesce_mu_;
+  std::condition_variable quiesce_cv_;
+  std::atomic<std::uint64_t> activity_{0};
+  std::chrono::steady_clock::time_point start_time_;
 };
 
 /// Transport implementation where every endpoint runs on its own thread.
-class ThreadRuntime final : public RootTransport {
+class ThreadRuntime final : public RootTransport,
+                            private MailboxExecutor::Delivery {
  public:
-  explicit ThreadRuntime(ThreadRuntimeOptions options = {});
-  ~ThreadRuntime() override;
+  ThreadRuntime() = default;
+  ~ThreadRuntime() override { stop(); }
 
   ThreadRuntime(const ThreadRuntime&) = delete;
   ThreadRuntime& operator=(const ThreadRuntime&) = delete;
@@ -57,15 +154,19 @@ class ThreadRuntime final : public RootTransport {
 
   /// Block until no queued work, no running handler and no pending timer
   /// remains, or until `timeout` elapses.  Returns true on quiescence.
-  bool await_quiescence(std::chrono::milliseconds timeout);
+  bool await_quiescence(std::chrono::milliseconds timeout) {
+    return exec_.await_quiescence(timeout);
+  }
 
   /// Stop all threads (after draining is the caller's responsibility —
   /// pair with await_quiescence for clean shutdown) and join them.
-  void stop();
+  void stop() { exec_.stop(); }
 
   /// Run `task` on the thread owning process `who`.  This is how drivers
   /// invoke protocol operations without data races.
-  void post(ProcessId who, std::function<void()> task);
+  void post(ProcessId who, std::function<void()> task) {
+    exec_.post(static_cast<std::size_t>(who), std::move(task));
+  }
   /// The root seam: posts `fn` to `owner`'s mailbox.  There is no
   /// virtual clock to wait on, so `when` (think time) is ignored.
   void schedule_at(TimePoint when, ProcessId owner,
@@ -77,9 +178,13 @@ class ThreadRuntime final : public RootTransport {
   // -- Transport interface ---------------------------------------------------
   void send(ProcessId from, ProcessId to, BodyRef body,
             MessageMeta meta) override;
-  [[nodiscard]] TimePoint now() const override;
-  void set_timer(ProcessId who, Duration delay, TimerTag tag) override;
-  [[nodiscard]] std::size_t process_count() const override;
+  [[nodiscard]] TimePoint now() const override { return exec_.now(); }
+  void set_timer(ProcessId who, Duration delay, TimerTag tag) override {
+    exec_.set_timer(static_cast<std::size_t>(who), delay, tag);
+  }
+  [[nodiscard]] std::size_t process_count() const override {
+    return exec_.size();
+  }
   /// Concurrent arena: bodies cross worker threads, so refcounts are
   /// atomic and freelists locked.
   [[nodiscard]] BodyArena& arena(ProcessId owner) override {
@@ -90,45 +195,18 @@ class ThreadRuntime final : public RootTransport {
   [[nodiscard]] NetworkStats& stats() { return stats_; }
 
  private:
-  struct TimerItem {
-    std::chrono::steady_clock::time_point deadline;
-    TimerTag tag = 0;
-    friend bool operator>(const TimerItem& a, const TimerItem& b) {
-      return a.deadline > b.deadline;
-    }
-  };
+  void deliver(Endpoint& ep, const Message& m) override {
+    stats_.on_deliver(m);
+    ep.on_message(m);
+  }
 
-  /// One per process: its queue, timers and worker thread.
-  struct Mailbox {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<Message> messages;
-    std::deque<std::function<void()>> tasks;
-    std::priority_queue<TimerItem, std::vector<TimerItem>, std::greater<>>
-        timers;
-    std::thread worker;
-  };
-
-  void worker_loop(ProcessId self);
-  void finish_item();
-
-  ThreadRuntimeOptions options_;
+  // Declaration order is destruction order reversed: the executor (whose
+  // queued messages hold arena bodies and whose workers touch stats_)
+  // goes first.
   BodyArena arena_{/*concurrent=*/true};
-  std::vector<Endpoint*> endpoints_;
-  std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   NetworkStats stats_;
-
-  std::mutex rng_mu_;
-  Rng rng_;
-
-  std::atomic<bool> running_{false};
-  std::atomic<std::int64_t> pending_{0};
-  std::mutex quiesce_mu_;
-  std::condition_variable quiesce_cv_;
-
-  std::chrono::steady_clock::time_point start_time_{};
-  std::uint64_t next_msg_id_ = 1;
-  std::mutex msg_id_mu_;
+  std::atomic<std::uint64_t> next_msg_id_{1};
+  MailboxExecutor exec_{*this};
 };
 
 }  // namespace pardsm

@@ -453,32 +453,13 @@ TEST(Reliable, BackoffUnderLossyScenarioSweep) {
 }
 
 // ---------------------------------------------------------------------------
-// Retransmit exhaustion: the default now degrades the channel to dead
-// (counted drops, reported pairs) instead of tearing down the whole run;
-// the old throw is an opt-in (OnExhausted::kThrow).
+// Retransmit exhaustion degrades the channel to dead (counted drops,
+// reported pairs) instead of tearing down the whole run.
 // ---------------------------------------------------------------------------
 
 SimOptions black_hole(std::uint64_t seed) {
   SimOptions o = lossy(1.0, 0.0, seed);
   return o;
-}
-
-TEST(Reliable, ExhaustionThrowsWhenOptedIn) {
-  Simulator sim(black_hole(21));
-  ReliableOptions o;
-  o.retransmit_after = millis(5);
-  o.max_retransmits = 3;
-  o.on_exhausted = OnExhausted::kThrow;
-  ReliableTransport rel(sim, o);
-  Collector a, b;
-  const ProcessId s = rel.add_endpoint(&a);
-  const ProcessId r = rel.add_endpoint(&b);
-  sim.schedule_at(kTimeZero, [&] {
-    auto* body = new_body<Payload>();
-    body->n = 1;
-    rel.send(s, r, BodyRef::adopt(body), MessageMeta{"SEQ", 4, 0, {}});
-  });
-  EXPECT_THROW(sim.run(), std::logic_error);
 }
 
 TEST(Reliable, ExhaustionDegradesToDeadChannelByDefault) {

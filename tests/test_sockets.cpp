@@ -25,6 +25,7 @@
 #include <cstdlib>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -406,6 +407,9 @@ class LoopbackSystem {
       EXPECT_EQ(transport_.add_endpoint(&tap), proc->id());
       proc->attach(transport_);
     }
+    // Declares m, as the engine does: frames mentioning a variable
+    // outside it are rejected.
+    transport_.stats().set_var_hint(dist.var_count);
     transport_.start();
   }
   ~LoopbackSystem() { transport_.stop(); }
@@ -549,30 +553,78 @@ TEST(Sockets, AdHocFramesCarryExactlyTheRecipientsEntries) {
 // connections still converges.
 // ---------------------------------------------------------------------------
 
+/// One length-prefixed MSG frame, hand-assembled the way the socket root
+/// encodes it: [u32 len][u8 type = 2][from][to][id][meta][body].
+std::vector<std::uint8_t> msg_frame(ProcessId from, ProcessId to,
+                                    std::initializer_list<VarId> vars,
+                                    const std::vector<std::uint8_t>& body) {
+  MessageMeta meta;
+  meta.kind = KindId("HOSTILE");
+  meta.vars_mentioned = vars;
+  WireWriter w;
+  w.u8(2);
+  w.i32(from);
+  w.i32(to);
+  w.u64(1);
+  wire::encode_meta(w, meta);
+  for (std::uint8_t b : body) w.u8(b);
+  WireWriter frame;
+  frame.u32(static_cast<std::uint32_t>(w.bytes().size()));
+  for (std::uint8_t b : w.bytes()) frame.u8(b);
+  return frame.take();
+}
+
 TEST(Sockets, RejectedFramesAreCountedAndTheRunConverges) {
   const auto dist = graph::topo::ring(4);
-  LoopbackSystem system(mcs::ProtocolKind::kPramPartial, dist);
+  // A real protocol body, re-encoded from the first decoded frame, so the
+  // hostile frames below are well-formed except for the ids they name.
+  std::vector<std::uint8_t> body;
+  LoopbackSystem system(mcs::ProtocolKind::kPramPartial, dist,
+                        [&](const Message& m) {
+                          if (!body.empty()) return;
+                          WireWriter w;
+                          wire::encode_body(w, *m.body);
+                          body = w.take();
+                        });
   SocketTransport& transport = system.transport();
+  ASSERT_TRUE(system.write_rounds(1));
+  ASSERT_FALSE(body.empty());
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(transport.port());
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
+  // Each rejected frame drops its connection, so every input gets its own.
+  const auto send_raw = [&](const std::vector<std::uint8_t>& bytes) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(transport.port());
+    ASSERT_EQ(
+        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    const std::uint64_t before = transport.counters().frames_rejected;
+    ASSERT_EQ(::write(fd, bytes.data(), bytes.size()),
+              static_cast<ssize_t>(bytes.size()));
+    EXPECT_TRUE(wait_for([&] {
+      return transport.counters().frames_rejected == before + 1;
+    }));
+    ::close(fd);
+  };
+
+  const auto n = static_cast<ProcessId>(dist.process_count());
+  const auto m = static_cast<VarId>(dist.var_count);
   // [u32 length = 5][u8 frame type 0xEE][4 garbage bytes]
-  const std::uint8_t garbage[] = {5, 0, 0, 0, 0xEE, 0xDE, 0xAD, 0xBE, 0xEF};
-  ASSERT_EQ(::write(fd, garbage, sizeof(garbage)),
-            static_cast<ssize_t>(sizeof(garbage)));
-  EXPECT_TRUE(
-      wait_for([&] { return transport.counters().frames_rejected == 1; }));
-  ::close(fd);
+  send_raw({5, 0, 0, 0, 0xEE, 0xDE, 0xAD, 0xBE, 0xEF});
+  // Sender outside [0, n): protocols index their per-peer tables by it.
+  send_raw(msg_frame(-1, 1, {0}, body));
+  send_raw(msg_frame(n, 1, {0}, body));
+  // VarIds outside [0, m): exposure rows are indexed by VarId, so -1
+  // would index past its row and 2^31-1 would size a 16 GB one.
+  send_raw(msg_frame(0, 1, {-1}, body));
+  send_raw(msg_frame(0, 1, {0, m}, body));
+  send_raw(msg_frame(0, 1, {std::numeric_limits<VarId>::max()}, body));
 
   ASSERT_TRUE(system.write_rounds(2));
   EXPECT_TRUE(system.converged(2));
-  EXPECT_EQ(transport.counters().frames_rejected, 1u);
+  EXPECT_EQ(transport.counters().frames_rejected, 6u);
   EXPECT_GT(transport.counters().frames_received, 0u);
 }
 

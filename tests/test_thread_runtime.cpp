@@ -2,16 +2,23 @@
 //
 // Executions are nondeterministic; the assertions are the same consistency
 // properties as the simulator suite — they must hold for *every*
-// interleaving the OS produces.
+// interleaving the OS produces.  The MailboxExecutor suite pins the worker
+// loop both wall-clock roots share, once per root.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <memory>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "history/checkers.h"
 #include "history/linearizability.h"
 #include "mcs/driver.h"
 #include "sharegraph/topologies.h"
+#include "simnet/socket_transport.h"
 #include "simnet/thread_runtime.h"
 
 namespace pardsm::mcs {
@@ -68,6 +75,119 @@ TEST(ThreadRuntime, TimersFire) {
   ASSERT_TRUE(rt.await_quiescence(std::chrono::milliseconds(5000)));
   rt.stop();
   EXPECT_EQ(w.fired.load(), 2);
+}
+
+// ---------------------------------------------------------------------------
+// The shared mailbox executor, driven through each wall-clock root: the
+// in-memory ThreadRuntime and an all-local SocketTransport.
+// ---------------------------------------------------------------------------
+
+/// Runs `test(root)` on a fresh one-process root of the parameter's kind.
+class MailboxExecutor : public ::testing::TestWithParam<const char*> {
+ protected:
+  template <class Test>
+  void on_root(Test test) {
+    if (std::string(GetParam()) == "threads") {
+      ThreadRuntime root;
+      test(root);
+    } else {
+      SocketOptions o;
+      o.total_processes = 1;
+      SocketTransport root(std::move(o));
+      test(root);
+    }
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(WallClockRoots, MailboxExecutor,
+                         ::testing::Values("threads", "sockets"),
+                         [](const auto& info) {
+                           return std::string(info.param);
+                         });
+
+using Clock = std::chrono::steady_clock;
+
+struct TimerLog final : Endpoint {
+  std::atomic<int> fired{0};
+  std::atomic<Clock::rep> fired_at{0};
+  void on_message(const Message&) override {}
+  void on_timer(TimerTag) override {
+    fired_at.store(Clock::now().time_since_epoch().count());
+    fired.fetch_add(1);
+  }
+};
+
+// A worker with no timer parks in the untimed wait.  A timer armed from
+// another thread after that must turn the next wait into a deadline wait;
+// re-checking "is a timer due?" only on notifications would sleep forever.
+TEST_P(MailboxExecutor, TimerArmedAfterUntimedParkFires) {
+  on_root([](auto& root) {
+    TimerLog ep;
+    const ProcessId p = root.add_endpoint(&ep);
+    root.start();
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));  // park
+    std::thread foreign([&] { root.set_timer(p, millis(30), 7); });
+    foreign.join();
+    EXPECT_TRUE(root.await_quiescence(std::chrono::milliseconds(5000)));
+    root.stop();
+    EXPECT_EQ(ep.fired.load(), 1);
+  });
+}
+
+// A pending timer is pending work: quiescence waits for it to fire.
+TEST_P(MailboxExecutor, QuiescenceWaitsForAPendingTimer) {
+  on_root([](auto& root) {
+    TimerLog ep;
+    const ProcessId p = root.add_endpoint(&ep);
+    root.start();
+    const auto armed = Clock::now();
+    root.set_timer(p, millis(50), 1);
+    EXPECT_FALSE(root.await_quiescence(std::chrono::milliseconds(10)));
+    EXPECT_EQ(ep.fired.load(), 0);
+    EXPECT_TRUE(root.await_quiescence(std::chrono::milliseconds(5000)));
+    root.stop();
+    ASSERT_EQ(ep.fired.load(), 1);
+    EXPECT_GE(Clock::time_point(Clock::duration(ep.fired_at.load())) - armed,
+              std::chrono::milliseconds(50));
+  });
+}
+
+// A task posted from inside a handler is queued behind it: it runs after
+// the handler returns, on the same worker thread.
+TEST_P(MailboxExecutor, TaskPostedFromAHandlerRunsAfterItOnItsThread) {
+  struct Ping final : MessageBody {};
+  struct Poster final : Endpoint {
+    RootTransport* root = nullptr;
+    ProcessId self = kNoProcess;
+    std::vector<std::string> log;  // written by the worker thread only
+    std::thread::id handler_thread;
+    std::thread::id task_thread;
+    void on_message(const Message&) override {
+      handler_thread = std::this_thread::get_id();
+      root->schedule_at(kTimeZero, self, [this] {
+        task_thread = std::this_thread::get_id();
+        log.push_back("task");
+      });
+      // Give a wrongly concurrent worker time to run the task first.
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      log.push_back("handler");
+    }
+  };
+  on_root([](auto& root) {
+    Poster ep;
+    ep.root = &root;
+    ep.self = root.add_endpoint(&ep);
+    root.start();
+    root.post(ep.self, [&] {
+      root.send(ep.self, ep.self, BodyRef::adopt(new_body<Ping>()),
+                MessageMeta{"PING", 0, 0, {}});
+    });
+    ASSERT_TRUE(root.await_quiescence(std::chrono::milliseconds(5000)));
+    root.stop();
+    EXPECT_EQ(ep.log, (std::vector<std::string>{"handler", "task"}));
+    EXPECT_EQ(ep.task_thread, ep.handler_thread);
+    EXPECT_NE(ep.handler_thread, std::this_thread::get_id());
+  });
 }
 
 class ThreadedProtocol : public ::testing::TestWithParam<ProtocolKind> {};

@@ -419,6 +419,9 @@ SocketStack make_socket_stack(const std::string& name, std::size_t n) {
   SocketOptions o;
   o.total_processes = n;
   s.root = std::make_unique<SocketTransport>(std::move(o));
+  // send_seq's messages mention x2; the socket root rejects frames that
+  // mention a variable outside the declared count.
+  s.root->stats().set_var_hint(3);
   s.top = s.root.get();
   if (name == "socket") return s;
   if (name == "socket-reliable") {
