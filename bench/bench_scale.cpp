@@ -24,10 +24,10 @@
 // replica/clock state) are swept through n = 1024 and excluded at 4096;
 // causal-partial-adhoc is excluded exactly where Theorem 1 predicts —
 // on the hoop-rich zipf shape past n = 256 its R(x)-routed dependency
-// metadata goes super-linear (minutes per run), and at 4096 the static
-// relevance analysis alone (per-candidate max-flow over every variable)
-// costs minutes.  Those exclusions *are* the paper's point, priced in
-// RAM, messages and wall-clock.
+// metadata goes super-linear (minutes per run), and it stays out at
+// 4096 everywhere (its static relevance analysis is linear per variable;
+// what the 4096 cut-off prices is unmeasured).  Those exclusions *are*
+// the paper's point, priced in RAM, messages and wall-clock.
 //
 // --quick caps the sweep at n = 256 (CI budget); the full run adds
 // n = 1024 and 4096.

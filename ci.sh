@@ -6,6 +6,9 @@
 #   SANITIZE=1 ./ci.sh      # ASan+UBSan build + ctest (no bench sweep) —
 #                           # the ARQ retransmit path and crash/recovery
 #                           # teardown are exactly where lifetime bugs hide
+#                           # (every flavour keeps test_hoops' 60 s per-test
+#                           # TIMEOUT, tests/CMakeLists.txt: Theorem 1 at
+#                           # n >= 1024 must stay linear per variable)
 #   SANITIZE=tsan ./ci.sh   # ThreadSanitizer build + ctest — gates the
 #                           # parallel engine's worker threads and the
 #                           # mailbox executor both wall-clock roots run

@@ -64,42 +64,15 @@ struct RecoveryStats {
   std::uint64_t timers_deferred = 0;  ///< timer fires postponed past downtime
 };
 
-/// Immutable var → C(x) table, built in one pass over the distribution
-/// (O(Σ|X_i|)).  Protocols consult C(x) on every write, and
-/// Distribution::replicas_of allocates a fresh vector per call — far too
-/// expensive for the hot path.  One table is shared by all processes of a
-/// system (make_processes injects it).
+/// Immutable var → C(x) table (graph::build_cliques, O(Σ|X_i|)).
+/// Protocols consult C(x) on every write, and Distribution::replicas_of
+/// allocates a fresh vector per call — far too expensive for the hot
+/// path.  One table is shared by all processes of a system
+/// (make_processes injects it).
 class CliqueTable {
  public:
-  explicit CliqueTable(const graph::Distribution& dist) {
-    cliques_.resize(dist.var_count);
-    // Two passes: count then fill.  At large n (thousands of processes,
-    // thousands of variables) the push_back-only build reallocates every
-    // clique log|C(x)| times; exact reserves make construction one
-    // allocation per variable.
-    std::vector<std::uint32_t> sizes(dist.var_count, 0);
-    for (const auto& held : dist.per_process) {
-      for (VarId x : held) {
-        PARDSM_CHECK(x >= 0 && static_cast<std::size_t>(x) < dist.var_count,
-                     "CliqueTable: variable id out of range");
-        ++sizes[static_cast<std::size_t>(x)];
-      }
-    }
-    for (std::size_t x = 0; x < dist.var_count; ++x) {
-      cliques_[x].reserve(sizes[x]);
-    }
-    for (std::size_t p = 0; p < dist.per_process.size(); ++p) {
-      for (VarId x : dist.per_process[p]) {
-        cliques_[static_cast<std::size_t>(x)].push_back(
-            static_cast<ProcessId>(p));  // p ascending → sorted
-      }
-    }
-    // A process listing x twice must appear in C(x) once, exactly as
-    // Distribution::replicas_of reports it.
-    for (auto& clique : cliques_) {
-      clique.erase(std::unique(clique.begin(), clique.end()), clique.end());
-    }
-  }
+  explicit CliqueTable(const graph::Distribution& dist)
+      : cliques_(graph::build_cliques(dist)) {}
 
   [[nodiscard]] const std::vector<ProcessId>& clique(VarId x) const {
     PARDSM_CHECK(x >= 0 && static_cast<std::size_t>(x) < cliques_.size(),

@@ -2,37 +2,27 @@
 
 #include <algorithm>
 
-#include "simnet/check.h"
-
 namespace pardsm::graph {
 
 namespace {
 
-/// True iff the edge carries a label other than x (hoop steps must share
-/// a variable different from x) — O(1) off the per-edge summary.
-bool edge_usable(const ShareGraph::EdgeSummary& s, VarId x) {
-  return s.shared_count >= 2 || (s.shared_count == 1 && s.only_shared != x);
-}
-
-void dfs_hoops(const ShareGraph& sg, VarId x,
-               const std::vector<bool>& in_clique, std::vector<ProcessId>& path,
-               std::vector<bool>& visited, HoopEnumeration& out,
-               std::size_t limit) {
+/// Extends `path` (a C(x) member, then vertices outside C(x)) by every
+/// neighbour; no label check, since each step leaves or enters a vertex
+/// outside C(x) (hoops.h).
+void dfs_hoops(const ShareGraph& sg, const std::vector<bool>& in_clique,
+               std::vector<ProcessId>& path, std::vector<bool>& visited,
+               HoopEnumeration& out, std::size_t limit) {
   if (out.hoops.size() >= limit) {
     out.truncated = true;
     return;
   }
   ++out.dfs_steps;
   const ProcessId v = path.back();
-  const auto& nbrs = sg.neighbours(v);
-  const auto& summaries = sg.edge_summaries(v);
-  for (std::size_t wi = 0; wi < nbrs.size(); ++wi) {
-    const ProcessId w = nbrs[wi];
+  for (ProcessId w : sg.neighbours(v)) {
     if (out.hoops.size() >= limit) {
       out.truncated = true;
       return;
     }
-    if (!edge_usable(summaries[wi], x)) continue;
     if (in_clique[static_cast<std::size_t>(w)]) {
       // Complete a hoop if w is a clique member distinct from the start and
       // the path has at least one intermediate.
@@ -48,7 +38,7 @@ void dfs_hoops(const ShareGraph& sg, VarId x,
     if (visited[static_cast<std::size_t>(w)]) continue;
     visited[static_cast<std::size_t>(w)] = true;
     path.push_back(w);
-    dfs_hoops(sg, x, in_clique, path, visited, out, limit);
+    dfs_hoops(sg, in_clique, path, visited, out, limit);
     path.pop_back();
     visited[static_cast<std::size_t>(w)] = false;
   }
@@ -68,7 +58,7 @@ HoopEnumeration enumerate_hoops(const ShareGraph& sg, VarId x,
     std::vector<bool> visited(n, false);
     visited[static_cast<std::size_t>(a)] = true;
     std::vector<ProcessId> path{a};
-    dfs_hoops(sg, x, in_clique, path, visited, out, limit);
+    dfs_hoops(sg, in_clique, path, visited, out, limit);
     if (out.truncated) break;
   }
   // Deterministic order.
@@ -78,185 +68,80 @@ HoopEnumeration enumerate_hoops(const ShareGraph& sg, VarId x,
   return out;
 }
 
-namespace {
+std::set<ProcessId> hoop_members(const ShareGraph& sg, VarId x) {
+  std::set<ProcessId> members;
+  const auto& clique = sg.clique(x);
+  if (clique.size() < 2) return members;
+  const std::size_t n = sg.process_count();
+  std::vector<bool> in_clique(n, false);
+  for (ProcessId c : clique) in_clique[static_cast<std::size_t>(c)] = true;
 
-/// Unit-capacity max-flow check: are there two vertex-disjoint paths
-/// (disjoint except at v) from v to two distinct members of C(x), with all
-/// intermediate vertices outside C(x) and all edges labelled ≠ x?
-///
-/// Standard vertex-splitting construction: every non-clique vertex u ≠ v
-/// becomes u_in -> u_out with capacity 1; clique vertices connect directly
-/// to the sink with capacity 1 (so two paths must end at distinct clique
-/// members); v is the source with capacity 2.
-///
-/// The flow network is identical for every candidate v of the same
-/// variable except for the capacity through v itself, so it is built ONCE
-/// per (sg, x) and reused: each query bumps v's internal capacity, runs at
-/// most two augmentations and restores the capacities in place.  This
-/// turns hoop_members from O(candidates · graph-build) allocations into a
-/// single build — the dominant cost of StaticRelevance::analyze on large
-/// random topologies.
-class DisjointPathFinder {
- public:
-  DisjointPathFinder(const ShareGraph& sg, VarId x,
-                     const std::vector<bool>& in_clique) {
-    const std::size_t n = sg.process_count();
-    // Node ids: u_in = 2u, u_out = 2u+1, sink = 2n.
-    sink_ = static_cast<int>(2 * n);
-    adj_.assign(2 * n + 1, {});
-    internal_edge_.assign(n, -1);
-    for (std::size_t u = 0; u < n; ++u) {
-      const auto pu = static_cast<ProcessId>(u);
-      internal_edge_[u] =
-          static_cast<int>(adj_[2 * u].size());  // in -> out edge index
-      if (in_clique[u]) {
-        // Clique member: in == out for our purposes; capacity 1 to the
-        // sink.
-        add_edge(static_cast<int>(2 * u), static_cast<int>(2 * u + 1), 1);
-        add_edge(static_cast<int>(2 * u + 1), sink_, 1);
-      } else {
-        add_edge(static_cast<int>(2 * u), static_cast<int>(2 * u + 1), 1);
-      }
-      const auto& nbrs = sg.neighbours(pu);
-      const auto& summaries = sg.edge_summaries(pu);
-      for (std::size_t wi = 0; wi < nbrs.size(); ++wi) {
-        if (!edge_usable(summaries[wi], x)) continue;
-        // Directed u_out -> w_in; the reverse direction is added when w is
-        // processed.  Intermediates must be non-clique, but edges into
-        // clique members are allowed (they terminate a path).  Candidates
-        // are never clique members, so clique vertices get no out-edges.
-        if (in_clique[u]) continue;
-        add_edge(static_cast<int>(2 * u + 1),
-                 static_cast<int>(2 * static_cast<std::size_t>(nbrs[wi])), 1);
-      }
-    }
-    prev_node_.resize(adj_.size());
-    prev_edge_.resize(adj_.size());
-    mark_.assign(adj_.size(), 0);
-  }
+  // Iterative Tarjan over G_x (hoops.h), rooted at the super-source s.  s
+  // is implicit: discovery time 1, its children are C(x)'s members, and a
+  // member reached below another vertex closes a back edge to s.  A block
+  // is closed at tree edge (p, u) when low[u] >= disc[p]; the blocks
+  // closed at p == s are the ones containing s.
+  constexpr std::uint32_t kSourceDisc = 1;
+  std::vector<std::uint32_t> disc(n, 0);  // 0 = unvisited
+  std::vector<std::uint32_t> low(n, 0);
+  std::uint32_t last_disc = kSourceDisc;
+  struct Frame {
+    ProcessId v;
+    std::size_t next;  ///< cursor into sg.neighbours(v)
+  };
+  std::vector<Frame> frames;
+  std::vector<ProcessId> unclosed;  // vertices of blocks not yet closed
 
-  /// Two vertex-disjoint v→C(x) paths?  `v` must be a non-clique vertex.
-  bool two_disjoint_from(ProcessId v) {
+  const auto visit = [&](ProcessId v, bool child_of_source) {
     const auto vi = static_cast<std::size_t>(v);
-    adj_[2 * vi][static_cast<std::size_t>(internal_edge_[vi])].cap = 2;
-    const int source = static_cast<int>(2 * vi);  // v_in
-    touched_.clear();
-    int flow = 0;
-    while (flow < 2 && augment(source)) ++flow;
-    // Undo exactly the edges the augmenting paths pushed flow through —
-    // O(path length), not O(E) — then re-pin v's internal capacity.
-    for (const auto& [node, edge] : touched_) {
-      Edge& e = adj_[static_cast<std::size_t>(node)]
-                    [static_cast<std::size_t>(edge)];
-      e.cap += 1;
-      adj_[static_cast<std::size_t>(e.to)][static_cast<std::size_t>(e.rev)]
-          .cap -= 1;
-    }
-    adj_[2 * vi][static_cast<std::size_t>(internal_edge_[vi])].cap = 1;
-    return flow >= 2;
-  }
-
- private:
-  struct Edge {
-    int to;
-    int cap;
-    int rev;  // index of reverse edge in adj[to]
+    disc[vi] = low[vi] = ++last_disc;
+    if (in_clique[vi] && !child_of_source) low[vi] = kSourceDisc;
+    frames.push_back({v, 0});
+    unclosed.push_back(v);
   };
 
-  void add_edge(int a, int b, int cap) {
-    adj_[static_cast<std::size_t>(a)].push_back(
-        {b, cap, static_cast<int>(adj_[static_cast<std::size_t>(b)].size())});
-    adj_[static_cast<std::size_t>(b)].push_back(
-        {a, 0,
-         static_cast<int>(adj_[static_cast<std::size_t>(a)].size()) - 1});
-  }
-
-  /// One BFS augmenting step; true if a source→sink path was found.
-  /// Visited state is an epoch stamp, so starting a BFS is O(1), not a
-  /// pair of O(V) fills.
-  bool augment(int source) {
-    const std::uint64_t epoch = ++epoch_;
-    bfs_.clear();
-    bfs_.push_back(source);
-    mark_[static_cast<std::size_t>(source)] = epoch;
-    prev_node_[static_cast<std::size_t>(source)] = source;
-    for (std::size_t head = 0;
-         head < bfs_.size() && mark_[static_cast<std::size_t>(sink_)] != epoch;
-         ++head) {
-      const int u = bfs_[head];
-      const auto& edges = adj_[static_cast<std::size_t>(u)];
-      for (std::size_t e = 0; e < edges.size(); ++e) {
-        if (edges[e].cap <= 0) continue;
-        const int to = edges[e].to;
-        if (mark_[static_cast<std::size_t>(to)] == epoch) continue;
-        mark_[static_cast<std::size_t>(to)] = epoch;
-        prev_node_[static_cast<std::size_t>(to)] = u;
-        prev_edge_[static_cast<std::size_t>(to)] = static_cast<int>(e);
-        bfs_.push_back(to);
+  for (ProcessId root : clique) {
+    if (disc[static_cast<std::size_t>(root)] != 0) continue;
+    visit(root, /*child_of_source=*/true);
+    while (!frames.empty()) {
+      Frame& f = frames.back();
+      const auto vi = static_cast<std::size_t>(f.v);
+      const auto& nbrs = sg.neighbours(f.v);
+      if (f.next < nbrs.size()) {
+        const ProcessId w = nbrs[f.next++];
+        const auto wi = static_cast<std::size_t>(w);
+        if (in_clique[vi] && in_clique[wi]) continue;  // not an edge of G_x
+        if (disc[wi] == 0) {
+          visit(w, /*child_of_source=*/false);
+        } else {
+          low[vi] = std::min(low[vi], disc[wi]);
+        }
+        continue;
       }
-    }
-    if (mark_[static_cast<std::size_t>(sink_)] != epoch) return false;
-    int u = sink_;
-    while (u != source) {
-      const int pu = prev_node_[static_cast<std::size_t>(u)];
-      const int pe = prev_edge_[static_cast<std::size_t>(u)];
-      auto& e = adj_[static_cast<std::size_t>(pu)][static_cast<std::size_t>(pe)];
-      e.cap -= 1;
-      adj_[static_cast<std::size_t>(u)][static_cast<std::size_t>(e.rev)].cap +=
-          1;
-      touched_.push_back({pu, pe});
-      u = pu;
-    }
-    return true;
-  }
-
-  int sink_ = 0;
-  std::vector<std::vector<Edge>> adj_;
-  std::vector<int> internal_edge_;  ///< per vertex: index of in→out edge
-  std::vector<int> prev_node_;
-  std::vector<int> prev_edge_;
-  std::vector<std::uint64_t> mark_;  ///< BFS visited epoch per node
-  std::uint64_t epoch_ = 0;
-  std::vector<int> bfs_;
-  std::vector<std::pair<int, int>> touched_;  ///< (node, edge) with flow
-};
-
-}  // namespace
-
-bool hoop_exists(const ShareGraph& sg, VarId x) {
-  const std::size_t n = sg.process_count();
-  std::vector<bool> in_clique(n, false);
-  for (ProcessId p : sg.clique(x)) {
-    in_clique[static_cast<std::size_t>(p)] = true;
-  }
-  // A hoop with one intermediate exists iff some non-clique vertex has two
-  // disjoint paths to distinct clique members; checking every non-clique
-  // vertex is sufficient (any hoop has at least one intermediate).
-  DisjointPathFinder finder(sg, x, in_clique);
-  for (std::size_t v = 0; v < n; ++v) {
-    if (in_clique[v]) continue;
-    if (finder.two_disjoint_from(static_cast<ProcessId>(v))) {
-      return true;
-    }
-  }
-  return false;
-}
-
-std::set<ProcessId> hoop_members(const ShareGraph& sg, VarId x) {
-  const std::size_t n = sg.process_count();
-  std::vector<bool> in_clique(n, false);
-  for (ProcessId p : sg.clique(x)) {
-    in_clique[static_cast<std::size_t>(p)] = true;
-  }
-  std::set<ProcessId> members;
-  DisjointPathFinder finder(sg, x, in_clique);
-  for (std::size_t v = 0; v < n; ++v) {
-    if (in_clique[v]) continue;
-    if (finder.two_disjoint_from(static_cast<ProcessId>(v))) {
-      members.insert(static_cast<ProcessId>(v));
+      const ProcessId v = f.v;
+      frames.pop_back();
+      if (!frames.empty()) {
+        const auto pi = static_cast<std::size_t>(frames.back().v);
+        low[pi] = std::min(low[pi], low[vi]);
+        if (low[vi] < disc[pi]) continue;
+      }
+      // Close the block of tree edge (parent, v): v and everything opened
+      // after it.  With parent == s its outside-C(x) vertices are members.
+      ProcessId u;
+      do {
+        u = unclosed.back();
+        unclosed.pop_back();
+        if (frames.empty() && !in_clique[static_cast<std::size_t>(u)]) {
+          members.insert(u);
+        }
+      } while (u != v);
     }
   }
   return members;
+}
+
+bool hoop_exists(const ShareGraph& sg, VarId x) {
+  return !hoop_members(sg, x).empty();
 }
 
 std::set<ProcessId> x_relevant(const ShareGraph& sg, VarId x) {

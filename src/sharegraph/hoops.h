@@ -1,8 +1,14 @@
-// x-hoops (Definition 3) — enumeration and polynomial existence tests.
+// x-hoops (Definition 3) — enumeration and linear-time membership.
 //
 // An x-hoop is a path [p_a = p_0, p_1, ..., p_k = p_b] in SG between two
 // distinct members of C(x) whose intermediate vertices lie outside C(x)
 // and whose consecutive pairs share some variable other than x.
+//
+// Edge labels never matter.  Every step of a hoop has an endpoint outside
+// C(x) (only the ends are members, and a hoop has an intermediate), that
+// endpoint does not hold x, so whatever the pair shares is a variable
+// other than x.  The only SG edges a hoop cannot use are the ones inside
+// C(x), and those are excluded by the vertex rule already.
 //
 // Two complementary algorithms:
 //
@@ -12,12 +18,20 @@
 //    bench_fig2_hoops.
 //
 //  * hoop_members — the set of processes lying on at least one x-hoop,
-//    computed in polynomial time: v ∉ C(x) lies on an x-hoop iff there are
-//    two vertex-disjoint paths (sharing only v) from v to two *distinct*
-//    members of C(x) with all intermediates outside C(x).  We decide this
-//    with a unit-capacity max-flow (value 2) per vertex.  Combined with
-//    C(x) this yields the x-relevant set of Theorem 1 without any
-//    enumeration.
+//    by one biconnected-block pass per variable, O(n + |E|).  Let G_x be
+//    SG without the edges inside C(x), plus a super-source s adjacent to
+//    every member of C(x).  Then v ∉ C(x) lies on an x-hoop iff v and s
+//    lie in a common biconnected block of G_x.
+//      (⇒) A hoop a … v … b closed by b–s–a is a simple cycle of G_x
+//      through v and s.
+//      (⇐) v is not adjacent to s, so their common block has ≥ 3
+//      vertices and holds a simple cycle through both.  Walk the cycle
+//      from v in both directions up to the first C(x) member: s's two
+//      cycle neighbours are members, so both walks stop, at distinct
+//      members a ≠ b, and a … v … b has every intermediate outside C(x):
+//      an x-hoop.
+//    Combined with C(x) this yields the x-relevant set of Theorem 1
+//    without any enumeration.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +64,7 @@ struct HoopEnumeration {
 
 /// All processes *outside C(x)* lying on at least one x-hoop (the hoops'
 /// intermediate vertices; endpoints are C(x) members and are reported by
-/// x_relevant instead).  Polynomial time (max-flow based).
+/// x_relevant instead).  One block pass, O(n + |E|).
 [[nodiscard]] std::set<ProcessId> hoop_members(const ShareGraph& sg, VarId x);
 
 /// Theorem 1: the x-relevant set = C(x) ∪ hoop members.

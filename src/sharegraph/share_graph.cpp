@@ -31,62 +31,53 @@ double Distribution::average_replication() const {
   return static_cast<double>(total) / static_cast<double>(var_count);
 }
 
-namespace {
-
-/// Two-pointer intersection summary over sorted var lists: count capped
-/// at 2 plus the first shared variable.
-ShareGraph::EdgeSummary summarize_shared(const std::vector<VarId>& a,
-                                         const std::vector<VarId>& b) {
-  ShareGraph::EdgeSummary s;
-  auto ia = a.begin();
-  auto ib = b.begin();
-  while (ia != a.end() && ib != b.end()) {
-    if (*ia < *ib) {
-      ++ia;
-    } else if (*ib < *ia) {
-      ++ib;
-    } else {
-      if (s.shared_count == 0) s.only_shared = *ia;
-      if (++s.shared_count == 2) break;  // "≥ 2" — nothing more to learn
-      ++ia;
-      ++ib;
+std::vector<std::vector<ProcessId>> build_cliques(const Distribution& dist) {
+  // Two passes: count then fill.  At large n the push_back-only build
+  // reallocates every clique log|C(x)| times; exact reserves make it one
+  // allocation per variable.
+  std::vector<std::uint32_t> sizes(dist.var_count, 0);
+  for (const auto& held : dist.per_process) {
+    for (VarId x : held) {
+      PARDSM_CHECK(x >= 0 && static_cast<std::size_t>(x) < dist.var_count,
+                   "variable id out of range");
+      ++sizes[static_cast<std::size_t>(x)];
     }
   }
-  return s;
+  std::vector<std::vector<ProcessId>> cliques(dist.var_count);
+  for (std::size_t x = 0; x < dist.var_count; ++x) {
+    cliques[x].reserve(sizes[x]);
+  }
+  for (std::size_t p = 0; p < dist.per_process.size(); ++p) {
+    for (VarId x : dist.per_process[p]) {
+      cliques[static_cast<std::size_t>(x)].push_back(
+          static_cast<ProcessId>(p));  // p ascending → sorted
+    }
+  }
+  for (auto& clique : cliques) {
+    clique.erase(std::unique(clique.begin(), clique.end()), clique.end());
+  }
+  return cliques;
 }
 
-}  // namespace
-
-ShareGraph::ShareGraph(Distribution dist) : dist_(std::move(dist)) {
+ShareGraph::ShareGraph(Distribution dist)
+    : dist_(std::move(dist)), cliques_(build_cliques(dist_)) {
   const std::size_t n = dist_.process_count();
   var_sets_.resize(n);
-  for (std::size_t p = 0; p < n; ++p) {
-    for (VarId x : dist_.per_process[p]) {
-      PARDSM_CHECK(x >= 0 && static_cast<std::size_t>(x) < dist_.var_count,
-                   "ShareGraph: variable id out of range");
-      var_sets_[p].push_back(x);
-    }
-    std::sort(var_sets_[p].begin(), var_sets_[p].end());
-    var_sets_[p].erase(std::unique(var_sets_[p].begin(), var_sets_[p].end()),
-                       var_sets_[p].end());
-  }
-  cliques_.resize(dist_.var_count);
-  for (std::size_t x = 0; x < dist_.var_count; ++x) {
-    cliques_[x] = dist_.replicas_of(static_cast<VarId>(x));
-  }
   adjacency_.resize(n);
-  summaries_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const EdgeSummary s = summarize_shared(var_sets_[i], var_sets_[j]);
-      if (s.shared_count != 0) {
-        // j > i, so both per-process lists stay sorted by construction.
-        adjacency_[i].push_back(static_cast<ProcessId>(j));
-        summaries_[i].push_back(s);
-        adjacency_[j].push_back(static_cast<ProcessId>(i));
-        summaries_[j].push_back(s);
+  for (std::size_t p = 0; p < n; ++p) {
+    auto& xs = var_sets_[p];
+    xs = dist_.per_process[p];
+    std::sort(xs.begin(), xs.end());
+    xs.erase(std::unique(xs.begin(), xs.end()), xs.end());
+    // SG = ∪_x C(x): p's neighbours are its cliques' other members.
+    auto& adj = adjacency_[p];
+    for (VarId x : xs) {
+      for (ProcessId q : cliques_[static_cast<std::size_t>(x)]) {
+        if (static_cast<std::size_t>(q) != p) adj.push_back(q);
       }
     }
+    std::sort(adj.begin(), adj.end());
+    adj.erase(std::unique(adj.begin(), adj.end()), adj.end());
   }
 }
 
@@ -113,13 +104,6 @@ const std::vector<ProcessId>& ShareGraph::neighbours(ProcessId i) const {
   PARDSM_CHECK(i >= 0 && static_cast<std::size_t>(i) < adjacency_.size(),
                "neighbours: bad process");
   return adjacency_[static_cast<std::size_t>(i)];
-}
-
-const std::vector<ShareGraph::EdgeSummary>& ShareGraph::edge_summaries(
-    ProcessId i) const {
-  PARDSM_CHECK(i >= 0 && static_cast<std::size_t>(i) < summaries_.size(),
-               "edge_summaries: bad process");
-  return summaries_[static_cast<std::size_t>(i)];
 }
 
 const std::vector<ProcessId>& ShareGraph::clique(VarId x) const {

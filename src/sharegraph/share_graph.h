@@ -34,6 +34,14 @@ struct Distribution {
   [[nodiscard]] double average_replication() const;
 };
 
+/// var -> C(x) for every variable of `dist`: each clique sorted and
+/// duplicate-free (a process listing x twice appears once), exactly as
+/// replicas_of reports it, built in O(Σ|X_i|) with one allocation per
+/// variable.  Checks every variable id against var_count: distributions
+/// can come from outside input (NodeSpec files).
+[[nodiscard]] std::vector<std::vector<ProcessId>> build_cliques(
+    const Distribution& dist);
+
 /// The share graph of a distribution.
 class ShareGraph {
  public:
@@ -54,18 +62,6 @@ class ShareGraph {
   /// Neighbours of p_i in SG (sorted).
   [[nodiscard]] const std::vector<ProcessId>& neighbours(ProcessId i) const;
 
-  /// Per-edge label summary, parallel to neighbours(i): the shared-variable
-  /// count capped at 2, plus the single shared variable when the count is
-  /// exactly 1.  Hoop analysis asks "does (i, j) share some variable ≠ x"
-  /// per (edge, x) pair; the summary answers in O(1) where label() would
-  /// build a vector.
-  struct EdgeSummary {
-    std::uint8_t shared_count = 0;  ///< 0, 1, or 2 (meaning "≥ 2")
-    VarId only_shared = kNoVar;     ///< valid iff shared_count == 1
-  };
-  [[nodiscard]] const std::vector<EdgeSummary>& edge_summaries(
-      ProcessId i) const;
-
   /// The clique C(x): processes replicating x (sorted).
   [[nodiscard]] const std::vector<ProcessId>& clique(VarId x) const;
 
@@ -80,10 +76,9 @@ class ShareGraph {
 
  private:
   Distribution dist_;
-  std::vector<std::vector<ProcessId>> adjacency_;
-  std::vector<std::vector<EdgeSummary>> summaries_;  ///< ∥ adjacency_
-  std::vector<std::vector<ProcessId>> cliques_;      ///< var -> C(x)
-  std::vector<std::vector<VarId>> var_sets_;  ///< process -> X_i, sorted
+  std::vector<std::vector<ProcessId>> cliques_;    ///< var -> C(x)
+  std::vector<std::vector<VarId>> var_sets_;       ///< process -> X_i, sorted
+  std::vector<std::vector<ProcessId>> adjacency_;  ///< ∪ of cliques
 };
 
 }  // namespace pardsm::graph

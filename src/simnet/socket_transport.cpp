@@ -97,9 +97,7 @@ SocketTransport::SocketTransport(SocketOptions options)
   stats_.resize(n);
 }
 
-SocketTransport::~SocketTransport() {
-  if (running_.load()) stop();
-}
+SocketTransport::~SocketTransport() { shutdown(); }
 
 bool SocketTransport::is_local(ProcessId p) const {
   return local_index_.count(p) > 0;
@@ -201,6 +199,11 @@ void SocketTransport::start() {
 }
 
 void SocketTransport::stop() {
+  shutdown();
+  exec_.stop();  // the workers are joined; this only rethrows
+}
+
+void SocketTransport::shutdown() {
   if (!running_.exchange(false)) return;
 
   // Break the acceptor.
@@ -218,7 +221,7 @@ void SocketTransport::stop() {
     std::lock_guard lock(ch->mu);
     ch->cv.notify_all();
   }
-  exec_.stop();
+  exec_.halt();
 
   if (acceptor_.joinable()) acceptor_.join();
   if (detector_.joinable()) detector_.join();

@@ -170,7 +170,8 @@ class SocketTransport final : public RootTransport,
   /// Bind the listener, spawn mailbox/channel/acceptor/detector threads.
   void start();
 
-  /// Stop and join every thread; closes all sockets.
+  /// Stop and join every thread; closes all sockets.  Then rethrows a
+  /// mailbox handler exception await_quiescence has not (MailboxExecutor).
   void stop();
 
   /// All-local shape only: block until no queued message, running handler,
@@ -253,6 +254,9 @@ class SocketTransport final : public RootTransport,
   [[nodiscard]] SocketCounters counters() const;
 
  private:
+  /// stop() without the rethrow (the destructor's shutdown).
+  void shutdown();
+
   /// An encoded frame queued on an outbound channel.
   struct QueuedFrame {
     std::vector<std::uint8_t> bytes;

@@ -1,5 +1,7 @@
 #include "simnet/thread_runtime.h"
 
+#include <utility>
+
 #include "simnet/check.h"
 
 namespace pardsm {
@@ -9,7 +11,7 @@ namespace pardsm {
 MailboxExecutor::MailboxExecutor(Delivery& delivery)
     : delivery_(delivery), start_time_(std::chrono::steady_clock::now()) {}
 
-MailboxExecutor::~MailboxExecutor() { stop(); }
+MailboxExecutor::~MailboxExecutor() { halt(); }
 
 std::size_t MailboxExecutor::add(Endpoint* ep) {
   PARDSM_CHECK(ep != nullptr, "add_endpoint: null endpoint");
@@ -30,6 +32,11 @@ void MailboxExecutor::start() {
 }
 
 void MailboxExecutor::stop() {
+  halt();
+  rethrow_failure();
+}
+
+void MailboxExecutor::halt() {
   if (!running_.exchange(false)) return;
   for (auto& mb : mailboxes_) {
     std::lock_guard lock(mb->mu);
@@ -92,8 +99,34 @@ void MailboxExecutor::finish_item() {
 
 bool MailboxExecutor::await_quiescence(std::chrono::milliseconds timeout) {
   std::unique_lock lock(quiesce_mu_);
-  return quiesce_cv_.wait_for(lock, timeout,
-                              [this] { return pending_.load() == 0; });
+  quiesce_cv_.wait_for(lock, timeout, [this] {
+    return pending_.load() == 0 || failed_.load();
+  });
+  const bool quiet = pending_.load() == 0;
+  lock.unlock();
+  rethrow_failure();
+  return quiet;
+}
+
+void MailboxExecutor::record_failure(std::exception_ptr e) {
+  {
+    std::lock_guard lock(failure_mu_);
+    if (failure_) return;
+    failure_ = std::move(e);
+    failed_.store(true);
+  }
+  std::lock_guard lock(quiesce_mu_);
+  quiesce_cv_.notify_all();
+}
+
+void MailboxExecutor::rethrow_failure() {
+  std::exception_ptr e;
+  {
+    std::lock_guard lock(failure_mu_);
+    e = std::exchange(failure_, nullptr);
+    failed_.store(false);
+  }
+  if (e) std::rethrow_exception(e);
 }
 
 bool MailboxExecutor::has_queued() const {
@@ -129,22 +162,36 @@ void MailboxExecutor::worker_loop(Mailbox& mb) {
     if (!running_.load()) break;
 
     // One item per iteration, tasks first, then messages, then due timers;
-    // the handler runs unlocked so other threads can keep enqueueing.
-    if (!mb.tasks.empty()) {
-      auto task = std::move(mb.tasks.front());
-      mb.tasks.pop_front();
-      lock.unlock();
-      task();
-    } else if (!mb.messages.empty()) {
-      Message m = std::move(mb.messages.front());
-      mb.messages.pop_front();
-      lock.unlock();
-      delivery_.deliver(*mb.ep, m);
-    } else {
-      const TimerTag tag = mb.timers.top().tag;
-      mb.timers.pop();
-      lock.unlock();
-      mb.ep->on_timer(tag);
+    // the handler runs unlocked so other threads can keep enqueueing.  A
+    // throwing handler is recorded for the caller instead of escaping the
+    // thread (which would std::terminate); the try costs nothing until
+    // something throws.
+    std::exception_ptr failure;
+    try {
+      if (!mb.tasks.empty()) {
+        auto task = std::move(mb.tasks.front());
+        mb.tasks.pop_front();
+        lock.unlock();
+        task();
+      } else if (!mb.messages.empty()) {
+        Message m = std::move(mb.messages.front());
+        mb.messages.pop_front();
+        lock.unlock();
+        delivery_.deliver(*mb.ep, m);
+      } else {
+        const TimerTag tag = mb.timers.top().tag;
+        mb.timers.pop();
+        lock.unlock();
+        mb.ep->on_timer(tag);
+      }
+    } catch (...) {
+      failure = std::current_exception();
+    }
+    // Published only after the catch block has let go of the exception,
+    // so the thread that rethrows it is its one remaining user.
+    if (failure) {
+      if (lock.owns_lock()) lock.unlock();
+      record_failure(std::move(failure));
     }
     note_activity();
     finish_item();

@@ -24,6 +24,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -73,8 +74,13 @@ class MailboxExecutor {
   /// Reset the clock epoch and spawn one worker per slot.
   void start();
   /// Wake and join every worker; queued items are abandoned (pair with
-  /// await_quiescence for a clean shutdown).  Idempotent.
+  /// await_quiescence for a clean shutdown).  Idempotent.  Then rethrows
+  /// a handler exception no earlier call has rethrown (see
+  /// await_quiescence).
   void stop();
+  /// stop() without the rethrow: for destructors, and for a root that
+  /// still has threads of its own to join before it reports.
+  void halt();
 
   /// Run `task` on `slot`'s worker.
   void post(std::size_t slot, std::function<void()> task);
@@ -90,8 +96,16 @@ class MailboxExecutor {
 
   void add_pending() { pending_.fetch_add(1); }
   void finish_item();
-  /// Block until the pending count reaches zero or `timeout` elapses.
-  /// Returns true on quiescence.
+  /// Block until the pending count reaches zero, a handler throws, or
+  /// `timeout` elapses.  Returns true on quiescence; rethrows a handler
+  /// exception no earlier call has rethrown.
+  ///
+  /// Handler failures: a task, delivery or timer handler that throws does
+  /// not end the process.  Its worker keeps the first exception (later
+  /// ones are dropped until that one is rethrown), releases the item's
+  /// pending unit and carries on; await_quiescence or stop() hands it to
+  /// the caller, once.  An exception nobody collects is dropped by the
+  /// destructor.
   bool await_quiescence(std::chrono::milliseconds timeout);
 
   /// Monotone activity counter: bumped after every handled item and by
@@ -125,6 +139,10 @@ class MailboxExecutor {
 
   [[nodiscard]] Mailbox& mailbox(std::size_t slot);
   void worker_loop(Mailbox& mb);
+  /// Keep `e` if no failure is held, and wake await_quiescence.
+  void record_failure(std::exception_ptr e);
+  /// Rethrow (and release) the held failure, if any.
+  void rethrow_failure();
 
   Delivery& delivery_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
@@ -134,6 +152,9 @@ class MailboxExecutor {
   std::condition_variable quiesce_cv_;
   std::atomic<std::uint64_t> activity_{0};
   std::chrono::steady_clock::time_point start_time_;
+  std::mutex failure_mu_;
+  std::exception_ptr failure_;       ///< guarded by failure_mu_
+  std::atomic<bool> failed_{false};  ///< failure_ != nullptr
 };
 
 /// Transport implementation where every endpoint runs on its own thread.
@@ -141,7 +162,7 @@ class ThreadRuntime final : public RootTransport,
                             private MailboxExecutor::Delivery {
  public:
   ThreadRuntime() = default;
-  ~ThreadRuntime() override { stop(); }
+  ~ThreadRuntime() override { exec_.halt(); }
 
   ThreadRuntime(const ThreadRuntime&) = delete;
   ThreadRuntime& operator=(const ThreadRuntime&) = delete;
@@ -160,6 +181,7 @@ class ThreadRuntime final : public RootTransport,
 
   /// Stop all threads (after draining is the caller's responsibility —
   /// pair with await_quiescence for clean shutdown) and join them.
+  /// Rethrows a handler exception await_quiescence has not.
   void stop() { exec_.stop(); }
 
   /// Run `task` on the thread owning process `who`.  This is how drivers

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
+#include "mcs/causal_partial_adhoc.h"
 #include "sharegraph/hoops.h"
 #include "sharegraph/topologies.h"
 
@@ -189,6 +193,178 @@ TEST(Hoops, RelevanceSummaryCountsPramObligations) {
   EXPECT_EQ(so.total_relevant, so.total_replicas);
   EXPECT_EQ(so.vars_with_hoops, 0u);
   EXPECT_DOUBLE_EQ(so.overhead_ratio(), 1.0);
+}
+
+
+// ---------------------------------------------------------------------------
+// The block pass against the exact oracle: the intermediate vertices of an
+// exhaustive (untruncated) enumerate_hoops.
+// ---------------------------------------------------------------------------
+
+std::set<ProcessId> enumerated_members(const ShareGraph& sg, VarId x) {
+  const auto e = enumerate_hoops(sg, x, /*limit=*/1u << 20);
+  EXPECT_FALSE(e.truncated) << sg.distribution().name << " x" << x;
+  std::set<ProcessId> out;
+  for (const auto& hoop : e.hoops) out.insert(hoop.begin() + 1, hoop.end() - 1);
+  return out;
+}
+
+/// Every variable of `sg`: hoop_members and hoop_exists match the oracle.
+void expect_matches_enumeration(const ShareGraph& sg) {
+  for (std::size_t xi = 0; xi < sg.var_count(); ++xi) {
+    const auto x = static_cast<VarId>(xi);
+    const auto oracle = enumerated_members(sg, x);
+    EXPECT_EQ(hoop_members(sg, x), oracle)
+        << sg.distribution().name << " x" << x;
+    EXPECT_EQ(hoop_exists(sg, x), !oracle.empty())
+        << sg.distribution().name << " x" << x;
+  }
+}
+
+TEST(HoopBlocks, MatchEnumerationOnSeededSmallGraphs) {
+  std::size_t graphs = 0;
+  for (std::uint64_t seed = 1; seed <= 80; ++seed) {
+    expect_matches_enumeration(ShareGraph(topo::random_replication(
+        8, 4 + seed % 7, 2 + seed % 2, seed)));
+    ++graphs;
+  }
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    expect_matches_enumeration(ShareGraph(
+        topo::zipf_replication(9, 6 + seed % 5, 2 + seed % 2, 1.0, seed)));
+    ++graphs;
+  }
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    expect_matches_enumeration(ShareGraph(
+        topo::preferential_attachment(9 + seed % 3, 1 + seed % 2, seed)));
+    ++graphs;
+  }
+  for (const auto& [rows, cols] :
+       {std::pair{3, 3}, std::pair{3, 4}, std::pair{4, 3}}) {
+    expect_matches_enumeration(ShareGraph(topo::torus(rows, cols)));
+    ++graphs;
+  }
+  EXPECT_GE(graphs, 200u);
+}
+
+/// A hand-built distribution: per_process[p] = X_p.
+Distribution shape(std::string name, std::size_t vars,
+                   std::vector<std::vector<VarId>> per_process) {
+  Distribution d;
+  d.name = std::move(name);
+  d.var_count = vars;
+  d.per_process = std::move(per_process);
+  return d;
+}
+
+// Variable 0 is x throughout; the other ids are the links of the shape.
+
+TEST(HoopBlocks, TwoHoopsShareAMember) {
+  // C(x) = {0, 1, 2}; hoops 0-3-1 and 1-4-2 both end at member 1.
+  const ShareGraph sg(shape("shared-member", 5,
+                            {{0, 1}, {0, 2, 3}, {0, 4}, {1, 2}, {3, 4}}));
+  EXPECT_EQ(hoop_members(sg, 0), (std::set<ProcessId>{3, 4}));
+  expect_matches_enumeration(sg);
+}
+
+TEST(HoopBlocks, TwoHoopCyclesJoinedAtACutVertex) {
+  // A figure eight: ring 0-1-2-3 (links 0-3) and ring 3-4-5-6 (links
+  // 4-7) share only process 3, a cut vertex of SG.  Each link's hoop runs
+  // around its own ring; the other ring hangs off the cut vertex.
+  const ShareGraph sg(shape("figure-eight", 8,
+                            {{0, 3},
+                             {0, 1},
+                             {1, 2},
+                             {2, 3, 4, 7},
+                             {4, 5},
+                             {5, 6},
+                             {6, 7}}));
+  EXPECT_EQ(hoop_members(sg, 0), (std::set<ProcessId>{2, 3}));  // C = {0,1}
+  EXPECT_EQ(hoop_members(sg, 2), (std::set<ProcessId>{0, 1}));  // C = {2,3}
+  EXPECT_EQ(hoop_members(sg, 4), (std::set<ProcessId>{5, 6}));  // C = {3,4}
+  expect_matches_enumeration(sg);
+}
+
+TEST(HoopBlocks, CycleHangingOffAHoopVertexIsNotOnAHoop) {
+  // C(x) = {0, 1}; hoop 0-2-1.  The triangle 2-3-4 shares only cut vertex
+  // 2 with it: every path from 3 or 4 to C(x) passes 2 twice.
+  const ShareGraph sg(shape("hanging-cycle", 6,
+                            {{0, 1}, {0, 2}, {1, 2, 3, 5}, {3, 4}, {4, 5}}));
+  EXPECT_EQ(hoop_members(sg, 0), (std::set<ProcessId>{2}));
+  expect_matches_enumeration(sg);
+}
+
+TEST(HoopBlocks, PendantPathOffAHoopVertexIsNotOnAHoop) {
+  // C(x) = {0, 1}; hoop 0-2-1; path 2-3-4 dangles from 2.
+  const ShareGraph sg(
+      shape("pendant", 5, {{0, 1}, {0, 2}, {1, 2, 3}, {3, 4}, {4}}));
+  EXPECT_EQ(hoop_members(sg, 0), (std::set<ProcessId>{2}));
+  expect_matches_enumeration(sg);
+}
+
+TEST(HoopBlocks, VertexAdjacentToTwoMembersIsOnAHoop) {
+  // Vertex 2 shares y with member 0 and z with member 1: hoop 0-2-1.
+  // Vertex 3 shares two variables with member 0 only: no hoop.
+  const ShareGraph sg(
+      shape("two-neighbours", 5, {{0, 1, 3, 4}, {0, 2}, {1, 2}, {3, 4}}));
+  EXPECT_EQ(hoop_members(sg, 0), (std::set<ProcessId>{2}));
+  expect_matches_enumeration(sg);
+}
+
+TEST(HoopBlocks, CliquesOfAtMostOneHaveNoHoops) {
+  // x on p0 only and variable 5 on nobody, inside the ring 0-1-2-3 of
+  // link variables 1-4 (which do have hoops).
+  const ShareGraph sg(shape("tiny-cliques", 6,
+                            {{0, 1, 4}, {1, 2}, {2, 3}, {3, 4}, {}}));
+  EXPECT_TRUE(hoop_members(sg, 0).empty());
+  EXPECT_TRUE(hoop_members(sg, 5).empty());
+  EXPECT_EQ(hoop_members(sg, 1), (std::set<ProcessId>{2, 3}));
+  expect_matches_enumeration(sg);
+}
+
+TEST(HoopBlocks, DisconnectedShareGraph) {
+  // C(x) = {0, 1} with hoop 0-4-1; the island {2, 3} shares y only.
+  const ShareGraph sg(
+      shape("islands", 4, {{0, 2}, {0, 3}, {1}, {1}, {2, 3}}));
+  EXPECT_EQ(hoop_members(sg, 0), (std::set<ProcessId>{4}));
+  EXPECT_TRUE(hoop_members(sg, 1).empty());
+  expect_matches_enumeration(sg);
+}
+
+TEST(HoopBlocks, MembersJoinedOnlyByXEdgesHaveNoHoop) {
+  // C(x) = {0, 1, 2}; 0 and 1 also share y, so their edge label is
+  // {x, y} — still no intermediate, so no hoop.  Vertex 3 hangs off 2.
+  const ShareGraph sg(
+      shape("x-edges", 3, {{0, 1}, {0, 1}, {0, 2}, {2}}));
+  EXPECT_TRUE(hoop_members(sg, 0).empty());
+  EXPECT_FALSE(hoop_exists(sg, 0));
+  expect_matches_enumeration(sg);
+}
+
+// ---------------------------------------------------------------------------
+// Theorem 1 at scale: sizes the per-vertex max-flow never reached.
+// ---------------------------------------------------------------------------
+
+TEST(HoopBlocks, HierarchicalRelevanceIsTheCliqueAtScale) {
+  // A tree of cells has no cycle outside a cell: R(x) = C(x) everywhere.
+  const auto dist = topo::hierarchical(4, 6);
+  ASSERT_EQ(dist.process_count(), 1365u);
+  const auto analysis = mcs::StaticRelevance::analyze(dist);
+  const ShareGraph sg(dist);
+  for (std::size_t x = 0; x < dist.var_count; ++x) {
+    const auto& clique = sg.clique(static_cast<VarId>(x));
+    EXPECT_EQ(analysis->relevant[x],
+              std::set<ProcessId>(clique.begin(), clique.end()))
+        << "x" << x;
+  }
+}
+
+TEST(HoopBlocks, TorusRelevanceIsEveryoneAtScale) {
+  // Every torus edge closes around the rest of the torus.
+  const ShareGraph sg(topo::torus(32, 32));
+  ASSERT_EQ(sg.process_count(), 1024u);
+  for (std::size_t x = 0; x < sg.var_count(); ++x) {
+    ASSERT_EQ(x_relevant(sg, static_cast<VarId>(x)).size(), 1024u) << "x" << x;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "mcs/protocol.h"
 #include "sharegraph/share_graph.h"
 #include "sharegraph/topologies.h"
 
@@ -89,6 +90,70 @@ TEST(ShareGraph, DotExportMentionsEveryEdge) {
   EXPECT_NE(dot.find("p0 -- p1"), std::string::npos);
   EXPECT_NE(dot.find("p0 -- p2"), std::string::npos);
   EXPECT_EQ(dot.find("p1 -- p2"), std::string::npos);
+}
+
+/// neighbours() and clique() against the definitions: an edge iff
+/// Distribution::holds finds a shared variable, C(x) = replicas_of(x).
+/// The mcs layer's CliqueTable must give the same cliques.
+void expect_matches_definition(const Distribution& dist) {
+  const ShareGraph sg(dist);
+  const mcs::CliqueTable table(dist);
+  const std::size_t n = dist.process_count();
+  for (std::size_t x = 0; x < dist.var_count; ++x) {
+    const auto xv = static_cast<VarId>(x);
+    EXPECT_EQ(sg.clique(xv), dist.replicas_of(xv)) << dist.name << " x" << x;
+    EXPECT_EQ(table.clique(xv), dist.replicas_of(xv))
+        << dist.name << " x" << x;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<ProcessId> expected;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i == j) continue;
+      for (std::size_t x = 0; x < dist.var_count; ++x) {
+        const auto xv = static_cast<VarId>(x);
+        if (dist.holds(static_cast<ProcessId>(i), xv) &&
+            dist.holds(static_cast<ProcessId>(j), xv)) {
+          expected.push_back(static_cast<ProcessId>(j));
+          break;
+        }
+      }
+    }
+    EXPECT_EQ(sg.neighbours(static_cast<ProcessId>(i)), expected)
+        << dist.name << " p" << i;
+  }
+}
+
+TEST(ShareGraph, NeighboursAndCliquesMatchTheDefinition) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    expect_matches_definition(topo::random_replication(40, 60, 3, seed));
+    expect_matches_definition(topo::zipf_replication(40, 60, 4, 1.2, seed));
+  }
+  expect_matches_definition(topo::hierarchical(3, 4));
+  expect_matches_definition(topo::preferential_attachment(30, 2, 5));
+}
+
+TEST(ShareGraph, VariableListedTwiceOnAProcessCountsOnce) {
+  Distribution d;
+  d.name = "duplicate-listing";
+  d.var_count = 3;
+  d.per_process = {{1, 0, 1}, {1}, {2, 0}, {2, 2}};
+  expect_matches_definition(d);
+  const ShareGraph sg(d);
+  EXPECT_EQ(sg.clique(1), (std::vector<ProcessId>{0, 1}));
+  EXPECT_EQ(sg.clique(2), (std::vector<ProcessId>{2, 3}));
+  EXPECT_EQ(sg.label(0, 1), (std::vector<VarId>{1}));
+  EXPECT_EQ(sg.edge_count(), 3u);  // 0-1, 0-2, 2-3
+}
+
+TEST(ShareGraph, VariableIdOutOfRangeIsRejected) {
+  Distribution d;
+  d.var_count = 2;
+  d.per_process = {{0}, {2}};
+  EXPECT_THROW(ShareGraph{d}, std::logic_error);
+  EXPECT_THROW(mcs::CliqueTable{d}, std::logic_error);
+  d.per_process = {{0}, {-1}};
+  EXPECT_THROW(ShareGraph{d}, std::logic_error);
+  EXPECT_THROW(mcs::CliqueTable{d}, std::logic_error);
 }
 
 TEST(Topologies, AverageReplication) {

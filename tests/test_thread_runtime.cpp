@@ -9,7 +9,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <exception>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -187,6 +189,86 @@ TEST_P(MailboxExecutor, TaskPostedFromAHandlerRunsAfterItOnItsThread) {
     EXPECT_EQ(ep.log, (std::vector<std::string>{"handler", "task"}));
     EXPECT_EQ(ep.task_thread, ep.handler_thread);
     EXPECT_NE(ep.handler_thread, std::this_thread::get_id());
+  });
+}
+
+/// Runs `fn` and returns the what() of the std::exception it throws
+/// ("" if it returns normally).
+template <class Fn>
+std::string thrown_message(Fn fn) {
+  try {
+    fn();
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// A throwing handler does not end the process.  await_quiescence wakes and
+// rethrows the first exception, once; the worker keeps serving; and stop()
+// rethrows one nobody awaited.
+TEST_P(MailboxExecutor, HandlerExceptionSurfacesFromAwaitAndStop) {
+  struct Faulty final : Endpoint {
+    std::atomic<int> timers{0};
+    void on_message(const Message&) override {
+      throw std::runtime_error("bad message");
+    }
+    void on_timer(TimerTag) override {
+      timers.fetch_add(1);
+      throw std::runtime_error("bad timer");
+    }
+  };
+  struct Ping final : MessageBody {};
+  on_root([](auto& root) {
+    Faulty ep;
+    const ProcessId p = root.add_endpoint(&ep);
+    root.start();
+    const auto wait = std::chrono::milliseconds(5000);
+
+    root.post(p, [] { throw std::logic_error("bad task"); });
+    EXPECT_EQ(thrown_message([&] { (void)root.await_quiescence(wait); }),
+              "bad task");
+
+    root.post(p, [&] {
+      root.send(p, p, BodyRef::adopt(new_body<Ping>()),
+                MessageMeta{"PING", 0, 0, {}});
+    });
+    EXPECT_EQ(thrown_message([&] { (void)root.await_quiescence(wait); }),
+              "bad message");
+
+    // Collected once: the worker is still serving and the ledger is whole.
+    std::atomic<bool> ran{false};
+    root.post(p, [&] { ran.store(true); });
+    EXPECT_TRUE(root.await_quiescence(wait));
+    EXPECT_TRUE(ran.load());
+
+    root.set_timer(p, millis(1), 1);
+    while (ep.timers.load() == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(thrown_message([&] { root.stop(); }), "bad timer");
+    EXPECT_EQ(thrown_message([&] { root.stop(); }), "");
+  });
+}
+
+// An exception nobody collects is dropped by the root's destructor, which
+// must not throw.
+TEST_P(MailboxExecutor, UncollectedHandlerExceptionIsDroppedAtDestruction) {
+  struct Idle final : Endpoint {
+    void on_message(const Message&) override {}
+  };
+  on_root([](auto& root) {
+    Idle ep;
+    const ProcessId p = root.add_endpoint(&ep);
+    root.start();
+    std::atomic<bool> thrown{false};
+    root.post(p, [&] {
+      thrown.store(true);
+      throw std::logic_error("never collected");
+    });
+    while (!thrown.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
   });
 }
 
