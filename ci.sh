@@ -165,12 +165,13 @@ echo "== test =="
 if [ "$SANITIZE" = "tsan" ]; then
   # The parallel root's window barrier is lock-free (atomic epoch + spin),
   # and the wall-clock roots' interleavings come from the OS scheduler, so
-  # one instrumented pass can miss a rare race: re-run the parallel suites
-  # and the mailbox-executor suites (threads + sockets) until one fails,
-  # up to three more times.
+  # one instrumented pass can miss a rare race: re-run the parallel suites,
+  # the mailbox-executor suites (threads + sockets) and the engine's
+  # handler-failure runs on both roots until one fails, up to three more
+  # times.
   echo "== test: parallel and wall-clock suites, repeated =="
   (cd "$BUILD_DIR" && ctest --output-on-failure -j "$JOBS" \
-      -R 'Parallel|QuantumBoundary|CrossShard|ShardAssignment|ThreadRuntime|ThreadedProtocol|SocketStacks|MailboxExecutor' \
+      -R 'Parallel|QuantumBoundary|CrossShard|ShardAssignment|ThreadRuntime|ThreadedProtocol|SocketStacks|MailboxExecutor|WallClockRun' \
       --repeat until-fail:3)
 fi
 

@@ -79,6 +79,24 @@ void write_file(const std::string& path, const std::string& text) {
   PARDSM_CHECK(out.good(), "pardsm_node: short write to " + path);
 }
 
+/// Wait on `cv` until `done()` holds.  A handler that throws on a mailbox
+/// worker may leave `done()` false for good, so the wait also polls for a
+/// held handler exception: it then halts the transport (no worker still
+/// runs a task that captured the caller's locals) and rethrows it.
+template <class Done>
+void await_handler(SocketTransport& st, std::condition_variable& cv,
+                   std::unique_lock<std::mutex>& lk, Done done) {
+  while (!cv.wait_for(lk, std::chrono::milliseconds(10), done)) {
+    try {
+      st.rethrow_failure();
+    } catch (...) {
+      lk.unlock();  // a worker may need it to signal completion
+      st.halt();
+      throw;
+    }
+  }
+}
+
 /// Run one closure on the mailbox thread owning `who` and wait for it.
 void on_mailbox(SocketTransport& st, ProcessId who,
                 const std::function<void()>& fn) {
@@ -92,7 +110,7 @@ void on_mailbox(SocketTransport& st, ProcessId who,
     cv.notify_all();
   });
   std::unique_lock<std::mutex> lk(mu);
-  cv.wait(lk, [&] { return done; });
+  await_handler(st, cv, lk, [&] { return done; });
 }
 
 // ---------------------------------------------------------------------------
@@ -125,7 +143,7 @@ void run_script(SocketTransport& st, McsProcess& proc, const Script& script) {
       }
     });
     std::unique_lock<std::mutex> lk(mu);
-    cv.wait(lk, [&] { return op_done; });
+    await_handler(st, cv, lk, [&] { return op_done; });
   }
 }
 
@@ -182,6 +200,8 @@ int run_node(const std::string& spec_path, const std::string& result_path) {
     barrier_cv.notify_all();
   });
 
+  // Declared after the process and the barrier state the callbacks touch.
+  const HaltOnExit halt_on_exit(st);
   st.start();
 
   // A respawned node rejoins through the crash/recovery machinery: its
@@ -246,6 +266,9 @@ int run_node(const std::string& spec_path, const std::string& result_path) {
     }
     rstats = me.recovery_stats();
   });
+  // Before the result is written: a node whose protocol threw leaves no
+  // result file, only its message and a nonzero exit.
+  st.stop();
 
   const ProcessTraffic traffic = st.stats().total();
   const SocketCounters wire = st.counters();
@@ -272,8 +295,6 @@ int run_node(const std::string& spec_path, const std::string& result_path) {
   }
   out << "end\n";
   write_file(result_path, out.str());
-
-  st.stop();
   return 0;
 }
 

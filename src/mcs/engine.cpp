@@ -365,6 +365,7 @@ ScenarioRunResult run_threads(const EngineConfig& config) {
   // pre-sizes the exposure rows (branch-free deliver accounting).
   rt.stats().set_var_hint(config.distribution->var_count);
   Stack stack(config, rt);
+  const HaltOnExit halt_on_exit(rt);
 
   rt.start();
   stack.start_clients();
@@ -463,6 +464,8 @@ ScenarioRunResult run_sockets(const EngineConfig& config) {
   std::vector<TimePoint> edges;
   if (config.scenario != nullptr) edges = config.scenario->window_edges();
 
+  // Declared after `hooks`, which the posted crash/recover tasks capture.
+  const HaltOnExit halt_on_exit(st);
   st.start();
   // Edges at t <= 0 take effect before the first message, exactly like
   // Scenario::apply(): a timeline that starts lossy is lossy from op one.

@@ -97,7 +97,7 @@ SocketTransport::SocketTransport(SocketOptions options)
   stats_.resize(n);
 }
 
-SocketTransport::~SocketTransport() { shutdown(); }
+SocketTransport::~SocketTransport() { halt(); }
 
 bool SocketTransport::is_local(ProcessId p) const {
   return local_index_.count(p) > 0;
@@ -199,11 +199,11 @@ void SocketTransport::start() {
 }
 
 void SocketTransport::stop() {
-  shutdown();
-  exec_.stop();  // the workers are joined; this only rethrows
+  halt();
+  rethrow_failure();
 }
 
-void SocketTransport::shutdown() {
+void SocketTransport::halt() {
   if (!running_.exchange(false)) return;
 
   // Break the acceptor.

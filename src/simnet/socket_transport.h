@@ -173,6 +173,10 @@ class SocketTransport final : public RootTransport,
   /// Stop and join every thread; closes all sockets.  Then rethrows a
   /// mailbox handler exception await_quiescence has not (MailboxExecutor).
   void stop();
+  /// stop() without the rethrow.  Idempotent.
+  void halt();
+  /// Rethrow (and release) a held mailbox handler exception, if any.
+  void rethrow_failure() { exec_.rethrow_failure(); }
 
   /// All-local shape only: block until no queued message, running handler,
   /// pending timer or undelivered frame remains.  Returns true on
@@ -254,9 +258,6 @@ class SocketTransport final : public RootTransport,
   [[nodiscard]] SocketCounters counters() const;
 
  private:
-  /// stop() without the rethrow (the destructor's shutdown).
-  void shutdown();
-
   /// An encoded frame queued on an outbound channel.
   struct QueuedFrame {
     std::vector<std::uint8_t> bytes;

@@ -100,7 +100,7 @@ void MailboxExecutor::finish_item() {
 bool MailboxExecutor::await_quiescence(std::chrono::milliseconds timeout) {
   std::unique_lock lock(quiesce_mu_);
   quiesce_cv_.wait_for(lock, timeout, [this] {
-    return pending_.load() == 0 || failed_.load();
+    return pending_.load() == 0 || failure_ != nullptr;
   });
   const bool quiet = pending_.load() == 0;
   lock.unlock();
@@ -109,22 +109,17 @@ bool MailboxExecutor::await_quiescence(std::chrono::milliseconds timeout) {
 }
 
 void MailboxExecutor::record_failure(std::exception_ptr e) {
-  {
-    std::lock_guard lock(failure_mu_);
-    if (failure_) return;
-    failure_ = std::move(e);
-    failed_.store(true);
-  }
   std::lock_guard lock(quiesce_mu_);
+  if (failure_) return;
+  failure_ = std::move(e);
   quiesce_cv_.notify_all();
 }
 
 void MailboxExecutor::rethrow_failure() {
   std::exception_ptr e;
   {
-    std::lock_guard lock(failure_mu_);
+    std::lock_guard lock(quiesce_mu_);
     e = std::exchange(failure_, nullptr);
-    failed_.store(false);
   }
   if (e) std::rethrow_exception(e);
 }

@@ -103,10 +103,15 @@ class MailboxExecutor {
   /// Handler failures: a task, delivery or timer handler that throws does
   /// not end the process.  Its worker keeps the first exception (later
   /// ones are dropped until that one is rethrown), releases the item's
-  /// pending unit and carries on; await_quiescence or stop() hands it to
-  /// the caller, once.  An exception nobody collects is dropped by the
-  /// destructor.
+  /// pending unit and carries on; await_quiescence, rethrow_failure or
+  /// stop() hands it to the caller, once.  An exception nobody collects is
+  /// dropped by the destructor.  The other workers carry on too, so a
+  /// caller that unwinds must halt the root before destroying what its
+  /// handlers touch (HaltOnExit).
   bool await_quiescence(std::chrono::milliseconds timeout);
+  /// Rethrow (and release) the held handler exception, if any: for a
+  /// driver that waits on its own conditions instead of await_quiescence.
+  void rethrow_failure();
 
   /// Monotone activity counter: bumped after every handled item and by
   /// the root for its own events; an unchanged value over a window means
@@ -141,8 +146,6 @@ class MailboxExecutor {
   void worker_loop(Mailbox& mb);
   /// Keep `e` if no failure is held, and wake await_quiescence.
   void record_failure(std::exception_ptr e);
-  /// Rethrow (and release) the held failure, if any.
-  void rethrow_failure();
 
   Delivery& delivery_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
@@ -150,11 +153,9 @@ class MailboxExecutor {
   std::atomic<std::int64_t> pending_{0};
   std::mutex quiesce_mu_;
   std::condition_variable quiesce_cv_;
+  std::exception_ptr failure_;  ///< guarded by quiesce_mu_
   std::atomic<std::uint64_t> activity_{0};
   std::chrono::steady_clock::time_point start_time_;
-  std::mutex failure_mu_;
-  std::exception_ptr failure_;       ///< guarded by failure_mu_
-  std::atomic<bool> failed_{false};  ///< failure_ != nullptr
 };
 
 /// Transport implementation where every endpoint runs on its own thread.
@@ -162,7 +163,7 @@ class ThreadRuntime final : public RootTransport,
                             private MailboxExecutor::Delivery {
  public:
   ThreadRuntime() = default;
-  ~ThreadRuntime() override { exec_.halt(); }
+  ~ThreadRuntime() override { halt(); }
 
   ThreadRuntime(const ThreadRuntime&) = delete;
   ThreadRuntime& operator=(const ThreadRuntime&) = delete;
@@ -183,6 +184,8 @@ class ThreadRuntime final : public RootTransport,
   /// pair with await_quiescence for clean shutdown) and join them.
   /// Rethrows a handler exception await_quiescence has not.
   void stop() { exec_.stop(); }
+  /// stop() without the rethrow.  Idempotent.
+  void halt() { exec_.halt(); }
 
   /// Run `task` on the thread owning process `who`.  This is how drivers
   /// invoke protocol operations without data races.
@@ -229,6 +232,23 @@ class ThreadRuntime final : public RootTransport,
   NetworkStats stats_;
   std::atomic<std::uint64_t> next_msg_id_{1};
   MailboxExecutor exec_{*this};
+};
+
+/// Halts a wall-clock root (ThreadRuntime, SocketTransport) when it goes
+/// out of scope.  Declared after everything the root's handlers touch, it
+/// joins the workers before that state is destroyed, also when a rethrown
+/// handler exception or a failed check unwinds the scope.
+template <class Root>
+class HaltOnExit {
+ public:
+  explicit HaltOnExit(Root& root) : root_(root) {}
+  ~HaltOnExit() { root_.halt(); }
+
+  HaltOnExit(const HaltOnExit&) = delete;
+  HaltOnExit& operator=(const HaltOnExit&) = delete;
+
+ private:
+  Root& root_;
 };
 
 }  // namespace pardsm

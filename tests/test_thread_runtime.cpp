@@ -333,6 +333,50 @@ INSTANTIATE_TEST_SUITE_P(All, ThreadedProtocol,
                            return sanitize(to_string(info.param));
                          });
 
+// A protocol handler that throws mid-run fails mcs::run with its message on
+// both wall-clock roots.  The other processes' workers are still running
+// when it surfaces: the run must join them before the processes and
+// clients they deliver into are destroyed (ASan/TSan builds catch a miss).
+class WallClockRun : public ::testing::TestWithParam<EngineRuntime> {};
+
+TEST_P(WallClockRun, HandlerExceptionFailsTheRunWithItsMessage) {
+  struct FailingMulticast final : MulticastService {
+    std::atomic<int> submits{0};
+    void submit(Transport& transport, ProcessId from,
+                SendPlan&& plan) override {
+      if (submits.fetch_add(1) == 40) {
+        throw std::runtime_error("multicast failed");
+      }
+      MulticastService::fanout().submit(transport, from, std::move(plan));
+    }
+  };
+  const auto dist = graph::topo::random_replication(6, 6, 3, 5);
+  WorkloadSpec spec;
+  spec.ops_per_process = 200;
+  spec.read_fraction = 0.3;
+  spec.seed = 3;
+  const auto scripts = make_random_scripts(dist, spec);
+  FailingMulticast multicast;
+  EngineConfig config;
+  config.protocol = ProtocolKind::kPramPartial;
+  config.distribution = &dist;
+  config.scripts = &scripts;
+  config.runtime = GetParam();
+  config.multicast = &multicast;
+  EXPECT_EQ(thrown_message([&] { (void)run(std::move(config)); }),
+            "multicast failed");
+}
+
+INSTANTIATE_TEST_SUITE_P(Roots, WallClockRun,
+                         ::testing::Values(EngineRuntime::kThreads,
+                                           EngineRuntime::kSockets),
+                         [](const auto& info) {
+                           return std::string(info.param ==
+                                                      EngineRuntime::kThreads
+                                                  ? "threads"
+                                                  : "sockets");
+                         });
+
 TEST(ThreadRuntime, AtomicHomeLinearizableUnderThreads) {
   const auto dist = graph::topo::random_replication(4, 3, 2, 29);
   WorkloadSpec spec;
