@@ -166,12 +166,13 @@ if [ "$SANITIZE" = "tsan" ]; then
   # The parallel root's window barrier is lock-free (atomic epoch + spin),
   # and the wall-clock roots' interleavings come from the OS scheduler, so
   # one instrumented pass can miss a rare race: re-run the parallel suites,
-  # the mailbox-executor suites (threads + sockets) and the engine's
-  # handler-failure runs on both roots until one fails, up to three more
-  # times.
+  # the mailbox-executor suites (threads + sockets), the engine's
+  # handler-failure runs on both roots and the socket root's own
+  # worker-side read/write, backlog, detector, stop and hostile-connection
+  # tests until one fails, up to three more times.
   echo "== test: parallel and wall-clock suites, repeated =="
   (cd "$BUILD_DIR" && ctest --output-on-failure -j "$JOBS" \
-      -R 'Parallel|QuantumBoundary|CrossShard|ShardAssignment|ThreadRuntime|ThreadedProtocol|SocketStacks|MailboxExecutor|WallClockRun' \
+      -R 'Parallel|QuantumBoundary|CrossShard|ShardAssignment|ThreadRuntime|ThreadedProtocol|SocketStacks|MailboxExecutor|WallClockRun|Sockets\.(WorkersFlooding|BusyWorker|HaltDoesNot|RejectedFrames|MidStreamDisconnects)|SocketFrames|SocketReadBuffer' \
       --repeat until-fail:3)
 fi
 

@@ -470,20 +470,24 @@ ScenarioRunResult run_sockets(const EngineConfig& config) {
   // Edges at t <= 0 take effect before the first message, exactly like
   // Scenario::apply(): a timeline that starts lossy is lossy from op one.
   apply_instant(kTimeZero);
-  std::thread timeline([&] {
-    const auto epoch = std::chrono::steady_clock::now();
-    for (TimePoint t : edges) {
-      if (t <= kTimeZero) continue;
-      std::this_thread::sleep_until(epoch + std::chrono::microseconds(t.us));
-      apply_instant(t);
-    }
-  });
+  // A thread walks the later edges, if there are any.
+  std::thread timeline;
+  if (!edges.empty() && edges.back() > kTimeZero) {
+    timeline = std::thread([&] {
+      const auto epoch = std::chrono::steady_clock::now();
+      for (TimePoint t : edges) {
+        if (t <= kTimeZero) continue;
+        std::this_thread::sleep_until(epoch + std::chrono::microseconds(t.us));
+        apply_instant(t);
+      }
+    });
+  }
   stack.start_clients();
 
   // The timeline must run to completion before quiescence means anything:
   // a crashed process's client is stalled (zero pending work) until the
   // recovery event resumes it.
-  timeline.join();
+  if (timeline.joinable()) timeline.join();
   const bool quiet = st.await_quiescence(config.quiesce_timeout);
   PARDSM_CHECK(quiet, "sockets runtime failed to quiesce — protocol stuck?");
 

@@ -1,18 +1,23 @@
 #include "simnet/socket_transport.h"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 
 #include "simnet/check.h"
 #include "simnet/rng.h"
-#include "simnet/wire.h"
 
 namespace pardsm {
 
@@ -20,11 +25,16 @@ namespace {
 
 /// Frame types on the wire: [u32 length][u8 type][payload...].
 enum FrameType : std::uint8_t {
-  kFrameHello = 1,      ///< i32 from, u64 incarnation
+  kFrameHello = 1,      ///< i32 from, i32 to, u64 incarnation
   kFrameMsg = 2,        ///< i32 from, i32 to, u64 id, meta, body
   kFrameHeartbeat = 3,  ///< i32 from
   kFrameControl = 4,    ///< i32 from, i32 to, u32 code, u64 arg
 };
+
+/// A HELLO is fixed-size, so the acceptor reads exactly its bytes and
+/// leaves whatever follows for the worker that adopts the connection.
+constexpr std::uint32_t kHelloPayload = 1 + 4 + 4 + 8;
+constexpr std::size_t kHelloBytes = 4 + kHelloPayload;
 
 /// Chaos / jitter stream tags (counter_rng).
 constexpr std::uint64_t kChaosStreamTag = 0xC4A05;
@@ -34,19 +44,8 @@ constexpr std::uint64_t kDialJitterTag = 0xD1A1;
 /// multi-gigabyte allocation.
 constexpr std::uint32_t kMaxFrameBytes = 64u << 20;
 
-/// Prefix `payload` with its little-endian u32 length.
-std::vector<std::uint8_t> length_prefixed(std::vector<std::uint8_t> payload) {
-  PARDSM_CHECK(payload.size() <= kMaxFrameBytes, "socket: frame too large");
-  std::vector<std::uint8_t> out;
-  out.reserve(4 + payload.size());
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  out.push_back(static_cast<std::uint8_t>(len & 0xFF));
-  out.push_back(static_cast<std::uint8_t>((len >> 8) & 0xFF));
-  out.push_back(static_cast<std::uint8_t>((len >> 16) & 0xFF));
-  out.push_back(static_cast<std::uint8_t>((len >> 24) & 0xFF));
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
-}
+/// Initial read buffer of an inbound connection; it doubles when full.
+constexpr std::size_t kReadBufferBytes = 4096;
 
 /// Parse "host:port" into a sockaddr_in.  Returns false on malformed input.
 bool parse_addr(const std::string& host_port, sockaddr_in* out) {
@@ -61,15 +60,28 @@ bool parse_addr(const std::string& host_port, sockaddr_in* out) {
   return inet_pton(AF_INET, host.c_str(), &out->sin_addr) == 1;
 }
 
-/// Read exactly `size` bytes; false on EOF/error.
-bool read_all(int fd, std::uint8_t* data, std::size_t size) {
-  std::size_t got = 0;
-  while (got < size) {
-    const ssize_t n = ::recv(fd, data + got, size - got, 0);
+/// Blocking write of a whole buffer (a fresh connection's HELLO).
+bool write_all(int fd, const std::uint8_t* data, std::size_t size) {
+  std::size_t sent = 0;
+  while (sent < size) {
+    const ssize_t n = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
     if (n <= 0) return false;
-    got += static_cast<std::size_t>(n);
+    sent += static_cast<std::size_t>(n);
   }
   return true;
+}
+
+std::uint32_t load_u32(const std::uint8_t* p) {
+  std::uint32_t v = 0;
+  std::memcpy(&v, p, 4);
+  return v;
+}
+
+timespec to_timespec(std::chrono::nanoseconds d) {
+  const auto ns = std::max<std::int64_t>(d.count(), 0);
+  return timespec{static_cast<std::time_t>(ns / 1'000'000'000),
+                  static_cast<long>(ns % 1'000'000'000)};
 }
 
 }  // namespace
@@ -88,25 +100,26 @@ SocketTransport::SocketTransport(SocketOptions options)
     }
   }
   options_.addrs.resize(n);
+  slot_of_.assign(n, -1);
   rates_ = std::vector<PairRates>(n * n);
   severed_ = std::make_unique<std::atomic<bool>[]>(n * n);
   down_ = std::make_unique<std::atomic<bool>[]>(n);
   for (std::size_t i = 0; i < n * n; ++i) severed_[i].store(false);
   for (std::size_t i = 0; i < n; ++i) down_[i].store(false);
-  peers_.resize(n);
+  peers_ = std::make_unique<PeerState[]>(n);
   stats_.resize(n);
+  stop_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+  PARDSM_CHECK(stop_fd_ >= 0, "sockets: eventfd failed");
 }
 
-SocketTransport::~SocketTransport() { halt(); }
-
-bool SocketTransport::is_local(ProcessId p) const {
-  return local_index_.count(p) > 0;
+SocketTransport::~SocketTransport() {
+  halt();
+  ::close(stop_fd_);
 }
 
 std::size_t SocketTransport::local_index(ProcessId p) const {
-  auto it = local_index_.find(p);
-  PARDSM_CHECK(it != local_index_.end(), "sockets: not a local process");
-  return it->second;
+  PARDSM_CHECK(is_local(p), "sockets: not a local process");
+  return static_cast<std::size_t>(slot_of_[static_cast<std::size_t>(p)]);
 }
 
 ProcessId SocketTransport::add_endpoint(Endpoint* ep) {
@@ -115,7 +128,11 @@ ProcessId SocketTransport::add_endpoint(Endpoint* ep) {
   PARDSM_CHECK(exec_.size() < options_.local_ids.size(),
                "add_endpoint: more endpoints than local_ids");
   const ProcessId assigned = options_.local_ids[exec_.size()];
-  local_index_[assigned] = exec_.add(ep);
+  PARDSM_CHECK(assigned >= 0 && static_cast<std::size_t>(assigned) <
+                                    options_.total_processes,
+               "add_endpoint: local id outside the system");
+  slot_of_[static_cast<std::size_t>(assigned)] =
+      static_cast<int>(exec_.add(ep));
   local_ids_.push_back(assigned);
   return assigned;
 }
@@ -138,7 +155,7 @@ void SocketTransport::start() {
   if (options_.listen_fd >= 0) {
     own_listen_fd_ = options_.listen_fd;
   } else {
-    own_listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    own_listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     PARDSM_CHECK(own_listen_fd_ >= 0, "socket() failed");
     const int one = 1;
     ::setsockopt(own_listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -166,25 +183,28 @@ void SocketTransport::start() {
                  "getsockname() failed");
     listen_port_ = ntohs(bound.sin_port);
   }
+  // The acceptor polls before it accepts: a connection reset in between
+  // must not leave it blocked in accept().
+  ::fcntl(own_listen_fd_, F_SETFL,
+          ::fcntl(own_listen_fd_, F_GETFL) | O_NONBLOCK);
 
-  {
-    const auto t = steady_now();
-    std::lock_guard lock(peers_mu_);
-    for (auto& p : peers_) {
-      p.last_rx = t;
-      p.up = true;
-    }
+  const std::int64_t t = steady_now().time_since_epoch().count();
+  for (std::size_t p = 0; p < options_.total_processes; ++p) {
+    peers_[p].last_rx.store(t);
+    peers_[p].up.store(true);
   }
 
   // One outbound channel per (local sender, any receiver).
+  const std::size_t n = options_.total_processes;
+  out_.assign(local_ids_.size() * n, nullptr);
   for (ProcessId from : local_ids_) {
-    const auto n = static_cast<ProcessId>(options_.total_processes);
-    for (ProcessId to = 0; to < n; ++to) {
+    for (ProcessId to = 0; to < static_cast<ProcessId>(n); ++to) {
       if (to == from) continue;
       auto ch = std::make_unique<OutChannel>();
       ch->from = from;
       ch->to = to;
-      channel_by_pair_[pair_index(from, to)] = ch.get();
+      ch->frame.reserve(256);
+      out_[local_index(from) * n + static_cast<std::size_t>(to)] = ch.get();
       channels_.push_back(std::move(ch));
     }
   }
@@ -206,19 +226,13 @@ void SocketTransport::stop() {
 void SocketTransport::halt() {
   if (!running_.exchange(false)) return;
 
-  // Break the acceptor.
-  if (own_listen_fd_ >= 0) {
-    ::shutdown(own_listen_fd_, SHUT_RDWR);
-    ::close(own_listen_fd_);
-  }
-  // Break blocked readers.
-  {
-    std::lock_guard lock(readers_mu_);
-    for (int fd : reader_fds_) ::shutdown(fd, SHUT_RDWR);
-  }
-  // Wake writers; stop the mailbox workers.
+  // Wake the acceptor and the detector.
+  const std::uint64_t one = 1;
+  (void)!::write(stop_fd_, &one, sizeof(one));
+  // Wake the writers, also one waiting for buffer space; stop the workers.
   for (auto& ch : channels_) {
     std::lock_guard lock(ch->mu);
+    if (ch->fd >= 0) ::shutdown(ch->fd, SHUT_RDWR);
     ch->cv.notify_all();
   }
   exec_.halt();
@@ -229,14 +243,11 @@ void SocketTransport::halt() {
     if (ch->writer.joinable()) ch->writer.join();
   }
   {
-    std::lock_guard lock(readers_mu_);
-    for (auto& t : readers_) {
-      if (t.joinable()) t.join();
-    }
-    for (int fd : reader_fds_) ::close(fd);
-    readers_.clear();
-    reader_fds_.clear();
+    std::lock_guard lock(conns_mu_);
+    for (const auto& c : conns_) ::close(c->fd);
+    conns_.clear();
   }
+  if (own_listen_fd_ >= 0) ::close(own_listen_fd_);
   own_listen_fd_ = -1;
 }
 
@@ -289,14 +300,12 @@ void SocketTransport::send(ProcessId from, ProcessId to, BodyRef body,
 
   // Scenario faults: severed pair / down process drop at the sender.
   if (severed_[pair_index(from, to)].load(std::memory_order_relaxed)) {
-    std::lock_guard lock(counters_mu_);
-    ++drops_.severed;
+    bump(drops_.severed);
     return;
   }
   if (down_[static_cast<std::size_t>(from)].load(std::memory_order_relaxed) ||
       down_[static_cast<std::size_t>(to)].load(std::memory_order_relaxed)) {
-    std::lock_guard lock(counters_mu_);
-    ++drops_.down;
+    bump(drops_.down);
     return;
   }
 
@@ -308,12 +317,12 @@ void SocketTransport::send(ProcessId from, ProcessId to, BodyRef body,
     return;
   }
 
-  OutChannel* ch = channel_by_pair_.at(pair_index(from, to));
+  OutChannel& ch = channel(from, to);
 
   // Chaos + scenario-rate decisions, drawn from a counter-based stream so
   // they depend on (seed, pair, frame index) only.  All sends on a given
   // pair originate on the sender's mailbox thread, so the per-channel
-  // counter needs no lock.
+  // counter (and encoding buffer) needs no lock.
   int copies = 1;
   Duration delay{};
   bool disconnect = false;
@@ -327,7 +336,7 @@ void SocketTransport::send(ProcessId from, ProcessId to, BodyRef body,
   if (options_.chaos.any() || loss_rate > 0.0 || dup_rate > 0.0) {
     Rng rng = counter_rng(options_.chaos.seed,
                           static_cast<std::uint64_t>(from),
-                          static_cast<std::uint64_t>(to), ch->chaos_counter++,
+                          static_cast<std::uint64_t>(to), ch.chaos_counter++,
                           kChaosStreamTag);
     if (rng.chance(loss_rate)) copies = 0;
     if (copies == 1 && rng.chance(dup_rate)) copies = 2;
@@ -344,48 +353,55 @@ void SocketTransport::send(ProcessId from, ProcessId to, BodyRef body,
     disconnect = rng.chance(options_.chaos.disconnect_probability);
   }
   if (copies == 0) {
-    std::lock_guard lock(counters_mu_);
-    ++drops_.loss;
-    ++counters_.chaos_drops;
+    bump(drops_.loss);
+    bump(counters_.chaos_drops);
     return;
   }
 
-  // Serialize once: [type][from][to][id][meta][body].
-  WireWriter w;
-  w.reserve(64);
+  // Serialize once into the channel's buffer:
+  // [u32 length][type][from][to][id][meta][body].
+  WireWriter& w = ch.frame;
+  w.clear();
+  w.u32(0);
   w.u8(kFrameMsg);
   w.i32(from);
   w.i32(to);
   w.u64(m.id);
   wire::encode_meta(w, m.meta);
   wire::encode_body(w, *m.body);
-  std::vector<std::uint8_t> frame = length_prefixed(w.take());
+  PARDSM_CHECK(w.size() - 4 <= kMaxFrameBytes, "socket: frame too large");
+  w.patch_u32(0, static_cast<std::uint32_t>(w.size() - 4));
+  const std::uint8_t* bytes = w.bytes().data();
+  const std::size_t size = w.size();
 
+  if (copies == 2) bump(counters_.chaos_duplicates);
+  if (delay.us > 0) bump(counters_.chaos_delays);
+  if (disconnect) bump(counters_.chaos_disconnects);
+  // Counted before any byte moves: the receiver may deliver (and the run
+  // quiesce) before this thread runs again, and counters must agree.
+  bump(counters_.frames_sent, static_cast<std::uint64_t>(copies));
+  bump(counters_.bytes_sent, static_cast<std::uint64_t>(copies) * size);
+
+  // A frame to a local destination holds its pending unit until the
+  // receiving handler returns; one to a remote process until its last
+  // byte is written (write_or_queue / flush_front).
   const bool local_dest = is_local(to);
-  const auto earliest = steady_now() + std::chrono::microseconds(delay.us);
-  {
-    std::lock_guard lock(counters_mu_);
-    if (copies == 2) ++counters_.chaos_duplicates;
-    if (delay.us > 0) ++counters_.chaos_delays;
-    if (disconnect) ++counters_.chaos_disconnects;
+  std::lock_guard lock(ch.mu);
+  if (copies == 1 && delay.us == 0 && !disconnect) {
+    if (local_dest) exec_.add_pending();
+    write_or_queue(ch, bytes, size, !local_dest);
+    return;
   }
+  // Chaos frames always go through the writer thread, which honours the
+  // head-of-line delay and the injected disconnect.
+  const auto earliest = steady_now() + std::chrono::microseconds(delay.us);
   for (int c = 0; c < copies; ++c) {
-    QueuedFrame qf;
-    qf.bytes = (c + 1 < copies) ? frame : std::move(frame);
+    exec_.add_pending();
+    QueuedFrame& qf = ch.queue.emplace_back();
+    qf.bytes.assign(bytes, bytes + size);
     qf.earliest = earliest;
-    // Local destinations are counted until the delivery handler returns;
-    // remote ones until the bytes are on the wire.
     qf.counts_pending = !local_dest;
     qf.chaos_disconnect = disconnect && c + 1 == copies;
-    exec_.add_pending();
-    enqueue_frame(*ch, std::move(qf));
-  }
-}
-
-void SocketTransport::enqueue_frame(OutChannel& ch, QueuedFrame frame) {
-  {
-    std::lock_guard lock(ch.mu);
-    ch.queue.push_back(std::move(frame));
   }
   ch.cv.notify_one();
 }
@@ -421,8 +437,7 @@ void SocketTransport::set_peer_callback(PeerCallback cb) {
 }
 
 bool SocketTransport::peer_up(ProcessId p) const {
-  std::lock_guard lock(peers_mu_);
-  return peers_[static_cast<std::size_t>(p)].up;
+  return peers_[static_cast<std::size_t>(p)].up.load();
 }
 
 std::uint64_t SocketTransport::peer_incarnation(ProcessId p) const {
@@ -452,53 +467,131 @@ void SocketTransport::send_control(ProcessId to, std::uint32_t code,
   }
   WireWriter w;
   w.reserve(32);
+  w.u32(1 + 4 + 4 + 4 + 8);
   w.u8(kFrameControl);
   w.i32(from);
   w.i32(to);
   w.u32(code);
   w.u64(arg);
-  QueuedFrame qf;
-  qf.bytes = length_prefixed(w.take());
-  qf.earliest = steady_now();
-  qf.counts_pending = false;
-  OutChannel* ch = channel_by_pair_.at(pair_index(from, to));
-  enqueue_frame(*ch, std::move(qf));
+  bump(counters_.frames_sent);
+  bump(counters_.bytes_sent, w.size());
+  OutChannel& ch = channel(from, to);
+  std::lock_guard lock(ch.mu);
+  write_or_queue(ch, w.bytes().data(), w.size(), /*counts_pending=*/false);
 }
 
 std::uint16_t SocketTransport::port() const { return listen_port_; }
 
 DropCounters SocketTransport::drops() const {
-  std::lock_guard lock(counters_mu_);
-  return drops_;
+  DropCounters d;
+  d.loss = load(drops_.loss);
+  d.severed = load(drops_.severed);
+  d.down = load(drops_.down);
+  return d;
 }
 
 SocketCounters SocketTransport::counters() const {
-  std::lock_guard lock(counters_mu_);
-  return counters_;
+  SocketCounters c;
+  c.frames_sent = load(counters_.frames_sent);
+  c.frames_received = load(counters_.frames_received);
+  c.frames_rejected = load(counters_.frames_rejected);
+  c.bytes_sent = load(counters_.bytes_sent);
+  c.bytes_received = load(counters_.bytes_received);
+  c.heartbeats_sent = load(counters_.heartbeats_sent);
+  c.heartbeats_received = load(counters_.heartbeats_received);
+  c.dials = load(counters_.dials);
+  c.reconnects = load(counters_.reconnects);
+  c.chaos_drops = load(counters_.chaos_drops);
+  c.chaos_duplicates = load(counters_.chaos_duplicates);
+  c.chaos_disconnects = load(counters_.chaos_disconnects);
+  c.chaos_delays = load(counters_.chaos_delays);
+  c.peer_down_events = load(counters_.peer_down_events);
+  c.peer_up_events = load(counters_.peer_up_events);
+  return c;
 }
 
 // -- writer side -------------------------------------------------------------
 
-bool SocketTransport::write_all(int fd, const std::uint8_t* data,
-                                std::size_t size) {
+std::size_t SocketTransport::write_now(OutChannel& ch,
+                                       const std::uint8_t* data,
+                                       std::size_t size) {
   std::size_t sent = 0;
   while (sent < size) {
-    const ssize_t n =
-        ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
-    if (n <= 0) return false;
-    sent += static_cast<std::size_t>(n);
+    const ssize_t n = ::send(ch.fd, data + sent, size - sent,
+                             MSG_DONTWAIT | MSG_NOSIGNAL);
+    if (n > 0) {
+      sent += static_cast<std::size_t>(n);
+    } else if (n < 0 && errno == EINTR) {
+      continue;
+    } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      break;
+    } else {
+      // Broken connection: what went out is lost with it, so the frame is
+      // resent whole after the writer thread redials.
+      ch.broken = true;
+      return 0;
+    }
   }
-  return true;
+  return sent;
 }
 
-bool SocketTransport::ensure_connected(OutChannel& ch) {
-  while (running_.load()) {
-    if (ch.fd >= 0) return true;
-    {
-      std::lock_guard lock(counters_mu_);
-      ++counters_.dials;
+void SocketTransport::write_or_queue(OutChannel& ch, const std::uint8_t* data,
+                                     std::size_t size, bool counts_pending) {
+  std::size_t sent = 0;
+  if (ch.fd >= 0 && !ch.broken && ch.queue.empty()) {
+    sent = write_now(ch, data, size);
+    if (sent == size) {
+      ++ch.frames_written;
+      return;
     }
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  }
+  if (counts_pending) exec_.add_pending();
+  QueuedFrame& qf = ch.queue.emplace_back();
+  qf.bytes.assign(data, data + size);
+  qf.written = sent;
+  qf.counts_pending = counts_pending;
+  ch.cv.notify_one();
+}
+
+void SocketTransport::flush_front(OutChannel& ch,
+                                  std::unique_lock<std::mutex>& lock) {
+  QueuedFrame& qf = ch.queue.front();
+  while (qf.written < qf.bytes.size()) {
+    const std::size_t n =
+        write_now(ch, qf.bytes.data() + qf.written,
+                  qf.bytes.size() - qf.written);
+    if (ch.broken) {
+      qf.written = 0;
+      return;
+    }
+    qf.written += n;
+    if (n == 0) {
+      // The socket buffer is full: wait for room without the lock, so the
+      // sender's worker can keep queueing.  halt() shuts the socket down,
+      // which ends the wait.
+      pollfd pfd{ch.fd, POLLOUT, 0};
+      lock.unlock();
+      (void)::poll(&pfd, 1, 100);
+      lock.lock();
+      if (!running_.load()) return;
+    }
+  }
+  const bool counts_pending = qf.counts_pending;
+  const bool disconnect = qf.chaos_disconnect;
+  ch.queue.pop_front();
+  ++ch.frames_written;
+  if (counts_pending) exec_.finish_item();
+  if (disconnect) {
+    // Injected mid-stream disconnect: the frame itself was written.
+    ::close(ch.fd);
+    ch.fd = -1;
+  }
+}
+
+int SocketTransport::dial(OutChannel& ch) {
+  while (running_.load()) {
+    bump(counters_.dials);
+    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     bool ok = fd >= 0;
     if (ok) {
       sockaddr_in addr{};
@@ -518,24 +611,21 @@ bool SocketTransport::ensure_connected(OutChannel& ch) {
     if (ok) {
       const int one = 1;
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      // Announce ourselves before any data frame.
+      // Announce ourselves and the destination before any data frame.
       WireWriter w;
-      w.reserve(16);
+      w.reserve(kHelloBytes);
+      w.u32(kHelloPayload);
       w.u8(kFrameHello);
       w.i32(ch.from);
+      w.i32(ch.to);
       w.u64(options_.incarnation);
-      const auto hello = length_prefixed(w.take());
-      ok = write_all(fd, hello.data(), hello.size());
+      ok = write_all(fd, w.bytes().data(), w.size());
     }
     if (ok) {
-      if (ch.was_connected) {
-        std::lock_guard lock(counters_mu_);
-        ++counters_.reconnects;
-      }
+      if (ch.was_connected) bump(counters_.reconnects);
       ch.was_connected = true;
       ch.dial_attempts = 0;
-      ch.fd = fd;
-      return true;
+      return fd;
     }
     if (fd >= 0) ::close(fd);
 
@@ -568,95 +658,74 @@ bool SocketTransport::ensure_connected(OutChannel& ch) {
                            static_cast<std::int64_t>(backoff_us), 100)),
                    [this] { return !running_.load(); });
   }
-  return false;
+  return -1;
 }
 
 void SocketTransport::writer_loop(OutChannel& ch) {
-  const auto heartbeat =
-      std::chrono::microseconds(options_.heartbeat_period.us);
-  // Force an immediate first heartbeat: it dials the connection eagerly.
-  auto last_write = steady_now() - heartbeat;
+  const auto period = std::chrono::microseconds(options_.heartbeat_period.us);
+  // Idle since long enough ago to send a first heartbeat at once: it
+  // dials the connection eagerly.
+  auto idle_since = steady_now() - period;
+  std::uint64_t seen = 0;
 
+  std::unique_lock lock(ch.mu);
   while (running_.load()) {
-    bool frame_ready = false;
-    {
-      std::unique_lock lock(ch.mu);
-      const auto wake = [&] {
-        if (!running_.load()) return true;
-        if (!ch.queue.empty() && ch.queue.front().earliest <= steady_now()) {
-          return true;
-        }
-        return steady_now() - last_write >= heartbeat;
-      };
-      while (!wake()) {
-        auto deadline = last_write + heartbeat;
-        if (!ch.queue.empty() && ch.queue.front().earliest < deadline) {
-          deadline = ch.queue.front().earliest;
-        }
-        ch.cv.wait_until(lock, deadline);
-      }
-      if (!running_.load()) break;
-      frame_ready =
-          !ch.queue.empty() && ch.queue.front().earliest <= steady_now();
+    if (ch.broken) {
+      ::close(ch.fd);
+      ch.fd = -1;
+      ch.broken = false;
+    }
+    const auto t = steady_now();
+    if (ch.frames_written != seen) {
+      seen = ch.frames_written;
+      idle_since = t;
+    }
+    // A frame not yet due (chaos delay) has no byte written, so a
+    // heartbeat can still go out ahead of it.
+    const bool frame_ready =
+        !ch.queue.empty() && ch.queue.front().earliest <= t;
+    const bool beat_due = !frame_ready && t - idle_since >= period;
+    if (!frame_ready && !beat_due) {
+      auto until = idle_since + period;
+      if (!ch.queue.empty()) until = std::min(until, ch.queue.front().earliest);
+      ch.cv.wait_until(lock, until);
+      continue;
     }
 
-    if (!ensure_connected(ch)) break;
+    if (ch.fd < 0) {
+      lock.unlock();
+      const int fd = dial(ch);
+      lock.lock();
+      if (fd < 0) break;
+      ch.fd = fd;
+      // A frame cut short on the broken connection starts over.
+      if (!ch.queue.empty()) ch.queue.front().written = 0;
+      continue;
+    }
 
     if (frame_ready) {
-      QueuedFrame qf;
-      {
-        std::lock_guard lock(ch.mu);
-        if (ch.queue.empty()) continue;
-        qf = std::move(ch.queue.front());
-        ch.queue.pop_front();
-      }
-      // Count the frame before writing it: once the bytes hit the wire
-      // the receiver side may observe (and even quiesce on) the delivery
-      // before this thread runs again, and counters must already agree.
-      {
-        std::lock_guard lock(counters_mu_);
-        ++counters_.frames_sent;
-        counters_.bytes_sent += qf.bytes.size();
-      }
-      if (!write_all(ch.fd, qf.bytes.data(), qf.bytes.size())) {
-        // Broken connection: retain the frame at the front, un-count it
-        // (it will be re-counted when the rewrite succeeds), reconnect.
-        {
-          std::lock_guard lock(counters_mu_);
-          --counters_.frames_sent;
-          counters_.bytes_sent -= qf.bytes.size();
-        }
-        ::close(ch.fd);
-        ch.fd = -1;
-        std::lock_guard lock(ch.mu);
-        ch.queue.push_front(std::move(qf));
-        continue;
-      }
-      last_write = steady_now();
-      if (qf.counts_pending) exec_.finish_item();
-      if (qf.chaos_disconnect) {
-        // Injected mid-stream disconnect: the frame itself was written.
-        ::close(ch.fd);
-        ch.fd = -1;
-      }
+      flush_front(ch, lock);
       continue;
     }
 
     // Idle: keep the channel warm (and the peer's failure detector fed).
-    WireWriter w;
-    w.reserve(8);
-    w.u8(kFrameHeartbeat);
-    w.i32(ch.from);
-    const auto beat = length_prefixed(w.take());
-    if (write_all(ch.fd, beat.data(), beat.size())) {
-      last_write = steady_now();
-      std::lock_guard lock(counters_mu_);
-      ++counters_.heartbeats_sent;
-      counters_.bytes_sent += beat.size();
-    } else {
-      ::close(ch.fd);
-      ch.fd = -1;
+    std::array<std::uint8_t, 9> beat{};
+    const std::uint32_t len = 1 + 4;
+    std::memcpy(beat.data(), &len, 4);
+    beat[4] = kFrameHeartbeat;
+    std::memcpy(beat.data() + 5, &ch.from, 4);
+    const std::size_t sent = write_now(ch, beat.data(), beat.size());
+    if (!ch.broken) {
+      bump(counters_.heartbeats_sent);
+      bump(counters_.bytes_sent, beat.size());
+      if (sent < beat.size()) {
+        // Partly written: the rest goes first, ahead of any queued frame.
+        QueuedFrame& rest = ch.queue.emplace_front();
+        rest.bytes.assign(beat.begin(), beat.end());
+        rest.written = sent;
+      }
     }
+    idle_since = t;
   }
   if (ch.fd >= 0) {
     ::close(ch.fd);
@@ -667,81 +736,201 @@ void SocketTransport::writer_loop(OutChannel& ch) {
 // -- reader side -------------------------------------------------------------
 
 void SocketTransport::acceptor_loop() {
+  // Connections whose HELLO has not fully arrived yet.
+  struct Pending {
+    int fd;
+    std::chrono::steady_clock::time_point deadline;
+    std::array<std::uint8_t, kHelloBytes> hello;
+    std::size_t got = 0;
+  };
+  std::vector<Pending> pending;
+  std::vector<pollfd> fds;
+  const auto patience =
+      std::chrono::microseconds(options_.heartbeat_timeout.us);
+  const auto drop = [&](std::size_t i, bool count) {
+    if (count) reject_frame();
+    ::close(pending[i].fd);
+    pending[i] = pending.back();
+    pending.pop_back();
+  };
+
   while (running_.load()) {
-    const int fd = ::accept(own_listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (!running_.load()) return;
+    fds.clear();
+    fds.push_back({stop_fd_, POLLIN, 0});
+    fds.push_back({own_listen_fd_, POLLIN, 0});
+    auto wake = steady_now() + std::chrono::hours(1);
+    for (const Pending& p : pending) {
+      fds.push_back({p.fd, POLLIN, 0});
+      wake = std::min(wake, p.deadline);
+    }
+    const timespec wait = to_timespec(wake - steady_now());
+    if (::ppoll(fds.data(), fds.size(), &wait, nullptr) < 0 &&
+        errno != EINTR) {
       continue;
     }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    std::lock_guard lock(readers_mu_);
-    if (!running_.load()) {
-      ::close(fd);
-      return;
+    if (!running_.load()) break;
+
+    // Progress on pending HELLOs (fds[2 + i] is pending[i]); walk
+    // backwards so dropping one leaves the unvisited indices in place.
+    const auto t = steady_now();
+    for (std::size_t i = pending.size(); i-- > 0;) {
+      Pending& p = pending[i];
+      if (fds[2 + i].revents != 0) {
+        const ssize_t n = ::recv(p.fd, p.hello.data() + p.got,
+                                 kHelloBytes - p.got, MSG_DONTWAIT);
+        if (n == 0 || (n < 0 && errno != EAGAIN && errno != EINTR)) {
+          drop(i, /*count=*/false);  // gone before saying hello
+          continue;
+        }
+        if (n > 0) p.got += static_cast<std::size_t>(n);
+        if (p.got >= 5 && (load_u32(p.hello.data()) != kHelloPayload ||
+                           p.hello[4] != kFrameHello)) {
+          drop(i, /*count=*/true);  // first frame is not a HELLO
+          continue;
+        }
+        if (p.got == kHelloBytes) {
+          bind_connection(p.fd, p.hello.data());
+          pending[i] = pending.back();
+          pending.pop_back();
+          continue;
+        }
+      }
+      if (p.deadline <= t) drop(i, /*count=*/true);  // silent
     }
-    reader_fds_.push_back(fd);
-    readers_.emplace_back([this, fd] { reader_loop(fd); });
+
+    if ((fds[1].revents & POLLIN) != 0) {
+      const int fd = ::accept4(own_listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
+      if (fd >= 0) {
+        const int one = 1;
+        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+        pending.push_back({fd, t + patience, {}, 0});
+      }
+    }
   }
+  for (const Pending& p : pending) ::close(p.fd);
 }
 
-void SocketTransport::reader_loop(int fd) {
-  std::vector<std::uint8_t> payload;
-  while (running_.load()) {
-    std::uint8_t len_bytes[4];
-    if (!read_all(fd, len_bytes, 4)) return;
-    const std::uint32_t len =
-        static_cast<std::uint32_t>(len_bytes[0]) |
-        (static_cast<std::uint32_t>(len_bytes[1]) << 8) |
-        (static_cast<std::uint32_t>(len_bytes[2]) << 16) |
-        (static_cast<std::uint32_t>(len_bytes[3]) << 24);
-    if (len > kMaxFrameBytes) {  // corrupt stream: drop connection
+void SocketTransport::bind_connection(int fd, const std::uint8_t* hello) {
+  WireReader r(hello + 5, kHelloBytes - 5);
+  const ProcessId from = r.i32();
+  const ProcessId to = r.i32();
+  const std::uint64_t incarnation = r.u64();
+  if (from < 0 || static_cast<std::size_t>(from) >= options_.total_processes ||
+      !is_local(to)) {
+    reject_frame();
+    ::close(fd);
+    return;
+  }
+  {
+    std::lock_guard lock(peers_mu_);
+    PeerState& p = peers_[static_cast<std::size_t>(from)];
+    p.incarnation = std::max(p.incarnation, incarnation);
+  }
+  note_rx(from);
+
+  auto conn = std::make_unique<InConn>();
+  conn->fd = fd;
+  conn->from = from;
+  conn->to = to;
+  conn->slot = local_index(to);
+  conn->seq = accepted_++;
+  conn->cap = kReadBufferBytes;
+  conn->buf = std::make_unique_for_overwrite<std::uint8_t[]>(conn->cap);
+  InConn* raw = conn.get();
+  {
+    std::lock_guard lock(conns_mu_);
+    conns_.push_back(std::move(conn));
+  }
+  exec_.post(raw->slot, [this, raw] { adopt(*raw); });
+}
+
+void SocketTransport::adopt(InConn& c) {
+  // Frames the sender wrote on its earlier connections to this process
+  // come before the new one's: read what has arrived of them first.
+  std::vector<InConn*> older;
+  {
+    std::lock_guard lock(conns_mu_);
+    for (const auto& o : conns_) {
+      if (o->seq < c.seq && o->from == c.from && o->to == c.to) {
+        older.push_back(o.get());
+      }
+    }
+  }
+  for (InConn* o : older) {
+    while (read_some(*o) > 0) {
+    }
+  }
+  exec_.watch(c.slot, c.fd, &c);
+}
+
+void SocketTransport::readable(void* tag) {
+  (void)read_some(*static_cast<InConn*>(tag));
+}
+
+std::ptrdiff_t SocketTransport::read_some(InConn& c) {
+  if (c.tail == c.cap) {
+    if (c.head > 0) {
+      std::memmove(c.buf.get(), c.buf.get() + c.head, c.tail - c.head);
+      c.tail -= c.head;
+      c.head = 0;
+    } else {
+      // One frame fills the buffer: grow it by the bytes that did arrive,
+      // never by what the length prefix claims.
+      const std::size_t cap = std::min<std::size_t>(c.cap * 2,
+                                                    4 + kMaxFrameBytes);
+      auto buf = std::make_unique_for_overwrite<std::uint8_t[]>(cap);
+      std::memcpy(buf.get(), c.buf.get(), c.tail);
+      c.buf = std::move(buf);
+      c.cap = cap;
+    }
+  }
+  const ssize_t n =
+      ::recv(c.fd, c.buf.get() + c.tail, c.cap - c.tail, MSG_DONTWAIT);
+  if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {
+    return 0;
+  }
+  if (n <= 0) {  // EOF or a reset: the sender redials if it is alive
+    close_connection(c);
+    return -1;
+  }
+  c.tail += static_cast<std::size_t>(n);
+  bump(counters_.bytes_received, static_cast<std::uint64_t>(n));
+  note_rx(c.from);
+
+  while (c.tail - c.head >= 4) {
+    const std::uint32_t len = load_u32(c.buf.get() + c.head);
+    if (len > kMaxFrameBytes) {  // corrupt stream: drop the connection
       reject_frame();
-      return;
+      close_connection(c);
+      return -1;
     }
-    payload.resize(len);
-    if (!read_all(fd, payload.data(), len)) return;
-    {
-      std::lock_guard lock(counters_mu_);
-      counters_.bytes_received += 4 + len;
-    }
+    if (c.tail - c.head - 4 < len) break;
+    WireReader r(c.buf.get() + c.head + 4, len);
     try {
-      handle_frame(payload);
+      handle_frame(c, r);
     } catch (const std::exception&) {
-      // Undecodable frame (truncated, unknown tag, foreign destination,
-      // out-of-range sender or variable): drop the connection rather than
-      // the whole process — the sender will reconnect and the ARQ/RSYNC
-      // layers repair the stream.
+      // Undecodable frame (truncated, unknown tag or kind, wrong
+      // destination, out-of-range sender or variable): drop the connection
+      // rather than the whole process — the sender will reconnect and the
+      // ARQ/RSYNC layers repair the stream.  Handler exceptions never get
+      // here: deliver_now() keeps them for await_quiescence() and stop().
       reject_frame();
-      return;
+      close_connection(c);
+      return -1;
     }
+    c.head += 4 + len;
   }
+  if (c.head == c.tail) c.head = c.tail = 0;
+  return n;
 }
 
-void SocketTransport::reject_frame() {
-  std::lock_guard lock(counters_mu_);
-  ++counters_.frames_rejected;
-}
-
-void SocketTransport::handle_frame(const std::vector<std::uint8_t>& payload) {
-  WireReader r(payload);
+void SocketTransport::handle_frame(InConn& c, WireReader& r) {
   const std::uint8_t type = r.u8();
   switch (type) {
-    case kFrameHello: {
-      const ProcessId from = r.i32();
-      const std::uint64_t inc = r.u64();
-      note_rx(from, inc, /*is_hello=*/true);
+    case kFrameHeartbeat:
+      (void)r.i32();
+      bump(counters_.heartbeats_received);
       return;
-    }
-    case kFrameHeartbeat: {
-      const ProcessId from = r.i32();
-      {
-        std::lock_guard lock(counters_mu_);
-        ++counters_.heartbeats_received;
-      }
-      note_rx(from, 0, /*is_hello=*/false);
-      return;
-    }
     case kFrameMsg: {
       // Everything downstream indexes by these ids (stats rows, exposure
       // columns, protocol tables), so a well-formed frame naming a process
@@ -754,25 +943,22 @@ void SocketTransport::handle_frame(const std::vector<std::uint8_t>& payload) {
       PARDSM_CHECK(m.from >= 0 && static_cast<std::size_t>(m.from) <
                                       options_.total_processes,
                    "sockets: frame from a process outside the system");
-      PARDSM_CHECK(is_local(m.to), "sockets: frame for a foreign process");
+      PARDSM_CHECK(m.to == c.to,
+                   "sockets: frame for another process than its HELLO's");
       m.meta = wire::decode_meta(r);
       for (VarId x : m.meta.vars_mentioned) {
         PARDSM_CHECK(x >= 0 && static_cast<std::size_t>(x) < var_count_,
                      "sockets: frame mentions an undeclared variable");
       }
       m.body = wire::decode_body(r, arena_);
-      note_rx(m.from, 0, /*is_hello=*/false);
       exec_.note_activity();
-      {
-        std::lock_guard lock(counters_mu_);
-        ++counters_.frames_received;
-      }
+      bump(counters_.frames_received);
       m.send_time = now();  // wall receive time; latency is not modelled
       m.deliver_time = m.send_time;
       // A frame from a remote OS process was never counted by our send();
       // one from a local sender (loopback) was.
       if (!is_local(m.from)) exec_.add_pending();
-      exec_.enqueue(local_index(m.to), std::move(m));
+      exec_.deliver_now(c.slot, std::move(m));
       return;
     }
     case kFrameControl: {
@@ -780,8 +966,11 @@ void SocketTransport::handle_frame(const std::vector<std::uint8_t>& payload) {
       const ProcessId to = r.i32();
       const std::uint32_t code = r.u32();
       const std::uint64_t arg = r.u64();
-      PARDSM_CHECK(is_local(to), "sockets: control for a foreign process");
-      note_rx(from, 0, /*is_hello=*/false);
+      PARDSM_CHECK(from >= 0 && static_cast<std::size_t>(from) <
+                                    options_.total_processes,
+                   "sockets: control from a process outside the system");
+      PARDSM_CHECK(to == c.to,
+                   "sockets: control for another process than its HELLO's");
       exec_.note_activity();
       ControlCallback cb;
       {
@@ -792,41 +981,56 @@ void SocketTransport::handle_frame(const std::vector<std::uint8_t>& payload) {
       return;
     }
     default:
-      PARDSM_CHECK(false, "sockets: unknown frame type");
+      PARDSM_CHECK(false, "sockets: unexpected frame type");
   }
 }
 
-void SocketTransport::note_rx(ProcessId from, std::uint64_t incarnation,
-                              bool is_hello) {
-  if (from < 0 ||
-      static_cast<std::size_t>(from) >= options_.total_processes) {
-    return;
-  }
-  bool came_up = false;
+void SocketTransport::close_connection(InConn& c) {
+  exec_.unwatch(c.slot, c.fd);
+  std::lock_guard lock(conns_mu_);
+  ::close(c.fd);
+  const auto it = std::find_if(conns_.begin(), conns_.end(),
+                               [&](const auto& o) { return o.get() == &c; });
+  *it = std::move(conns_.back());
+  conns_.pop_back();
+}
+
+// -- liveness ----------------------------------------------------------------
+
+void SocketTransport::note_rx(ProcessId from) {
+  PeerState& p = peers_[static_cast<std::size_t>(from)];
+  p.last_rx.store(steady_now().time_since_epoch().count(),
+                  std::memory_order_relaxed);
+  if (p.up.load(std::memory_order_relaxed)) return;
   std::uint64_t inc = 0;
   {
     std::lock_guard lock(peers_mu_);
-    PeerState& p = peers_[static_cast<std::size_t>(from)];
-    p.last_rx = steady_now();
-    if (is_hello && incarnation > p.incarnation) p.incarnation = incarnation;
-    if (!p.up) {
-      p.up = true;
-      came_up = true;
-    }
+    if (p.up.load()) return;
+    p.up.store(true);
     inc = p.incarnation;
   }
-  if (came_up) {
-    {
-      std::lock_guard lock(counters_mu_);
-      ++counters_.peer_up_events;
-    }
-    PeerCallback cb;
-    {
-      std::lock_guard lock(cb_mu_);
-      cb = peer_cb_;
-    }
-    if (cb) cb(from, true, inc);
+  bump(counters_.peer_up_events);
+  report_peer(from, true, inc);
+}
+
+bool SocketTransport::has_unread(ProcessId p) {
+  std::lock_guard lock(conns_mu_);
+  for (const auto& c : conns_) {
+    if (c->from != p) continue;
+    pollfd pfd{c->fd, POLLIN, 0};
+    if (::poll(&pfd, 1, 0) > 0 && (pfd.revents & POLLIN) != 0) return true;
   }
+  return false;
+}
+
+void SocketTransport::report_peer(ProcessId p, bool up,
+                                  std::uint64_t incarnation) {
+  PeerCallback cb;
+  {
+    std::lock_guard lock(cb_mu_);
+    cb = peer_cb_;
+  }
+  if (cb) cb(p, up, incarnation);
 }
 
 void SocketTransport::detector_loop() {
@@ -834,35 +1038,33 @@ void SocketTransport::detector_loop() {
       std::chrono::microseconds(options_.heartbeat_timeout.us);
   const auto tick = std::chrono::microseconds(
       std::max<std::int64_t>(options_.heartbeat_period.us / 2, 1000));
+  const timespec wait = to_timespec(tick);
   while (running_.load()) {
-    std::this_thread::sleep_for(tick);
+    pollfd stop{stop_fd_, POLLIN, 0};
+    (void)::ppoll(&stop, 1, &wait, nullptr);
     if (!running_.load()) return;
     const auto t = steady_now();
     for (std::size_t p = 0; p < options_.total_processes; ++p) {
-      if (is_local(static_cast<ProcessId>(p))) continue;
-      bool went_down = false;
+      const auto peer = static_cast<ProcessId>(p);
+      PeerState& ps = peers_[p];
+      if (is_local(peer) || !ps.up.load()) continue;
+      const std::chrono::steady_clock::time_point last{
+          std::chrono::steady_clock::duration{ps.last_rx.load()}};
+      if (t - last <= timeout) continue;
+      // Silent past the timeout — unless its frames are waiting for a
+      // worker that is busy in a long handler.
+      if (has_unread(peer)) {
+        ps.last_rx.store(t.time_since_epoch().count());
+        continue;
+      }
       std::uint64_t inc = 0;
       {
         std::lock_guard lock(peers_mu_);
-        PeerState& ps = peers_[p];
-        if (ps.up && t - ps.last_rx > timeout) {
-          ps.up = false;
-          went_down = true;
-          inc = ps.incarnation;
-        }
+        ps.up.store(false);
+        inc = ps.incarnation;
       }
-      if (went_down) {
-        {
-          std::lock_guard lock(counters_mu_);
-          ++counters_.peer_down_events;
-        }
-        PeerCallback cb;
-        {
-          std::lock_guard lock(cb_mu_);
-          cb = peer_cb_;
-        }
-        if (cb) cb(static_cast<ProcessId>(p), false, inc);
-      }
+      bump(counters_.peer_down_events);
+      report_peer(peer, false, inc);
     }
   }
 }
@@ -876,8 +1078,7 @@ void SocketTransport::deliver(Endpoint& ep, const Message& m) {
     // layer never sees (or acks) the message, so it repairs it after
     // recovery — an op in flight at crash completes late instead of losing
     // its response above the reliable layer.
-    std::lock_guard lock(counters_mu_);
-    ++drops_.down;
+    bump(drops_.down);
     return;
   }
   stats_.on_deliver(m);

@@ -4,12 +4,12 @@
 // SocketTransport is the fourth HostTransport root, next to Simulator,
 // ThreadRuntime and ParallelSimulator.  Endpoints registered here run on
 // the same MailboxExecutor as ThreadRuntime's (simnet/thread_runtime.h):
-// this root owns the channels, readers, failure detector and chaos, and
-// hands the executor its mailboxes, timers and quiescence ledger.  Every
-// message is serialized (simnet/wire.h), framed and written onto a real
-// TCP connection — even when sender and receiver live in the same OS
-// process — and reaches its endpoint through the executor's delivery
-// hook, where the fail-pause window of set_down() suppresses it.  Two
+// this root owns the channels, the acceptor, the failure detector and
+// chaos, and hands the executor its mailboxes, timers and quiescence
+// ledger.  Every message is serialized (simnet/wire.h), framed and written
+// onto a real TCP connection — even when sender and receiver live in the
+// same OS process — and is delivered to its endpoint on that endpoint's
+// worker, where the fail-pause window of set_down() suppresses it.  Two
 // deployment shapes share the implementation:
 //
 //   * all-local (EngineRuntime::kSockets): every endpoint is registered in
@@ -20,27 +20,42 @@
 //     (options.local_ids = {i}); peers are dialed at options.addrs[j].
 //     Global quiescence is unknowable, so runs settle with drain().
 //
-// Robustness machinery (the reason this root exists):
+// Data path: a message crosses one thread handoff.  send() encodes the
+// MSG frame once into the channel's reusable buffer and, when the channel
+// is connected and nothing is queued on it, writes it from the sender's
+// own worker with a non-blocking send.  The receiver's worker parks in
+// epoll on its inbound connections, reads each readable one with one
+// buffered recv and delivers every complete frame in it on the spot.
 //
-//   * every directed pair has a sender-owned outbound channel with its own
-//     writer thread; a failed dial or broken write triggers reconnection
-//     with capped exponential backoff plus deterministic jitter
-//     (counter_rng keyed on (seed, from, to, attempt) — independent of
-//     thread interleaving).  Queued frames are retained across reconnects
-//     and flushed in order after the HELLO.
-//   * each channel emits HEARTBEAT frames when idle; the receiver-side
-//     failure detector declares a peer down when nothing (heartbeat or
-//     data) has arrived within heartbeat_timeout and up again on the next
+// Threads besides the workers:
+//
+//   * one writer per directed pair (sender-owned outbound channel).  It
+//     dials, redials with capped exponential backoff plus deterministic
+//     jitter (counter_rng keyed on (seed, from, to, attempt) — independent
+//     of thread interleaving), and sends HEARTBEAT frames when the channel
+//     is idle.  It also writes whatever a worker could not: the unwritten
+//     rest of a frame the socket buffer did not take, frames queued behind
+//     such a backlog or behind a broken connection (retained across the
+//     reconnect and flushed in order after the HELLO), and chaos-delayed
+//     or duplicated frames.  A worker never waits for buffer space.
+//   * one acceptor.  It reads each new connection's HELLO — [from, to,
+//     incarnation], within heartbeat_timeout, without blocking other
+//     accepts — and hands the connection to the worker of `to`.  A
+//     bumped incarnation identifies a restarted (kill -9'd and respawned)
+//     peer.
+//   * one failure detector.  It declares a peer down when nothing
+//     (heartbeat or data) has been read from it within heartbeat_timeout
+//     and nothing unread waits on its connections either (a worker busy
+//     in a long handler is not a dead peer), and up again on the next
 //     frame, reporting transitions through set_peer_callback — the hook
 //     the engine routes into McsProcess crash()/recover() + RSYNC.
-//   * HELLO frames carry an incarnation number; a bumped incarnation
-//     identifies a restarted (kill -9'd and respawned) peer.
-//   * ChaosOptions injects faults at the socket layer: sender-side frame
-//     drops and duplications, head-of-line delivery delays and deliberate
-//     mid-stream disconnects, all drawn from counter-based streams so a
-//     chaos run is reproducible.  Scenario loss/duplication windows map
-//     onto set_loss_rate()/set_duplicate_rate(); partitions map onto
-//     set_severed() — the property net (P1-P6) runs unmodified above.
+//
+// ChaosOptions injects faults at the socket layer: sender-side frame drops
+// and duplications, head-of-line delivery delays and deliberate
+// mid-stream disconnects, all drawn from counter-based streams so a chaos
+// run is reproducible.  Scenario loss/duplication windows map onto
+// set_loss_rate()/set_duplicate_rate(); partitions map onto set_severed()
+// — the property net (P1-P6) runs unmodified above.
 //
 // Wire format: [u32 length][u8 frame type][payload ...], little-endian.
 // See docs/DEPLOYMENT.md for the full frame catalogue and tuning guide.
@@ -49,10 +64,10 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -64,6 +79,7 @@
 #include "simnet/stats.h"
 #include "simnet/thread_runtime.h"
 #include "simnet/transport.h"
+#include "simnet/wire.h"
 
 namespace pardsm {
 
@@ -130,13 +146,18 @@ struct SocketOptions {
 /// Socket-layer counters (what actually happened on the wire — distinct
 /// from NetworkStats, which accounts the modelled message bytes).
 struct SocketCounters {
-  std::uint64_t frames_sent = 0;       ///< data frames written
+  std::uint64_t frames_sent = 0;       ///< data frames committed to a
+                                       ///< channel (written, or queued
+                                       ///< at stop)
   std::uint64_t frames_received = 0;   ///< data frames decoded
   std::uint64_t frames_rejected = 0;   ///< oversized, undecodable or
-                                       ///< out-of-range frames (each
-                                       ///< drops its connection)
-  std::uint64_t bytes_sent = 0;        ///< wire bytes written (all frames)
-  std::uint64_t bytes_received = 0;    ///< wire bytes read (all frames)
+                                       ///< out-of-range frames, and
+                                       ///< connections without a valid
+                                       ///< HELLO in heartbeat_timeout
+                                       ///< (each drops its connection)
+  std::uint64_t bytes_sent = 0;        ///< bytes of data and heartbeat
+                                       ///< frames
+  std::uint64_t bytes_received = 0;    ///< bytes read after the HELLOs
   std::uint64_t heartbeats_sent = 0;
   std::uint64_t heartbeats_received = 0;
   std::uint64_t dials = 0;             ///< connection attempts
@@ -167,7 +188,7 @@ class SocketTransport final : public RootTransport,
   /// Set/override a peer's address (pre-start).
   void set_peer_addr(ProcessId p, std::string host_port);
 
-  /// Bind the listener, spawn mailbox/channel/acceptor/detector threads.
+  /// Bind the listener, spawn mailbox/writer/acceptor/detector threads.
   void start();
 
   /// Stop and join every thread; closes all sockets.  Then rethrows a
@@ -206,8 +227,8 @@ class SocketTransport final : public RootTransport,
   [[nodiscard]] TimePoint now() const override { return exec_.now(); }
   void set_timer(ProcessId who, Duration delay, TimerTag tag) override;
   [[nodiscard]] std::size_t process_count() const override;
-  /// Concurrent arena: bodies are created on app/mailbox threads and
-  /// decoded on reader threads, and recycle from any of them.
+  /// Concurrent arena: bodies are created and decoded on mailbox workers
+  /// (and app threads) and recycle from any of them.
   [[nodiscard]] BodyArena& arena(ProcessId owner) override {
     (void)owner;
     return arena_;
@@ -227,8 +248,9 @@ class SocketTransport final : public RootTransport,
   void set_duplicate_rate(ProcessId a, ProcessId b, double rate);
 
   // -- peer liveness ---------------------------------------------------------
-  /// Callback invoked (on the detector thread) when the failure detector
-  /// changes its mind about a remote peer: up=false on silence past
+  /// Callback invoked when the failure detector changes its mind about a
+  /// remote peer (down on the detector thread, up on the thread that read
+  /// the frame): up=false on silence past
   /// heartbeat_timeout, up=true on the next frame.  `incarnation` is the
   /// peer's latest announced incarnation (0 before its first HELLO).
   using PeerCallback =
@@ -252,40 +274,63 @@ class SocketTransport final : public RootTransport,
   [[nodiscard]] std::uint16_t port() const;
   /// Declare the run's variable count m here (set_var_hint) before
   /// start(): a MSG frame from a process outside [0, n) or mentioning a
-  /// variable outside [0, m) is rejected on the reader thread.
+  /// variable outside [0, m) is rejected on the receiving worker.
   [[nodiscard]] NetworkStats& stats() { return stats_; }
   [[nodiscard]] DropCounters drops() const;
   [[nodiscard]] SocketCounters counters() const;
 
  private:
-  /// An encoded frame queued on an outbound channel.
+  /// A frame waiting for its channel's writer thread.
   struct QueuedFrame {
     std::vector<std::uint8_t> bytes;
+    std::size_t written = 0;  ///< prefix already on the current connection
     std::chrono::steady_clock::time_point earliest;  ///< chaos delay
-    bool counts_pending = false;  ///< finish_item() after the write
+    bool counts_pending = false;  ///< finish_item() after the last byte
     bool chaos_disconnect = false;
   };
 
-  /// Sender-owned state of one directed pair (from is local).
+  /// Sender-owned state of one directed pair (from is local).  The socket
+  /// is written under `mu`, by the sender's worker (nothing queued) or by
+  /// the writer thread (the queue), always without blocking; only the
+  /// writer thread opens and closes it.
   struct OutChannel {
     ProcessId from = kNoProcess;
     ProcessId to = kNoProcess;
     std::mutex mu;
     std::condition_variable cv;
-    std::deque<QueuedFrame> queue;
+    std::deque<QueuedFrame> queue;     ///< guarded by mu
+    int fd = -1;                       ///< guarded by mu
+    bool broken = false;               ///< guarded by mu: redial
+    std::uint64_t frames_written = 0;  ///< guarded by mu: idleness
     std::thread writer;
-    int fd = -1;                      ///< writer thread only
-    std::uint64_t dial_attempts = 0;  ///< consecutive failures (backoff)
-    bool was_connected = false;
-    std::uint64_t chaos_counter = 0;  ///< per-pair deterministic stream
-    std::uint64_t jitter_counter = 0;
+    WireWriter frame;                 ///< sender's worker: MSG encoding
+    std::uint64_t chaos_counter = 0;  ///< sender's worker: chaos stream
+    std::uint64_t dial_attempts = 0;  ///< writer: consecutive failures
+    std::uint64_t jitter_counter = 0;  ///< writer
+    bool was_connected = false;        ///< writer
+  };
+
+  /// An accepted connection, bound by its HELLO to (from -> to) and read
+  /// only by the worker of `to` (the acceptor creates it).
+  struct InConn {
+    int fd = -1;
+    ProcessId from = kNoProcess;
+    ProcessId to = kNoProcess;
+    std::size_t slot = 0;
+    std::uint64_t seq = 0;  ///< acceptance order
+    /// Read buffer: [head, tail) is received and not yet handled.  It
+    /// starts small and doubles only when arrived bytes fill it.
+    std::unique_ptr<std::uint8_t[]> buf;
+    std::size_t cap = 0;
+    std::size_t head = 0;
+    std::size_t tail = 0;
   };
 
   /// Receiver-side view of one remote process.
   struct PeerState {
-    std::chrono::steady_clock::time_point last_rx{};
-    std::uint64_t incarnation = 0;
-    bool up = true;
+    std::atomic<std::int64_t> last_rx{0};  ///< steady_clock ticks
+    std::atomic<bool> up{true};            ///< set under peers_mu_
+    std::uint64_t incarnation = 0;         ///< guarded by peers_mu_
   };
 
   /// Per-directed-pair scenario rates (socket ProbWindow mapping).
@@ -294,24 +339,61 @@ class SocketTransport final : public RootTransport,
     std::atomic<double> dup{0.0};
   };
 
-  [[nodiscard]] bool is_local(ProcessId p) const;
+  [[nodiscard]] bool is_local(ProcessId p) const {
+    return p >= 0 && static_cast<std::size_t>(p) < slot_of_.size() &&
+           slot_of_[static_cast<std::size_t>(p)] >= 0;
+  }
   [[nodiscard]] std::size_t local_index(ProcessId p) const;
   [[nodiscard]] std::size_t pair_index(ProcessId a, ProcessId b) const {
     return static_cast<std::size_t>(a) * options_.total_processes +
            static_cast<std::size_t>(b);
   }
+  [[nodiscard]] OutChannel& channel(ProcessId from, ProcessId to) {
+    return *out_[local_index(from) * options_.total_processes +
+                 static_cast<std::size_t>(to)];
+  }
 
   void deliver(Endpoint& ep, const Message& m) override;
-  void enqueue_frame(OutChannel& ch, QueuedFrame frame);
+  void readable(void* tag) override;
+
+  // -- writing
+  void write_or_queue(OutChannel& ch, const std::uint8_t* data,
+                      std::size_t size, bool counts_pending);
+  std::size_t write_now(OutChannel& ch, const std::uint8_t* data,
+                        std::size_t size);
   void writer_loop(OutChannel& ch);
-  bool ensure_connected(OutChannel& ch);
-  bool write_all(int fd, const std::uint8_t* data, std::size_t size);
+  void flush_front(OutChannel& ch, std::unique_lock<std::mutex>& lock);
+  int dial(OutChannel& ch);
+
+  // -- reading
   void acceptor_loop();
-  void reader_loop(int fd);
+  void bind_connection(int fd, const std::uint8_t* hello);
+  void adopt(InConn& c);
+  /// One recv on `c`, then every complete frame in its buffer.  Returns
+  /// the bytes read; 0 if none were waiting; -1 once `c` is closed (and
+  /// destroyed).
+  std::ptrdiff_t read_some(InConn& c);
+  void handle_frame(InConn& c, WireReader& r);
+  void close_connection(InConn& c);
+  void reject_frame() { bump(counters_.frames_rejected); }
+
+  // -- liveness
   void detector_loop();
-  void note_rx(ProcessId from, std::uint64_t incarnation, bool is_hello);
-  void handle_frame(const std::vector<std::uint8_t>& payload);
-  void reject_frame();
+  void note_rx(ProcessId from);
+  /// Whether an inbound connection from `p` has bytes nobody read yet.
+  [[nodiscard]] bool has_unread(ProcessId p);
+  void report_peer(ProcessId p, bool up, std::uint64_t incarnation);
+
+  /// Counters are plain fields bumped atomically, so the hot paths take
+  /// no lock and counters()/drops() read a consistent-enough snapshot.
+  static void bump(std::uint64_t& field, std::uint64_t by = 1) {
+    std::atomic_ref<std::uint64_t>(field).fetch_add(
+        by, std::memory_order_relaxed);
+  }
+  [[nodiscard]] static std::uint64_t load(std::uint64_t& field) {
+    return std::atomic_ref<std::uint64_t>(field).load(
+        std::memory_order_relaxed);
+  }
   [[nodiscard]] std::chrono::steady_clock::time_point steady_now() const {
     return std::chrono::steady_clock::now();
   }
@@ -319,32 +401,34 @@ class SocketTransport final : public RootTransport,
   SocketOptions options_;
   BodyArena arena_{/*concurrent=*/true};
   std::vector<ProcessId> local_ids_;  ///< registration order = exec_ slot
-  std::map<ProcessId, std::size_t> local_index_;
+  std::vector<int> slot_of_;          ///< by ProcessId; -1 = not local
   std::vector<std::unique_ptr<OutChannel>> channels_;
-  std::map<std::size_t, OutChannel*> channel_by_pair_;
+  std::vector<OutChannel*> out_;  ///< [slot * n + to]; null when to == from
 
   NetworkStats stats_;
-  mutable std::mutex counters_mu_;
-  SocketCounters counters_;
-  DropCounters drops_;
+  mutable SocketCounters counters_;
+  mutable DropCounters drops_;
 
   std::vector<PairRates> rates_;                  ///< n*n scenario rates
   std::unique_ptr<std::atomic<bool>[]> severed_;  ///< n*n
   std::unique_ptr<std::atomic<bool>[]> down_;     ///< n
 
   mutable std::mutex peers_mu_;
-  std::vector<PeerState> peers_;
+  std::unique_ptr<PeerState[]> peers_;  ///< n
   PeerCallback peer_cb_;
   ControlCallback control_cb_;
   std::mutex cb_mu_;
 
   int own_listen_fd_ = -1;
   std::uint16_t listen_port_ = 0;
+  int stop_fd_ = -1;  ///< eventfd: wakes the acceptor and the detector
   std::thread acceptor_;
   std::thread detector_;
-  std::mutex readers_mu_;
-  std::vector<int> reader_fds_;
-  std::vector<std::thread> readers_;
+  /// Every bound inbound connection.  Its worker erases (and closes) one
+  /// under the lock; the detector probes them under it.
+  std::mutex conns_mu_;
+  std::vector<std::unique_ptr<InConn>> conns_;
+  std::uint64_t accepted_ = 0;  ///< acceptor only
 
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> next_msg_id_{1};
@@ -354,7 +438,7 @@ class SocketTransport final : public RootTransport,
 
   // Last: its workers deliver into arena bodies, stats_ and drops_, so it
   // must be destroyed (and its threads joined) before any of them.
-  MailboxExecutor exec_{*this};
+  MailboxExecutor exec_{*this, /*watches_descriptors=*/true};
 };
 
 }  // namespace pardsm

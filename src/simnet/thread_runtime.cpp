@@ -1,5 +1,12 @@
 #include "simnet/thread_runtime.h"
 
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <array>
+#include <ctime>
 #include <utility>
 
 #include "simnet/check.h"
@@ -8,16 +15,35 @@ namespace pardsm {
 
 // -- MailboxExecutor ----------------------------------------------------------
 
-MailboxExecutor::MailboxExecutor(Delivery& delivery)
-    : delivery_(delivery), start_time_(std::chrono::steady_clock::now()) {}
+MailboxExecutor::MailboxExecutor(Delivery& delivery, bool watches_descriptors)
+    : delivery_(delivery),
+      watches_descriptors_(watches_descriptors),
+      start_time_(std::chrono::steady_clock::now()) {}
 
 MailboxExecutor::~MailboxExecutor() { halt(); }
+
+MailboxExecutor::Mailbox::~Mailbox() {
+  if (epoll_fd >= 0) ::close(epoll_fd);
+  if (wake_fd >= 0) ::close(wake_fd);
+}
 
 std::size_t MailboxExecutor::add(Endpoint* ep) {
   PARDSM_CHECK(ep != nullptr, "add_endpoint: null endpoint");
   PARDSM_CHECK(!running_.load(), "add_endpoint: runtime already started");
   auto mb = std::make_unique<Mailbox>();
   mb->ep = ep;
+  if (watches_descriptors_) {
+    mb->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
+    mb->wake_fd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+    PARDSM_CHECK(mb->epoll_fd >= 0 && mb->wake_fd >= 0,
+                 "mailbox: epoll_create1/eventfd failed");
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.ptr = nullptr;
+    PARDSM_CHECK(
+        ::epoll_ctl(mb->epoll_fd, EPOLL_CTL_ADD, mb->wake_fd, &ev) == 0,
+        "mailbox: epoll_ctl failed");
+  }
   mailboxes_.push_back(std::move(mb));
   return mailboxes_.size() - 1;
 }
@@ -41,6 +67,10 @@ void MailboxExecutor::halt() {
   for (auto& mb : mailboxes_) {
     std::lock_guard lock(mb->mu);
     mb->cv.notify_all();
+    if (mb->wake_fd >= 0) {
+      const std::uint64_t one = 1;
+      (void)!::write(mb->wake_fd, &one, sizeof(one));
+    }
   }
   for (auto& mb : mailboxes_) {
     if (mb->worker.joinable()) mb->worker.join();
@@ -52,36 +82,67 @@ MailboxExecutor::Mailbox& MailboxExecutor::mailbox(std::size_t slot) {
   return *mailboxes_[slot];
 }
 
+void MailboxExecutor::wake(Mailbox& mb, std::unique_lock<std::mutex>& lock) {
+  const bool parked = std::exchange(mb.parked, false);
+  lock.unlock();
+  if (mb.wake_fd < 0) {
+    mb.cv.notify_one();
+  } else if (parked) {
+    const std::uint64_t one = 1;
+    (void)!::write(mb.wake_fd, &one, sizeof(one));
+  }
+}
+
 void MailboxExecutor::post(std::size_t slot, std::function<void()> task) {
   auto& mb = mailbox(slot);
   add_pending();
-  {
-    std::lock_guard lock(mb.mu);
-    mb.tasks.push_back(std::move(task));
-  }
-  mb.cv.notify_one();
+  std::unique_lock lock(mb.mu);
+  mb.tasks.push_back(std::move(task));
+  wake(mb, lock);
 }
 
 void MailboxExecutor::enqueue(std::size_t slot, Message m) {
   auto& mb = mailbox(slot);
-  {
-    std::lock_guard lock(mb.mu);
-    mb.messages.push_back(std::move(m));
-  }
-  mb.cv.notify_one();
+  std::unique_lock lock(mb.mu);
+  mb.messages.push_back(std::move(m));
+  wake(mb, lock);
 }
 
 void MailboxExecutor::set_timer(std::size_t slot, Duration delay,
                                 TimerTag tag) {
   auto& mb = mailbox(slot);
   add_pending();
-  {
-    std::lock_guard lock(mb.mu);
-    mb.timers.push(TimerItem{std::chrono::steady_clock::now() +
-                                 std::chrono::microseconds(delay.us),
-                             tag});
+  std::unique_lock lock(mb.mu);
+  mb.timers.push(TimerItem{std::chrono::steady_clock::now() +
+                               std::chrono::microseconds(delay.us),
+                           tag});
+  wake(mb, lock);
+}
+
+void MailboxExecutor::watch(std::size_t slot, int fd, void* tag) {
+  auto& mb = mailbox(slot);
+  PARDSM_CHECK(mb.epoll_fd >= 0, "watch: this root parks on a condvar");
+  epoll_event ev{};
+  ev.events = EPOLLIN | EPOLLRDHUP;
+  ev.data.ptr = tag;
+  PARDSM_CHECK(::epoll_ctl(mb.epoll_fd, EPOLL_CTL_ADD, fd, &ev) == 0,
+               "watch: epoll_ctl failed");
+}
+
+void MailboxExecutor::unwatch(std::size_t slot, int fd) {
+  (void)::epoll_ctl(mailbox(slot).epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
+}
+
+void MailboxExecutor::deliver_now(std::size_t slot, Message&& m) {
+  std::exception_ptr failure;
+  try {
+    // Released before the pending unit, like a dequeued message.
+    const Message item = std::move(m);
+    delivery_.deliver(*mailbox(slot).ep, item);
+  } catch (...) {
+    failure = std::current_exception();
   }
-  mb.cv.notify_one();
+  finish_handled(std::move(failure));
 }
 
 TimePoint MailboxExecutor::now() const {
@@ -132,29 +193,74 @@ bool MailboxExecutor::has_queued() const {
   return false;
 }
 
+void MailboxExecutor::poll_descriptors(
+    Mailbox& mb,
+    const std::optional<std::chrono::steady_clock::time_point>& deadline) {
+  timespec wait{};
+  if (deadline) {
+    const auto left = std::max(*deadline - std::chrono::steady_clock::now(),
+                               std::chrono::steady_clock::duration::zero());
+    const auto ns =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(left).count();
+    wait.tv_sec = static_cast<std::time_t>(ns / 1'000'000'000);
+    wait.tv_nsec = static_cast<long>(ns % 1'000'000'000);
+  }
+  std::array<epoll_event, 16> events{};
+  const int ready =
+      ::epoll_pwait2(mb.epoll_fd, events.data(), static_cast<int>(events.size()),
+                     deadline ? &wait : nullptr, nullptr);
+  for (int i = 0; i < ready; ++i) {
+    void* tag = events[static_cast<std::size_t>(i)].data.ptr;
+    if (tag == nullptr) {
+      std::uint64_t count = 0;
+      (void)!::read(mb.wake_fd, &count, sizeof(count));
+    } else {
+      delivery_.readable(tag);
+    }
+  }
+}
+
 void MailboxExecutor::worker_loop(Mailbox& mb) {
+  int since_poll = 0;
   std::unique_lock lock(mb.mu);
   while (true) {
     const auto timer_due = [&] {
       return !mb.timers.empty() &&
              mb.timers.top().deadline <= std::chrono::steady_clock::now();
     };
-    const auto has_work = [&] {
-      return !running_.load() || !mb.messages.empty() || !mb.tasks.empty() ||
-             timer_due();
-    };
+    if (!running_.load()) break;
+    const bool ready = !mb.messages.empty() || !mb.tasks.empty() || timer_due();
 
-    // Re-pick the wait flavour on every wakeup: a timer armed after this
-    // thread parked in the untimed wait must convert the next wait into a
-    // deadline wait, or the deadline passes with nobody left to notify.
-    while (!has_work()) {
+    if (mb.epoll_fd >= 0 && (!ready || since_poll >= kItemsPerPoll)) {
+      // Park in epoll until a descriptor, the eventfd or the next timer
+      // wakes it — or, with items queued, only peek at the descriptors.
+      std::optional<std::chrono::steady_clock::time_point> deadline;
+      if (ready) {
+        deadline = std::chrono::steady_clock::now();
+      } else if (!mb.timers.empty()) {
+        deadline = mb.timers.top().deadline;
+      }
+      mb.parked = !ready;
+      lock.unlock();
+      poll_descriptors(mb, deadline);
+      lock.lock();
+      mb.parked = false;
+      since_poll = 0;
+      continue;
+    }
+    if (!ready) {
+      // Re-pick the wait flavour on every wakeup: a timer armed after this
+      // thread parked in the untimed wait must convert the next wait into
+      // a deadline wait, or the deadline passes with nobody left to
+      // notify.
       if (mb.timers.empty()) {
         mb.cv.wait(lock);
       } else {
         mb.cv.wait_until(lock, mb.timers.top().deadline);
       }
+      continue;
     }
-    if (!running_.load()) break;
+    ++since_poll;
 
     // One item per iteration, tasks first, then messages, then due timers;
     // the handler runs unlocked so other threads can keep enqueueing.  A
@@ -182,16 +288,18 @@ void MailboxExecutor::worker_loop(Mailbox& mb) {
     } catch (...) {
       failure = std::current_exception();
     }
-    // Published only after the catch block has let go of the exception,
-    // so the thread that rethrows it is its one remaining user.
-    if (failure) {
-      if (lock.owns_lock()) lock.unlock();
-      record_failure(std::move(failure));
-    }
-    note_activity();
-    finish_item();
+    if (lock.owns_lock()) lock.unlock();
+    finish_handled(std::move(failure));
     lock.lock();
   }
+}
+
+void MailboxExecutor::finish_handled(std::exception_ptr failure) {
+  // Published only after the catch block has let go of the exception, so
+  // the thread that rethrows it is its one remaining user.
+  if (failure) record_failure(std::move(failure));
+  note_activity();
+  finish_item();
 }
 
 // -- ThreadRuntime ------------------------------------------------------------

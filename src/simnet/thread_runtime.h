@@ -11,7 +11,8 @@
 // a time, plus the quiescence ledger that tells a driver when every queue
 // has drained.  Both wall-clock roots run on it: ThreadRuntime is the
 // executor plus an in-memory send, and SocketTransport (socket_transport.h)
-// feeds it frames decoded from real TCP connections.
+// registers each process's inbound TCP connections with its worker, which
+// reads and delivers their frames itself.
 //
 // Delivery guarantees: per sender-receiver pair, FIFO (a mailbox is a
 // mutex-protected queue appended in program order), lossless and
@@ -28,6 +29,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <queue>
 #include <thread>
 #include <utility>
@@ -47,21 +49,35 @@ namespace pardsm {
 /// post()/set_timer()) until its handler returns (finish_item()).  A root
 /// whose items leave through another path (socket frames on the wire)
 /// takes and releases units itself.
+///
+/// Parking: an idle worker waits on its mailbox's condition variable —
+/// unless the root watches descriptors (the socket root's inbound
+/// connections).  Then each worker parks in epoll on an eventfd, which
+/// post/enqueue/set_timer write only while it is parked, plus the
+/// descriptors watch() gave it, and hands each readable one to the root.
+/// A worker with items queued still polls its descriptors every
+/// kItemsPerPoll items, so a busy mailbox cannot starve its sockets.
 class MailboxExecutor {
  public:
-  /// The root's delivery step, called on the worker thread for every
-  /// dequeued message.  Implementations account the delivery and hand the
-  /// message to `ep` — or suppress it (the socket root's fail-pause
-  /// window).  A virtual call, so the per-message path allocates nothing.
+  /// The root's steps, called on the worker thread.  deliver() runs for
+  /// every dequeued message: implementations account the delivery and
+  /// hand the message to `ep` — or suppress it (the socket root's
+  /// fail-pause window).  readable() runs, on a root that watches
+  /// descriptors, for each watched descriptor epoll reports readable.
+  /// Virtual calls, so the per-message path allocates nothing.
   class Delivery {
    public:
     virtual void deliver(Endpoint& ep, const Message& m) = 0;
+    virtual void readable(void* tag) { (void)tag; }
 
    protected:
     ~Delivery() = default;
   };
 
-  explicit MailboxExecutor(Delivery& delivery);
+  /// `watches_descriptors`: park workers in epoll so watch() can add
+  /// descriptors (see the class comment); otherwise on a condvar.
+  explicit MailboxExecutor(Delivery& delivery,
+                           bool watches_descriptors = false);
   ~MailboxExecutor();
 
   MailboxExecutor(const MailboxExecutor&) = delete;
@@ -90,6 +106,16 @@ class MailboxExecutor {
   void enqueue(std::size_t slot, Message m);
   /// Fire `ep->on_timer(tag)` on `slot`'s worker after `delay`.
   void set_timer(std::size_t slot, Duration delay, TimerTag tag);
+
+  /// Descriptor roots, on `slot`'s worker: park on `fd` too, and call
+  /// readable(tag) on that worker whenever it has bytes (or EOF) to read.
+  void watch(std::size_t slot, int fd, void* tag);
+  /// Stop watching `fd` (before it is closed).
+  void unwatch(std::size_t slot, int fd);
+  /// On `slot`'s worker (inside readable()): run the delivery step for `m`
+  /// now, exactly as for a dequeued message — failure capture, activity,
+  /// and the release of one pending unit the caller has taken.
+  void deliver_now(std::size_t slot, Message&& m);
 
   /// Wall time since start() (since construction before it).
   [[nodiscard]] TimePoint now() const;
@@ -140,14 +166,33 @@ class MailboxExecutor {
         timers;
     Endpoint* ep = nullptr;
     std::thread worker;
+    // Descriptor roots only (-1 otherwise); fixed from add() on.
+    int epoll_fd = -1;
+    int wake_fd = -1;    ///< eventfd, watched with a null tag
+    bool parked = false; ///< in epoll without queued items; guarded by mu
+    ~Mailbox();
   };
+
+  /// A worker with queued items polls its descriptors after this many.
+  static constexpr int kItemsPerPoll = 32;
 
   [[nodiscard]] Mailbox& mailbox(std::size_t slot);
   void worker_loop(Mailbox& mb);
+  /// Wait on `mb`'s descriptors until `deadline` (none: block; now: just
+  /// peek) and hand every readable one to the root.
+  void poll_descriptors(
+      Mailbox& mb,
+      const std::optional<std::chrono::steady_clock::time_point>& deadline);
+  /// After a queue push under `lock`: release it and wake the worker.
+  static void wake(Mailbox& mb, std::unique_lock<std::mutex>& lock);
+  /// Close out a handled item: keep its failure, note activity, release
+  /// its pending unit.
+  void finish_handled(std::exception_ptr failure);
   /// Keep `e` if no failure is held, and wake await_quiescence.
   void record_failure(std::exception_ptr e);
 
   Delivery& delivery_;
+  const bool watches_descriptors_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::atomic<bool> running_{false};
   std::atomic<std::int64_t> pending_{0};

@@ -1,7 +1,11 @@
 #include "simnet/wire.h"
 
+#include <algorithm>
 #include <array>
-#include <mutex>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace pardsm::wire {
 
@@ -9,7 +13,7 @@ namespace {
 
 /// Decoder table.  Registration happens during static initialization of
 /// the protocol translation units (single-threaded), lookups happen on
-/// socket reader threads — a plain array with no lock is safe because the
+/// the threads that read sockets — a plain array with no lock is safe because the
 /// table is write-once-before-main.
 constexpr std::size_t kMaxWireType = 128;
 
@@ -64,8 +68,21 @@ void encode_meta(WireWriter& w, const MessageMeta& meta) {
 }
 
 MessageMeta decode_meta(WireReader& r) {
+  // Spellings this thread has resolved before: the kinds of a run are few
+  // and an id never changes, so the steady state takes no table lock.
+  thread_local std::vector<std::pair<std::string, KindId>> resolved;
   MessageMeta meta;
-  meta.kind = KindId(r.str());
+  const std::string_view name = r.str_view();
+  const auto hit = std::find_if(resolved.begin(), resolved.end(),
+                                [&](const auto& e) { return e.first == name; });
+  if (hit != resolved.end()) {
+    meta.kind = hit->second;
+  } else {
+    const std::optional<KindId> kind = find_kind(name);
+    PARDSM_CHECK(kind.has_value(), "wire: frame names an unknown kind");
+    resolved.emplace_back(name, *kind);
+    meta.kind = *kind;
+  }
   meta.control_bytes = r.u64();
   meta.payload_bytes = r.u64();
   meta.urgent = r.boolean();

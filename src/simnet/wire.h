@@ -15,7 +15,7 @@
 // encode_body/decode_body, so any stack order serializes.
 //
 // The format favours obviousness over compactness (fixed-width fields,
-// kind tags as strings re-interned on receipt): the paper's byte ledger is
+// kind tags as strings looked up on receipt): the paper's byte ledger is
 // MessageMeta::wire_bytes(), not the frame encoding, and SocketTransport
 // reports real frame bytes separately (SocketCounters::bytes_*).  A body's
 // fields still carry what its meta charges: the ad-hoc causal message,
@@ -62,6 +62,15 @@ class WireWriter {
     for (char c : s) buf_.push_back(static_cast<std::uint8_t>(c));
   }
 
+  /// Overwrite the u32 written at byte offset `pos` (a length prefix
+  /// reserved before its payload was known).
+  void patch_u32(std::size_t pos, std::uint32_t v) {
+    PARDSM_CHECK(pos + 4 <= buf_.size(), "wire: patch past the end");
+    std::memcpy(buf_.data() + pos, &v, 4);
+  }
+  /// Empty the buffer and keep its capacity, for a writer that is reused.
+  void clear() { buf_.clear(); }
+
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const { return buf_; }
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buf_); }
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
@@ -92,10 +101,12 @@ class WireReader {
   std::int64_t i64() { return load<std::int64_t>(); }
   double f64() { return load<double>(); }
   bool boolean() { return u8() != 0; }
-  std::string str() {
+  std::string str() { return std::string(str_view()); }
+  /// str() without the copy: a view into the frame.
+  std::string_view str_view() {
     const std::size_t n = u16();
     const std::uint8_t* p = take(n);
-    return std::string(reinterpret_cast<const char*>(p), n);
+    return {reinterpret_cast<const char*>(p), n};
   }
 
   [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }
@@ -172,8 +183,10 @@ inline constexpr int kMaxBodyDepth = 8;
 /// kMaxBodyDepth.
 [[nodiscard]] BodyRef decode_body(WireReader& r, BodyArena& arena);
 
-/// MessageMeta: kind travels as its string spelling and is re-interned on
-/// receipt (KindId values are process-local).
+/// MessageMeta: kind travels as its string spelling (KindId values are
+/// process-local).  decode_meta only looks the spelling up (find_kind): a
+/// kind the receiver has not registered is rejected, so a peer cannot
+/// grow the process-global kind table.
 void encode_meta(WireWriter& w, const MessageMeta& meta);
 [[nodiscard]] MessageMeta decode_meta(WireReader& r);
 

@@ -3,17 +3,26 @@
 // ordering), the kind interner (stable ids, round-trip names, ARQ
 // wrapping), the small-buffer variable list (inline → heap spill), the
 // wake-indexed causal buffer (rescan-equivalent delivery order), the ARQ
-// layer's seq-indexed rings and the wire decoders' and ARQ receiver's
-// defences against hostile frames.
+// layer's seq-indexed rings, the socket root's frame path, and the wire
+// decoders', ARQ receiver's and socket reader's defences against hostile
+// frames.
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <deque>
 #include <new>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -28,6 +37,7 @@
 #include "simnet/rng.h"
 #include "simnet/simulator.h"
 #include "simnet/small_vec.h"
+#include "simnet/socket_transport.h"
 #include "simnet/wire.h"
 
 // ---------------------------------------------------------------------------
@@ -553,7 +563,191 @@ TEST(SteadyStateAllocations, ArqFramesAreAllocationFree) {
       << 100 * kBurst << " ARQ frames";
 }
 
+// The socket root's gate: once the channel's encoding buffer, the read
+// buffers and the body pool are warm, a frame encoded and written on the
+// sender's worker, read and delivered on the receiver's worker, allocates
+// nothing.  Before, every frame cost its length-prefixed copies, a queue
+// node and a decoded kind string: 10 000 frames would show up here as
+// tens of thousands of allocations.
+struct WireTick final : MessageBody {
+  [[nodiscard]] std::uint32_t wire_type() const override {
+    return wire::kTestPayload;
+  }
+  void wire_encode(WireWriter& w) const override { w.u32(7); }
+};
+const wire::BodyRegistrar kWireTickCodec(
+    wire::kTestPayload, [](WireReader& r, BodyArena& arena) -> BodyRef {
+      (void)r.u32();
+      return BodyRef::adopt(arena.create<WireTick>());
+    });
+
+struct AtomicSink final : Endpoint {
+  std::atomic<std::uint64_t> got{0};
+  void on_message(const Message&) override { ++got; }
+};
+
+TEST(SteadyStateAllocations, SocketFramesAreAllocationFree) {
+  SocketOptions options;
+  options.total_processes = 2;
+  SocketTransport transport(std::move(options));
+  AtomicSink a, b;
+  const ProcessId s = transport.add_endpoint(&a);
+  const ProcessId r = transport.add_endpoint(&b);
+  transport.start();
+  BodyPool<WireTick>& pool = transport.arena(s).pool<WireTick>();
+  const MessageMeta meta{KindId("TICK"), 4, 0, {}};
+  constexpr int kBurst = 100;
+  const auto send_burst = [&] {
+    for (int i = 0; i < kBurst; ++i) {
+      transport.send(s, r, BodyRef::adopt(pool.create()), meta);
+    }
+  };
+  const auto burst = [&] {
+    // One pointer fits the task's std::function without a heap block.
+    transport.post(s, [fn = &send_burst] { (*fn)(); });
+    ASSERT_TRUE(transport.await_quiescence(std::chrono::seconds(10)));
+  };
+  for (int warm = 0; warm < 20; ++warm) burst();
+  const std::uint64_t got_before = b.got.load();
+
+  g_alloc_count.store(0);
+  g_count_allocs.store(true);
+  for (int round = 0; round < 100; ++round) burst();
+  g_count_allocs.store(false);
+
+  EXPECT_EQ(b.got.load() - got_before, 100u * kBurst);
+  EXPECT_EQ(transport.counters().frames_rejected, 0u);
+  // The budget covers what is not per frame: the posted tasks' deque
+  // chunks, and a rare partial write's queued copy.
+  EXPECT_LE(g_alloc_count.load(), 16u)
+      << g_alloc_count.load() << " heap allocations across "
+      << 100 * kBurst << " socket frames";
+  transport.stop();
+}
+
 // ------------------------------------------------------- hostile frames
+// A peer names message kinds by spelling.  The receiver only looks them
+// up: an unregistered spelling is rejected before it can enter the
+// process-global kind table (which a peer could otherwise grow by
+// gigabytes, until a legitimate arq_wrapped() overflowed it), while
+// "ARQ:" + a registered kind and kinds inside batch frames still decode.
+TEST(HostileFrames, UnknownKindsAreRejectedWithoutInterning) {
+  const auto meta_bytes = [](std::string_view kind) {
+    WireWriter w;
+    w.str(kind);
+    w.u64(1);  // control bytes
+    w.u64(2);  // payload bytes
+    w.boolean(false);
+    w.u16(0);  // no variables
+    return w.take();
+  };
+  const auto decode = [&](std::string_view kind) -> std::string {
+    const std::vector<std::uint8_t> bytes = meta_bytes(kind);
+    WireReader r(bytes);
+    try {
+      return std::string(wire::decode_meta(r).kind.name());
+    } catch (const std::logic_error& e) {
+      return std::string("rejected: ") + e.what();
+    }
+  };
+  const KindId base("HOSTILE-BASE");
+  const std::size_t before = kind_table_size();
+  for (const std::string_view kind :
+       {"NEVER-REGISTERED", "ARQ:NEVER-REGISTERED", "ARQ:ARQ:HOSTILE-BASE",
+        "HOSTILE-BASE ", "ARQ:ARQ:", "hostile-base"}) {
+    SCOPED_TRACE(kind);
+    EXPECT_NE(decode(kind).find("unknown kind"), std::string::npos);
+  }
+  EXPECT_EQ(kind_table_size(), before);
+
+  // "ARQ:" + a registered base is wrapped once, as arq_wrapped() would.
+  EXPECT_EQ(decode("HOSTILE-BASE"), "HOSTILE-BASE");
+  EXPECT_EQ(decode("ARQ:HOSTILE-BASE"), "ARQ:HOSTILE-BASE");
+  EXPECT_EQ(kind_table_size(), before + 1);
+  EXPECT_EQ(decode("ARQ:HOSTILE-BASE"), "ARQ:HOSTILE-BASE");
+  EXPECT_EQ(kind_table_size(), before + 1);
+  // An ARQ frame wraps its payload's kind: an ARQ-wrapped payload kind
+  // would add "ARQ:ARQ:..." entries, one per frame, so it is refused.
+  EXPECT_THROW((void)arq_wrapped(arq_wrapped(base)), std::logic_error);
+
+  // A batch of two items with registered kinds, one ARQ-wrapped.
+  WireWriter batch;
+  batch.u32(wire::kBatchFrame);
+  batch.u32(2);
+  for (const std::string_view kind : {"HOSTILE-BASE", "ARQ:HOSTILE-BASE"}) {
+    batch.i64(0);  // enqueue time
+    for (const std::uint8_t b : meta_bytes(kind)) batch.u8(b);
+    batch.u32(wire::kArqAck);  // any decodable body
+    batch.u64(0);
+  }
+  BodyArena arena(/*concurrent=*/false);
+  WireReader r(batch.bytes());
+  EXPECT_NO_THROW((void)wire::decode_body(r, arena));
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(kind_table_size(), before + 1);
+}
+
+// A frame's length prefix does not size the socket root's read buffer:
+// after a HELLO, a prefix claiming 64 MiB followed by 10 000 bytes grows
+// the connection's buffer only as far as those bytes need.
+TEST(HostileFrames, SocketReadBufferGrowsWithArrivedBytes) {
+  SocketOptions options;
+  options.total_processes = 2;
+  // One heartbeat per channel, at start: the rest of bytes_received is
+  // the raw connection's.
+  options.heartbeat_period = millis(5000);
+  options.heartbeat_timeout = millis(10000);
+  SocketTransport transport(std::move(options));
+  AtomicSink a, b;
+  transport.add_endpoint(&a);
+  transport.add_endpoint(&b);
+  transport.start();
+  const auto settle =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (transport.counters().heartbeats_received < 2 &&
+         std::chrono::steady_clock::now() < settle) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(transport.counters().heartbeats_received, 2u);
+
+  WireWriter w;
+  w.u32(17);  // HELLO: [type][from][to][incarnation]
+  w.u8(1);
+  w.i32(0);
+  w.i32(1);
+  w.u64(1);
+  w.u32(64u << 20);  // a frame of 64 MiB, of which 10 000 bytes arrive
+  for (int i = 0; i < 10'000; ++i) w.u8(0);
+  const std::uint64_t after_hello =
+      transport.counters().bytes_received + w.size() - 21;
+
+  g_max_alloc.store(0);
+  g_count_allocs.store(true);
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(transport.port());
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_EQ(::write(fd, w.bytes().data(), w.size()),
+            static_cast<ssize_t>(w.size()));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (transport.counters().bytes_received < after_hello &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  g_count_allocs.store(false);
+
+  EXPECT_EQ(transport.counters().bytes_received, after_hello);
+  EXPECT_EQ(transport.counters().frames_rejected, 0u);
+  EXPECT_LE(g_max_alloc.load(), std::size_t{64} << 10);
+  ::close(fd);
+  transport.stop();
+}
+
 // A decoder must check every wire count against the bytes left in the
 // frame before it sizes a container: a short frame claiming 2^28 elements
 // is rejected by the wire check without ever asking for the memory.

@@ -1,9 +1,11 @@
 // Sockets runtime end-to-end: every protocol over real loopback TCP, the
 // decorator stacks composed above the socket root, chaos injection routed
 // through ARQ, scenario crash/recover with RSYNC on the wall clock, the
-// receiver-side heartbeat failure detector, the ad-hoc protocol's
-// per-recipient wire, rejected-frame accounting, and the multi-process
-// bootstrap (pardsm_node) including a SIGKILL/respawn drill.
+// receiver-side heartbeat failure detector (also under a busy worker),
+// the ad-hoc protocol's per-recipient wire, rejected-frame and
+// hostile-connection accounting, workers that flood each other without
+// ever blocking on a write, a stop that wakes every thread, and the
+// multi-process bootstrap (pardsm_node) including a SIGKILL/respawn drill.
 //
 // Everything timing-sensitive here asserts *outcomes* (delivery,
 // convergence, counters), never exact times: the sockets runtime is as
@@ -29,6 +31,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -548,30 +551,72 @@ TEST(Sockets, AdHocFramesCarryExactlyTheRecipientsEntries) {
 }
 
 // ---------------------------------------------------------------------------
-// A garbage frame on a raw loopback connection is rejected and counted;
-// only that connection drops, and the run over the transport's own
-// connections still converges.
+// A bad HELLO, a garbage frame or a frame naming ids outside the system on
+// a raw loopback connection is rejected and counted; only that connection
+// drops, and the run over the transport's own connections still
+// converges.  So does a run beside a silent connection or a frame that
+// never completes.
 // ---------------------------------------------------------------------------
 
+/// The kind the hostile frames below carry: registered here, as a
+/// protocol registers its kinds, so only the ids they name are wrong.
+const KindId kHostileKind("HOSTILE");
+
 /// One length-prefixed MSG frame, hand-assembled the way the socket root
-/// encodes it: [u32 len][u8 type = 2][from][to][id][meta][body].
+/// encodes it: [u32 len][u8 type = 2][from][to][id][meta][body].  The kind
+/// goes in as a spelling, so an unregistered one is never interned here.
 std::vector<std::uint8_t> msg_frame(ProcessId from, ProcessId to,
                                     std::initializer_list<VarId> vars,
-                                    const std::vector<std::uint8_t>& body) {
-  MessageMeta meta;
-  meta.kind = KindId("HOSTILE");
-  meta.vars_mentioned = vars;
+                                    const std::vector<std::uint8_t>& body,
+                                    std::string_view kind = "HOSTILE") {
   WireWriter w;
   w.u8(2);
   w.i32(from);
   w.i32(to);
   w.u64(1);
-  wire::encode_meta(w, meta);
+  w.str(kind);  // meta: kind, control and payload bytes, urgency, vars
+  w.u64(0);
+  w.u64(0);
+  w.boolean(false);
+  w.u16(static_cast<std::uint16_t>(vars.size()));
+  for (VarId x : vars) w.i32(x);
   for (std::uint8_t b : body) w.u8(b);
   WireWriter frame;
   frame.u32(static_cast<std::uint32_t>(w.bytes().size()));
   for (std::uint8_t b : w.bytes()) frame.u8(b);
   return frame.take();
+}
+
+/// The HELLO that binds a connection to (from -> to), as a channel's
+/// writer sends it: [u32 len = 17][u8 type = 1][from][to][u64 incarnation].
+std::vector<std::uint8_t> hello_frame(ProcessId from, ProcessId to) {
+  WireWriter w;
+  w.u32(17);
+  w.u8(1);
+  w.i32(from);
+  w.i32(to);
+  w.u64(1);
+  return w.take();
+}
+
+/// `frame` behind a valid HELLO from process 0 to process 1.
+std::vector<std::uint8_t> after_hello(std::vector<std::uint8_t> frame) {
+  std::vector<std::uint8_t> bytes = hello_frame(0, 1);
+  bytes.insert(bytes.end(), frame.begin(), frame.end());
+  return bytes;
+}
+
+/// A raw loopback connection to `port`.
+int connect_raw(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  return fd;
 }
 
 TEST(Sockets, RejectedFramesAreCountedAndTheRunConverges) {
@@ -592,14 +637,7 @@ TEST(Sockets, RejectedFramesAreCountedAndTheRunConverges) {
 
   // Each rejected frame drops its connection, so every input gets its own.
   const auto send_raw = [&](const std::vector<std::uint8_t>& bytes) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    ASSERT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(transport.port());
-    ASSERT_EQ(
-        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    const int fd = connect_raw(transport.port());
     const std::uint64_t before = transport.counters().frames_rejected;
     ASSERT_EQ(::write(fd, bytes.data(), bytes.size()),
               static_cast<ssize_t>(bytes.size()));
@@ -611,21 +649,207 @@ TEST(Sockets, RejectedFramesAreCountedAndTheRunConverges) {
 
   const auto n = static_cast<ProcessId>(dist.process_count());
   const auto m = static_cast<VarId>(dist.var_count);
+  // A connection must open with a HELLO naming a process hosted here.
+  send_raw(msg_frame(0, 1, {0}, body));
+  send_raw(hello_frame(0, n));
+  send_raw(hello_frame(0, -1));
   // [u32 length = 5][u8 frame type 0xEE][4 garbage bytes]
-  send_raw({5, 0, 0, 0, 0xEE, 0xDE, 0xAD, 0xBE, 0xEF});
+  send_raw(after_hello({5, 0, 0, 0, 0xEE, 0xDE, 0xAD, 0xBE, 0xEF}));
   // Sender outside [0, n): protocols index their per-peer tables by it.
-  send_raw(msg_frame(-1, 1, {0}, body));
-  send_raw(msg_frame(n, 1, {0}, body));
+  send_raw(after_hello(msg_frame(-1, 1, {0}, body)));
+  send_raw(after_hello(msg_frame(n, 1, {0}, body)));
   // VarIds outside [0, m): exposure rows are indexed by VarId, so -1
   // would index past its row and 2^31-1 would size a 16 GB one.
-  send_raw(msg_frame(0, 1, {-1}, body));
-  send_raw(msg_frame(0, 1, {0, m}, body));
-  send_raw(msg_frame(0, 1, {std::numeric_limits<VarId>::max()}, body));
+  send_raw(after_hello(msg_frame(0, 1, {-1}, body)));
+  send_raw(after_hello(msg_frame(0, 1, {0, m}, body)));
+  send_raw(after_hello(msg_frame(0, 1, {std::numeric_limits<VarId>::max()},
+                                 body)));
+  // A MSG for another process than the one its connection's HELLO named.
+  send_raw(after_hello(msg_frame(0, 2, {0}, body)));
+  // A CONTROL frame from outside [0, n): the bootstrap barrier indexes
+  // its per-node table by it.
+  {
+    WireWriter control;
+    control.u32(1 + 4 + 4 + 4 + 8);
+    control.u8(4);
+    control.i32(-1);  // from
+    control.i32(1);   // to
+    control.u32(1);   // code
+    control.u64(0);   // arg
+    send_raw(after_hello(control.take()));
+  }
+  // A kind nobody registered is rejected without being interned.
+  const std::size_t kinds = kind_table_size();
+  send_raw(after_hello(msg_frame(0, 1, {0}, body, "NEVER-REGISTERED")));
+  send_raw(after_hello(msg_frame(0, 1, {0}, body, "ARQ:NEVER-REGISTERED")));
+  EXPECT_EQ(kind_table_size(), kinds);
+
+  // A silent connection holds up no other accept; it is closed and
+  // counted once heartbeat_timeout (150 ms by default) has passed.
+  {
+    const auto opened = std::chrono::steady_clock::now();
+    const int silent = connect_raw(transport.port());
+    const std::uint64_t before = transport.counters().frames_rejected;
+    send_raw(msg_frame(0, 1, {0}, body));  // handled while `silent` waits
+    EXPECT_TRUE(wait_for([&] {
+      return transport.counters().frames_rejected == before + 2;
+    }));
+    EXPECT_GE(std::chrono::steady_clock::now() - opened, 150ms);
+    char byte = 0;
+    EXPECT_EQ(::recv(silent, &byte, 1, 0), 0);  // closed by the transport
+    ::close(silent);
+  }
+
+  // A 64 MiB length prefix followed by nothing: the frame never completes,
+  // and nothing else waits for it (its read buffer grows only with bytes
+  // that arrive: HostileFrames.SocketReadBufferGrowsWithArrivedBytes).
+  const int stalled = connect_raw(transport.port());
+  std::vector<std::uint8_t> prefix = hello_frame(0, 1);
+  for (const std::uint8_t b : {0, 0, 0, 4}) prefix.push_back(b);
+  ASSERT_EQ(::write(stalled, prefix.data(), prefix.size()),
+            static_cast<ssize_t>(prefix.size()));
 
   ASSERT_TRUE(system.write_rounds(2));
   EXPECT_TRUE(system.converged(2));
-  EXPECT_EQ(transport.counters().frames_rejected, 6u);
+  ::close(stalled);
+  EXPECT_EQ(transport.counters().frames_rejected, 15u);
   EXPECT_GT(transport.counters().frames_received, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The socket root's worker never waits for socket buffer space: two
+// processes that flood each other from inside their handlers with more
+// bytes than loopback TCP buffers hold (wmem_max is 4 MiB by default)
+// converge.  A worker that blocked in send() would deadlock here — both
+// workers would sit in a write, and neither would read.
+// ---------------------------------------------------------------------------
+
+/// `size` bytes of filler behind a length (test codec).
+struct Blob final : MessageBody {
+  std::uint32_t size = 0;
+  [[nodiscard]] std::uint32_t wire_type() const override {
+    return wire::kTestPayload;
+  }
+  void wire_encode(WireWriter& w) const override {
+    w.u32(size);
+    for (std::uint32_t i = 0; i < size / 8; ++i) w.u64(0);
+  }
+};
+
+BodyRef decode_blob(WireReader& r, BodyArena& arena) {
+  auto* blob = arena.create<Blob>();
+  blob->size = r.u32();
+  for (std::uint32_t i = 0; i < blob->size / 8; ++i) (void)r.u64();
+  return BodyRef::adopt(blob);
+}
+const wire::BodyRegistrar kBlobCodec(wire::kTestPayload, decode_blob);
+
+struct CountingSink final : Endpoint {
+  std::atomic<int> got{0};
+  void on_message(const Message&) override { ++got; }
+};
+
+TEST(Sockets, WorkersFloodingEachOtherNeverBlockOnAWrite) {
+  constexpr int kFrames = 16;
+  constexpr std::uint32_t kBytes = 1u << 20;  // 16 MiB each way
+  SocketOptions options;
+  options.total_processes = 2;
+  SocketTransport transport(std::move(options));
+  CountingSink a, b;
+  transport.add_endpoint(&a);
+  transport.add_endpoint(&b);
+  transport.start();
+  for (const ProcessId p : {0, 1}) {
+    transport.post(p, [&transport, p] {
+      for (int i = 0; i < kFrames; ++i) {
+        auto* blob = transport.arena(p).create<Blob>();
+        blob->size = kBytes;
+        transport.send(p, 1 - p, BodyRef::adopt(blob), MessageMeta{});
+      }
+    });
+  }
+  EXPECT_TRUE(transport.await_quiescence(20000ms));
+  EXPECT_EQ(a.got.load(), kFrames);
+  EXPECT_EQ(b.got.load(), kFrames);
+  transport.stop();
+}
+
+// ---------------------------------------------------------------------------
+// Failure detection does not depend on worker load: a handler that holds
+// its worker for twice heartbeat_timeout leaves its peer's heartbeats
+// unread, and the detector finds them waiting on the connection instead
+// of declaring the peer down.
+// ---------------------------------------------------------------------------
+
+TEST(Sockets, BusyWorkerDoesNotMakeItsPeersLookDown) {
+  std::uint16_t port_a = 0;
+  std::uint16_t port_b = 0;
+  const int fd_a = bind_listener(&port_a);
+  const int fd_b = bind_listener(&port_b);
+  const auto options = [&](ProcessId me, int fd) {
+    SocketOptions o;
+    o.total_processes = 2;
+    o.local_ids = {me};
+    o.addrs = {"127.0.0.1:" + std::to_string(port_a),
+               "127.0.0.1:" + std::to_string(port_b)};
+    o.listen_fd = ::dup(fd);
+    o.heartbeat_period = millis(10);
+    o.heartbeat_timeout = millis(80);
+    return o;
+  };
+  Sink ea;
+  Sink eb;
+  SocketTransport a(options(0, fd_a));
+  SocketTransport b(options(1, fd_b));
+  a.add_endpoint(&ea);
+  b.add_endpoint(&eb);
+  std::atomic<int> downs{0};
+  a.set_peer_callback([&](ProcessId, bool up, std::uint64_t) {
+    if (!up) ++downs;
+  });
+  a.start();
+  b.start();
+  ASSERT_TRUE(wait_for([&] { return a.peer_incarnation(1) == 1; }));
+
+  std::atomic<bool> done{false};
+  a.post(0, [&done] {
+    std::this_thread::sleep_for(160ms);
+    done = true;
+  });
+  ASSERT_TRUE(wait_for([&] { return done.load(); }));
+  std::this_thread::sleep_for(40ms);  // a detector tick after the handler
+  EXPECT_EQ(downs.load(), 0);
+  EXPECT_TRUE(a.peer_up(1));
+
+  b.stop();
+  a.stop();
+  ::close(fd_a);
+  ::close(fd_b);
+}
+
+// ---------------------------------------------------------------------------
+// halt() wakes every thread it joins: with a 2 s heartbeat period the
+// failure detector ticks once a second, and a stop must not wait it out.
+// ---------------------------------------------------------------------------
+
+TEST(Sockets, HaltDoesNotWaitOutTheDetectorTick) {
+  SocketOptions options;
+  options.total_processes = 2;
+  options.heartbeat_period = millis(2000);
+  options.heartbeat_timeout = millis(5000);
+  SocketTransport transport(std::move(options));
+  Sink e0;
+  Sink e1;
+  transport.add_endpoint(&e0);
+  transport.add_endpoint(&e1);
+  transport.start();
+  // Connected, and every thread is parked in its wait.
+  ASSERT_TRUE(
+      wait_for([&] { return transport.counters().heartbeats_received == 2; }));
+  std::this_thread::sleep_for(20ms);
+  const auto begin = std::chrono::steady_clock::now();
+  transport.halt();
+  EXPECT_LT(std::chrono::steady_clock::now() - begin, 500ms);
 }
 
 // ---------------------------------------------------------------------------
