@@ -43,6 +43,11 @@ std::size_t MailboxExecutor::add(Endpoint* ep) {
     PARDSM_CHECK(
         ::epoll_ctl(mb->epoll_fd, EPOLL_CTL_ADD, mb->wake_fd, &ev) == 0,
         "mailbox: epoll_ctl failed");
+    // The worker parks in epoll_pwait2 (Linux 5.11+) for its timers'
+    // sub-millisecond deadlines: fail here, not in a spinning worker.
+    const timespec zero{};
+    PARDSM_CHECK(::epoll_pwait2(mb->epoll_fd, &ev, 1, &zero, nullptr) >= 0,
+                 "mailbox: epoll_pwait2 unavailable (Linux 5.11+ needed)");
   }
   mailboxes_.push_back(std::move(mb));
   return mailboxes_.size() - 1;
