@@ -566,9 +566,8 @@ TEST(SteadyStateAllocations, ArqFramesAreAllocationFree) {
 // The socket root's gate: once the channel's encoding buffer, the read
 // buffers and the body pool are warm, a frame encoded and written on the
 // sender's worker, read and delivered on the receiver's worker, allocates
-// nothing.  Before, every frame cost its length-prefixed copies, a queue
-// node and a decoded kind string: 10 000 frames would show up here as
-// tens of thousands of allocations.
+// nothing.  A per-frame copy, queue node or decoded string would show up
+// here as 10 000 allocations or more.
 struct WireTick final : MessageBody {
   [[nodiscard]] std::uint32_t wire_type() const override {
     return wire::kTestPayload;
