@@ -847,6 +847,8 @@ void SocketTransport::bind_connection(int fd, const std::uint8_t* hello) {
 void SocketTransport::adopt(InConn& c) {
   // Frames the sender wrote on its earlier connections to this process
   // come before the new one's: read what has arrived of them first.
+  // Bytes of theirs still in flight are read when they arrive, possibly
+  // after the new connection's frames (ARQ restores order above).
   std::vector<InConn*> older;
   {
     std::lock_guard lock(conns_mu_);
@@ -999,9 +1001,9 @@ void SocketTransport::close_connection(InConn& c) {
 
 void SocketTransport::note_rx(ProcessId from) {
   PeerState& p = peers_[static_cast<std::size_t>(from)];
-  p.last_rx.store(steady_now().time_since_epoch().count(),
-                  std::memory_order_relaxed);
-  if (p.up.load(std::memory_order_relaxed)) return;
+  // Sequentially consistent, against the detector's store-then-recheck.
+  p.last_rx.store(steady_now().time_since_epoch().count());
+  if (p.up.load()) return;
   std::uint64_t inc = 0;
   {
     std::lock_guard lock(peers_mu_);
@@ -1060,7 +1062,17 @@ void SocketTransport::detector_loop() {
       std::uint64_t inc = 0;
       {
         std::lock_guard lock(peers_mu_);
+        if (!ps.up.load()) continue;
+        // Store first, then look at last_rx again: note_rx stores last_rx
+        // before it loads `up`, so a frame recorded since the check above
+        // either shows here or finds the peer down and brings it back up.
         ps.up.store(false);
+        const std::chrono::steady_clock::time_point rx{
+            std::chrono::steady_clock::duration{ps.last_rx.load()}};
+        if (t - rx <= timeout) {
+          ps.up.store(true);
+          continue;
+        }
         inc = ps.incarnation;
       }
       bump(counters_.peer_down_events);

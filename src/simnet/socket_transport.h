@@ -438,7 +438,7 @@ class SocketTransport final : public RootTransport,
 
   // Last: its workers deliver into arena bodies, stats_ and drops_, so it
   // must be destroyed (and its threads joined) before any of them.
-  MailboxExecutor exec_{*this, /*watches_descriptors=*/true};
+  MailboxExecutor exec_{*this};
 };
 
 }  // namespace pardsm

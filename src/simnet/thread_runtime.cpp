@@ -2,9 +2,9 @@
 
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
+#include <sys/timerfd.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <array>
 #include <ctime>
 #include <utility>
@@ -15,16 +15,15 @@ namespace pardsm {
 
 // -- MailboxExecutor ----------------------------------------------------------
 
-MailboxExecutor::MailboxExecutor(Delivery& delivery, bool watches_descriptors)
-    : delivery_(delivery),
-      watches_descriptors_(watches_descriptors),
-      start_time_(std::chrono::steady_clock::now()) {}
+MailboxExecutor::MailboxExecutor(Delivery& delivery)
+    : delivery_(delivery), start_time_(std::chrono::steady_clock::now()) {}
 
 MailboxExecutor::~MailboxExecutor() { halt(); }
 
 MailboxExecutor::Mailbox::~Mailbox() {
-  if (epoll_fd >= 0) ::close(epoll_fd);
-  if (wake_fd >= 0) ::close(wake_fd);
+  for (const int fd : {epoll_fd, wake_fd, timer_fd}) {
+    if (fd >= 0) ::close(fd);
+  }
 }
 
 std::size_t MailboxExecutor::add(Endpoint* ep) {
@@ -32,22 +31,21 @@ std::size_t MailboxExecutor::add(Endpoint* ep) {
   PARDSM_CHECK(!running_.load(), "add_endpoint: runtime already started");
   auto mb = std::make_unique<Mailbox>();
   mb->ep = ep;
-  if (watches_descriptors_) {
-    mb->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
-    mb->wake_fd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-    PARDSM_CHECK(mb->epoll_fd >= 0 && mb->wake_fd >= 0,
-                 "mailbox: epoll_create1/eventfd failed");
+  mb->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
+  mb->wake_fd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+  // steady_clock is CLOCK_MONOTONIC, so deadlines arm it as they are.
+  mb->timer_fd =
+      ::timerfd_create(CLOCK_MONOTONIC, TFD_CLOEXEC | TFD_NONBLOCK);
+  PARDSM_CHECK(mb->epoll_fd >= 0 && mb->wake_fd >= 0 && mb->timer_fd >= 0,
+               "mailbox: epoll/eventfd/timerfd creation failed (three "
+               "descriptors per process: check ulimit -n)");
+  for (const auto& [fd, tag] :
+       {std::pair<int, void*>{mb->wake_fd, nullptr}, {mb->timer_fd, mb.get()}}) {
     epoll_event ev{};
     ev.events = EPOLLIN;
-    ev.data.ptr = nullptr;
-    PARDSM_CHECK(
-        ::epoll_ctl(mb->epoll_fd, EPOLL_CTL_ADD, mb->wake_fd, &ev) == 0,
-        "mailbox: epoll_ctl failed");
-    // The worker parks in epoll_pwait2 (Linux 5.11+) for its timers'
-    // sub-millisecond deadlines: fail here, not in a spinning worker.
-    const timespec zero{};
-    PARDSM_CHECK(::epoll_pwait2(mb->epoll_fd, &ev, 1, &zero, nullptr) >= 0,
-                 "mailbox: epoll_pwait2 unavailable (Linux 5.11+ needed)");
+    ev.data.ptr = tag;
+    PARDSM_CHECK(::epoll_ctl(mb->epoll_fd, EPOLL_CTL_ADD, fd, &ev) == 0,
+                 "mailbox: epoll_ctl failed");
   }
   mailboxes_.push_back(std::move(mb));
   return mailboxes_.size() - 1;
@@ -70,12 +68,8 @@ void MailboxExecutor::stop() {
 void MailboxExecutor::halt() {
   if (!running_.exchange(false)) return;
   for (auto& mb : mailboxes_) {
-    std::lock_guard lock(mb->mu);
-    mb->cv.notify_all();
-    if (mb->wake_fd >= 0) {
-      const std::uint64_t one = 1;
-      (void)!::write(mb->wake_fd, &one, sizeof(one));
-    }
+    const std::uint64_t one = 1;
+    (void)!::write(mb->wake_fd, &one, sizeof(one));
   }
   for (auto& mb : mailboxes_) {
     if (mb->worker.joinable()) mb->worker.join();
@@ -90,9 +84,7 @@ MailboxExecutor::Mailbox& MailboxExecutor::mailbox(std::size_t slot) {
 void MailboxExecutor::wake(Mailbox& mb, std::unique_lock<std::mutex>& lock) {
   const bool parked = std::exchange(mb.parked, false);
   lock.unlock();
-  if (mb.wake_fd < 0) {
-    mb.cv.notify_one();
-  } else if (parked) {
+  if (parked) {
     const std::uint64_t one = 1;
     (void)!::write(mb.wake_fd, &one, sizeof(one));
   }
@@ -126,7 +118,6 @@ void MailboxExecutor::set_timer(std::size_t slot, Duration delay,
 
 void MailboxExecutor::watch(std::size_t slot, int fd, void* tag) {
   auto& mb = mailbox(slot);
-  PARDSM_CHECK(mb.epoll_fd >= 0, "watch: this root parks on a condvar");
   epoll_event ev{};
   ev.events = EPOLLIN | EPOLLRDHUP;
   ev.data.ptr = tag;
@@ -198,27 +189,18 @@ bool MailboxExecutor::has_queued() const {
   return false;
 }
 
-void MailboxExecutor::poll_descriptors(
-    Mailbox& mb,
-    const std::optional<std::chrono::steady_clock::time_point>& deadline) {
-  timespec wait{};
-  if (deadline) {
-    const auto left = std::max(*deadline - std::chrono::steady_clock::now(),
-                               std::chrono::steady_clock::duration::zero());
-    const auto ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(left).count();
-    wait.tv_sec = static_cast<std::time_t>(ns / 1'000'000'000);
-    wait.tv_nsec = static_cast<long>(ns % 1'000'000'000);
-  }
+void MailboxExecutor::poll_descriptors(Mailbox& mb, bool block) {
   std::array<epoll_event, 16> events{};
   const int ready =
-      ::epoll_pwait2(mb.epoll_fd, events.data(), static_cast<int>(events.size()),
-                     deadline ? &wait : nullptr, nullptr);
+      ::epoll_wait(mb.epoll_fd, events.data(), static_cast<int>(events.size()),
+                   block ? -1 : 0);
   for (int i = 0; i < ready; ++i) {
     void* tag = events[static_cast<std::size_t>(i)].data.ptr;
-    if (tag == nullptr) {
+    if (tag == nullptr || tag == &mb) {
       std::uint64_t count = 0;
-      (void)!::read(mb.wake_fd, &count, sizeof(count));
+      (void)!::read(tag == nullptr ? mb.wake_fd : mb.timer_fd, &count,
+                    sizeof(count));
+      if (tag == &mb) mb.armed.reset();
     } else {
       delivery_.readable(tag);
     }
@@ -236,33 +218,31 @@ void MailboxExecutor::worker_loop(Mailbox& mb) {
     if (!running_.load()) break;
     const bool ready = !mb.messages.empty() || !mb.tasks.empty() || timer_due();
 
-    if (mb.epoll_fd >= 0 && (!ready || since_poll >= kItemsPerPoll)) {
-      // Park in epoll until a descriptor, the eventfd or the next timer
-      // wakes it — or, with items queued, only peek at the descriptors.
+    if (!ready || since_poll >= kItemsPerPoll) {
+      // Park in epoll until a descriptor, the eventfd or the timerfd wakes
+      // it — or, with items queued, only peek at the descriptors.  A timer
+      // armed after this point writes the eventfd, and the next pass
+      // re-arms the timerfd.
       std::optional<std::chrono::steady_clock::time_point> deadline;
-      if (ready) {
-        deadline = std::chrono::steady_clock::now();
-      } else if (!mb.timers.empty()) {
-        deadline = mb.timers.top().deadline;
-      }
+      if (!ready && !mb.timers.empty()) deadline = mb.timers.top().deadline;
       mb.parked = !ready;
       lock.unlock();
-      poll_descriptors(mb, deadline);
+      if (deadline && deadline != mb.armed) {
+        const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                            deadline->time_since_epoch())
+                            .count();
+        itimerspec at{};
+        at.it_value.tv_sec = static_cast<std::time_t>(ns / 1'000'000'000);
+        at.it_value.tv_nsec = static_cast<long>(ns % 1'000'000'000);
+        PARDSM_CHECK(::timerfd_settime(mb.timer_fd, TFD_TIMER_ABSTIME, &at,
+                                       nullptr) == 0,
+                     "mailbox: timerfd_settime failed");
+        mb.armed = deadline;
+      }
+      poll_descriptors(mb, /*block=*/!ready);
       lock.lock();
       mb.parked = false;
       since_poll = 0;
-      continue;
-    }
-    if (!ready) {
-      // Re-pick the wait flavour on every wakeup: a timer armed after this
-      // thread parked in the untimed wait must convert the next wait into
-      // a deadline wait, or the deadline passes with nobody left to
-      // notify.
-      if (mb.timers.empty()) {
-        mb.cv.wait(lock);
-      } else {
-        mb.cv.wait_until(lock, mb.timers.top().deadline);
-      }
       continue;
     }
     ++since_poll;

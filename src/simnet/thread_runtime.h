@@ -50,20 +50,21 @@ namespace pardsm {
 /// whose items leave through another path (socket frames on the wire)
 /// takes and releases units itself.
 ///
-/// Parking: an idle worker waits on its mailbox's condition variable —
-/// unless the root watches descriptors (the socket root's inbound
-/// connections).  Then each worker parks in epoll on an eventfd, which
-/// post/enqueue/set_timer write only while it is parked, plus the
-/// descriptors watch() gave it, and hands each readable one to the root.
-/// A worker with items queued still polls its descriptors every
-/// kItemsPerPoll items, so a busy mailbox cannot starve its sockets.
+/// Parking: an idle worker parks in epoll on an eventfd, which
+/// post/enqueue/set_timer write only while it is parked, a timerfd armed
+/// to its next timer deadline, and whatever descriptors the root gave it
+/// with watch() (the socket root's inbound connections); it hands each
+/// readable descriptor to the root.  A worker with items queued still
+/// polls its descriptors every kItemsPerPoll items, so a busy mailbox
+/// cannot starve its sockets.  Each slot holds three descriptors of its
+/// own (epoll, eventfd, timerfd).
 class MailboxExecutor {
  public:
   /// The root's steps, called on the worker thread.  deliver() runs for
   /// every dequeued message: implementations account the delivery and
   /// hand the message to `ep` — or suppress it (the socket root's
-  /// fail-pause window).  readable() runs, on a root that watches
-  /// descriptors, for each watched descriptor epoll reports readable.
+  /// fail-pause window).  readable() runs for each watched descriptor
+  /// epoll reports readable.
   /// Virtual calls, so the per-message path allocates nothing.
   class Delivery {
    public:
@@ -74,10 +75,7 @@ class MailboxExecutor {
     ~Delivery() = default;
   };
 
-  /// `watches_descriptors`: park workers in epoll so watch() can add
-  /// descriptors (see the class comment); otherwise on a condvar.
-  explicit MailboxExecutor(Delivery& delivery,
-                           bool watches_descriptors = false);
+  explicit MailboxExecutor(Delivery& delivery);
   ~MailboxExecutor();
 
   MailboxExecutor(const MailboxExecutor&) = delete;
@@ -107,7 +105,7 @@ class MailboxExecutor {
   /// Fire `ep->on_timer(tag)` on `slot`'s worker after `delay`.
   void set_timer(std::size_t slot, Duration delay, TimerTag tag);
 
-  /// Descriptor roots, on `slot`'s worker: park on `fd` too, and call
+  /// On `slot`'s worker: park on `fd` too, and call
   /// readable(tag) on that worker whenever it has bytes (or EOF) to read.
   void watch(std::size_t slot, int fd, void* tag);
   /// Stop watching `fd` (before it is closed).
@@ -159,17 +157,18 @@ class MailboxExecutor {
   /// One per slot: its queues, timers, endpoint and worker thread.
   struct Mailbox {
     std::mutex mu;
-    std::condition_variable cv;
     std::deque<Message> messages;
     std::deque<std::function<void()>> tasks;
     std::priority_queue<TimerItem, std::vector<TimerItem>, std::greater<>>
         timers;
     Endpoint* ep = nullptr;
     std::thread worker;
-    // Descriptor roots only (-1 otherwise); fixed from add() on.
     int epoll_fd = -1;
-    int wake_fd = -1;    ///< eventfd, watched with a null tag
-    bool parked = false; ///< in epoll without queued items; guarded by mu
+    int wake_fd = -1;     ///< eventfd, watched with a null tag
+    int timer_fd = -1;    ///< timerfd, watched with this Mailbox as tag
+    bool parked = false;  ///< in epoll without queued items; guarded by mu
+    /// The timerfd's deadline (none: disarmed or fired); worker only.
+    std::optional<std::chrono::steady_clock::time_point> armed;
     ~Mailbox();
   };
 
@@ -178,11 +177,9 @@ class MailboxExecutor {
 
   [[nodiscard]] Mailbox& mailbox(std::size_t slot);
   void worker_loop(Mailbox& mb);
-  /// Wait on `mb`'s descriptors until `deadline` (none: block; now: just
-  /// peek) and hand every readable one to the root.
-  void poll_descriptors(
-      Mailbox& mb,
-      const std::optional<std::chrono::steady_clock::time_point>& deadline);
+  /// Wait on `mb`'s descriptors (`block`: until one is readable, else
+  /// just peek) and hand every readable one to the root.
+  void poll_descriptors(Mailbox& mb, bool block);
   /// After a queue push under `lock`: release it and wake the worker.
   static void wake(Mailbox& mb, std::unique_lock<std::mutex>& lock);
   /// Close out a handled item: keep its failure, note activity, release
@@ -192,7 +189,6 @@ class MailboxExecutor {
   void record_failure(std::exception_ptr e);
 
   Delivery& delivery_;
-  const bool watches_descriptors_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::atomic<bool> running_{false};
   std::atomic<std::int64_t> pending_{0};
