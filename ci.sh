@@ -10,10 +10,12 @@
 #                           # TIMEOUT, tests/CMakeLists.txt: Theorem 1 at
 #                           # n >= 1024 must stay linear per variable)
 #   SANITIZE=tsan ./ci.sh   # ThreadSanitizer build + ctest — gates the
-#                           # parallel engine's worker threads and the
+#                           # parallel engine's worker threads, the
 #                           # mailbox executor both wall-clock roots run
-#                           # on; the parallel and wall-clock suites
-#                           # then run three more times
+#                           # on, and the lock-free traffic ledger they
+#                           # all write; the parallel, wall-clock and
+#                           # NetworkStats suites then run three more
+#                           # times
 #   SOCKETS_SMOKE=1 ./ci.sh # release build + socket-layer tests + real
 #                           # multi-process pardsm_node drills over
 #                           # loopback TCP, incl. a kill -9 / respawn /
@@ -166,13 +168,14 @@ if [ "$SANITIZE" = "tsan" ]; then
   # The parallel root's window barrier is lock-free (atomic epoch + spin),
   # and the wall-clock roots' interleavings come from the OS scheduler, so
   # one instrumented pass can miss a rare race: re-run the parallel suites,
-  # the mailbox-executor suites (threads + sockets), the engine's
+  # the mailbox-executor suites (threads + sockets), the traffic ledger's
+  # owner-thread writes (NetworkStats, one slot per process), the engine's
   # handler-failure runs on both roots and the socket root's own
   # worker-side read/write, backlog, detector, stop and hostile-connection
   # tests until one fails, up to three more times.
   echo "== test: parallel and wall-clock suites, repeated =="
   (cd "$BUILD_DIR" && ctest --output-on-failure -j "$JOBS" \
-      -R 'Parallel|QuantumBoundary|CrossShard|ShardAssignment|ThreadRuntime|ThreadedProtocol|SocketStacks|MailboxExecutor|WallClockRun|Sockets\.(WorkersFlooding|BusyWorker|HaltDoesNot|RejectedFrames|MidStreamDisconnects)|SocketFrames|SocketReadBuffer' \
+      -R 'Parallel|NetworkStats|QuantumBoundary|CrossShard|ShardAssignment|ThreadRuntime|ThreadedProtocol|SocketStacks|MailboxExecutor|WallClockRun|Sockets\.(WorkersFlooding|BusyWorker|HaltDoesNot|RejectedFrames|MidStreamDisconnects)|SocketFrames|SocketReadBuffer' \
       --repeat until-fail:3)
 fi
 

@@ -335,7 +335,7 @@ ScenarioRunResult run_parallel(EngineConfig& config) {
   options.shard_of = graph::shard_assignment(
       dist, static_cast<int>(config.parallel.num_threads));
   ParallelSimulator sim(std::move(options));
-  sim.set_var_hint(dist.var_count);
+  sim.stats().set_var_hint(dist.var_count);
   Stack stack(config, sim);
 
   sim.freeze();

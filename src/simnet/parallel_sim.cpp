@@ -75,11 +75,6 @@ ProcessId ParallelSimulator::add_endpoint(Endpoint* ep) {
   return static_cast<ProcessId>(endpoints_.size() - 1);
 }
 
-void ParallelSimulator::set_var_hint(std::size_t m) {
-  if (m > var_hint_) var_hint_ = m;
-  stats_.set_var_hint(var_hint_);
-}
-
 void ParallelSimulator::freeze() {
   if (frozen_) return;
   const std::size_t n = endpoints_.size();
@@ -114,14 +109,7 @@ void ParallelSimulator::freeze() {
   for (unsigned w = 0; w < options_.num_threads; ++w) {
     auto shard = std::make_unique<Shard>();
     shard->latency = options_.latency->clone();
-    shard->stats.resize(n);
     shards_.push_back(std::move(shard));
-  }
-  // A shard's ledger only ever records deliveries to its own processes,
-  // so only their exposure rows are pre-sized (n x m per shard otherwise).
-  for (std::size_t p = 0; p < n; ++p) {
-    shards_[static_cast<std::size_t>(shard_of_[p])]
-        ->stats.presize_exposure_row(static_cast<ProcessId>(p), var_hint_);
   }
 
   // The fault network carries severed/down/rate-override state only; its
@@ -133,7 +121,6 @@ void ParallelSimulator::freeze() {
   send_seq_.assign(n, 0);
   timer_seq_.assign(n, 0);
   closure_seq_.assign(n, 0);
-  stats_.set_var_hint(var_hint_);
   stats_.resize(n);
   frozen_ = true;
 }
@@ -174,7 +161,7 @@ void ParallelSimulator::send(ProcessId from, ProcessId to, BodyRef body,
   m.body = std::move(body);
   m.meta = std::move(meta);
   m.send_time = ctx != nullptr ? ss.now : coordinator_now_;
-  ss.stats.on_send(m);
+  stats_.on_send(m);
   plan_and_schedule(ss, std::move(m));
 }
 
@@ -326,7 +313,7 @@ void ParallelSimulator::dispatch(Shard& shard, Event& e) {
         ++shard.drops.in_flight;
         return;
       }
-      shard.stats.on_deliver(m);
+      stats_.on_deliver(m);
       endpoints_[static_cast<std::size_t>(m.to)]->on_message(m);
       break;
     }
@@ -490,7 +477,6 @@ void ParallelSimulator::run() {
 
   for (const auto& shard : shards_) {
     coordinator_now_ = std::max(coordinator_now_, shard->now);
-    stats_.merge_from(shard->stats);
   }
   running_ = false;
 }

@@ -23,9 +23,11 @@
 //     fault draws come from a fresh generator keyed on (run seed, sender,
 //     dest, per-pair message counter, stream tag) — see counter_rng().
 //     The draws depend on coordinates, never on scheduling.
-//   * Per-pair FIFO clamp state, per-pair counters, drop counters and
-//     traffic stats are partitioned by shard (a process's rows are only
-//     ever touched by its owning shard) and merged after the run.
+//   * Per-pair FIFO clamp state, per-pair counters and drop counters are
+//     partitioned by shard and summed after the run.  The traffic ledger
+//     is the one shared NetworkStats: a process's slot in it is only ever
+//     written by its owning shard (or the coordinator while the workers
+//     are parked), so the shards write it directly.
 //   * Fault state (severed pairs, down flags, probability windows) is
 //     read-only during windows and mutated only by stop-the-world global
 //     events (Scenario timelines) with every worker parked.
@@ -134,9 +136,8 @@ class ParallelSimulator final : public RootTransport {
   /// windows the workers read it concurrently, so it must only be mutated
   /// from global events (or before run()).
   [[nodiscard]] Network& fault_network();
-  /// Declare the run's variable count before freeze(): every shard's
-  /// exposure rows (and the merged view's) are pre-sized to it.
-  void set_var_hint(std::size_t m);
+  /// The traffic ledger every shard writes; read it after run().  Declare
+  /// the run's variable count here (set_var_hint) before freeze().
   [[nodiscard]] NetworkStats& stats() { return stats_; }
   [[nodiscard]] const NetworkStats& stats() const { return stats_; }
   /// Channel drops by cause, merged over shards.
@@ -196,15 +197,14 @@ class ParallelSimulator final : public RootTransport {
   };
 
   /// Everything one shard owns: its event queue, the channel state of its
-  /// processes' outgoing pairs, its slice of the traffic ledger and the
-  /// cross-shard deliveries the current window produced.
+  /// processes' outgoing pairs, its drop counters and the cross-shard
+  /// deliveries the current window produced.
   struct Shard {
     EventQueue queue;  ///< keyed by canonical_key
     std::unique_ptr<LatencyModel> latency;
     PairMap<TimePoint> last_delivery;  ///< FIFO clamp, sender-side pairs
     PairMap<std::uint64_t> pair_seq;   ///< per-pair send counter (RNG key)
     DropCounters drops;
-    NetworkStats stats;
     TimePoint now{};
     std::uint64_t events_fired = 0;
     std::vector<Outgoing> outbox;  ///< deliveries bound for other shards
@@ -234,17 +234,17 @@ class ParallelSimulator final : public RootTransport {
   std::uint64_t channel_seed_ = 0;
   std::vector<Endpoint*> endpoints_;
   std::vector<int> shard_of_;
-  /// Stable storage: Shard holds a NetworkStats (not movable) and workers
-  /// keep references across the whole run.
+  /// Stable storage: workers keep references to their shard across the
+  /// whole run.
   std::vector<std::unique_ptr<Shard>> shards_;
   /// One concurrent BodyArena per shard, created up-front (arena() must
   /// work before freeze so protocols can cache pool handles at attach).
   std::vector<std::unique_ptr<BodyArena>> arenas_;
-  std::size_t var_hint_ = 0;
   /// Fault state (severed / down / rate overrides) shared read-only
   /// during windows; its own RNG streams and clamp state are unused.
   std::unique_ptr<Network> fault_net_;
-  NetworkStats stats_;  ///< merged view, filled at the end of run()
+  /// One slot per process, written by that process's shard (see stats.h).
+  NetworkStats stats_;
   /// Per-process canonical sequence counters, touched only by the owner's
   /// shard (or the coordinator while workers are parked).
   std::vector<std::uint64_t> send_seq_;

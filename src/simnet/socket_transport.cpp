@@ -287,6 +287,8 @@ void SocketTransport::send(ProcessId from, ProcessId to, BodyRef body,
                    static_cast<std::size_t>(to) < options_.total_processes,
                "send: bad destination");
   PARDSM_CHECK(is_local(from), "send: sender not hosted here");
+  PARDSM_CHECK(exec_.on_worker(local_index(from)),
+               "send: caller is not the sender's mailbox worker");
   exec_.note_activity();
 
   Message m;

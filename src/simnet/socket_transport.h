@@ -222,6 +222,7 @@ class SocketTransport final : public RootTransport,
   }
 
   // -- Transport ------------------------------------------------------------
+  /// Runs on `from`'s worker only (checked): post() it there.
   void send(ProcessId from, ProcessId to, BodyRef body,
             MessageMeta meta) override;
   [[nodiscard]] TimePoint now() const override { return exec_.now(); }
@@ -274,7 +275,8 @@ class SocketTransport final : public RootTransport,
   [[nodiscard]] std::uint16_t port() const;
   /// Declare the run's variable count m here (set_var_hint) before
   /// start(): a MSG frame from a process outside [0, n) or mentioning a
-  /// variable outside [0, m) is rejected on the receiving worker.
+  /// variable outside [0, m) is rejected on the receiving worker.  Each
+  /// process's slot is written by its worker; read after stop().
   [[nodiscard]] NetworkStats& stats() { return stats_; }
   [[nodiscard]] DropCounters drops() const;
   [[nodiscard]] SocketCounters counters() const;

@@ -13,10 +13,31 @@
 // for callers that never declared a variable count.  Pre-sizing also
 // makes row shapes — not just values — independent of receipt order,
 // which the ragged lazily-grown rows were not.
+//
+// Ownership, not a lock.  Each process has one cache-line-aligned slot
+// holding its counters and its exposure row, and a slot is written only by
+// its process's owner thread: on_send writes m.from's slot, on_deliver
+// m.to's, and every root calls each from the thread that runs that
+// process — the Simulator's one thread, the parallel root's owning shard
+// (or its coordinator while the workers are parked), a wall-clock root's
+// mailbox worker.  The parallel and wall-clock roots check that the caller
+// of send() owns `from`; a delivery runs on the receiver's owner by
+// construction.  No two threads ever write one slot or share its cache
+// line, so the per-message path takes no mutex.
+//
+// Readers (traffic, total, exposure_sets, ...) and the sizing calls
+// (resize, set_var_hint, clear) need every writer's stores to happen
+// before them.  Each root provides that edge where its runs already end:
+// the parallel root joins its helpers' window through the `working_`
+// release/acquire count and stops them with a join; ThreadRuntime's
+// await_quiescence reads the `pending_` count with acquire after every
+// handler released it by a read-modify-write (so that read synchronizes
+// with all of them through the release sequence); and stop()/halt() of
+// either wall-clock root join its workers.  Reading during a run is a
+// data race.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <set>
 #include <vector>
 
@@ -39,7 +60,8 @@ struct ProcessTraffic {
   }
 };
 
-/// Thread-safe traffic accounting shared by both runtimes.
+/// Traffic accounting shared by every root: one slot per process, written
+/// only by that process's owner thread (see the file comment).
 class NetworkStats {
  public:
   explicit NetworkStats(std::size_t n = 0) { resize(n); }
@@ -54,23 +76,20 @@ class NetworkStats {
   /// a larger hint extends existing rows in place.
   void set_var_hint(std::size_t m);
   /// The largest variable count declared so far (0 = none).
-  [[nodiscard]] std::size_t var_hint() const;
+  [[nodiscard]] std::size_t var_hint() const { return var_hint_; }
 
-  /// Pre-size only process `p`'s exposure row to `m` entries, for a ledger
-  /// that records deliveries to some processes only (a parallel shard's
-  /// slice); the other rows stay empty and merge_from skips them.
-  void presize_exposure_row(ProcessId p, std::size_t m);
-
-  /// Record a message leaving `m.from`.
+  /// Record a message leaving `m.from`; call on m.from's owner thread.
   void on_send(const Message& m);
 
-  /// Record a message arriving at `m.to`; updates variable exposure.
+  /// Record a message arriving at `m.to`, updating its variable exposure;
+  /// call on m.to's owner thread.  A negative VarId throws and leaves the
+  /// slot unchanged.
   void on_deliver(const Message& m);
 
   /// Counters for process `p`.
   [[nodiscard]] ProcessTraffic traffic(ProcessId p) const;
 
-  /// Counters for every process in one pass (single lock).
+  /// Counters for every process in one pass.
   [[nodiscard]] std::vector<ProcessTraffic> per_process_snapshot() const;
 
   /// Sum of counters over all processes.
@@ -84,7 +103,7 @@ class NetworkStats {
   [[nodiscard]] std::set<ProcessId> processes_exposed_to(VarId x) const;
 
   /// processes_exposed_to for every variable in [0, var_count) in one
-  /// pass (single lock; what run-result collection wants).
+  /// pass (what run-result collection wants).
   [[nodiscard]] std::vector<std::set<ProcessId>> exposure_sets(
       std::size_t var_count) const;
 
@@ -94,23 +113,23 @@ class NetworkStats {
   /// Total messages delivered across all processes.
   [[nodiscard]] std::uint64_t messages_delivered() const;
 
-  /// Element-wise add another instance's counters into this one.  The
-  /// parallel engine keeps one NetworkStats per shard (each process's row
-  /// is written only by its owning shard) and folds them into the engine's
-  /// shared instance after the run; `other` must cover no more processes
-  /// than this instance.
-  void merge_from(const NetworkStats& other);
-
   /// Reset all counters, keeping the size.
   void clear();
 
  private:
-  mutable std::mutex mu_;
-  std::vector<ProcessTraffic> per_process_;
-  /// exposure_[p][x] = number of received messages mentioning x; each row
-  /// is dense over VarId, pre-sized to var_hint_ and grown past it only
-  /// by the guarded fallback in on_deliver.
-  std::vector<std::vector<std::uint64_t>> exposure_;
+  /// One process's ledger, on cache lines of its own.
+  struct alignas(64) Slot {
+    ProcessTraffic traffic;
+    /// exposure[x] = number of received messages mentioning x; dense over
+    /// VarId, pre-sized to var_hint_ and grown past it only by the guarded
+    /// fallback in on_deliver.
+    std::vector<std::uint64_t> exposure;
+  };
+
+  /// `p` as a slot index; throws `what` when out of range.
+  [[nodiscard]] std::size_t index(ProcessId p, const char* what) const;
+
+  std::vector<Slot> slots_;  ///< one per process
   std::size_t var_hint_ = 0;
 };
 

@@ -15,6 +15,11 @@ namespace pardsm {
 
 // -- MailboxExecutor ----------------------------------------------------------
 
+namespace {
+/// The mailbox whose worker is the calling thread (null off the workers).
+thread_local const void* tl_mailbox = nullptr;
+}  // namespace
+
 MailboxExecutor::MailboxExecutor(Delivery& delivery)
     : delivery_(delivery), start_time_(std::chrono::steady_clock::now()) {}
 
@@ -74,6 +79,10 @@ void MailboxExecutor::halt() {
   for (auto& mb : mailboxes_) {
     if (mb->worker.joinable()) mb->worker.join();
   }
+}
+
+bool MailboxExecutor::on_worker(std::size_t slot) const {
+  return slot < mailboxes_.size() && tl_mailbox == mailboxes_[slot].get();
 }
 
 MailboxExecutor::Mailbox& MailboxExecutor::mailbox(std::size_t slot) {
@@ -208,6 +217,7 @@ void MailboxExecutor::poll_descriptors(Mailbox& mb, bool block) {
 }
 
 void MailboxExecutor::worker_loop(Mailbox& mb) {
+  tl_mailbox = &mb;
   int since_poll = 0;
   std::unique_lock lock(mb.mu);
   while (true) {
@@ -302,6 +312,8 @@ void ThreadRuntime::send(ProcessId from, ProcessId to, BodyRef body,
                          MessageMeta meta) {
   PARDSM_CHECK(to >= 0 && static_cast<std::size_t>(to) < exec_.size(),
                "send: bad destination");
+  PARDSM_CHECK(exec_.on_worker(static_cast<std::size_t>(from)),
+               "send: caller is not the sender's mailbox worker");
   Message m;
   m.from = from;
   m.to = to;

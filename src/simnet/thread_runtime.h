@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "simnet/network.h"
+#include "simnet/recycling_alloc.h"
 #include "simnet/stats.h"
 #include "simnet/transport.h"
 
@@ -84,6 +85,9 @@ class MailboxExecutor {
   /// Register an endpoint; returns its slot.  Must precede start().
   std::size_t add(Endpoint* ep);
   [[nodiscard]] std::size_t size() const { return mailboxes_.size(); }
+  /// True iff the calling thread is `slot`'s worker: the one thread that
+  /// may act for that process (send on its behalf, write its ledger slot).
+  [[nodiscard]] bool on_worker(std::size_t slot) const;
 
   /// Reset the clock epoch and spawn one worker per slot.
   void start();
@@ -154,11 +158,20 @@ class MailboxExecutor {
     }
   };
 
+  using Task = std::function<void()>;
+
   /// One per slot: its queues, timers, endpoint and worker thread.
   struct Mailbox {
     std::mutex mu;
-    std::deque<Message> messages;
-    std::deque<std::function<void()>> tasks;
+    /// Recycles the queues' chunks, so a steady stream of messages and
+    /// tasks stops allocating once the queues reach their depth.  Every
+    /// push and pop runs under `mu`, so the pool, which is not
+    /// thread-safe, is only ever touched under that lock.
+    RecyclingPool chunk_pool;
+    std::deque<Message, RecyclingAlloc<Message>> messages{
+        RecyclingAlloc<Message>(&chunk_pool)};
+    std::deque<Task, RecyclingAlloc<Task>> tasks{
+        RecyclingAlloc<Task>(&chunk_pool)};
     std::priority_queue<TimerItem, std::vector<TimerItem>, std::greater<>>
         timers;
     Endpoint* ep = nullptr;
@@ -242,6 +255,7 @@ class ThreadRuntime final : public RootTransport,
   }
 
   // -- Transport interface ---------------------------------------------------
+  /// Runs on `from`'s worker only (checked): post() it there.
   void send(ProcessId from, ProcessId to, BodyRef body,
             MessageMeta meta) override;
   [[nodiscard]] TimePoint now() const override { return exec_.now(); }
@@ -258,6 +272,8 @@ class ThreadRuntime final : public RootTransport,
     return arena_;
   }
 
+  /// Each process's slot is written by its worker (send and delivery);
+  /// read after await_quiescence() or stop().
   [[nodiscard]] NetworkStats& stats() { return stats_; }
 
  private:

@@ -6,32 +6,15 @@ namespace pardsm {
 
 void Trace::record(TraceEntry e) {
   if (!enabled_) return;
-  std::lock_guard lock(mu_);
   entries_.push_back(std::move(e));
 }
 
-std::vector<TraceEntry> Trace::entries() const {
-  std::lock_guard lock(mu_);
-  return entries_;
-}
-
-std::size_t Trace::size() const {
-  std::lock_guard lock(mu_);
-  return entries_.size();
-}
-
 void Trace::dump(std::ostream& os) const {
-  std::lock_guard lock(mu_);
   for (const auto& e : entries_) {
     os << e.when.us << "us " << to_string(e.type) << " p" << e.from;
     if (e.to != kNoProcess) os << " -> p" << e.to;
     os << " [" << e.kind << "] #" << e.msg_id << '\n';
   }
-}
-
-void Trace::clear() {
-  std::lock_guard lock(mu_);
-  entries_.clear();
 }
 
 const char* to_string(TraceEntry::Type t) {

@@ -3,11 +3,13 @@
 // A Trace is an append-only log of network-level events.  It is disabled by
 // default (protocol benchmarks should not pay for it); when enabled it can
 // be dumped in a stable, diffable text format.
+//
+// Only the sequential Simulator records into a Trace, from its one
+// thread, so the log takes no lock; read it after the run.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -27,7 +29,7 @@ struct TraceEntry {
   std::string kind;  ///< MessageMeta::kind or timer tag description
 };
 
-/// Thread-safe append-only event log.
+/// Append-only event log, written by the Simulator's thread only.
 class Trace {
  public:
   /// Enable or disable recording (disabled by default).
@@ -38,18 +40,17 @@ class Trace {
   void record(TraceEntry e);
 
   /// Snapshot of all entries so far.
-  [[nodiscard]] std::vector<TraceEntry> entries() const;
+  [[nodiscard]] std::vector<TraceEntry> entries() const { return entries_; }
 
   /// Number of entries recorded.
-  [[nodiscard]] std::size_t size() const;
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
   /// Human-readable dump, one line per entry.
   void dump(std::ostream& os) const;
 
-  void clear();
+  void clear() { entries_.clear(); }
 
  private:
-  mutable std::mutex mu_;
   bool enabled_ = false;
   std::vector<TraceEntry> entries_;
 };

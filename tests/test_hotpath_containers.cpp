@@ -38,6 +38,7 @@
 #include "simnet/simulator.h"
 #include "simnet/small_vec.h"
 #include "simnet/socket_transport.h"
+#include "simnet/thread_runtime.h"
 #include "simnet/wire.h"
 
 // ---------------------------------------------------------------------------
@@ -616,12 +617,50 @@ TEST(SteadyStateAllocations, SocketFramesAreAllocationFree) {
 
   EXPECT_EQ(b.got.load() - got_before, 100u * kBurst);
   EXPECT_EQ(transport.counters().frames_rejected, 0u);
-  // The budget covers what is not per frame: the posted tasks' deque
-  // chunks, and a rare partial write's queued copy.
-  EXPECT_LE(g_alloc_count.load(), 16u)
+  // Measured 0: the mailbox queues recycle their chunks.  The budget
+  // covers a rare partial write's queued copy.
+  EXPECT_LE(g_alloc_count.load(), 4u)
       << g_alloc_count.load() << " heap allocations across "
       << 100 * kBurst << " socket frames";
   transport.stop();
+}
+
+// The thread root's gate: a message sent on one worker and delivered on
+// another crosses two mailbox queues (the posted task's and the
+// message's).  Their chunks come back to each mailbox's pool, so once the
+// queues have reached their depth a posted stream allocates nothing; a
+// plain deque allocated a chunk every few messages (about 2 000 here).
+TEST(SteadyStateAllocations, ThreadRuntimeFramesAreAllocationFree) {
+  ThreadRuntime rt;
+  AtomicSink a, b;
+  const ProcessId s = rt.add_endpoint(&a);
+  const ProcessId r = rt.add_endpoint(&b);
+  rt.start();
+  BodyPool<Tick>& pool = rt.arena(s).pool<Tick>();
+  const MessageMeta meta{KindId("TICK"), 4, 0, {}};
+  constexpr int kBurst = 100;
+  const auto send_burst = [&] {
+    for (int i = 0; i < kBurst; ++i) {
+      rt.send(s, r, BodyRef::adopt(pool.create()), meta);
+    }
+  };
+  const auto burst = [&] {
+    rt.post(s, [fn = &send_burst] { (*fn)(); });
+    ASSERT_TRUE(rt.await_quiescence(std::chrono::seconds(10)));
+  };
+  for (int warm = 0; warm < 20; ++warm) burst();
+  const std::uint64_t got_before = b.got.load();
+
+  g_alloc_count.store(0);
+  g_count_allocs.store(true);
+  for (int round = 0; round < 100; ++round) burst();
+  g_count_allocs.store(false);
+
+  EXPECT_EQ(b.got.load() - got_before, 100u * kBurst);
+  EXPECT_LE(g_alloc_count.load(), 4u)
+      << g_alloc_count.load() << " heap allocations across "
+      << 100 * kBurst << " posted messages";
+  rt.stop();
 }
 
 // ------------------------------------------------------- hostile frames

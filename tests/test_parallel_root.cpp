@@ -8,7 +8,9 @@
 //     same counts and the same canonical History as a single thread;
 //   * the atomic-epoch window barrier — an exception thrown by a handler
 //     on a helper's shard or on the coordinator's own shard 0 reaches
-//     run()'s caller intact, after every thread has been joined.
+//     run()'s caller intact, after every thread has been joined;
+//   * the traffic ledger the shards write directly — repeated run()s
+//     count what the sequential root counts.
 
 #include <gtest/gtest.h>
 
@@ -26,6 +28,8 @@
 #include "simnet/event_queue.h"
 #include "simnet/parallel_sim.h"
 #include "simnet/rng.h"
+#include "simnet/simulator.h"
+#include "simnet/stats.h"
 
 namespace pardsm {
 namespace {
@@ -269,6 +273,63 @@ TEST(ParallelBarrier, OneThreadSpawnsNoHelper) {
   sim.run();
   EXPECT_EQ(peak, threads_before);
   EXPECT_EQ(sim.events_fired(), 201u);
+}
+
+// ---------------------------------------------------------------------------
+// Ledger: the shards write the one NetworkStats directly, so a second
+// run() adds only its own traffic, exactly like the sequential root.
+
+struct Sink final : Endpoint {
+  void on_message(const Message&) override {}
+};
+
+/// Registers `a` and `b` on `root`, sends one message 0 -> 1 mentioning
+/// variable 0 in each of two runs, then returns the ledger's per-process
+/// counters.
+template <class Root>
+std::vector<ProcessTraffic> two_runs_of_one_message(Root& root, Sink& a,
+                                                    Sink& b) {
+  root.add_endpoint(&a);
+  root.add_endpoint(&b);
+  root.stats().set_var_hint(1);
+  for (int run = 0; run < 2; ++run) {
+    root.schedule_at(root.now() + Duration{1000}, 0, [&root] {
+      root.send(0, 1, make_body<MessageBody>(), MessageMeta{"ONE", 4, 2, {0}});
+    });
+    root.run();
+  }
+  EXPECT_EQ(root.stats().exposure(1, 0), 2u);
+  return root.stats().per_process_snapshot();
+}
+
+bool same_traffic(const ProcessTraffic& x, const ProcessTraffic& y) {
+  return x.msgs_sent == y.msgs_sent && x.msgs_received == y.msgs_received &&
+         x.control_bytes_sent == y.control_bytes_sent &&
+         x.payload_bytes_sent == y.payload_bytes_sent &&
+         x.control_bytes_received == y.control_bytes_received &&
+         x.payload_bytes_received == y.payload_bytes_received;
+}
+
+TEST(ParallelLedger, SecondRunDoesNotRecountTheFirst) {
+  Sink a, b;  // outlive every root below
+  Simulator seq;
+  const std::vector<ProcessTraffic> want = two_runs_of_one_message(seq, a, b);
+  ASSERT_EQ(seq.stats().total().msgs_sent, 2u);
+  ASSERT_EQ(seq.stats().total().msgs_received, 2u);
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    ParallelSimOptions options;
+    options.num_threads = threads;
+    ParallelSimulator par(std::move(options));
+    const std::vector<ProcessTraffic> got =
+        two_runs_of_one_message(par, a, b);
+    EXPECT_EQ(par.stats().total().msgs_sent, 2u);
+    EXPECT_EQ(par.stats().total().msgs_received, 2u);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t p = 0; p < want.size(); ++p) {
+      EXPECT_TRUE(same_traffic(got[p], want[p])) << "process " << p;
+    }
+  }
 }
 
 }  // namespace

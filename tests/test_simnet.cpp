@@ -4,12 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "simnet/event_queue.h"
 #include "simnet/latency.h"
 #include "simnet/network.h"
 #include "simnet/rng.h"
 #include "simnet/simulator.h"
+#include "simnet/stats.h"
 #include "simnet/trace.h"
 
 namespace pardsm {
@@ -397,6 +402,69 @@ TEST(NetworkStats, LazyFallbackAndLateHint) {
   stats.on_deliver(mention(0, 1, {15}));
   EXPECT_EQ(stats.exposure(1, 15), 1u);
   EXPECT_EQ(stats.exposure(1, 9), 1u);
+}
+
+// A negative VarId is rejected before it indexes the row, with or
+// without a var hint (-1 used to wrap to a zero-length resize and a write
+// in front of the row), and the slot keeps what it had.
+TEST(NetworkStats, NegativeVarIdThrowsAndLeavesTheRowUnchanged) {
+  for (const std::size_t hint : {std::size_t{0}, std::size_t{4}}) {
+    SCOPED_TRACE("var hint " + std::to_string(hint));
+    NetworkStats stats(2);
+    stats.set_var_hint(hint);
+    stats.on_deliver(mention(0, 1, {2}));
+    EXPECT_THROW(stats.on_deliver(mention(0, 1, {-1})), std::logic_error);
+    EXPECT_EQ(stats.variables_seen_by(1), std::set<VarId>{2});
+    EXPECT_EQ(stats.exposure(1, 2), 1u);
+    EXPECT_EQ(stats.traffic(1).msgs_received, 1u);
+    EXPECT_EQ(stats.messages_delivered(), 1u);
+  }
+}
+
+// Each process's slot is written only by its owner thread: eight threads
+// recording for their own process at once lose no update, with no lock.
+TEST(NetworkStats, OwnerThreadsWriteTheirOwnRowsWithoutALock) {
+  constexpr std::size_t kProcs = 8;
+  constexpr std::uint64_t kMsgs = 100'000;
+  constexpr std::size_t kVars = 16;
+  NetworkStats stats(kProcs);
+  stats.set_var_hint(kVars);
+  std::vector<std::thread> owners;
+  for (std::size_t p = 0; p < kProcs; ++p) {
+    owners.emplace_back([&stats, p] {
+      const auto self = static_cast<ProcessId>(p);
+      const Message m = mention(self, self, {static_cast<VarId>(p),
+                                             static_cast<VarId>(p + kProcs)});
+      for (std::uint64_t i = 0; i < kMsgs; ++i) {
+        stats.on_send(m);
+        stats.on_deliver(m);
+      }
+    });
+  }
+  for (std::thread& t : owners) t.join();
+
+  for (std::size_t p = 0; p < kProcs; ++p) {
+    const auto self = static_cast<ProcessId>(p);
+    const ProcessTraffic t = stats.traffic(self);
+    EXPECT_EQ(t.msgs_sent, kMsgs);
+    EXPECT_EQ(t.msgs_received, kMsgs);
+    EXPECT_EQ(t.control_bytes_sent, 8 * kMsgs);
+    EXPECT_EQ(t.control_bytes_received, 8 * kMsgs);
+    EXPECT_EQ(stats.variables_seen_by(self),
+              (std::set<VarId>{static_cast<VarId>(p),
+                               static_cast<VarId>(p + kProcs)}));
+    EXPECT_EQ(stats.exposure(self, static_cast<VarId>(p)), kMsgs);
+    EXPECT_EQ(stats.exposure(self, static_cast<VarId>(p + kProcs)), kMsgs);
+  }
+  const ProcessTraffic total = stats.total();
+  EXPECT_EQ(total.msgs_sent, kProcs * kMsgs);
+  EXPECT_EQ(total.msgs_received, kProcs * kMsgs);
+  EXPECT_EQ(total.control_bytes_sent, 8 * kProcs * kMsgs);
+  EXPECT_EQ(stats.messages_delivered(), kProcs * kMsgs);
+  const auto sets = stats.exposure_sets(kVars);
+  for (std::size_t x = 0; x < kVars; ++x) {
+    EXPECT_EQ(sets[x], std::set<ProcessId>{static_cast<ProcessId>(x % kProcs)});
+  }
 }
 
 }  // namespace

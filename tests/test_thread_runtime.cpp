@@ -272,6 +272,34 @@ TEST_P(MailboxExecutor, UncollectedHandlerExceptionIsDroppedAtDestruction) {
   });
 }
 
+// Only a process's own worker may send on its behalf (the worker owns the
+// process's ledger slot).  A send from the test thread is rejected before
+// it touches anything; the same send posted to the worker goes through.
+TEST_P(MailboxExecutor, SendOffTheSendersWorkerIsRejected) {
+  struct Ping final : MessageBody {};
+  struct Counter final : Endpoint {
+    std::atomic<int> got{0};
+    void on_message(const Message&) override { got.fetch_add(1); }
+  };
+  on_root([](auto& root) {
+    Counter ep;
+    const ProcessId p = root.add_endpoint(&ep);
+    root.start();
+    const auto send = [&root, p] {
+      root.send(p, p, BodyRef::adopt(new_body<Ping>()),
+                MessageMeta{"PING", 0, 0, {}});
+    };
+    EXPECT_NE(thrown_message(send).find("sender's mailbox worker"),
+              std::string::npos);
+    root.post(p, send);
+    EXPECT_TRUE(root.await_quiescence(std::chrono::milliseconds(5000)));
+    root.stop();
+    EXPECT_EQ(ep.got.load(), 1);
+    EXPECT_EQ(root.stats().traffic(p).msgs_sent, 1u);
+    EXPECT_EQ(root.stats().traffic(p).msgs_received, 1u);
+  });
+}
+
 class ThreadedProtocol : public ::testing::TestWithParam<ProtocolKind> {};
 
 TEST_P(ThreadedProtocol, ConsistencyHoldsUnderRealThreads) {
