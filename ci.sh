@@ -13,9 +13,9 @@
 #                           # parallel engine's worker threads, the
 #                           # mailbox executor both wall-clock roots run
 #                           # on, and the lock-free traffic ledger they
-#                           # all write; the parallel, wall-clock and
-#                           # NetworkStats suites then run three more
-#                           # times
+#                           # all write; the parallel, wall-clock,
+#                           # NetworkStats and WorkloadEngine suites then
+#                           # run three more times
 #   SOCKETS_SMOKE=1 ./ci.sh # release build + socket-layer tests + real
 #                           # multi-process pardsm_node drills over
 #                           # loopback TCP, incl. a kill -9 / respawn /
@@ -170,12 +170,14 @@ if [ "$SANITIZE" = "tsan" ]; then
   # one instrumented pass can miss a rare race: re-run the parallel suites,
   # the mailbox-executor suites (threads + sockets), the traffic ledger's
   # owner-thread writes (NetworkStats, one slot per process), the engine's
-  # handler-failure runs on both roots and the socket root's own
+  # per-owner latency histograms (WorkloadEngine: one per shard or
+  # mailbox worker), its handler-failure runs on both roots and the
+  # socket root's own
   # worker-side read/write, backlog, detector, stop and hostile-connection
   # tests until one fails, up to three more times.
   echo "== test: parallel and wall-clock suites, repeated =="
   (cd "$BUILD_DIR" && ctest --output-on-failure -j "$JOBS" \
-      -R 'Parallel|NetworkStats|QuantumBoundary|CrossShard|ShardAssignment|ThreadRuntime|ThreadedProtocol|SocketStacks|MailboxExecutor|WallClockRun|Sockets\.(WorkersFlooding|BusyWorker|HaltDoesNot|RejectedFrames|MidStreamDisconnects)|SocketFrames|SocketReadBuffer' \
+      -R 'Parallel|NetworkStats|WorkloadEngine|QuantumBoundary|CrossShard|ShardAssignment|ThreadRuntime|ThreadedProtocol|SocketStacks|MailboxExecutor|WallClockRun|Sockets\.(WorkersFlooding|BusyWorker|HaltDoesNot|RejectedFrames|MidStreamDisconnects)|SocketFrames|SocketReadBuffer' \
       --repeat until-fail:3)
 fi
 

@@ -18,11 +18,11 @@ Client::Client(McsProcess& process, RootTransport& root, Script script)
       total_(script_.size()) {}
 
 Client::Client(McsProcess& process, RootTransport& root,
-               const workload::Generator& gen)
+               const workload::Generator& gen, LatencyHistogram& latency)
     : process_(process),
       root_(root),
       gen_(&gen),
-      latency_(std::make_unique<LatencyHistogram>()),
+      latency_(&latency),
       total_(gen.ops_per_process()) {}
 
 void Client::start(TimePoint start) {
@@ -140,11 +140,18 @@ struct RootLedger {
   std::size_t channel_state_bytes = 0;
 };
 
+/// One owner thread's latency histogram, on cache lines of its own.
+struct alignas(64) OwnerLatency {
+  LatencyHistogram histogram;
+};
+
 /// Everything a run builds on top of its root, identical on all four
 /// runtimes: the decorator stack, the generator, the recorder, the
-/// processes and one client per process.  Members are declared in
-/// construction order, so the clients go before the processes and the
-/// generator they drive, and the processes before the recorder.
+/// processes, one client per process and, for a generated workload, one
+/// latency histogram per owner thread.  Members are declared in
+/// construction order, so the clients go before the histograms, the
+/// processes and the generator they use, and the processes before the
+/// recorder.
 class Stack {
  public:
   /// Assemble bottom-up on `root`.  Faulty runs go through the ARQ layer:
@@ -154,7 +161,10 @@ class Stack {
   /// single DATA frames) or below it (DATA/ACK frames coalesce).  The
   /// decorators' per-process shims only ever run on their owner's thread
   /// or shard, which makes them safe on every root unmodified.
-  Stack(const EngineConfig& config, RootTransport& root)
+  /// `shard_of` is the parallel root's process → shard assignment (unused
+  /// elsewhere).
+  Stack(const EngineConfig& config, RootTransport& root,
+        const std::vector<int>& shard_of = {})
       : dist_(*config.distribution),
         recorder_(dist_.process_count(), dist_.var_count) {
     const bool batching =
@@ -184,11 +194,34 @@ class Stack {
       if (config.multicast != nullptr) proc->use_multicast(*config.multicast);
     }
 
+    // A client's steps run on its process's owner thread — the
+    // simulator's one, the process's shard or its mailbox worker — so
+    // each owner gets one histogram and no two threads write one.
+    const auto owner_of = [&](std::size_t p) -> std::size_t {
+      switch (config.runtime) {
+        case EngineRuntime::kSimulator:
+          return 0;
+        case EngineRuntime::kParallelSim:
+          return static_cast<std::size_t>(shard_of.at(p));
+        case EngineRuntime::kThreads:
+        case EngineRuntime::kSockets:
+          break;
+      }
+      return p;
+    };
+    if (gen_) {
+      std::size_t owners = 0;
+      for (std::size_t p = 0; p < processes_.size(); ++p) {
+        owners = std::max(owners, owner_of(p) + 1);
+      }
+      latency_ = std::vector<OwnerLatency>(owners);
+    }
+
     clients_.reserve(processes_.size());
     for (std::size_t p = 0; p < processes_.size(); ++p) {
       if (gen_) {
-        clients_.push_back(
-            std::make_unique<Client>(*processes_[p], root, *gen_));
+        clients_.push_back(std::make_unique<Client>(
+            *processes_[p], root, *gen_, latency_[owner_of(p)].histogram));
       } else {
         clients_.push_back(std::make_unique<Client>(*processes_[p], root,
                                                     (*config.scripts)[p]));
@@ -239,8 +272,10 @@ class Stack {
       result.protocol_stats.push_back(proc->stats());
       // Per-process replica contents at quiescence (P6 compares them
       // across fault scenarios).
+      const std::vector<VarId>& held = proc->store().vars();
       std::vector<ReplicaEntry> mine;
-      for (VarId x : proc->store().vars()) {
+      mine.reserve(held.size());
+      for (VarId x : held) {
         const Stored& s = proc->store().get(x);
         mine.push_back({x, s.value, s.source});
       }
@@ -257,12 +292,15 @@ class Stack {
 
     if (gen_) {
       // Histograms merge element-wise (associative and commutative, so
-      // per-shard order cannot matter), and the shortfall against the
-      // generator's schedule becomes the censored mass — an op that
-      // arrived but never completed is accounted above every latency
-      // bucket, never dropped and never a ~0 sample.
+      // neither the owner order nor the process → owner split can
+      // matter), and the shortfall against the generator's schedule
+      // becomes the censored mass — an op that arrived but never
+      // completed is accounted above every latency bucket, never dropped
+      // and never a ~0 sample.
+      for (const OwnerLatency& owner : latency_) {
+        result.op_latency.merge_from(owner.histogram);
+      }
       for (const auto& client : clients_) {
-        result.op_latency.merge_from(client->latency());
         result.ops_issued += client->issued();
         result.ops_completed += client->completed();
       }
@@ -298,6 +336,9 @@ class Stack {
   std::optional<workload::Generator> gen_;
   HistoryRecorder recorder_;
   std::vector<std::unique_ptr<McsProcess>> processes_;
+  /// One per owner thread (generated workloads only); clients hold
+  /// references, so it is sized once and never grows.
+  std::vector<OwnerLatency> latency_;
   std::vector<std::unique_ptr<Client>> clients_;
 };
 
@@ -308,7 +349,7 @@ ScenarioRunResult run_simulator(EngineConfig& config) {
   options.latency = std::move(config.latency);
   Simulator sim(std::move(options));
   // Declare m before the network materializes: ensure_network's resize
-  // then pre-sizes every exposure row (branch-free deliver accounting).
+  // then reserves every process's exposure map, so no round grows one.
   sim.stats().set_var_hint(config.distribution->var_count);
   Stack stack(config, sim);
 
@@ -332,11 +373,13 @@ ScenarioRunResult run_parallel(EngineConfig& config) {
   options.latency = std::move(config.latency);
   options.num_threads = config.parallel.num_threads;
   options.quantum = config.parallel.quantum;
-  options.shard_of = graph::shard_assignment(
+  const std::vector<int> shard_of = graph::shard_assignment(
       dist, static_cast<int>(config.parallel.num_threads));
+  options.shard_of = shard_of;
   ParallelSimulator sim(std::move(options));
+  // Declares m and reserves every process's exposure map.
   sim.stats().set_var_hint(dist.var_count);
-  Stack stack(config, sim);
+  Stack stack(config, sim, shard_of);
 
   sim.freeze();
   if (config.scenario != nullptr) config.scenario->apply(sim, stack.hooks());
@@ -362,7 +405,7 @@ ScenarioRunResult run_threads(const EngineConfig& config) {
 
   ThreadRuntime rt;
   // The runtime only ever learns n; the distribution's variable count
-  // pre-sizes the exposure rows (branch-free deliver accounting).
+  // reserves the exposure maps before any mailbox worker runs.
   rt.stats().set_var_hint(config.distribution->var_count);
   Stack stack(config, rt);
   const HaltOnExit halt_on_exit(rt);
@@ -394,6 +437,8 @@ ScenarioRunResult run_sockets(const EngineConfig& config) {
   SocketOptions socket_options = config.sockets;
   socket_options.total_processes = n;
   SocketTransport st(std::move(socket_options));
+  // Declares m (start() then rejects frames naming a variable outside
+  // [0, m)) and reserves the exposure maps before any worker runs.
   st.stats().set_var_hint(config.distribution->var_count);
   Stack stack(config, st);
   const ScenarioHooks hooks = stack.hooks();

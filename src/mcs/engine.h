@@ -94,14 +94,19 @@ using Script = std::vector<ScriptOp>;
 /// flight at crash time simply completes late — its response is
 /// retransmitted by the ARQ layer — and the load continues from there.
 ///
-/// Generator-driven clients hold no per-op state — a fixed-size cursor, a
-/// latency histogram and a digest of read results — no matter how long
-/// the stream is.  Script-driven clients also keep every read result.
+/// Generator-driven clients hold no per-op state — a fixed-size cursor
+/// and a digest of read results — no matter how long the stream is, and
+/// record each op's latency into a histogram they share with every client
+/// run by the same owner thread (the engine keeps one per owner: 15 KiB
+/// per thread, not per process).  Script-driven clients record no
+/// latency and keep every read result.
 class Client {
  public:
   Client(McsProcess& process, RootTransport& root, Script script);
+  /// `latency` belongs to the thread that runs this client's steps and
+  /// must outlive the client.
   Client(McsProcess& process, RootTransport& root,
-         const workload::Generator& gen);
+         const workload::Generator& gen, LatencyHistogram& latency);
   /// Scheduled steps and protocol callbacks capture `this`.
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
@@ -126,8 +131,6 @@ class Client {
   [[nodiscard]] const std::vector<Value>& read_results() const {
     return reads_;
   }
-  /// Per-op latency (generator-driven clients only).
-  [[nodiscard]] const LatencyHistogram& latency() const { return *latency_; }
 
  private:
   [[nodiscard]] bool open_loop() const {
@@ -145,9 +148,8 @@ class Client {
   RootTransport& root_;
   Script script_;
   const workload::Generator* gen_ = nullptr;
-  /// Histogram storage is ~15 KB, so script-driven clients (scale runs
-  /// hold thousands) carry none.
-  std::unique_ptr<LatencyHistogram> latency_;
+  /// The owner thread's histogram (generator-driven clients only).
+  LatencyHistogram* latency_ = nullptr;
   std::vector<Value> reads_;
   std::uint64_t total_ = 0;
   TimePoint start_{};
@@ -187,8 +189,9 @@ struct RunResult {
   std::size_t active_channel_pairs = 0;
   std::size_t channel_state_bytes = 0;
   /// Generated-workload runs only (EngineConfig::workload): the per-op
-  /// latency ledger, merged over every client (and thus every shard on
-  /// the parallel root).  ops_censored = ops that arrived per the
+  /// latency ledger, merged over every owner thread's histogram (the
+  /// simulator's one, each shard's on the parallel root, each process's
+  /// on the wall-clock roots).  ops_censored = ops that arrived per the
   /// generator's schedule but never completed — dead channel or
   /// never-recovered crash; they sit in the histogram's censored mass,
   /// above every bucket, never as ~0 latencies (docs/WORKLOADS.md).

@@ -1,5 +1,7 @@
 #include "mcs/pram_partial.h"
 
+#include <algorithm>
+
 #include "simnet/wire.h"
 
 namespace pardsm::mcs {
@@ -38,11 +40,20 @@ const KindId kUpdateKind("PRAM");
 PramPartialProcess::PramPartialProcess(ProcessId self,
                                        const graph::Distribution& dist,
                                        HistoryRecorder& recorder)
-    : McsProcess(self, dist, recorder),
-      last_applied_(dist.process_count(), -1) {}
+    : McsProcess(self, dist, recorder) {}
 
 void PramPartialProcess::on_attach() {
   update_pool_ = &arena().pool<PramUpdate>();
+  neighbours_.clear();
+  for (VarId x : store().vars()) {
+    for (ProcessId q : replicas_of(x)) {
+      if (q != id()) neighbours_.push_back(q);
+    }
+  }
+  std::sort(neighbours_.begin(), neighbours_.end());
+  neighbours_.erase(std::unique(neighbours_.begin(), neighbours_.end()),
+                    neighbours_.end());
+  last_applied_.assign(neighbours_.size(), -1);
 }
 
 void PramPartialProcess::read(VarId x, ReadCallback done) {
@@ -79,9 +90,16 @@ void PramPartialProcess::handle_message(const Message& m) {
   const auto* u = m.as<PramUpdate>();
   PARDSM_CHECK(u != nullptr, "pram: unexpected message body");
   PARDSM_CHECK(replicates(u->x), "pram: update for unreplicated variable");
+  // Every C(x) member but self is a neighbour, so the sender must be both.
+  const auto it =
+      std::lower_bound(neighbours_.begin(), neighbours_.end(), m.from);
+  PARDSM_CHECK(it != neighbours_.end() && *it == m.from &&
+                   clique_holds(m.from, u->x),
+               "pram: update from a process outside C(x)");
   // Ignore duplicated (hence stale: originals arrive FIFO) copies — an old
   // value must never overwrite a newer one from the same writer.
-  auto& last = last_applied_[static_cast<std::size_t>(m.from)];
+  auto& last =
+      last_applied_[static_cast<std::size_t>(it - neighbours_.begin())];
   if (u->id.seq <= last) return;
   last = u->id.seq;
   mutable_store().put(u->x, u->v, u->id);

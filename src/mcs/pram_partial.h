@@ -10,7 +10,12 @@
 //
 // Control information per update: one 16-byte write id.  Nothing is ever
 // sent to a process outside C(x) — bench_theorem2_pram asserts exactly
-// this from observed traffic.
+// this from observed traffic — and an update that claims to come from
+// outside C(x) is rejected on receipt.
+//
+// Per-process state follows the share graph, not n: the duplicate filter
+// keeps one counter per *neighbour* (every other member of some C(x),
+// x ∈ X_i), indexed by the sender's position in the sorted neighbour list.
 #pragma once
 
 #include <vector>
@@ -48,9 +53,13 @@ class PramPartialProcess final : public McsProcess {
   /// Pool handle cached at attach() so each write is a freelist pop.
   BodyPool<PramUpdate>* update_pool_ = nullptr;
   std::int64_t next_write_seq_ = 0;
-  /// Duplicate suppression: highest writer-seq applied per sender (dense,
-  /// -1 = nothing applied).  FIFO channels deliver originals in order; a
-  /// duplicated copy arrives late and must not overwrite newer state.
+  /// Share-graph neighbours: ∪ C(x) over x ∈ X_i, minus self, ascending.
+  /// Built at attach() from the shared clique table.
+  std::vector<ProcessId> neighbours_;
+  /// Duplicate suppression: highest writer-seq applied per neighbour
+  /// (parallel to neighbours_, -1 = nothing applied).  FIFO channels
+  /// deliver originals in order; a duplicated copy arrives late and must
+  /// not overwrite newer state.
   std::vector<std::int64_t> last_applied_;
 };
 

@@ -9,17 +9,9 @@ namespace pardsm::mcs {
 ReplicaStore::ReplicaStore(const std::vector<VarId>& vars) : vars_(vars) {
   std::sort(vars_.begin(), vars_.end());
   vars_.erase(std::unique(vars_.begin(), vars_.end()), vars_.end());
-  VarId max_var = -1;
-  for (VarId x : vars_) {
-    PARDSM_CHECK(x >= 0, "ReplicaStore: negative variable id");
-    max_var = std::max(max_var, x);
-  }
-  slot_of_.assign(static_cast<std::size_t>(max_var + 1), -1);
+  PARDSM_CHECK(vars_.empty() || vars_.front() >= 0,
+               "ReplicaStore: negative variable id");
   data_.resize(vars_.size());
-  for (std::size_t slot = 0; slot < vars_.size(); ++slot) {
-    slot_of_[static_cast<std::size_t>(vars_[slot])] =
-        static_cast<std::int32_t>(slot);
-  }
 }
 
 const Stored& ReplicaStore::get(VarId x) const {

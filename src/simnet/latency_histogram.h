@@ -10,7 +10,7 @@
 // merge_from() an element-wise add, and neither ever allocates — the same
 // pooled, steady-state-allocation-free discipline as the event queue, so
 // per-op capture can sit on the million-ops hot path and inside the
-// parallel engine's shards (one histogram per client, merged after the
+// parallel engine's shards (one histogram per owner thread, merged after the
 // run; element-wise merge is associative and commutative, so the merge
 // order cannot change the result).
 //

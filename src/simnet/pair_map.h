@@ -1,4 +1,5 @@
-// Flat hash map over packed directed-pair indices.
+// Flat hash map over 64-bit keys: packed directed-pair indices, or
+// variable ids.
 //
 // Network keeps per-pair channel state (FIFO clamp, severed-cut counts,
 // loss/duplication overrides).  Dense n×n tables cost ~28 B per pair —
@@ -8,11 +9,15 @@
 // from the default: open addressing with linear probing over a
 // power-of-two slot array, keyed by the packed pair index
 // (from * n + to), so a lookup is one multiplicative hash plus a short
-// probe — cheap enough for plan_delivery's per-send path.
+// probe — cheap enough for plan_delivery's per-send path.  NetworkStats
+// reuses it as each process's exposure ledger, keyed by VarId: a process
+// that hears about a dozen of m variables holds a dozen entries, not m.
 //
 // Restricted to trivially copyable mapped types (counters, rates, time
-// points).  Entries are never erased: channel state only ever shrinks by
-// whole-map clear() (set_*_all), which keeps probe chains tombstone-free.
+// points).  Entries are never erased: state only ever shrinks by a
+// whole-map clear() (set_*_all) or reset(), which keeps probe chains
+// tombstone-free.  reserve() sizes the slot array up front, so a map
+// that stays within its reservation never allocates after set-up.
 #pragma once
 
 #include <cstdint>
@@ -49,19 +54,21 @@ class PairMap {
 
   /// Value for `key`, inserting `init` first if the pair is new.  The
   /// returned reference is invalidated by the next insertion (rehash).
+  /// Only an insertion can rehash.
   V& get_or_insert(std::uint64_t key, const V& init) {
     PARDSM_CHECK(key != kEmpty, "PairMap: reserved key");
-    if (slots_.empty() || (size_ + 1) * 2 > slots_.size()) grow();
-    for (std::size_t i = probe_start(key);; i = (i + 1) & mask()) {
-      Slot& s = slots_[i];
-      if (s.key == key) return s.value;
-      if (s.key == kEmpty) {
-        s.key = key;
-        s.value = init;
-        ++size_;
-        return s.value;
-      }
-    }
+    if (V* v = find(key)) return *v;
+    if ((size_ + 1) * 2 > slots_.size()) grow();
+    return insert_new(key, init);
+  }
+
+  /// Room for `entries` keys without a rehash (a no-op when the slot
+  /// array is already that large).
+  void reserve(std::size_t entries) {
+    if (entries == 0) return;
+    std::size_t want = 16;
+    while (want < entries * 2) want *= 2;
+    if (want > slots_.size()) rehash(want);
   }
 
   /// Drop every entry (the map falls back to "all pairs at default") and
@@ -70,6 +77,20 @@ class PairMap {
     slots_.clear();
     slots_.shrink_to_fit();
     size_ = 0;
+  }
+
+  /// Drop every entry but keep the slot array for reuse.
+  void reset() {
+    slots_.assign(slots_.size(), Slot{});
+    size_ = 0;
+  }
+
+  /// Call `fn(key, value)` for every entry, in slot (unspecified) order.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (const Slot& s : slots_) {
+      if (s.key != kEmpty) fn(s.key, s.value);
+    }
   }
 
   [[nodiscard]] std::size_t size() const { return size_; }
@@ -101,12 +122,24 @@ class PairMap {
     return static_cast<std::size_t>(z ^ (z >> 31)) & mask();
   }
 
-  void grow() {
+  /// Place a key known to be absent; the array must have room for it.
+  V& insert_new(std::uint64_t key, const V& value) {
+    std::size_t i = probe_start(key);
+    while (slots_[i].key != kEmpty) i = (i + 1) & mask();
+    slots_[i] = Slot{key, value};
+    ++size_;
+    return slots_[i].value;
+  }
+
+  void grow() { rehash(slots_.empty() ? 16 : slots_.size() * 2); }
+
+  /// Move every entry into a fresh array of `capacity` slots.
+  void rehash(std::size_t capacity) {
     std::vector<Slot> old = std::move(slots_);
-    slots_.assign(old.empty() ? 16 : old.size() * 2, Slot{});
+    slots_.assign(capacity, Slot{});
     size_ = 0;
     for (const Slot& s : old) {
-      if (s.key != kEmpty) get_or_insert(s.key, s.value);
+      if (s.key != kEmpty) insert_new(s.key, s.value);
     }
   }
 

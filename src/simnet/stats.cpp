@@ -1,22 +1,18 @@
 #include "simnet/stats.h"
 
-#include <algorithm>
-
 #include "simnet/check.h"
 
 namespace pardsm {
 
 void NetworkStats::resize(std::size_t n) {
   slots_.assign(n, Slot{});
-  for (Slot& s : slots_) s.exposure.assign(var_hint_, 0);
+  for (Slot& s : slots_) s.exposure.reserve(reserved_vars());
 }
 
 void NetworkStats::set_var_hint(std::size_t m) {
   if (m <= var_hint_) return;
   var_hint_ = m;
-  for (Slot& s : slots_) {
-    if (s.exposure.size() < m) s.exposure.resize(m, 0);
-  }
+  for (Slot& s : slots_) s.exposure.reserve(reserved_vars());
 }
 
 std::size_t NetworkStats::index(ProcessId p, const char* what) const {
@@ -35,16 +31,8 @@ void NetworkStats::on_deliver(const Message& m) {
   Slot& s = slots_[index(m.to, "on_deliver: bad receiver")];
   auto& exp = s.exposure;
   for (VarId x : m.meta.vars_mentioned) {
-    const auto xi = static_cast<std::size_t>(x);
-    // Guarded fallback only: rows are pre-sized to the declared variable
-    // count, so this branch fires solely for callers that never gave a
-    // var hint (or a message mentioning an undeclared variable).  A
-    // negative id lands here too, before it can index anything.
-    if (xi >= exp.size()) {
-      PARDSM_CHECK(x >= 0, "on_deliver: negative variable id");
-      exp.resize(xi + 1, 0);
-    }
-    ++exp[xi];
+    PARDSM_CHECK(x >= 0, "on_deliver: negative variable id");
+    ++exp.get_or_insert(static_cast<std::uint64_t>(x), 0);
   }
   auto& t = s.traffic;
   ++t.msgs_received;
@@ -79,16 +67,18 @@ ProcessTraffic NetworkStats::total() const {
 
 std::uint64_t NetworkStats::exposure(ProcessId p, VarId x) const {
   const auto& exp = slots_[index(p, "exposure: bad process")].exposure;
-  const auto xi = static_cast<std::size_t>(x);
-  return x >= 0 && xi < exp.size() ? exp[xi] : 0;
+  if (x < 0) return 0;
+  const std::uint64_t* count = exp.find(static_cast<std::uint64_t>(x));
+  return count != nullptr ? *count : 0;
 }
 
 std::set<ProcessId> NetworkStats::processes_exposed_to(VarId x) const {
   std::set<ProcessId> out;
-  const auto xi = static_cast<std::size_t>(x);
+  if (x < 0) return out;
   for (std::size_t p = 0; p < slots_.size(); ++p) {
-    const auto& exp = slots_[p].exposure;
-    if (xi < exp.size() && exp[xi] > 0) out.insert(static_cast<ProcessId>(p));
+    if (slots_[p].exposure.find(static_cast<std::uint64_t>(x)) != nullptr) {
+      out.insert(out.end(), static_cast<ProcessId>(p));
+    }
   }
   return out;
 }
@@ -97,22 +87,22 @@ std::vector<std::set<ProcessId>> NetworkStats::exposure_sets(
     std::size_t var_count) const {
   std::vector<std::set<ProcessId>> out(var_count);
   for (std::size_t p = 0; p < slots_.size(); ++p) {
-    const auto& exp = slots_[p].exposure;
-    const std::size_t bound = std::min(var_count, exp.size());
-    for (std::size_t x = 0; x < bound; ++x) {
-      if (exp[x] > 0) out[x].insert(static_cast<ProcessId>(p));
-    }
+    // Processes are visited in ascending order, so each insert appends.
+    slots_[p].exposure.for_each([&](std::uint64_t x, std::uint64_t) {
+      if (x < var_count) {
+        out[x].insert(out[x].end(), static_cast<ProcessId>(p));
+      }
+    });
   }
   return out;
 }
 
 std::set<VarId> NetworkStats::variables_seen_by(ProcessId p) const {
   std::set<VarId> out;
-  const auto& exp =
-      slots_[index(p, "variables_seen_by: bad process")].exposure;
-  for (std::size_t x = 0; x < exp.size(); ++x) {
-    if (exp[x] > 0) out.insert(static_cast<VarId>(x));
-  }
+  slots_[index(p, "variables_seen_by: bad process")].exposure.for_each(
+      [&](std::uint64_t x, std::uint64_t) {
+        out.insert(static_cast<VarId>(x));
+      });
   return out;
 }
 
@@ -125,7 +115,7 @@ std::uint64_t NetworkStats::messages_delivered() const {
 void NetworkStats::clear() {
   for (Slot& s : slots_) {
     s.traffic = ProcessTraffic{};
-    s.exposure.assign(s.exposure.size(), 0);
+    s.exposure.reset();
   }
 }
 

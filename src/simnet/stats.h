@@ -6,16 +6,18 @@
 // metadata mentioning a given variable.  The exposure table is exactly the
 // empirical version of the paper's "x-relevant" notion (DESIGN.md T1/T2).
 //
-// Exposure is a dense per-process counter array indexed by VarId.  Rows
-// are pre-sized to the run's variable count (set_var_hint — the engine
-// knows m), so the per-delivery update is a plain indexed increment with
-// no size branch taken; lazy growth survives only as a guarded fallback
-// for callers that never declared a variable count.  Pre-sizing also
-// makes row shapes — not just values — independent of receipt order,
-// which the ragged lazily-grown rows were not.
+// Exposure is a sparse per-process VarId → count map (PairMap keyed by
+// VarId), so a process's ledger is sized by the variables it actually
+// hears about — under partial replication a handful, whatever m is.
+// Each map is reserved at set-up (resize/set_var_hint) with room for
+// min(m, kReservedVars) variables, so no round of a perfbench workload
+// grows one (on the wall-clock roots that growth would also land on a
+// mailbox worker); a process that hears about more variables grows its
+// map like any hash table.  The counts — and hence every reader below —
+// are a pure function of the delivered set, independent of receipt order.
 //
 // Ownership, not a lock.  Each process has one cache-line-aligned slot
-// holding its counters and its exposure row, and a slot is written only by
+// holding its counters and its exposure map, and a slot is written only by
 // its process's owner thread: on_send writes m.from's slot, on_deliver
 // m.to's, and every root calls each from the thread that runs that
 // process — the Simulator's one thread, the parallel root's owning shard
@@ -43,6 +45,7 @@
 
 #include "simnet/ids.h"
 #include "simnet/message.h"
+#include "simnet/pair_map.h"
 
 namespace pardsm {
 
@@ -66,14 +69,14 @@ class NetworkStats {
  public:
   explicit NetworkStats(std::size_t n = 0) { resize(n); }
 
-  /// (Re)size for `n` processes, clearing all counters.  Exposure rows are
-  /// pre-sized to the current variable-count hint.
+  /// (Re)size for `n` processes, clearing all counters.  Each exposure
+  /// map is reserved for min(var_hint(), 64) variables.
   void resize(std::size_t n);
 
-  /// Declare the run's variable count `m`: every exposure row (current and
-  /// future) is pre-sized to m entries, keeping the per-delivery update
-  /// branch-free and row shapes receipt-order independent.  Idempotent;
-  /// a larger hint extends existing rows in place.
+  /// Declare the run's variable count `m` (SocketTransport rejects frames
+  /// naming a variable outside [0, m)) and reserve every exposure map,
+  /// current and future, for min(m, 64) variables.
+  /// Idempotent; only a larger hint has an effect.
   void set_var_hint(std::size_t m);
   /// The largest variable count declared so far (0 = none).
   [[nodiscard]] std::size_t var_hint() const { return var_hint_; }
@@ -113,21 +116,29 @@ class NetworkStats {
   /// Total messages delivered across all processes.
   [[nodiscard]] std::uint64_t messages_delivered() const;
 
-  /// Reset all counters, keeping the size.
+  /// Reset all counters, keeping the size and every map's capacity.
   void clear();
 
  private:
   /// One process's ledger, on cache lines of its own.
   struct alignas(64) Slot {
     ProcessTraffic traffic;
-    /// exposure[x] = number of received messages mentioning x; dense over
-    /// VarId, pre-sized to var_hint_ and grown past it only by the guarded
-    /// fallback in on_deliver.
-    std::vector<std::uint64_t> exposure;
+    /// x → number of received messages mentioning x; only variables
+    /// with a nonzero count have an entry.
+    PairMap<std::uint64_t> exposure;
   };
 
   /// `p` as a slot index; throws `what` when out of range.
   [[nodiscard]] std::size_t index(ProcessId p, const char* what) const;
+
+  /// Exposure entries reserved per process at set-up (at most m): enough
+  /// that no perfbench workload grows a map during a round.
+  static constexpr std::size_t kReservedVars = 64;
+
+  /// Entries each exposure map is reserved for.
+  [[nodiscard]] std::size_t reserved_vars() const {
+    return var_hint_ < kReservedVars ? var_hint_ : kReservedVars;
+  }
 
   std::vector<Slot> slots_;  ///< one per process
   std::size_t var_hint_ = 0;

@@ -36,6 +36,28 @@ TEST(ReplicaStore, AccessOutsideReplicaSetThrows) {
   EXPECT_THROW(store.put(1, 5, WriteId{0, 0}), std::logic_error);
 }
 
+// Every replica set over a ten-variable universe: x is held exactly when
+// it is in the set, and each held x keeps its own value.  Covers the
+// prefix fast path (vars_[x] == x) and the search past it.
+TEST(ReplicaStore, LookupMatchesMembershipForEverySubset) {
+  constexpr VarId kUniverse = 10;
+  for (unsigned mask = 0; mask < (1U << kUniverse); ++mask) {
+    std::vector<VarId> vars;
+    for (VarId x = 0; x < kUniverse; ++x) {
+      if ((mask >> x) & 1U) vars.push_back(x);
+    }
+    mcs::ReplicaStore store(vars);
+    for (const VarId x : vars) store.put(x, 100 + x, WriteId{0, x});
+    for (VarId x = -1; x <= kUniverse; ++x) {
+      const bool member = x >= 0 && x < kUniverse && ((mask >> x) & 1U);
+      ASSERT_EQ(store.holds(x), member) << "mask " << mask << " x " << x;
+      if (member) {
+        ASSERT_EQ(store.get(x).value, 100 + x);
+      }
+    }
+  }
+}
+
 TEST(ReplicaStore, VarsSorted) {
   mcs::ReplicaStore store({5, 1, 3});
   EXPECT_EQ(store.vars(), (std::vector<VarId>{1, 3, 5}));

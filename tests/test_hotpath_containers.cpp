@@ -3,9 +3,10 @@
 // ordering), the kind interner (stable ids, round-trip names, ARQ
 // wrapping), the small-buffer variable list (inline → heap spill), the
 // wake-indexed causal buffer (rescan-equivalent delivery order), the ARQ
-// layer's seq-indexed rings, the socket root's frame path, and the wire
-// decoders', ARQ receiver's and socket reader's defences against hostile
-// frames.
+// layer's seq-indexed rings, the socket root's frame path, the wire
+// decoders', ARQ receiver's, socket reader's and PRAM receiver's defences
+// against hostile frames, and the allocation shapes of the per-process
+// ledgers (sized by what a process touches, never by m or a VarId).
 
 #include <gtest/gtest.h>
 
@@ -29,6 +30,7 @@
 #include "mcs/causal_buffer.h"
 #include "mcs/driver.h"
 #include "mcs/factory.h"
+#include "mcs/replica_store.h"
 #include "sharegraph/topologies.h"
 #include "simnet/event_queue.h"
 #include "simnet/kind_table.h"
@@ -38,6 +40,7 @@
 #include "simnet/simulator.h"
 #include "simnet/small_vec.h"
 #include "simnet/socket_transport.h"
+#include "simnet/stats.h"
 #include "simnet/thread_runtime.h"
 #include "simnet/wire.h"
 
@@ -648,6 +651,19 @@ TEST(SteadyStateAllocations, ThreadRuntimeFramesAreAllocationFree) {
     rt.post(s, [fn = &send_burst] { (*fn)(); });
     ASSERT_TRUE(rt.await_quiescence(std::chrono::seconds(10)));
   };
+  // Warm up at the deepest backlog a burst can build: the receiver's
+  // worker is held until the whole burst is queued, so its queues reach
+  // their high-water depth here, not in a measured burst that happens to
+  // find the receiver descheduled (a loaded machine did that).
+  std::atomic<bool> queued{false};
+  rt.post(r, [&queued] {
+    while (!queued.load()) std::this_thread::yield();
+  });
+  rt.post(s, [&] {
+    send_burst();
+    queued.store(true);
+  });
+  ASSERT_TRUE(rt.await_quiescence(std::chrono::seconds(10)));
   for (int warm = 0; warm < 20; ++warm) burst();
   const std::uint64_t got_before = b.got.load();
 
@@ -965,6 +981,96 @@ TEST(HostileFrames, ArqAckBeyondLastSentSeqIsIgnored) {
   EXPECT_EQ(b.got, 3u);
   EXPECT_EQ(rel.retransmissions(), 3u);  // one deadline resend per frame
   EXPECT_TRUE(rel.dead_channels().empty());
+}
+
+// A PRAM update is applied only from a member of C(x) other than the
+// receiver: one claiming to come from a share-graph neighbour outside
+// C(x), from an unrelated process or from the receiver itself is
+// rejected, and the replica keeps what it had.
+TEST(HostileFrames, PramUpdateFromOutsideTheCliqueIsRejected) {
+  graph::Distribution dist;
+  dist.var_count = 3;
+  dist.per_process = {{0, 1}, {0}, {1}, {2}};  // C(0) = {0, 1}
+  Simulator sim;
+  mcs::HistoryRecorder recorder(dist.process_count(), dist.var_count);
+  auto processes =
+      mcs::make_processes(mcs::ProtocolKind::kPramPartial, dist, recorder);
+  for (auto& proc : processes) {
+    ASSERT_EQ(sim.add_endpoint(proc.get()), proc->id());
+    proc->attach(sim);
+  }
+  mcs::McsProcess& receiver = *processes[0];
+  const auto update_from = [&](ProcessId from, std::int64_t seq) {
+    WireWriter w;
+    w.u32(wire::kPramUpdate);
+    w.i32(0);   // x
+    w.i64(77);  // v
+    wire::put_write_id(w, WriteId{from, seq});
+    const std::vector<std::uint8_t> bytes = w.take();
+    WireReader r(bytes);
+    Message m;
+    m.from = from;
+    m.to = receiver.id();
+    m.body = wire::decode_body(r, sim.arena(receiver.id()));
+    m.meta.kind = "PRAM";
+    m.meta.vars_mentioned = {0};
+    return m;
+  };
+
+  for (const ProcessId from : {ProcessId{2}, ProcessId{3}, ProcessId{0}}) {
+    SCOPED_TRACE("sender " + std::to_string(from));
+    std::string error;
+    try {
+      receiver.on_message(update_from(from, 0));
+    } catch (const std::logic_error& e) {
+      error = e.what();
+    }
+    EXPECT_NE(error.find("update from a process outside C(x)"),
+              std::string::npos)
+        << error;
+    EXPECT_EQ(receiver.store().get(0).value, kBottom);
+    EXPECT_EQ(receiver.store().version(), 0u);
+    EXPECT_EQ(receiver.stats().updates_applied, 0u);
+  }
+
+  // A member of C(x) is applied as before.
+  receiver.on_message(update_from(1, 0));
+  EXPECT_EQ(receiver.store().get(0).value, 77);
+  EXPECT_EQ(receiver.stats().updates_applied, 1u);
+}
+
+// ----------------------------------------------------- allocation shapes
+// Declaring a huge variable count reserves each process's exposure map
+// for a bounded number of variables; nothing is sized by m.
+TEST(AllocationShape, ExposureLedgerIsNotSizedByTheVariableCount) {
+  NetworkStats stats(64);
+  g_max_alloc.store(0);
+  g_count_allocs.store(true);
+  stats.set_var_hint(std::size_t{1} << 16);
+  Message m;
+  m.from = 0;
+  m.to = 5;
+  m.meta.vars_mentioned = {(1 << 16) - 1, 3};
+  stats.on_deliver(m);
+  g_count_allocs.store(false);
+  EXPECT_EQ(stats.exposure(5, (1 << 16) - 1), 1u);
+  EXPECT_EQ(stats.exposure(5, 3), 1u);
+  EXPECT_LE(g_max_alloc.load(), std::size_t{4} << 10);
+}
+
+// A replica set holding one huge VarId allocates for one variable.
+TEST(AllocationShape, ReplicaStoreIsNotSizedByTheLargestVarId) {
+  constexpr VarId kHuge = (1 << 20) - 1;
+  g_max_alloc.store(0);
+  g_count_allocs.store(true);
+  const mcs::ReplicaStore store({kHuge});
+  g_count_allocs.store(false);
+  EXPECT_LE(g_max_alloc.load(), std::size_t{256});
+  EXPECT_TRUE(store.holds(kHuge));
+  EXPECT_FALSE(store.holds(0));
+  EXPECT_FALSE(store.holds(kHuge - 1));
+  EXPECT_FALSE(store.holds(kHuge + 1));
+  EXPECT_FALSE(store.holds(-1));
 }
 
 }  // namespace

@@ -3,10 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "simnet/event_queue.h"
@@ -357,9 +359,8 @@ Message mention(ProcessId from, ProcessId to,
 }
 }  // namespace
 
-// With a var hint, rows are pre-sized at resize() time: the exposure
-// matrix's shape and content are a pure function of the delivered set —
-// independent of receipt order (ragged lazily-grown rows were not).
+// The exposure ledger is a pure function of the delivered set —
+// independent of receipt order.
 TEST(NetworkStats, ExposureIndependentOfReceiptOrder) {
   const std::size_t n = 3, m = 6;
   const std::vector<Message> msgs = {
@@ -390,8 +391,8 @@ TEST(NetworkStats, ExposureIndependentOfReceiptOrder) {
   }
 }
 
-// Without a hint the lazy fallback still grows rows past their size — and
-// a late hint extends existing rows in place.
+// Without a hint a process's map grows from empty on first receipt — and
+// a late hint reserves existing maps in place, keeping their counts.
 TEST(NetworkStats, LazyFallbackAndLateHint) {
   NetworkStats stats;
   stats.resize(2);
@@ -404,9 +405,8 @@ TEST(NetworkStats, LazyFallbackAndLateHint) {
   EXPECT_EQ(stats.exposure(1, 9), 1u);
 }
 
-// A negative VarId is rejected before it indexes the row, with or
-// without a var hint (-1 used to wrap to a zero-length resize and a write
-// in front of the row), and the slot keeps what it had.
+// A negative VarId is rejected before it reaches the ledger, with or
+// without a var hint, and the slot keeps what it had.
 TEST(NetworkStats, NegativeVarIdThrowsAndLeavesTheRowUnchanged) {
   for (const std::size_t hint : {std::size_t{0}, std::size_t{4}}) {
     SCOPED_TRACE("var hint " + std::to_string(hint));
@@ -464,6 +464,81 @@ TEST(NetworkStats, OwnerThreadsWriteTheirOwnRowsWithoutALock) {
   const auto sets = stats.exposure_sets(kVars);
   for (std::size_t x = 0; x < kVars; ++x) {
     EXPECT_EQ(sets[x], std::set<ProcessId>{static_cast<ProcessId>(x % kProcs)});
+  }
+}
+
+// The sparse ledger against a std::map model over seeded random delivery
+// sequences: maps reserved for 8 variables grow to hold up to 200,
+// VarIds at or past the declared count are counted but left out of
+// exposure_sets, and clear() keeps the maps usable for a second round.
+TEST(NetworkStats, SparseLedgerMatchesAMapModel) {
+  constexpr std::size_t kProcs = 5;
+  constexpr std::size_t kDeclared = 8;
+  constexpr std::uint64_t kVarSpan = 200;
+  NetworkStats stats(kProcs);
+  stats.set_var_hint(kDeclared);
+  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    std::map<std::pair<ProcessId, VarId>, std::uint64_t> model;
+    std::uint64_t delivered = 0;
+    for (int i = 0; i < 2000; ++i) {
+      const auto to = static_cast<ProcessId>(rng.below(kProcs));
+      // Half the mentions fall inside the declared range, half anywhere,
+      // so every map outgrows its reservation.
+      const auto pick = [&] {
+        return static_cast<VarId>(rng.below(2) == 0 ? rng.below(kDeclared)
+                                                    : rng.below(kVarSpan));
+      };
+      Message m = mention(0, to, {});
+      const std::uint64_t count = rng.below(3);
+      for (std::uint64_t k = 0; k < count; ++k) {
+        const VarId x = pick();
+        m.meta.vars_mentioned.push_back(x);
+        ++model[{to, x}];
+      }
+      stats.on_deliver(m);
+      ++delivered;
+    }
+
+    EXPECT_EQ(stats.messages_delivered(), delivered);
+    std::vector<std::set<ProcessId>> want_sets(kDeclared);
+    std::vector<std::set<VarId>> want_seen(kProcs);
+    for (const auto& [key, count] : model) {
+      const auto [p, x] = key;
+      want_seen[static_cast<std::size_t>(p)].insert(x);
+      if (static_cast<std::size_t>(x) < kDeclared) {
+        want_sets[static_cast<std::size_t>(x)].insert(p);
+      }
+    }
+    EXPECT_EQ(stats.exposure_sets(kDeclared), want_sets);
+    for (std::size_t p = 0; p < kProcs; ++p) {
+      const auto pid = static_cast<ProcessId>(p);
+      EXPECT_EQ(stats.variables_seen_by(pid), want_seen[p]);
+      for (VarId x = -1; x <= static_cast<VarId>(kVarSpan); ++x) {
+        const auto it = model.find({pid, x});
+        EXPECT_EQ(stats.exposure(pid, x), it == model.end() ? 0 : it->second)
+            << "p" << p << " x" << x;
+      }
+    }
+    for (VarId x = 0; x < static_cast<VarId>(kVarSpan); ++x) {
+      std::set<ProcessId> want;
+      for (std::size_t p = 0; p < kProcs; ++p) {
+        if (model.count({static_cast<ProcessId>(p), x}) != 0) {
+          want.insert(static_cast<ProcessId>(p));
+        }
+      }
+      EXPECT_EQ(stats.processes_exposed_to(x), want) << "x" << x;
+    }
+
+    // The next seed reuses the grown maps from an empty ledger.
+    stats.clear();
+    EXPECT_EQ(stats.messages_delivered(), 0u);
+    EXPECT_EQ(stats.exposure_sets(kDeclared),
+              std::vector<std::set<ProcessId>>(kDeclared));
+    for (std::size_t p = 0; p < kProcs; ++p) {
+      EXPECT_TRUE(stats.variables_seen_by(static_cast<ProcessId>(p)).empty());
+    }
   }
 }
 

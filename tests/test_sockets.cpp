@@ -658,8 +658,8 @@ TEST(Sockets, RejectedFramesAreCountedAndTheRunConverges) {
   // Sender outside [0, n): protocols index their per-peer tables by it.
   send_raw(after_hello(msg_frame(-1, 1, {0}, body)));
   send_raw(after_hello(msg_frame(n, 1, {0}, body)));
-  // VarIds outside [0, m): exposure rows are indexed by VarId, so -1
-  // would index past its row and 2^31-1 would size a 16 GB one.
+  // VarIds outside [0, m): the run declared m variables, and protocol
+  // tables downstream index by VarId.
   send_raw(after_hello(msg_frame(0, 1, {-1}, body)));
   send_raw(after_hello(msg_frame(0, 1, {0, m}, body)));
   send_raw(after_hello(msg_frame(0, 1, {std::numeric_limits<VarId>::max()},

@@ -359,17 +359,28 @@ TEST(WorkloadEngine, RunsOnAllFourRuntimes) {
   for (const auto runtime :
        {mcs::EngineRuntime::kSimulator, mcs::EngineRuntime::kParallelSim,
         mcs::EngineRuntime::kThreads, mcs::EngineRuntime::kSockets}) {
-    const auto r = run_workload_on(runtime, dist, spec,
-                                   mcs::ProtocolKind::kPramPartial,
-                                   /*record_history=*/true);
-    EXPECT_EQ(r.ops_issued, target);
-    EXPECT_EQ(r.ops_completed, target);
-    EXPECT_EQ(r.ops_censored, 0u);
-    EXPECT_EQ(r.op_latency.samples(), target);
-    EXPECT_EQ(r.op_latency.censored(), 0u);
-    EXPECT_EQ(r.unfinished_clients, 0u);
-    // record_history=true: the full History is there for the checkers.
-    EXPECT_EQ(r.history.size(), target);
+    // PRAM completes every op in place; atomic-home waits for the home's
+    // reply, so its latencies are non-zero and its completions run on
+    // whichever owner thread handles the reply.
+    for (const auto kind :
+         {mcs::ProtocolKind::kPramPartial, mcs::ProtocolKind::kAtomicHome}) {
+      SCOPED_TRACE(std::string(mcs::to_string(kind)) + " on runtime " +
+                   std::to_string(static_cast<int>(runtime)));
+      const auto r =
+          run_workload_on(runtime, dist, spec, kind, /*record_history=*/true);
+      EXPECT_EQ(r.ops_issued, target);
+      EXPECT_EQ(r.ops_completed, target);
+      EXPECT_EQ(r.ops_censored, 0u);
+      // One histogram per owner thread, merged: one sample per op.
+      EXPECT_EQ(r.op_latency.samples(), r.ops_completed);
+      EXPECT_EQ(r.op_latency.censored(), 0u);
+      if (kind == mcs::ProtocolKind::kAtomicHome) {
+        EXPECT_GT(r.op_latency.max_us(), 0u);
+      }
+      EXPECT_EQ(r.unfinished_clients, 0u);
+      // record_history=true: the full History is there for the checkers.
+      EXPECT_EQ(r.history.size(), target);
+    }
   }
 }
 
@@ -436,6 +447,22 @@ TEST(WorkloadEngine, ParallelResultIndependentOfThreadCount) {
   EXPECT_EQ(r2.op_latency, r4.op_latency);
   EXPECT_EQ(r1.final_replicas, r2.final_replicas);
   EXPECT_EQ(r2.final_replicas, r4.final_replicas);
+
+  // PRAM ops are wait-free, so every latency above is 0.  Atomic-home
+  // ops wait for an RPC round trip: non-zero latencies, recorded into one
+  // histogram per shard, must merge to the same ledger at any shard count.
+  std::vector<mcs::ScenarioRunResult> rpc;
+  for (const unsigned threads : {1U, 2U, 4U}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    rpc.push_back(run_workload_on(mcs::EngineRuntime::kParallelSim, dist, spec,
+                                  mcs::ProtocolKind::kAtomicHome, false,
+                                  threads));
+    EXPECT_EQ(rpc.back().ops_completed, spec.ops_per_process * 6);
+    EXPECT_EQ(rpc.back().op_latency.samples(), rpc.back().ops_completed);
+    EXPECT_GT(rpc.back().op_latency.max_us(), 0u);
+  }
+  EXPECT_EQ(rpc[0].op_latency, rpc[1].op_latency);
+  EXPECT_EQ(rpc[1].op_latency, rpc[2].op_latency);
 }
 
 /// Dead channels censor ops: they vanish from neither the count nor the
