@@ -6,7 +6,8 @@
 // variable) exposure matrix.  test_golden_metrics.cpp asserts these tuples
 // against values captured before the allocation-free hot-path refactor;
 // golden_metrics_gen.cpp reprints the table when a protocol legitimately
-// changes its message complexity.
+// changes its message complexity.  measure_scenario and measure_parallel
+// reduce a faulty run, and a run on the parallel root, the same way.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "mcs/driver.h"
+#include "scenario_families.h"
 #include "sharegraph/topologies.h"
 #include "simnet/scenario.h"
 
@@ -139,6 +141,75 @@ inline ScenarioMetrics measure_scenario(mcs::ProtocolKind kind) {
   out.bytes = r.total_traffic.wire_bytes_sent();
   out.retransmissions = r.retransmissions;
   out.dropped = r.drops.total();
+  out.finished_us = r.finished_at.us;
+  return out;
+}
+
+/// The reduced signature of one run on the parallel root (kParallelSim):
+/// the gate pins that root's absolute channel draws — latency, loss,
+/// duplication, FIFO clamp — and its drop split, not just its agreement
+/// across thread counts.
+struct ParallelMetrics {
+  std::uint64_t messages = 0;         ///< total msgs_sent (incl. ARQ)
+  std::uint64_t bytes = 0;            ///< total wire bytes sent
+  std::uint64_t retransmissions = 0;  ///< ARQ retransmits
+  std::uint64_t loss = 0;             ///< drops by cause
+  std::uint64_t severed = 0;
+  std::uint64_t down = 0;
+  std::uint64_t in_flight = 0;
+  std::uint64_t events = 0;           ///< events fired, all shards
+  std::int64_t finished_us = 0;       ///< simulated quiescence time
+};
+
+/// The fault cells of the parallel gate: none, then the three canonical
+/// families of scenario_families.h at 2% loss.  The loss cell also
+/// duplicates 2% of messages, so the duplicate path is pinned too.
+inline const char* const kParallelCells[] = {"fault-free", "loss-dup",
+                                             "partition", "crash"};
+
+/// One parallel-root run of `cell` on ring-6 at `threads` workers.
+/// Workload: ops_per_process=8, read_fraction=0.5, seed=42, 1ms think
+/// time, uniform 1..4ms latency (so every draw matters), sim seed 7.
+inline ParallelMetrics measure_parallel(mcs::ProtocolKind kind,
+                                        const std::string& cell,
+                                        unsigned threads) {
+  const auto dist = graph::topo::ring(6);
+  mcs::WorkloadSpec spec;
+  spec.ops_per_process = 8;
+  spec.read_fraction = 0.5;
+  spec.seed = 42;
+  spec.think_time = millis(1);
+  const auto scripts = mcs::make_random_scripts(dist, spec);
+
+  Scenario scenario(cell);
+  if (cell == "loss-dup") {
+    scenario = make_fault_scenario(FaultFamily::kLoss, 0.02);
+    scenario.duplicate(0.02);
+  } else if (cell == "partition") {
+    scenario = make_fault_scenario(FaultFamily::kPartition, 0.02);
+  } else if (cell == "crash") {
+    scenario = make_fault_scenario(FaultFamily::kCrash, 0.02);
+  }
+
+  const auto r = mcs::run(
+      {.protocol = kind,
+       .distribution = &dist,
+       .scripts = &scripts,
+       .scenario = scenario.empty() ? nullptr : &scenario,
+       .runtime = mcs::EngineRuntime::kParallelSim,
+       .sim_seed = 7,
+       .latency = std::make_unique<UniformLatency>(millis(1), millis(4)),
+       .parallel = {.num_threads = threads}});
+
+  ParallelMetrics out;
+  out.messages = r.total_traffic.msgs_sent;
+  out.bytes = r.total_traffic.wire_bytes_sent();
+  out.retransmissions = r.retransmissions;
+  out.loss = r.drops.loss;
+  out.severed = r.drops.severed;
+  out.down = r.drops.down;
+  out.in_flight = r.drops.in_flight;
+  out.events = r.events;
   out.finished_us = r.finished_at.us;
   return out;
 }

@@ -2,7 +2,8 @@
 //
 //   $ ./tests/golden_metrics_gen
 //
-// Paste the output over the kGolden array.  Only do this when a protocol's
+// Paste each block of the output over its array (kGolden,
+// kGoldenScenario, kGoldenParallel).  Only do this when a protocol's
 // message complexity *legitimately* changes (new protocol feature, new
 // accounting); for pure engine/performance work the table must stay
 // byte-identical — that is the point of the gate.
@@ -41,6 +42,27 @@ int main() {
                 static_cast<unsigned long long>(m.retransmissions),
                 static_cast<unsigned long long>(m.dropped),
                 static_cast<long long>(m.finished_us));
+  }
+  std::printf(
+      "\n// parallel-root gate (paste over kGoldenParallel)\n"
+      "// generated by golden_metrics_gen — do not hand-edit\n");
+  for (const char* cell : golden::kParallelCells) {
+    for (auto kind : mcs::all_protocols()) {
+      const auto m = golden::measure_parallel(kind, cell, /*threads=*/1);
+      std::printf(
+          "    {\"%s\", \"%s\", %lluull, %lluull, %lluull, %lluull, "
+          "%lluull, %lluull, %lluull, %lluull, %lld},\n",
+          mcs::to_string(kind), cell,
+          static_cast<unsigned long long>(m.messages),
+          static_cast<unsigned long long>(m.bytes),
+          static_cast<unsigned long long>(m.retransmissions),
+          static_cast<unsigned long long>(m.loss),
+          static_cast<unsigned long long>(m.severed),
+          static_cast<unsigned long long>(m.down),
+          static_cast<unsigned long long>(m.in_flight),
+          static_cast<unsigned long long>(m.events),
+          static_cast<long long>(m.finished_us));
+    }
   }
   return 0;
 }

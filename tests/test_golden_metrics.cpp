@@ -14,7 +14,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
+#include <string>
 
 #include "golden_metrics_common.h"
 
@@ -90,6 +92,64 @@ constexpr GoldenScenarioRow kGoldenScenario[] = {
     {"processor-partial", 97ull, 6840ull, 3ull, 3ull, 89000},
 };
 
+struct GoldenParallelRow {
+  const char* protocol;
+  const char* cell;
+  std::uint64_t messages;
+  std::uint64_t bytes;
+  std::uint64_t retransmissions;
+  std::uint64_t loss;
+  std::uint64_t severed;
+  std::uint64_t down;
+  std::uint64_t in_flight;
+  std::uint64_t events;
+  std::int64_t finished_us;
+};
+
+/// The parallel root (kParallelSim) per protocol and fault cell on ring-6
+/// under uniform 1..4ms latency (see golden::measure_parallel).  Its
+/// channel draws are counter-based, so the same row must come out at
+/// every thread count; the test checks 1 and 4 workers.
+constexpr GoldenParallelRow kGoldenParallel[] = {
+    // generated by golden_metrics_gen — do not hand-edit
+    {"atomic-home", "fault-free", 65ull, 2920ull, 0ull, 0ull, 0ull, 0ull, 0ull, 113ull, 46450},
+    {"sequencer-sc", "fault-free", 79ull, 4640ull, 0ull, 0ull, 0ull, 0ull, 0ull, 127ull, 40693},
+    {"causal-full", "fault-free", 155ull, 14880ull, 0ull, 0ull, 0ull, 0ull, 0ull, 203ull, 11889},
+    {"causal-partial-naive", "fault-free", 155ull, 13888ull, 0ull, 0ull, 0ull, 0ull, 0ull, 203ull, 11889},
+    {"causal-partial-adhoc", "fault-free", 155ull, 30008ull, 0ull, 0ull, 0ull, 0ull, 0ull, 203ull, 11889},
+    {"pram-partial", "fault-free", 31ull, 1488ull, 0ull, 0ull, 0ull, 0ull, 0ull, 79ull, 11519},
+    {"slow-partial", "fault-free", 31ull, 1736ull, 0ull, 0ull, 0ull, 0ull, 0ull, 110ull, 11656},
+    {"cache-partial", "fault-free", 47ull, 3128ull, 0ull, 0ull, 0ull, 0ull, 0ull, 95ull, 34814},
+    {"processor-partial", "fault-free", 47ull, 4632ull, 0ull, 0ull, 0ull, 0ull, 0ull, 95ull, 34814},
+    {"atomic-home", "loss-dup", 140ull, 5872ull, 4ull, 2ull, 0ull, 0ull, 0ull, 201ull, 85294},
+    {"sequencer-sc", "loss-dup", 168ull, 8288ull, 5ull, 5ull, 0ull, 0ull, 0ull, 221ull, 81158},
+    {"causal-full", "loss-dup", 335ull, 22736ull, 12ull, 6ull, 0ull, 0ull, 0ull, 396ull, 88000},
+    {"causal-partial-naive", "loss-dup", 335ull, 21688ull, 12ull, 6ull, 0ull, 0ull, 0ull, 396ull, 88000},
+    {"causal-partial-adhoc", "loss-dup", 335ull, 39056ull, 12ull, 6ull, 0ull, 0ull, 0ull, 396ull, 88000},
+    {"pram-partial", "loss-dup", 73ull, 3152ull, 4ull, 1ull, 0ull, 0ull, 0ull, 130ull, 42000},
+    {"slow-partial", "loss-dup", 73ull, 3432ull, 4ull, 1ull, 0ull, 0ull, 0ull, 161ull, 42000},
+    {"cache-partial", "loss-dup", 111ull, 5864ull, 7ull, 2ull, 0ull, 0ull, 0ull, 169ull, 89253},
+    {"processor-partial", "loss-dup", 111ull, 7592ull, 7ull, 2ull, 0ull, 0ull, 0ull, 169ull, 89253},
+    {"atomic-home", "partition", 132ull, 5656ull, 2ull, 2ull, 2ull, 0ull, 0ull, 190ull, 86470},
+    {"sequencer-sc", "partition", 168ull, 8480ull, 9ull, 5ull, 6ull, 0ull, 0ull, 222ull, 116460},
+    {"causal-full", "partition", 432ull, 32456ull, 96ull, 8ull, 75ull, 0ull, 0ull, 445ull, 125000},
+    {"causal-partial-naive", "partition", 432ull, 30784ull, 96ull, 8ull, 75ull, 0ull, 0ull, 445ull, 125000},
+    {"causal-partial-adhoc", "partition", 432ull, 56888ull, 96ull, 8ull, 75ull, 0ull, 0ull, 445ull, 125000},
+    {"pram-partial", "partition", 71ull, 3264ull, 8ull, 1ull, 7ull, 0ull, 0ull, 128ull, 85000},
+    {"slow-partial", "partition", 71ull, 3576ull, 8ull, 1ull, 7ull, 0ull, 0ull, 159ull, 85000},
+    {"cache-partial", "partition", 99ull, 5352ull, 4ull, 2ull, 3ull, 0ull, 0ull, 158ull, 95228},
+    {"processor-partial", "partition", 99ull, 6984ull, 4ull, 2ull, 3ull, 0ull, 0ull, 158ull, 95228},
+    {"atomic-home", "crash", 146ull, 6288ull, 6ull, 2ull, 0ull, 4ull, 2ull, 207ull, 90853},
+    {"sequencer-sc", "crash", 182ull, 9216ull, 14ull, 5ull, 0ull, 3ull, 3ull, 242ull, 98149},
+    {"causal-full", "crash", 355ull, 25368ull, 32ull, 6ull, 0ull, 19ull, 11ull, 416ull, 92000},
+    {"causal-partial-naive", "crash", 361ull, 24096ull, 33ull, 6ull, 0ull, 19ull, 11ull, 423ull, 92000},
+    {"causal-partial-adhoc", "crash", 361ull, 43440ull, 33ull, 6ull, 0ull, 19ull, 11ull, 423ull, 92000},
+    {"pram-partial", "crash", 82ull, 3728ull, 9ull, 1ull, 0ull, 5ull, 3ull, 142ull, 84000},
+    {"slow-partial", "crash", 82ull, 4032ull, 9ull, 1ull, 0ull, 5ull, 3ull, 173ull, 84000},
+    {"cache-partial", "crash", 108ull, 5776ull, 5ull, 2ull, 0ull, 4ull, 2ull, 165ull, 82741},
+    {"processor-partial", "crash", 108ull, 7408ull, 5ull, 2ull, 0ull, 4ull, 2ull, 165ull, 82741},
+};
+
 TEST(GoldenMetrics, EveryProtocolEveryTopologyBitIdentical) {
   std::map<std::string, mcs::ProtocolKind> kinds;
   for (auto kind : mcs::all_protocols()) {
@@ -135,6 +195,35 @@ TEST(GoldenMetrics, CanonicalLossyPartitionScenarioBitIdentical) {
     ++checked;
   }
   EXPECT_EQ(checked, mcs::all_protocols().size());
+}
+
+TEST(GoldenMetrics, ParallelRootEveryFaultCellBitIdentical) {
+  std::map<std::string, mcs::ProtocolKind> kinds;
+  for (auto kind : mcs::all_protocols()) {
+    kinds[mcs::to_string(kind)] = kind;
+  }
+  std::size_t checked = 0;
+  for (const auto& row : kGoldenParallel) {
+    ASSERT_TRUE(kinds.count(row.protocol)) << row.protocol;
+    for (unsigned threads : {1u, 4u}) {
+      const auto m =
+          golden::measure_parallel(kinds.at(row.protocol), row.cell, threads);
+      SCOPED_TRACE(std::string(row.protocol) + " / " + row.cell + " at " +
+                   std::to_string(threads) + " threads");
+      EXPECT_EQ(m.messages, row.messages);
+      EXPECT_EQ(m.bytes, row.bytes);
+      EXPECT_EQ(m.retransmissions, row.retransmissions);
+      EXPECT_EQ(m.loss, row.loss);
+      EXPECT_EQ(m.severed, row.severed);
+      EXPECT_EQ(m.down, row.down);
+      EXPECT_EQ(m.in_flight, row.in_flight);
+      EXPECT_EQ(m.events, row.events);
+      EXPECT_EQ(m.finished_us, row.finished_us);
+    }
+    ++checked;
+  }
+  EXPECT_EQ(checked,
+            std::size(golden::kParallelCells) * mcs::all_protocols().size());
 }
 
 }  // namespace
