@@ -460,16 +460,7 @@ ScenarioRunResult run_sockets(const EngineConfig& config) {
       switch (e.type) {
         case FaultEvent::Type::kSever:
         case FaultEvent::Type::kHeal: {
-          // Group id per process: listed processes get their group's
-          // index, everyone else a unique singleton id.
-          std::vector<std::size_t> gid(n);
-          std::size_t next = e.groups.size();
-          for (std::size_t p = 0; p < n; ++p) gid[p] = next++;
-          for (std::size_t g = 0; g < e.groups.size(); ++g) {
-            for (ProcessId p : e.groups[g]) {
-              gid[static_cast<std::size_t>(p)] = g;
-            }
-          }
+          const std::vector<std::size_t> gid = Scenario::group_ids(e, n);
           const int delta = e.type == FaultEvent::Type::kSever ? 1 : -1;
           for (std::size_t i = 0; i < n; ++i) {
             for (std::size_t j = 0; j < n; ++j) {

@@ -171,7 +171,7 @@ class McsProcess : public Endpoint {
 
   // -- crash / recovery (driven by scenario timelines) ----------------------
   /// Fail-pause crash: the process stops observing the world.  The network
-  /// layer (Network::set_down) stops its traffic in both directions; the
+  /// layer (ChannelFaults::set_down) stops its traffic in both directions; the
   /// base additionally drops any delivery or defers any timer that slips
   /// through while down.  Replica contents and protocol state survive (the
   /// paper's MCS process is the durable memory system — the *channel* to

@@ -4,105 +4,66 @@
 
 namespace pardsm {
 
-Network::Network(std::size_t n, ChannelOptions options,
-                 std::unique_ptr<LatencyModel> latency, Rng rng)
+ChannelFaults::ChannelFaults(std::size_t n, const ChannelOptions& options)
     : n_(n),
-      options_(options),
-      latency_(latency ? std::move(latency)
-                       : std::make_unique<ConstantLatency>(millis(1))),
-      // Copy first so the latency stream equals the pre-split stream of a
-      // fault-free run; fork after (forking advances `rng`, not the copy).
-      latency_rng_(rng),
-      fault_rng_(rng.fork(/*tag=*/0x4641554CULL)),  // "FAUL"
       default_loss_(options.drop_probability),
       default_duplicate_(options.duplicate_probability),
       down_(n, 0) {
   refresh_fault_flag();
 }
 
-void Network::check_pair(ProcessId from, ProcessId to, const char* what) const {
+void ChannelFaults::check_pair(ProcessId from, ProcessId to,
+                               const char* what) const {
   PARDSM_CHECK(from >= 0 && static_cast<std::size_t>(from) < n_ && to >= 0 &&
                    static_cast<std::size_t>(to) < n_,
                what);
 }
 
+Network::Network(std::size_t n, ChannelOptions options,
+                 std::unique_ptr<LatencyModel> latency, Rng rng)
+    : ChannelFaults(n, options),
+      channel_{.fifo = options.fifo,
+               .latency = latency ? std::move(latency)
+                                  : std::make_unique<ConstantLatency>(
+                                        millis(1))},
+      // Copy first so the latency stream equals the pre-split stream of a
+      // fault-free run; fork after (forking advances `rng`, not the copy).
+      latency_rng_(rng),
+      fault_rng_(rng.fork(/*tag=*/0x4641554CULL)) {}  // "FAUL"
+
 DeliveryPlan Network::plan_delivery(ProcessId from, ProcessId to,
                                     TimePoint send_time) {
   check_pair(from, to, "plan_delivery: bad process");
-
-  // The latency draw happens unconditionally, before any fault decision:
-  // this pins the latency stream position per send, so fault activity
-  // (on this pair or any other) never changes what a surviving message's
-  // latency would have been.
-  const Duration lat = latency_->sample(from, to, latency_rng_);
-
-  const std::size_t ij = pair(from, to);
-  // Fault checks are gated on the config flag: a fault-free network skips
-  // three table lookups per message, and since chance(0.0) consumes no
-  // draw, the fault stream position is identical either way.
-  if (has_faults_) {
-    if (const std::uint32_t* cuts = severed_.find(ij);
-        cuts != nullptr && *cuts != 0) {
-      ++drops_.severed;
-      return {};
-    }
-    if (down_[static_cast<std::size_t>(from)] != 0 ||
-        down_[static_cast<std::size_t>(to)] != 0) {
-      ++drops_.down;
-      return {};
-    }
-    if (fault_rng_.chance(effective_loss(from, to, send_time))) {
-      ++drops_.loss;
-      return {};
-    }
-  }
-
-  DeliveryPlan deliveries;
-  const auto clamp_push = [&](TimePoint at) {
-    if (options_.fifo) {
-      // First surviving message of the pair materializes its clamp slot
-      // (the reference is used before any further insertion can rehash).
-      TimePoint& last = last_delivery_.get_or_insert(ij, TimePoint{});
-      if (at <= last) at = last + micros(1);
-      last = at;
-    }
-    deliveries.push(at);
-  };
-  clamp_push(send_time + lat);
-  if (has_faults_ &&
-      fault_rng_.chance(effective_duplicate(from, to, send_time))) {
-    // The duplicate's latency comes from the fault stream too: the extra
-    // copy must not displace anyone else's draw on the latency stream.
-    clamp_push(send_time + latency_->sample(from, to, fault_rng_));
-  }
-  return deliveries;
+  return channel_.plan(*this, from, to, send_time, latency_rng_,
+                       [this]() -> Rng& { return fault_rng_; });
 }
 
-void Network::sever(ProcessId from, ProcessId to) {
+void ChannelFaults::sever(ProcessId from, ProcessId to) {
   check_pair(from, to, "sever: bad process");
   ++severed_.get_or_insert(pair(from, to), 0);
   refresh_fault_flag();
 }
 
-void Network::heal(ProcessId from, ProcessId to) {
+void ChannelFaults::heal(ProcessId from, ProcessId to) {
   check_pair(from, to, "heal: bad process");
   std::uint32_t* cuts = severed_.find(pair(from, to));
   if (cuts != nullptr && *cuts > 0) --*cuts;
 }
 
-bool Network::severed(ProcessId from, ProcessId to) const {
+bool ChannelFaults::severed(ProcessId from, ProcessId to) const {
   check_pair(from, to, "severed: bad process");
   const std::uint32_t* cuts = severed_.find(pair(from, to));
   return cuts != nullptr && *cuts != 0;
 }
 
-void Network::set_loss(ProcessId from, ProcessId to, double probability) {
+void ChannelFaults::set_loss(ProcessId from, ProcessId to,
+                             double probability) {
   check_pair(from, to, "set_loss: bad process");
   loss_.get_or_insert(pair(from, to), 0.0) = probability;
   refresh_fault_flag();
 }
 
-void Network::set_loss_all(double probability) {
+void ChannelFaults::set_loss_all(double probability) {
   // What overwriting every cell of the dense table did: the new rate
   // answers for every pair, including previously overridden ones.
   default_loss_ = probability;
@@ -110,53 +71,46 @@ void Network::set_loss_all(double probability) {
   refresh_fault_flag();
 }
 
-double Network::loss(ProcessId from, ProcessId to) const {
+double ChannelFaults::loss(ProcessId from, ProcessId to) const {
   check_pair(from, to, "loss: bad process");
   const double* p = loss_.find(pair(from, to));
   return p != nullptr ? *p : default_loss_;
 }
 
-void Network::set_duplicate(ProcessId from, ProcessId to, double probability) {
+void ChannelFaults::set_duplicate(ProcessId from, ProcessId to,
+                                  double probability) {
   check_pair(from, to, "set_duplicate: bad process");
   duplicate_.get_or_insert(pair(from, to), 0.0) = probability;
   refresh_fault_flag();
 }
 
-void Network::set_duplicate_all(double probability) {
+void ChannelFaults::set_duplicate_all(double probability) {
   default_duplicate_ = probability;
   duplicate_.clear();
   refresh_fault_flag();
 }
 
-double Network::duplicate(ProcessId from, ProcessId to) const {
+double ChannelFaults::duplicate(ProcessId from, ProcessId to) const {
   check_pair(from, to, "duplicate: bad process");
   const double* p = duplicate_.find(pair(from, to));
   return p != nullptr ? *p : default_duplicate_;
 }
 
-double Network::effective_loss(ProcessId from, ProcessId to,
-                               TimePoint now) const {
+double ChannelFaults::effective_loss(ProcessId from, ProcessId to,
+                                     TimePoint now) const {
   check_pair(from, to, "effective_loss: bad process");
-  if (override_) {
-    const double p = override_->loss(from, to, now);
-    if (p >= 0.0) return p;
-  }
-  const double* p = loss_.find(pair(from, to));
-  return p != nullptr ? *p : default_loss_;
+  const double p = override_ ? override_->loss(from, to, now) : -1.0;
+  return p >= 0.0 ? p : loss(from, to);
 }
 
-double Network::effective_duplicate(ProcessId from, ProcessId to,
-                                    TimePoint now) const {
+double ChannelFaults::effective_duplicate(ProcessId from, ProcessId to,
+                                          TimePoint now) const {
   check_pair(from, to, "effective_duplicate: bad process");
-  if (override_) {
-    const double p = override_->duplicate(from, to, now);
-    if (p >= 0.0) return p;
-  }
-  const double* p = duplicate_.find(pair(from, to));
-  return p != nullptr ? *p : default_duplicate_;
+  const double p = override_ ? override_->duplicate(from, to, now) : -1.0;
+  return p >= 0.0 ? p : duplicate(from, to);
 }
 
-void Network::set_down(ProcessId p, bool down) {
+void ChannelFaults::set_down(ProcessId p, bool down) {
   PARDSM_CHECK(p >= 0 && static_cast<std::size_t>(p) < n_,
                "set_down: bad process");
   auto& slot = down_[static_cast<std::size_t>(p)];
@@ -172,7 +126,7 @@ void Network::set_down(ProcessId p, bool down) {
   }
 }
 
-bool Network::is_down(ProcessId p) const {
+bool ChannelFaults::is_down(ProcessId p) const {
   PARDSM_CHECK(p >= 0 && static_cast<std::size_t>(p) < n_,
                "is_down: bad process");
   return down_[static_cast<std::size_t>(p)] != 0;

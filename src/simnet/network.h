@@ -1,18 +1,21 @@
 // Channel behaviour: latency, FIFO ordering, loss, duplication, partitions
 // and process downtime.
 //
-// Network decides *when* (and whether, and how many times) each sent
-// message is delivered.  It is deliberately independent of the event queue
-// so channel semantics can be unit-tested in isolation.
+// ChannelState::plan alone decides *when* (and whether, and how many
+// times) a sent message is delivered, on both deterministic roots: it
+// reads the run's shared ChannelFaults and updates one owner's
+// ChannelState (the Simulator's Network holds one, each ParallelSimulator
+// shard another).  Nothing here touches the event queue, so channel
+// semantics can be unit-tested in isolation.
 //
-// RNG stream isolation: latency sampling and fault decisions draw from two
-// decorrelated generators.  The latency stream is consumed once per send
-// in a fixed position (sampled *before* any fault decision), so changing
-// loss or duplication rates — statically via ChannelOptions or dynamically
-// via the per-pair setters a Scenario drives — never perturbs the latency
-// a surviving message would have received in the fault-free run.  The
-// extra copy of a duplicated message samples its latency from the fault
-// stream for the same reason.  tests/test_scenario.cpp pins this.
+// RNG stream isolation: the caller supplies a latency stream and a fault
+// stream.  The latency stream is drawn exactly once per send, before any
+// fault decision, so changing loss or duplication rates — statically via
+// ChannelOptions or dynamically via the per-pair setters a Scenario
+// drives — never perturbs the latency a surviving message would have
+// received in the fault-free run.  The extra copy of a duplicated message
+// samples its latency from the fault stream for the same reason.
+// tests/test_scenario.cpp pins this.
 #pragma once
 
 #include <array>
@@ -91,24 +94,16 @@ struct DropCounters {
   }
 };
 
-/// Computes delivery schedules for messages.
-class Network {
+/// Fault state of a run's channels, shared by every owner of channel
+/// state.  Only global events write it (scenario closures on the
+/// Simulator, stop-the-world globals on the ParallelSimulator); planning
+/// only reads it, so parallel shards read it concurrently.
+class ChannelFaults {
  public:
-  /// Build a network over `n` processes.  `latency` may be null, meaning
-  /// a default 1ms constant latency.  `rng` seeds both internal streams:
-  /// the latency stream is a verbatim copy (so fault-free executions are
-  /// unchanged by the stream split) and the fault stream is forked from it.
-  Network(std::size_t n, ChannelOptions options,
-          std::unique_ptr<LatencyModel> latency, Rng rng);
-
-  /// Decide the fate of one message sent at `send_time`.  FIFO clamping
-  /// guarantees strictly increasing delivery times per directed pair when
-  /// options.fifo is set.
-  DeliveryPlan plan_delivery(ProcessId from, ProcessId to,
-                             TimePoint send_time);
+  /// `options` seeds the default loss and duplication rates.
+  ChannelFaults(std::size_t n, const ChannelOptions& options);
 
   [[nodiscard]] std::size_t process_count() const { return n_; }
-  [[nodiscard]] const ChannelOptions& options() const { return options_; }
 
   /// Partition control: while a directed pair is severed, messages are
   /// dropped.  Cuts are counted, not flagged — overlapping partitions
@@ -129,8 +124,8 @@ class Network {
   [[nodiscard]] double duplicate(ProcessId from, ProcessId to) const;
 
   /// Install (or clear, with null) a time-dependent rate source; it must
-  /// outlive the network's use of it.  Scenario::apply installs one over
-  /// its probability windows.
+  /// outlive the run's use of it.  Scenario::apply installs one over its
+  /// probability windows.
   void set_rate_override(std::shared_ptr<const RateOverride> override_src) {
     override_ = std::move(override_src);
     refresh_fault_flag();
@@ -149,15 +144,11 @@ class Network {
   void set_down(ProcessId p, bool down);
   [[nodiscard]] bool is_down(ProcessId p) const;
 
-  /// Record a delivery suppressed by the runtime because the receiver was
-  /// down when the message arrived (in-flight at crash time).
-  void count_in_flight_drop() { ++drops_.in_flight; }
-
-  /// Directed pairs holding FIFO clamp state (pairs that carried at least
-  /// one surviving message) — the "active pairs" of the memory model.
-  [[nodiscard]] std::size_t fifo_pairs() const {
-    return last_delivery_.size();
-  }
+  /// False only while no fault was ever configured: planning then skips
+  /// every lookup here and never touches the fault stream.  Conservative
+  /// (a healed cut keeps it set) and observably free, since
+  /// Rng::chance(0.0) consumes no draw.
+  [[nodiscard]] bool any() const { return has_faults_; }
 
   /// Explicit override entries across the loss, duplication and cut
   /// tables.  An entry count, not a pair count: a pair carrying several
@@ -167,33 +158,20 @@ class Network {
     return loss_.size() + duplicate_.size() + severed_.size();
   }
 
-  /// Bytes of per-pair channel state currently held (slot arrays of the
-  /// four sparse tables).  O(active pairs), not O(n²): an idle or sharded
-  /// system pays only for the pairs that diverged from the defaults.
-  [[nodiscard]] std::size_t state_bytes() const {
-    return last_delivery_.memory_bytes() + severed_.memory_bytes() +
-           loss_.memory_bytes() + duplicate_.memory_bytes();
+  /// Bytes held by the three sparse override tables.
+  [[nodiscard]] std::size_t table_bytes() const {
+    return severed_.memory_bytes() + loss_.memory_bytes() +
+           duplicate_.memory_bytes();
   }
 
-  /// Messages dropped so far (fault injection, loss, downtime), total and
-  /// by cause.
-  [[nodiscard]] std::uint64_t dropped_count() const { return drops_.total(); }
-  [[nodiscard]] const DropCounters& drop_counters() const { return drops_; }
-
- private:
-  /// Flat index of the directed pair (from, to).
+  /// Flat index of the directed pair (from, to): the key of every
+  /// per-pair table, these and each owner's FIFO clamp.
   [[nodiscard]] std::size_t pair(ProcessId from, ProcessId to) const {
     return static_cast<std::size_t>(from) * n_ + static_cast<std::size_t>(to);
   }
   void check_pair(ProcessId from, ProcessId to, const char* what) const;
 
-  /// Recompute `has_faults_` after any fault-config mutation.  The flag is
-  /// conservative: a healed cut or zero-valued override entry keeps it set
-  /// (the slow path re-derives the truth), but a network nobody ever
-  /// configured a fault on plans every delivery without touching the
-  /// severed/down/rate tables.  Observably identical either way —
-  /// Rng::chance(0.0) consumes no draw, so the fast path leaves the fault
-  /// stream exactly where the slow path would.
+ private:
   void refresh_fault_flag() {
     has_faults_ = override_ != nullptr || default_loss_ > 0.0 ||
                   default_duplicate_ > 0.0 || loss_.size() != 0 ||
@@ -202,24 +180,11 @@ class Network {
   }
 
   std::size_t n_;
-  ChannelOptions options_;
-  std::unique_ptr<LatencyModel> latency_;
-  /// Latency sampling stream: consumed exactly once per plan_delivery.
-  Rng latency_rng_;
-  /// Fault decision stream (loss/duplication draws, duplicate-copy
-  /// latency): isolated so fault knobs never shift latency sampling.
-  Rng fault_rng_;
-  /// Last planned delivery time per directed pair (FIFO clamp state),
-  /// allocated lazily on a pair's first surviving message: an idle pair
-  /// costs nothing, so total channel state is O(active pairs), not O(n²).
-  PairMap<TimePoint> last_delivery_;
   /// Cut count per directed pair (> 0 = severed); only pairs a partition
   /// ever touched have an entry.
   PairMap<std::uint32_t> severed_;
-  /// Per-pair rate overrides over the ChannelOptions defaults.  The
-  /// defaults answer for every absent pair; set_*_all rewrites the
-  /// default and drops the overrides — observably identical to the dense
-  /// tables these replaced (every pair seeded, set_*_all overwrote all).
+  /// Per-pair rate overrides over the ChannelOptions defaults; the
+  /// defaults answer for every absent pair.
   double default_loss_;
   double default_duplicate_;
   PairMap<double> loss_;
@@ -227,10 +192,118 @@ class Network {
   std::shared_ptr<const RateOverride> override_;
   std::vector<std::uint8_t> down_;
   std::size_t down_count_ = 0;  ///< processes currently down
-  /// False only when no fault configuration exists at all; gates the
-  /// per-message severed/down/loss/duplicate lookups in plan_delivery.
   bool has_faults_ = false;
-  DropCounters drops_;
+};
+
+/// One owner's channel state: its latency model, the FIFO clamp of the
+/// directed pairs it sends on, and its drop counters.
+struct ChannelState {
+  /// Decide the fate of one message sent at `send_time` (the pair must be
+  /// valid).  Draws latency once from `latency_rng`; calls `fault_rng()`
+  /// (returning Rng&) only when faults.any(), so a caller that builds its
+  /// fault stream per message builds none on a fault-free run.  With
+  /// `fifo`, delivery times per directed pair strictly increase.
+  template <typename FaultRng>
+  DeliveryPlan plan(const ChannelFaults& faults, ProcessId from,
+                    ProcessId to, TimePoint send_time, Rng& latency_rng,
+                    FaultRng&& fault_rng);
+
+  bool fifo = true;
+  std::unique_ptr<LatencyModel> latency;  ///< never null
+  /// Smallest latency any sample may take: the parallel root's quantum (a
+  /// shorter hop would land inside the window it was sent in), else zero.
+  Duration floor{};
+  /// Last planned delivery per directed pair, inserted on the pair's
+  /// first surviving message: O(active pairs), not O(n²).
+  PairMap<TimePoint> last_delivery{};
+  DropCounters drops{};
+};
+
+template <typename FaultRng>
+DeliveryPlan ChannelState::plan(const ChannelFaults& faults, ProcessId from,
+                                ProcessId to, TimePoint send_time,
+                                Rng& latency_rng, FaultRng&& fault_rng) {
+  const auto sample = [&](Rng& rng) {
+    const Duration lat = latency->sample(from, to, rng);
+    PARDSM_CHECK(lat >= floor,
+                 "latency sample below the quantum — conservative window "
+                 "invariant violated");
+    return lat;
+  };
+  // Drawn unconditionally, before any fault decision: this pins the
+  // latency stream position per send.
+  const Duration lat = sample(latency_rng);
+  if (faults.any()) {
+    if (faults.severed(from, to)) {
+      ++drops.severed;
+      return {};
+    }
+    if (faults.is_down(from) || faults.is_down(to)) {
+      ++drops.down;
+      return {};
+    }
+    if (fault_rng().chance(faults.effective_loss(from, to, send_time))) {
+      ++drops.loss;
+      return {};
+    }
+  }
+
+  DeliveryPlan deliveries;
+  const auto clamp_push = [&](TimePoint at) {
+    if (fifo) {
+      // The reference is used before any further insertion can rehash.
+      TimePoint& last =
+          last_delivery.get_or_insert(faults.pair(from, to), TimePoint{});
+      if (at <= last) at = last + micros(1);
+      last = at;
+    }
+    deliveries.push(at);
+  };
+  clamp_push(send_time + lat);
+  if (faults.any() &&
+      fault_rng().chance(faults.effective_duplicate(from, to, send_time))) {
+    // The extra copy must not displace anyone's latency-stream draw.
+    clamp_push(send_time + sample(fault_rng()));
+  }
+  return deliveries;
+}
+
+/// The sequential root's channel: the run's fault state plus its one
+/// owner's channel state, planning over two persistent streams.
+class Network : public ChannelFaults {
+ public:
+  /// `latency` may be null (constant 1ms).  `rng` seeds both streams: the
+  /// latency stream is a verbatim copy (so fault-free executions are
+  /// unchanged by the stream split), the fault stream is forked from it.
+  Network(std::size_t n, ChannelOptions options,
+          std::unique_ptr<LatencyModel> latency, Rng rng);
+
+  /// Decide the fate of one message sent at `send_time`.
+  DeliveryPlan plan_delivery(ProcessId from, ProcessId to,
+                             TimePoint send_time);
+
+  /// Record a delivery suppressed by the runtime because the receiver was
+  /// down when the message arrived (in-flight at crash time).
+  void count_in_flight_drop() { ++channel_.drops.in_flight; }
+
+  /// Directed pairs holding FIFO clamp state (pairs that carried at least
+  /// one surviving message) — the "active pairs" of the memory model.
+  [[nodiscard]] std::size_t fifo_pairs() const {
+    return channel_.last_delivery.size();
+  }
+  /// Bytes of per-pair channel state: clamp plus override tables.
+  [[nodiscard]] std::size_t state_bytes() const {
+    return channel_.last_delivery.memory_bytes() + table_bytes();
+  }
+  /// Messages dropped so far, by cause.
+  [[nodiscard]] const DropCounters& drop_counters() const {
+    return channel_.drops;
+  }
+
+ private:
+  ChannelState channel_;
+  Rng latency_rng_;  ///< drawn exactly once per plan_delivery
+  Rng fault_rng_;    ///< loss/duplication draws, the duplicate's latency
 };
 
 }  // namespace pardsm

@@ -1,6 +1,7 @@
 #include "simnet/parallel_sim.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "simnet/check.h"
@@ -10,7 +11,7 @@ namespace pardsm {
 namespace {
 
 /// Stream tags separating the two per-message channel streams (the
-/// parallel analogue of Network's latency_rng_ / fault_rng_ split).
+/// counter-based form of Network's latency / fault stream split).
 constexpr std::uint64_t kTagLatency = 0x4C41544EULL;  // "LATN"
 constexpr std::uint64_t kTagFault = 0x4641554CULL;    // "FAUL"
 constexpr std::uint64_t kTagChannel = 0x4348414EULL;  // "CHAN"
@@ -107,16 +108,13 @@ void ParallelSimulator::freeze() {
 
   shards_.reserve(options_.num_threads);
   for (unsigned w = 0; w < options_.num_threads; ++w) {
-    auto shard = std::make_unique<Shard>();
-    shard->latency = options_.latency->clone();
-    shards_.push_back(std::move(shard));
+    // Every sample, a duplicate's included, must cover its window.
+    shards_.push_back(std::make_unique<Shard>(
+        ChannelState{.fifo = options_.channel.fifo,
+                     .latency = options_.latency->clone(),
+                     .floor = quantum_}));
   }
-
-  // The fault network carries severed/down/rate-override state only; its
-  // internal RNG streams and clamp state are never consulted.
-  fault_net_ = std::make_unique<Network>(
-      n, options_.channel, options_.latency->clone(),
-      Rng(mix_word(options_.seed, 0x4E455457ULL)));  // "NETW"
+  faults_.emplace(n, options_.channel);
 
   send_seq_.assign(n, 0);
   timer_seq_.assign(n, 0);
@@ -125,9 +123,9 @@ void ParallelSimulator::freeze() {
   frozen_ = true;
 }
 
-Network& ParallelSimulator::fault_network() {
+ChannelFaults& ParallelSimulator::faults() {
   freeze();
-  return *fault_net_;
+  return *faults_;
 }
 
 ParallelSimulator::Shard* ParallelSimulator::current_shard() const {
@@ -143,10 +141,7 @@ TimePoint ParallelSimulator::now() const {
 void ParallelSimulator::send(ProcessId from, ProcessId to, BodyRef body,
                              MessageMeta meta) {
   PARDSM_CHECK(frozen_, "send before freeze()");
-  const std::size_t n = endpoints_.size();
-  PARDSM_CHECK(from >= 0 && static_cast<std::size_t>(from) < n && to >= 0 &&
-                   static_cast<std::size_t>(to) < n,
-               "send: bad process");
+  faults_->check_pair(from, to, "send: bad process");
   Shard* ctx = current_shard();
   const int sender_shard = shard_of_[static_cast<std::size_t>(from)];
   Shard& ss = *shards_[static_cast<std::size_t>(sender_shard)];
@@ -173,55 +168,24 @@ void ParallelSimulator::plan_and_schedule(Shard& ss, Message&& m) {
   // would depend on cross-process interleaving).
   m.id = ((static_cast<std::uint64_t>(from) + 1) << 40) | (send_seq + 1);
 
-  const std::uint64_t ij =
-      static_cast<std::uint64_t>(from) * endpoints_.size() +
-      static_cast<std::uint64_t>(to);
-  const std::uint64_t pair_k = ss.pair_seq.get_or_insert(ij, 0)++;
+  const std::uint64_t pair_k =
+      ss.pair_seq.get_or_insert(faults_->pair(from, to), 0)++;
 
-  // Mirror of Network::plan_delivery with counter-based streams: the
-  // latency draw comes first, unconditionally, from the latency stream;
-  // fault decisions and the duplicate copy's latency from the fault
-  // stream.  Both are keyed on (seed, from, to, per-pair counter), so the
-  // draws are a function of the message's logical coordinates only.
-  Rng lat_rng = counter_rng(channel_seed_, static_cast<std::uint64_t>(from),
-                            static_cast<std::uint64_t>(to), pair_k,
-                            kTagLatency);
-  const Duration lat = ss.latency->sample(from, to, lat_rng);
-  PARDSM_CHECK(lat >= quantum_,
-               "latency sample below the quantum — conservative window "
-               "invariant violated");
-
-  if (fault_net_->severed(from, to)) {
-    ++ss.drops.severed;
-    return;
-  }
-  if (fault_net_->is_down(from) || fault_net_->is_down(to)) {
-    ++ss.drops.down;
-    return;
-  }
-  Rng fault_rng = counter_rng(channel_seed_, static_cast<std::uint64_t>(from),
-                              static_cast<std::uint64_t>(to), pair_k,
-                              kTagFault);
-  if (fault_rng.chance(fault_net_->effective_loss(from, to, m.send_time))) {
-    ++ss.drops.loss;
-    return;
-  }
-
-  DeliveryPlan deliveries;
-  const bool fifo = options_.channel.fifo;
-  const auto clamp_push = [&](TimePoint at) {
-    if (fifo) {
-      TimePoint& last = ss.last_delivery.get_or_insert(ij, TimePoint{});
-      if (at <= last) at = last + micros(1);
-      last = at;
-    }
-    deliveries.push(at);
+  // Both streams are keyed on (seed, from, to, per-pair counter), so the
+  // draws are a function of the message's logical coordinates only.  The
+  // fault stream is built only if the plan asks for it.
+  const auto stream = [&](std::uint64_t tag) {
+    return counter_rng(channel_seed_, static_cast<std::uint64_t>(from),
+                       static_cast<std::uint64_t>(to), pair_k, tag);
   };
-  clamp_push(m.send_time + lat);
-  if (fault_rng.chance(
-          fault_net_->effective_duplicate(from, to, m.send_time))) {
-    clamp_push(m.send_time + ss.latency->sample(from, to, fault_rng));
-  }
+  Rng lat_rng = stream(kTagLatency);
+  std::optional<Rng> fault_rng;
+  const auto fault_stream = [&]() -> Rng& {
+    if (!fault_rng) fault_rng.emplace(stream(kTagFault));
+    return *fault_rng;
+  };
+  const DeliveryPlan deliveries = ss.channel.plan(
+      *faults_, from, to, m.send_time, lat_rng, fault_stream);
 
   Shard* ctx = current_shard();
   const int dest_shard = shard_of_[static_cast<std::size_t>(to)];
@@ -296,21 +260,17 @@ void ParallelSimulator::schedule_global(TimePoint when,
                "schedule_global: coordinator/setup only");
   PARDSM_CHECK(when >= coordinator_now_, "schedule_global: time in the past");
   globals_.push_back({when, next_global_seq_++, std::move(fn)});
-  std::push_heap(globals_.begin(), globals_.end(),
-                 [](const GlobalEvent& a, const GlobalEvent& b) {
-                   if (a.when != b.when) return a.when > b.when;
-                   return a.seq > b.seq;
-                 });
+  std::push_heap(globals_.begin(), globals_.end(), GlobalEvent::later);
 }
 
 void ParallelSimulator::dispatch(Shard& shard, Event& e) {
   switch (e.type) {
     case Event::Type::kDeliver: {
       Message& m = e.msg;
-      if (fault_net_->is_down(m.to)) {
+      if (faults_->is_down(m.to)) {
         // In flight toward a process that crashed after the send: lost
         // with the crash, same as the sequential runtime.
-        ++shard.drops.in_flight;
+        ++shard.channel.drops.in_flight;
         return;
       }
       stats_.on_deliver(m);
@@ -398,11 +358,7 @@ void ParallelSimulator::run() {
     return globals_.empty() ? kTimeForever : globals_.front().when;
   };
   const auto pop_global = [this] {
-    std::pop_heap(globals_.begin(), globals_.end(),
-                  [](const GlobalEvent& a, const GlobalEvent& b) {
-                    if (a.when != b.when) return a.when > b.when;
-                    return a.seq > b.seq;
-                  });
+    std::pop_heap(globals_.begin(), globals_.end(), GlobalEvent::later);
     GlobalEvent g = std::move(globals_.back());
     globals_.pop_back();
     return g;
@@ -484,25 +440,28 @@ void ParallelSimulator::run() {
 DropCounters ParallelSimulator::drop_counters() const {
   DropCounters total;
   for (const auto& shard : shards_) {
-    total.loss += shard->drops.loss;
-    total.severed += shard->drops.severed;
-    total.down += shard->drops.down;
-    total.in_flight += shard->drops.in_flight;
+    const DropCounters& d = shard->channel.drops;
+    total.loss += d.loss;
+    total.severed += d.severed;
+    total.down += d.down;
+    total.in_flight += d.in_flight;
   }
   return total;
 }
 
 std::size_t ParallelSimulator::fifo_pairs() const {
   std::size_t total = 0;
-  for (const auto& shard : shards_) total += shard->last_delivery.size();
+  for (const auto& shard : shards_) {
+    total += shard->channel.last_delivery.size();
+  }
   return total;
 }
 
 std::size_t ParallelSimulator::state_bytes() const {
-  std::size_t total = fault_net_ ? fault_net_->state_bytes() : 0;
+  std::size_t total = faults_ ? faults_->table_bytes() : 0;
   for (const auto& shard : shards_) {
-    total +=
-        shard->last_delivery.memory_bytes() + shard->pair_seq.memory_bytes();
+    total += shard->channel.last_delivery.memory_bytes() +
+             shard->pair_seq.memory_bytes();
   }
   return total;
 }

@@ -23,19 +23,20 @@
 //     fault draws come from a fresh generator keyed on (run seed, sender,
 //     dest, per-pair message counter, stream tag) — see counter_rng().
 //     The draws depend on coordinates, never on scheduling.
-//   * Per-pair FIFO clamp state, per-pair counters and drop counters are
-//     partitioned by shard and summed after the run.  The traffic ledger
-//     is the one shared NetworkStats: a process's slot in it is only ever
-//     written by its owning shard (or the coordinator while the workers
-//     are parked), so the shards write it directly.
-//   * Fault state (severed pairs, down flags, probability windows) is
-//     read-only during windows and mutated only by stop-the-world global
-//     events (Scenario timelines) with every worker parked.
+//   * The sequential root's plan body, ChannelState::plan (network.h),
+//     decides each message's fate over those streams and the sending
+//     shard's ChannelState (clamp, drop counters), summed after the run.
+//     The traffic ledger is the one shared NetworkStats: a process's slot
+//     in it is only ever written by its owning shard (or the coordinator
+//     while the workers are parked), so the shards write it directly.
+//   * Fault state (ChannelFaults: cuts, down flags, probability windows)
+//     is read-only during windows and mutated only by stop-the-world
+//     global events (Scenario timelines) with every worker parked.
 //
-// The sequential Simulator remains the golden-bearing mode: it is
-// untouched by this engine and keeps its sequential RNG draw order.  The
-// parallel engine is a second HostTransport root, so ARQ/batching stacks
-// and the MCS layer run unmodified above it.
+// The sequential Simulator remains the golden-bearing mode: same channel
+// model, but its own sequential RNG draw order.  The parallel engine is a
+// second HostTransport root, so ARQ/batching stacks and the MCS layer run
+// unmodified above it.
 #pragma once
 
 #include <atomic>
@@ -43,7 +44,9 @@
 #include <exception>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "simnet/check.h"
@@ -124,8 +127,8 @@ class ParallelSimulator final : public RootTransport {
   /// for partitions and crash/recover events.
   void schedule_global(TimePoint when, std::function<void()> fn);
 
-  /// Materialize shards, channels and the fault network; endpoint
-  /// registration freezes here.  Implied by run() and fault_network().
+  /// Materialize shards, channels and the fault state; endpoint
+  /// registration freezes here.  Implied by run() and faults().
   void freeze();
 
   /// Run until every shard queue and the global timeline drain.
@@ -135,7 +138,7 @@ class ParallelSimulator final : public RootTransport {
   /// Severed pairs, down flags and probability windows live here; during
   /// windows the workers read it concurrently, so it must only be mutated
   /// from global events (or before run()).
-  [[nodiscard]] Network& fault_network();
+  [[nodiscard]] ChannelFaults& faults();
   /// The traffic ledger every shard writes; read it after run().  Declare
   /// the run's variable count here (set_var_hint) before freeze().
   [[nodiscard]] NetworkStats& stats() { return stats_; }
@@ -144,7 +147,7 @@ class ParallelSimulator final : public RootTransport {
   [[nodiscard]] DropCounters drop_counters() const;
   /// Directed pairs holding FIFO clamp state, summed over shards.
   [[nodiscard]] std::size_t fifo_pairs() const;
-  /// Bytes of per-pair channel state (all shards + fault network).
+  /// Bytes of per-pair channel state (all shards + fault tables).
   [[nodiscard]] std::size_t state_bytes() const;
   [[nodiscard]] std::uint64_t events_fired() const;
   [[nodiscard]] unsigned shard_count() const {
@@ -187,6 +190,11 @@ class ParallelSimulator final : public RootTransport {
     TimePoint when{};
     std::uint64_t seq = 0;
     std::function<void()> fire;
+
+    /// Heap order of globals_: the earliest (when, seq) on top.
+    static bool later(const GlobalEvent& a, const GlobalEvent& b) {
+      return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+    }
   };
 
   /// A delivery bound for another shard, parked until the barrier.
@@ -197,14 +205,13 @@ class ParallelSimulator final : public RootTransport {
   };
 
   /// Everything one shard owns: its event queue, the channel state of its
-  /// processes' outgoing pairs, its drop counters and the cross-shard
-  /// deliveries the current window produced.
+  /// processes' outgoing pairs and the cross-shard deliveries the current
+  /// window produced.
   struct Shard {
+    explicit Shard(ChannelState c) : channel(std::move(c)) {}
     EventQueue queue;  ///< keyed by canonical_key
-    std::unique_ptr<LatencyModel> latency;
-    PairMap<TimePoint> last_delivery;  ///< FIFO clamp, sender-side pairs
-    PairMap<std::uint64_t> pair_seq;   ///< per-pair send counter (RNG key)
-    DropCounters drops;
+    ChannelState channel;
+    PairMap<std::uint64_t> pair_seq;  ///< per-pair send counter (RNG key)
     TimePoint now{};
     std::uint64_t events_fired = 0;
     std::vector<Outgoing> outbox;  ///< deliveries bound for other shards
@@ -215,9 +222,9 @@ class ParallelSimulator final : public RootTransport {
   /// shard is done).
   void drain_shard(unsigned w) noexcept;
   void dispatch(Shard& shard, Event& e);
-  /// Mirror of Network::plan_delivery over counter-based streams and the
-  /// calling shard's clamp state; queues deliver events locally or in the
-  /// outbox.
+  /// Plan one send with ChannelState::plan over counter-based streams and
+  /// the sending shard's channel state; queue its deliveries locally or
+  /// in the outbox.
   void plan_and_schedule(Shard& shard, Message&& m);
   /// Helper thread body for shard `w` (>= 1): drain a window each time
   /// epoch_ moves past `epoch`, until stop_.
@@ -241,8 +248,8 @@ class ParallelSimulator final : public RootTransport {
   /// work before freeze so protocols can cache pool handles at attach).
   std::vector<std::unique_ptr<BodyArena>> arenas_;
   /// Fault state (severed / down / rate overrides) shared read-only
-  /// during windows; its own RNG streams and clamp state are unused.
-  std::unique_ptr<Network> fault_net_;
+  /// during windows; built at freeze(), once n is known.
+  std::optional<ChannelFaults> faults_;
   /// One slot per process, written by that process's shard (see stats.h).
   NetworkStats stats_;
   /// Per-process canonical sequence counters, touched only by the owner's

@@ -11,22 +11,6 @@ namespace pardsm {
 
 namespace {
 
-/// Group id per process under a partition event: listed processes get
-/// their group's index, everyone else a unique singleton id.
-std::vector<std::size_t> group_ids(const FaultEvent& e, std::size_t n) {
-  std::vector<std::size_t> gid(n);
-  std::size_t next = e.groups.size();
-  for (std::size_t p = 0; p < n; ++p) gid[p] = next++;
-  for (std::size_t g = 0; g < e.groups.size(); ++g) {
-    for (ProcessId p : e.groups[g]) {
-      PARDSM_CHECK(p >= 0 && static_cast<std::size_t>(p) < n,
-                   "partition: process outside the system");
-      gid[static_cast<std::size_t>(p)] = g;
-    }
-  }
-  return gid;
-}
-
 /// True for events that *end* a condition (heals, recoveries).  At equal
 /// timestamps these fire before events that start one, regardless of
 /// builder call order.
@@ -71,6 +55,21 @@ double Scenario::window_rate(const std::vector<ProbWindow>& windows,
     }
   }
   return rate;
+}
+
+std::vector<std::size_t> Scenario::group_ids(const FaultEvent& e,
+                                             std::size_t n) {
+  std::vector<std::size_t> gid(n);
+  std::size_t next = e.groups.size();
+  for (std::size_t p = 0; p < n; ++p) gid[p] = next++;
+  for (std::size_t g = 0; g < e.groups.size(); ++g) {
+    for (ProcessId p : e.groups[g]) {
+      PARDSM_CHECK(p >= 0 && static_cast<std::size_t>(p) < n,
+                   "partition: process outside the system");
+      gid[static_cast<std::size_t>(p)] = g;
+    }
+  }
+  return gid;
 }
 
 Scenario& Scenario::add(FaultEvent e) {
@@ -153,9 +152,9 @@ Scenario& Scenario::crash(ProcessId p, TimePoint at, TimePoint recover_at) {
   return add({FaultEvent::Type::kRecover, recover_at, p, {}});
 }
 
-void Scenario::fire(const FaultEvent& e, Network& net,
+void Scenario::fire(const FaultEvent& e, ChannelFaults& faults,
                     const ScenarioHooks& hooks) const {
-  const auto n = net.process_count();
+  const auto n = faults.process_count();
   switch (e.type) {
     case FaultEvent::Type::kSever:
     case FaultEvent::Type::kHeal: {
@@ -166,20 +165,20 @@ void Scenario::fire(const FaultEvent& e, Network& net,
           const auto a = static_cast<ProcessId>(i);
           const auto b = static_cast<ProcessId>(j);
           if (e.type == FaultEvent::Type::kSever) {
-            net.sever(a, b);
+            faults.sever(a, b);
           } else {
-            net.heal(a, b);
+            faults.heal(a, b);
           }
         }
       }
       break;
     }
     case FaultEvent::Type::kCrash:
-      net.set_down(e.a, true);
+      faults.set_down(e.a, true);
       if (hooks.on_crash) hooks.on_crash(e.a, e.at);
       break;
     case FaultEvent::Type::kRecover:
-      net.set_down(e.a, false);
+      faults.set_down(e.a, false);
       if (hooks.on_recover) hooks.on_recover(e.a, e.at);
       break;
   }
@@ -216,51 +215,46 @@ std::vector<const FaultEvent*> Scenario::ordered_events() const {
   return ordered;
 }
 
-void Scenario::apply(Simulator& sim, ScenarioHooks hooks) const {
-  Network& net = sim.ensure_network();
+void Scenario::apply(ChannelFaults& faults, TimePoint now,
+                     const ScenarioHooks& hooks,
+                     const Schedule& schedule) const {
   PARDSM_CHECK(max_process_ == kNoProcess ||
                    static_cast<std::size_t>(max_process_) <
-                       net.process_count(),
+                       faults.process_count(),
                "scenario mentions a process outside the system");
   // Probability windows: resolved per message at planning time, so they
   // need no events and never delay quiescence.
   if (!loss_windows_.empty() || !dup_windows_.empty()) {
-    net.set_rate_override(std::make_shared<Rates>(this));
+    faults.set_rate_override(std::make_shared<Rates>(this));
   }
   // Structural events, in timeline order independent of builder call
   // order: by time, closing edges before opening edges at equal times,
   // builder order as the tie break (stable sort).
   for (const FaultEvent* ep : ordered_events()) {
     const FaultEvent& e = *ep;
-    if (e.at <= sim.now()) {
-      fire(e, net, hooks);
+    if (e.at <= now) {
+      fire(e, faults, hooks);
     } else {
-      sim.schedule_at(e.at, [this, &net, hooks, &e] { fire(e, net, hooks); });
+      schedule(e.at, [this, &faults, hooks, &e] { fire(e, faults, hooks); });
     }
   }
 }
 
+void Scenario::apply(Simulator& sim, ScenarioHooks hooks) const {
+  apply(sim.ensure_network(), sim.now(), hooks,
+        [&sim](TimePoint at, std::function<void()> fn) {
+          sim.schedule_at(at, std::move(fn));
+        });
+}
+
 void Scenario::apply(ParallelSimulator& sim, ScenarioHooks hooks) const {
-  Network& net = sim.fault_network();
-  PARDSM_CHECK(max_process_ == kNoProcess ||
-                   static_cast<std::size_t>(max_process_) <
-                       net.process_count(),
-               "scenario mentions a process outside the system");
-  if (!loss_windows_.empty() || !dup_windows_.empty()) {
-    net.set_rate_override(std::make_shared<Rates>(this));
-  }
   // Structural events mutate shared fault state, so each becomes a
   // stop-the-world global: the coordinator fires it with every worker
   // parked, at its exact time (windows never span a global's instant).
-  for (const FaultEvent* ep : ordered_events()) {
-    const FaultEvent& e = *ep;
-    if (e.at <= sim.now()) {
-      fire(e, net, hooks);
-    } else {
-      sim.schedule_global(e.at,
-                          [this, &net, hooks, &e] { fire(e, net, hooks); });
-    }
-  }
+  apply(sim.faults(), sim.now(), hooks,
+        [&sim](TimePoint at, std::function<void()> fn) {
+          sim.schedule_global(at, std::move(fn));
+        });
 }
 
 }  // namespace pardsm

@@ -8,12 +8,12 @@
 //    .partition({{0, 1, 2}, {3, 4, 5}}, after(millis(2)), after(millis(6)))
 //    .crash(1, after(millis(3)), after(millis(5)));
 //
-// apply() installs the probability windows as the Network's plan-time
-// rate source and turns the structural events (partitions, crashes) into
-// scheduled closures mutating the run's Network (severed pairs, down
-// flags), so the same Scenario replays bit-identically for a given
+// apply() installs the probability windows as the run's plan-time rate
+// source and turns the structural events (partitions, crashes) into
+// scheduled closures mutating the run's ChannelFaults (severed pairs,
+// down flags), so the same Scenario replays bit-identically for a given
 // simulator seed — fault *timing* is scripted, fault *draws* (which
-// message is lost) come from the network's dedicated fault RNG stream.
+// message is lost) come from the channel's dedicated fault RNG stream.
 // Crash and recovery additionally call back into the driver (hooks) so
 // the MCS layer can drop in-flight state and re-sync replicas; the simnet
 // layer itself knows nothing about protocols.  Both the rate source and
@@ -21,7 +21,7 @@
 // outlive the run.
 //
 // Probability windows are *state*, not deltas, and they are resolved at
-// message-planning time through a Network::RateOverride: a message sent
+// message-planning time through a RateOverride (network.h): a message sent
 // at t faces "the most recently opened window covering the pair at t,
 // else the ChannelOptions base".  Nested, crossed and same-instant
 // windows therefore all compose without ordering surprises, and a window
@@ -48,7 +48,7 @@
 
 namespace pardsm {
 
-class Network;
+class ChannelFaults;
 class ParallelSimulator;
 class Simulator;
 
@@ -159,6 +159,12 @@ class Scenario {
   /// actual process count).
   [[nodiscard]] ProcessId max_process() const { return max_process_; }
 
+  /// Group id per process under partition event `e` over n processes:
+  /// listed processes get their group's index, everyone else a singleton
+  /// id, so a pair is cut iff its ids differ.  Checks every listed id.
+  [[nodiscard]] static std::vector<std::size_t> group_ids(const FaultEvent& e,
+                                                          std::size_t n);
+
   // -- execution ------------------------------------------------------------
 
   /// Schedule the whole timeline on `sim`.  Events at t <= now are applied
@@ -168,8 +174,8 @@ class Scenario {
   /// registration via Simulator::ensure_network().
   void apply(Simulator& sim, ScenarioHooks hooks = {}) const;
 
-  /// Parallel-engine variant: probability windows install on the fault
-  /// network exactly as above, and every structural event becomes a
+  /// Parallel-engine variant: the same body over the parallel root's
+  /// fault state, except that every later structural event becomes a
   /// *stop-the-world* global event — it mutates fault state (and runs the
   /// crash/recovery hooks) on the coordinator with all workers parked,
   /// which is the only time that state may change.
@@ -208,7 +214,12 @@ class Scenario {
   Scenario& add_window(std::vector<ProbWindow>& windows, ProcessId a,
                        ProcessId b, double probability, TimePoint from,
                        TimePoint until, const char* what);
-  void fire(const FaultEvent& e, Network& net,
+  using Schedule = std::function<void(TimePoint, std::function<void()>)>;
+  /// The one apply body: install the windows on `faults`, fire events at
+  /// t <= now at once and hand each later one to `schedule`.
+  void apply(ChannelFaults& faults, TimePoint now, const ScenarioHooks& hooks,
+             const Schedule& schedule) const;
+  void fire(const FaultEvent& e, ChannelFaults& faults,
             const ScenarioHooks& hooks) const;
   /// The timeline in execution order: by time, closing edges before
   /// opening edges at equal times, builder order as the tie break.

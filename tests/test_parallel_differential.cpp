@@ -19,6 +19,9 @@
 //     order and counter-based RNG streams make the run a function of the
 //     seed, not of the schedule; this is the assertion that catches any
 //     leak of physical scheduling into logical results.
+//
+// ParallelTieRule pins where the two roots may part: events at equal
+// times, which each root orders by its own documented rule.
 
 #include <gtest/gtest.h>
 
@@ -235,6 +238,57 @@ TEST(ShardAssignment, ConnectedTopologyRoundRobins) {
   for (std::size_t p = 0; p < 6; ++p) {
     EXPECT_EQ(shard[p], static_cast<int>(p % 4));
   }
+}
+
+// The equal-time tie rule, pinned on sim-adhoc-lossy's shape (ad-hoc
+// causal, 8 processes, 32 variables, r = 3, read-50 uniform, open loop at
+// 1000 op/s per process) without its loss, under constant 1 ms latency,
+// so every arrival and every delivery sits on a 1 ms grid.  At equal
+// times the sequential root runs events in insertion order; the parallel
+// root runs deliveries, then timers, then closures (docs/PARALLEL.md).  A
+// client schedules its next arrival before it issues the current op, so
+// on the sequential root the arrival 1 ms later runs before the batching
+// flush timer armed by that op's send, and joins the frame; on the
+// parallel root the flush timer runs first.
+ScenarioRunResult adhoc_batched(EngineRuntime runtime, Duration window) {
+  const auto dist = graph::topo::random_replication(8, 32, 3, 7);
+  workload::Spec spec;
+  spec.ops_per_process = 200;
+  spec.read_fraction = 0.5;
+  spec.keys = workload::KeyDist::kUniform;
+  spec.arrival_rate = 1000.0;
+  spec.seed = 11;
+  return run({.protocol = ProtocolKind::kCausalPartialAdHoc,
+              .distribution = &dist,
+              .workload = &spec,
+              .record_history = false,
+              .runtime = runtime,
+              .sim_seed = 5,
+              .parallel = {.num_threads = 1},
+              .batching = {.window = window}});
+}
+
+TEST(ParallelTieRule, WindowOffTheArrivalGridBatchesAlikeOnBothRoots) {
+  const auto seq = adhoc_batched(EngineRuntime::kSimulator, micros(1500));
+  const auto par = adhoc_batched(EngineRuntime::kParallelSim, micros(1500));
+  EXPECT_GT(seq.batching.frames_sent, 0u);
+  EXPECT_EQ(par.total_traffic.msgs_sent, seq.total_traffic.msgs_sent);
+  EXPECT_EQ(par.batching.frames_sent, seq.batching.frames_sent);
+  EXPECT_EQ(par.batching.singleton_flushes, seq.batching.singleton_flushes);
+}
+
+TEST(ParallelTieRule, WindowOnTheArrivalGridCoalescesOnlyOnTheSequentialRoot) {
+  const auto unbatched = adhoc_batched(EngineRuntime::kSimulator, Duration{});
+  const auto seq = adhoc_batched(EngineRuntime::kSimulator, millis(1));
+  const auto par = adhoc_batched(EngineRuntime::kParallelSim, millis(1));
+  // Sequential: the next arrival wins the tie with the flush timer.
+  EXPECT_GT(seq.batching.frames_sent, 0u);
+  EXPECT_LT(seq.total_traffic.msgs_sent, unbatched.total_traffic.msgs_sent);
+  // Parallel: the timer wins, every queue flushes one message, and the
+  // window saves nothing at all.
+  EXPECT_EQ(par.batching.frames_sent, 0u);
+  EXPECT_EQ(par.batching.singleton_flushes, par.total_traffic.msgs_sent);
+  EXPECT_EQ(par.total_traffic.msgs_sent, unbatched.total_traffic.msgs_sent);
 }
 
 }  // namespace

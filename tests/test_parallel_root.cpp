@@ -10,7 +10,9 @@
 //     on a helper's shard or on the coordinator's own shard 0 reaches
 //     run()'s caller intact, after every thread has been joined;
 //   * the traffic ledger the shards write directly — repeated run()s
-//     count what the sequential root counts.
+//     count what the sequential root counts;
+//   * the conservative window — every latency sample, a duplicate's
+//     included, must cover the quantum.
 
 #include <gtest/gtest.h>
 
@@ -26,6 +28,7 @@
 
 #include "mcs/recorder.h"
 #include "simnet/event_queue.h"
+#include "simnet/latency.h"
 #include "simnet/parallel_sim.h"
 #include "simnet/rng.h"
 #include "simnet/simulator.h"
@@ -330,6 +333,47 @@ TEST(ParallelLedger, SecondRunDoesNotRecountTheFirst) {
       EXPECT_TRUE(same_traffic(got[p], want[p])) << "process " << p;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Window: a duplicate's latency sample is held to the quantum too.
+
+/// Promises 1 ms but alternates 1 ms and 0.5 ms samples.  With every
+/// message duplicated, the odd samples are exactly the duplicates' draws
+/// (taken from the fault stream after the latency-stream draw).
+class ShortDuplicateLatency final : public LatencyModel {
+ public:
+  Duration sample(ProcessId, ProcessId, Rng&) override {
+    return (calls_++ % 2 == 0) ? millis(1) : micros(500);
+  }
+  [[nodiscard]] Duration lower_bound() const override { return millis(1); }
+  [[nodiscard]] std::unique_ptr<LatencyModel> clone() const override {
+    return std::make_unique<ShortDuplicateLatency>();
+  }
+
+ private:
+  std::uint64_t calls_ = 0;
+};
+
+/// One message 0 -> 1 on a one-thread parallel root with the fake model.
+void send_one(double duplicate_probability) {
+  ParallelSimOptions options;
+  options.num_threads = 1;
+  options.channel.duplicate_probability = duplicate_probability;
+  options.latency = std::make_unique<ShortDuplicateLatency>();
+  ParallelSimulator sim(std::move(options));
+  Sink a, b;
+  sim.add_endpoint(&a);
+  sim.add_endpoint(&b);
+  sim.schedule_at(TimePoint{1000}, 0, [&sim] {
+    sim.send(0, 1, make_body<MessageBody>(), MessageMeta{"ONE", 4, 2, {}});
+  });
+  sim.run();
+}
+
+TEST(ParallelWindow, DuplicateSampleBelowTheQuantumThrows) {
+  EXPECT_NO_THROW(send_one(/*duplicate_probability=*/0.0));
+  EXPECT_THROW(send_one(/*duplicate_probability=*/1.0), std::logic_error);
 }
 
 }  // namespace

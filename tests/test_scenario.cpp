@@ -50,7 +50,7 @@ TEST(ScenarioRng, LossOnOnePairNeverPerturbsLatencySampling) {
     }
   }
   EXPECT_GT(faulty.drop_counters().loss, 0u);
-  EXPECT_EQ(clean.dropped_count(), 0u);
+  EXPECT_EQ(clean.drop_counters().total(), 0u);
 }
 
 TEST(ScenarioRng, ZeroLossArmedIsIdenticalToFaultsDisabled) {

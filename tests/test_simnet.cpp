@@ -176,7 +176,7 @@ TEST(Network, DropProbabilityDropsSome) {
   }
   EXPECT_GT(delivered, 50);
   EXPECT_LT(delivered, 150);
-  EXPECT_GT(net.dropped_count(), 0u);
+  EXPECT_GT(net.drop_counters().total(), 0u);
 }
 
 TEST(Network, DuplicateProbabilityDuplicatesSome) {
