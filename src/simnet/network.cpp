@@ -99,15 +99,23 @@ double ChannelFaults::duplicate(ProcessId from, ProcessId to) const {
 double ChannelFaults::effective_loss(ProcessId from, ProcessId to,
                                      TimePoint now) const {
   check_pair(from, to, "effective_loss: bad process");
-  const double p = override_ ? override_->loss(from, to, now) : -1.0;
-  return p >= 0.0 ? p : loss(from, to);
+  if (override_) {
+    const double p = override_->loss(from, to, now);
+    if (p >= 0.0) return p;
+  }
+  const double* p = loss_.find(pair(from, to));
+  return p != nullptr ? *p : default_loss_;
 }
 
 double ChannelFaults::effective_duplicate(ProcessId from, ProcessId to,
                                           TimePoint now) const {
   check_pair(from, to, "effective_duplicate: bad process");
-  const double p = override_ ? override_->duplicate(from, to, now) : -1.0;
-  return p >= 0.0 ? p : duplicate(from, to);
+  if (override_) {
+    const double p = override_->duplicate(from, to, now);
+    if (p >= 0.0) return p;
+  }
+  const double* p = duplicate_.find(pair(from, to));
+  return p != nullptr ? *p : default_duplicate_;
 }
 
 void ChannelFaults::set_down(ProcessId p, bool down) {

@@ -144,12 +144,6 @@ class ChannelFaults {
   void set_down(ProcessId p, bool down);
   [[nodiscard]] bool is_down(ProcessId p) const;
 
-  /// False only while no fault was ever configured: planning then skips
-  /// every lookup here and never touches the fault stream.  Conservative
-  /// (a healed cut keeps it set) and observably free, since
-  /// Rng::chance(0.0) consumes no draw.
-  [[nodiscard]] bool any() const { return has_faults_; }
-
   /// Explicit override entries across the loss, duplication and cut
   /// tables.  An entry count, not a pair count: a pair carrying several
   /// kinds of override contributes once per kind, and a healed pair keeps
@@ -172,6 +166,9 @@ class ChannelFaults {
   void check_pair(ProcessId from, ProcessId to, const char* what) const;
 
  private:
+  /// The plan reads the tables directly: its caller has checked the pair.
+  friend struct ChannelState;
+
   void refresh_fault_flag() {
     has_faults_ = override_ != nullptr || default_loss_ > 0.0 ||
                   default_duplicate_ > 0.0 || loss_.size() != 0 ||
@@ -192,6 +189,10 @@ class ChannelFaults {
   std::shared_ptr<const RateOverride> override_;
   std::vector<std::uint8_t> down_;
   std::size_t down_count_ = 0;  ///< processes currently down
+  /// False only while no fault was ever configured: planning then skips
+  /// every lookup here and never touches the fault stream.  Conservative
+  /// (a healed cut keeps it set) and observably free, since
+  /// Rng::chance(0.0) consumes no draw.
   bool has_faults_ = false;
 };
 
@@ -200,9 +201,9 @@ class ChannelFaults {
 struct ChannelState {
   /// Decide the fate of one message sent at `send_time` (the pair must be
   /// valid).  Draws latency once from `latency_rng`; calls `fault_rng()`
-  /// (returning Rng&) only when faults.any(), so a caller that builds its
-  /// fault stream per message builds none on a fault-free run.  With
-  /// `fifo`, delivery times per directed pair strictly increase.
+  /// (returning Rng&) only when a fault is configured, so a caller that
+  /// builds its fault stream per message builds none on a fault-free run.
+  /// With `fifo`, delivery times per directed pair strictly increase.
   template <typename FaultRng>
   DeliveryPlan plan(const ChannelFaults& faults, ProcessId from,
                     ProcessId to, TimePoint send_time, Rng& latency_rng,
@@ -233,12 +234,15 @@ DeliveryPlan ChannelState::plan(const ChannelFaults& faults, ProcessId from,
   // Drawn unconditionally, before any fault decision: this pins the
   // latency stream position per send.
   const Duration lat = sample(latency_rng);
-  if (faults.any()) {
-    if (faults.severed(from, to)) {
+  const std::size_t ij = faults.pair(from, to);
+  if (faults.has_faults_) {
+    if (const std::uint32_t* cuts = faults.severed_.find(ij);
+        cuts != nullptr && *cuts != 0) {
       ++drops.severed;
       return {};
     }
-    if (faults.is_down(from) || faults.is_down(to)) {
+    if (faults.down_[static_cast<std::size_t>(from)] != 0 ||
+        faults.down_[static_cast<std::size_t>(to)] != 0) {
       ++drops.down;
       return {};
     }
@@ -252,15 +256,14 @@ DeliveryPlan ChannelState::plan(const ChannelFaults& faults, ProcessId from,
   const auto clamp_push = [&](TimePoint at) {
     if (fifo) {
       // The reference is used before any further insertion can rehash.
-      TimePoint& last =
-          last_delivery.get_or_insert(faults.pair(from, to), TimePoint{});
+      TimePoint& last = last_delivery.get_or_insert(ij, TimePoint{});
       if (at <= last) at = last + micros(1);
       last = at;
     }
     deliveries.push(at);
   };
   clamp_push(send_time + lat);
-  if (faults.any() &&
+  if (faults.has_faults_ &&
       fault_rng().chance(faults.effective_duplicate(from, to, send_time))) {
     // The extra copy must not displace anyone's latency-stream draw.
     clamp_push(send_time + sample(fault_rng()));

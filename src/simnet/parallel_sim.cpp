@@ -260,7 +260,11 @@ void ParallelSimulator::schedule_global(TimePoint when,
                "schedule_global: coordinator/setup only");
   PARDSM_CHECK(when >= coordinator_now_, "schedule_global: time in the past");
   globals_.push_back({when, next_global_seq_++, std::move(fn)});
-  std::push_heap(globals_.begin(), globals_.end(), GlobalEvent::later);
+  std::push_heap(globals_.begin(), globals_.end(),
+                 [](const GlobalEvent& a, const GlobalEvent& b) {
+                   if (a.when != b.when) return a.when > b.when;
+                   return a.seq > b.seq;
+                 });
 }
 
 void ParallelSimulator::dispatch(Shard& shard, Event& e) {
@@ -358,7 +362,11 @@ void ParallelSimulator::run() {
     return globals_.empty() ? kTimeForever : globals_.front().when;
   };
   const auto pop_global = [this] {
-    std::pop_heap(globals_.begin(), globals_.end(), GlobalEvent::later);
+    std::pop_heap(globals_.begin(), globals_.end(),
+                  [](const GlobalEvent& a, const GlobalEvent& b) {
+                    if (a.when != b.when) return a.when > b.when;
+                    return a.seq > b.seq;
+                  });
     GlobalEvent g = std::move(globals_.back());
     globals_.pop_back();
     return g;

@@ -190,11 +190,6 @@ class ParallelSimulator final : public RootTransport {
     TimePoint when{};
     std::uint64_t seq = 0;
     std::function<void()> fire;
-
-    /// Heap order of globals_: the earliest (when, seq) on top.
-    static bool later(const GlobalEvent& a, const GlobalEvent& b) {
-      return a.when != b.when ? a.when > b.when : a.seq > b.seq;
-    }
   };
 
   /// A delivery bound for another shard, parked until the barrier.

@@ -203,7 +203,7 @@ std::vector<TimePoint> Scenario::window_edges() const {
   return edges;
 }
 
-std::vector<const FaultEvent*> Scenario::ordered_events() const {
+std::vector<const FaultEvent*> Scenario::execution_order() const {
   std::vector<const FaultEvent*> ordered;
   ordered.reserve(events_.size());
   for (const FaultEvent& e : events_) ordered.push_back(&e);
@@ -230,7 +230,7 @@ void Scenario::apply(ChannelFaults& faults, TimePoint now,
   // Structural events, in timeline order independent of builder call
   // order: by time, closing edges before opening edges at equal times,
   // builder order as the tie break (stable sort).
-  for (const FaultEvent* ep : ordered_events()) {
+  for (const FaultEvent* ep : execution_order()) {
     const FaultEvent& e = *ep;
     if (e.at <= now) {
       fire(e, faults, hooks);

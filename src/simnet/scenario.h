@@ -159,12 +159,6 @@ class Scenario {
   /// actual process count).
   [[nodiscard]] ProcessId max_process() const { return max_process_; }
 
-  /// Group id per process under partition event `e` over n processes:
-  /// listed processes get their group's index, everyone else a singleton
-  /// id, so a pair is cut iff its ids differ.  Checks every listed id.
-  [[nodiscard]] static std::vector<std::size_t> group_ids(const FaultEvent& e,
-                                                          std::size_t n);
-
   // -- execution ------------------------------------------------------------
 
   /// Schedule the whole timeline on `sim`.  Events at t <= now are applied
@@ -182,9 +176,9 @@ class Scenario {
   void apply(ParallelSimulator& sim, ScenarioHooks hooks = {}) const;
 
   // -- sockets-root replay ---------------------------------------------------
-  // The sockets engine cannot install a RateOverride (there is no Network);
-  // it instead samples the windows and walks the event list itself, mapping
-  // simulated microseconds onto wall time.
+  // The sockets engine cannot install a RateOverride (it keeps no
+  // ChannelFaults); it instead samples the windows and walks the event list
+  // itself, mapping simulated microseconds onto wall time.
 
   /// The loss rate the timeline imposes on (from, to) at simulated time
   /// `now`, or -1 when no window covers the pair (use the base rate).
@@ -202,9 +196,12 @@ class Scenario {
   [[nodiscard]] std::vector<TimePoint> window_edges() const;
   /// The structural timeline in execution order (by time, closing edges
   /// before opening edges, builder order as the tie break).
-  [[nodiscard]] std::vector<const FaultEvent*> execution_order() const {
-    return ordered_events();
-  }
+  [[nodiscard]] std::vector<const FaultEvent*> execution_order() const;
+  /// Group id per process under partition event `e` over n processes:
+  /// listed processes get their group's index, everyone else a singleton
+  /// id, so a pair is cut iff its ids differ.  Checks every listed id.
+  [[nodiscard]] static std::vector<std::size_t> group_ids(const FaultEvent& e,
+                                                          std::size_t n);
 
  private:
   /// RateOverride over the window lists (defined in scenario.cpp).
@@ -221,9 +218,6 @@ class Scenario {
              const Schedule& schedule) const;
   void fire(const FaultEvent& e, ChannelFaults& faults,
             const ScenarioHooks& hooks) const;
-  /// The timeline in execution order: by time, closing edges before
-  /// opening edges at equal times, builder order as the tie break.
-  [[nodiscard]] std::vector<const FaultEvent*> ordered_events() const;
   /// The rate the most recently opened active window imposes on (from,
   /// to) at `now`, or -1 when no window covers it.
   [[nodiscard]] static double window_rate(
