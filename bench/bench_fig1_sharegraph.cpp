@@ -22,7 +22,11 @@ void print_fig1(benchutil::Harness& h) {
   benchutil::row({"clique", "members"});
   for (VarId x = 0; x < 2; ++x) {
     std::string members;
-    for (ProcessId p : sg.clique(x)) members += "p" + std::to_string(p) + " ";
+    for (ProcessId p : sg.clique(x)) {
+      members += 'p';
+      members += std::to_string(p);
+      members += ' ';
+    }
     benchutil::row({"C(x" + std::to_string(x + 1) + ")", members});
   }
   std::cout << "edges: " << sg.edge_count()

@@ -16,6 +16,10 @@
 #                           # all write; the parallel, wall-clock,
 #                           # NetworkStats and WorkloadEngine suites then
 #                           # run three more times
+#   RELEASE=1 ./ci.sh       # Release (-O3, NDEBUG) build of the whole
+#                           # tree (tests, benches, examples) + ctest — the
+#                           # optimizer's warnings and the NDEBUG paths
+#                           # perfbench measures (build-release/)
 #   SOCKETS_SMOKE=1 ./ci.sh # release build + socket-layer tests + real
 #                           # multi-process pardsm_node drills over
 #                           # loopback TCP, incl. a kill -9 / respawn /
@@ -57,6 +61,9 @@ if [ "$SANITIZE" = "tsan" ]; then
 elif [ "$SANITIZE" != "0" ]; then
   BUILD_DIR="${BUILD_DIR:-build-asan}"
   SANITIZE_FLAVOUR=asan
+elif [ "${RELEASE:-0}" != "0" ]; then
+  BUILD_DIR="${BUILD_DIR:-build-release}"
+  SANITIZE_FLAVOUR=
 elif [ "${SOCKETS_SMOKE:-0}" != "0" ]; then
   # Own build tree: the smoke configures with benches off, which must not
   # stick in the regular build directory's CMake cache.
@@ -90,6 +97,8 @@ if [ "$SANITIZE" != "0" ]; then
   # instrumented.
   cmake -B "$BUILD_DIR" -S . "-DPARDSM_SANITIZE=$SANITIZE_FLAVOUR" \
         -DPARDSM_BUILD_BENCHES=OFF "${CMAKE_EXTRA[@]}"
+elif [ "${RELEASE:-0}" != "0" ]; then
+  cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release "${CMAKE_EXTRA[@]}"
 elif [ "${SOCKETS_SMOKE:-0}" != "0" ]; then
   # Benches are irrelevant to the deployment smoke; skipping them keeps
   # the job's build well under the minute budget.
@@ -183,6 +192,11 @@ fi
 
 if [ "$SANITIZE" != "0" ]; then
   echo "== done (sanitized) =="
+  exit 0
+fi
+
+if [ "${RELEASE:-0}" != "0" ]; then
+  echo "== done (release) =="
   exit 0
 fi
 

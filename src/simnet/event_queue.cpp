@@ -24,9 +24,27 @@ Event& EventQueue::alloc(TimePoint when, Event::Type type,
   e.when = when;
   e.seq = key;
   e.slot = slot;
-  heap_.push_back(HeapEntry{when, key, slot});
-  sift_up(heap_.size() - 1);
+  const HeapEntry entry{when, key, slot};
+  if (run_size_ == 0 || !earlier(entry, run_[run_index(run_size_ - 1)])) {
+    run_push(entry);
+  } else {
+    heap_.push_back(entry);
+    sift_up(heap_.size() - 1);
+  }
   return e;
+}
+
+void EventQueue::run_push(const HeapEntry& e) {
+  if (run_size_ == run_.size()) {
+    // Unroll the ring into a buffer twice its size, front first (the
+    // first ring holds as many entries as one pool chunk holds events).
+    std::vector<HeapEntry> grown(run_.empty() ? kPoolChunk : 2 * run_.size());
+    for (std::size_t i = 0; i < run_size_; ++i) grown[i] = run_[run_index(i)];
+    run_.swap(grown);
+    run_head_ = 0;
+  }
+  run_[run_index(run_size_)] = e;
+  ++run_size_;
 }
 
 void EventQueue::schedule(TimePoint when, std::function<void()> fn) {
@@ -47,8 +65,8 @@ void EventQueue::schedule_timer(TimePoint when, ProcessId who,
 }
 
 TimePoint EventQueue::next_time() const {
-  PARDSM_CHECK(!heap_.empty(), "next_time on empty queue");
-  return heap_.front().when;
+  PARDSM_CHECK(!empty(), "next_time on empty queue");
+  return run_is_next() ? run_[run_head_].when : heap_.front().when;
 }
 
 Event EventQueue::pop() {
@@ -58,7 +76,13 @@ Event EventQueue::pop() {
 }
 
 Event& EventQueue::pop_ref() {
-  PARDSM_CHECK(!heap_.empty(), "pop on empty queue");
+  PARDSM_CHECK(!empty(), "pop on empty queue");
+  if (run_is_next()) {
+    const std::uint32_t slot = run_[run_head_].slot;
+    run_head_ = run_index(1);
+    --run_size_;
+    return slot_at(slot);
+  }
   const HeapEntry top = heap_.front();
   heap_.front() = heap_.back();
   heap_.pop_back();

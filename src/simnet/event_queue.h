@@ -18,10 +18,16 @@
 //     chunks, so scheduling from inside a firing handler never invalidates
 //     anything).  The pool grows to the peak queue depth once, a chunk of
 //     kPoolChunk events per allocation, and is then reused.
-//   * The priority queue itself is an explicit 4-ary heap over 24-byte
-//     (when, key, slot) entries — sift operations move handles (hole
-//     insertion, one final store instead of swap chains), never the event
-//     payload, and popping detaches the payload with a move.
+//   * The priority queue is a sorted run in front of a 4-ary heap, both
+//     over 24-byte (when, key, slot) entries that never move the payload.
+//     A push whose (when, key) is not earlier than the run's tail (or
+//     finds the run empty) is appended to the run, a power-of-two ring,
+//     in O(1); any other push goes to the heap (hole-insertion sifts).
+//     Simulations push mostly in order (a constant latency, clients on a
+//     common tick grid, insertion-sequence keys), so most events never
+//     touch the heap.  The run is sorted by construction and a pop takes
+//     the earlier of its front and the heap's top, so the pop sequence is
+//     the same total (when, key) order a heap alone would give.
 #pragma once
 
 #include <cstdint>
@@ -56,13 +62,14 @@ struct Event {
   std::function<void()> fire;
 };
 
-/// Min-heap of pooled events keyed by (when, tie-break key).
+/// Priority queue of pooled events keyed by (when, tie-break key).
 class EventQueue {
  public:
   /// Take a slot from the free list (growing the pool if exhausted), stamp
-  /// (type, when, key) and push its heap entry; the caller fills the
-  /// payload.  Keys must be unique among pending events, so the pop order
-  /// is a total order independent of the heap's shape.
+  /// (type, when, key) and push its entry onto the run or the heap; the
+  /// caller fills the payload.  Keys must be unique among pending events,
+  /// so the pop order is a total order independent of which side an event
+  /// took and of the heap's shape.
   Event& alloc(TimePoint when, Event::Type type, std::uint64_t key);
 
   /// Schedule `fn` to run at absolute time `when` (driver/test path).
@@ -75,10 +82,10 @@ class EventQueue {
   void schedule_timer(TimePoint when, ProcessId who, std::uint64_t tag);
 
   /// True if no events remain.
-  [[nodiscard]] bool empty() const { return heap_.empty(); }
+  [[nodiscard]] bool empty() const { return run_size_ == 0 && heap_.empty(); }
 
   /// Number of pending events.
-  [[nodiscard]] std::size_t size() const { return heap_.size(); }
+  [[nodiscard]] std::size_t size() const { return run_size_ + heap_.size(); }
 
   /// Time of the next event; only valid when !empty().
   [[nodiscard]] TimePoint next_time() const;
@@ -88,7 +95,7 @@ class EventQueue {
   /// immediately.
   Event pop();
 
-  /// In-place variant of pop(): removes the next event from the heap but
+  /// In-place variant of pop(): removes the next event from the queue but
   /// leaves the payload in its pooled slot, returning a reference that
   /// stays valid across schedule_* calls (slots never move and this
   /// one is not recycled until release()).  Saves the payload move on the
@@ -119,7 +126,7 @@ class EventQueue {
   }
 
  private:
-  /// What the heap actually stores and moves.
+  /// What the run and the heap actually store and move.
   struct HeapEntry {
     TimePoint when{};
     std::uint64_t seq = 0;
@@ -142,6 +149,21 @@ class EventQueue {
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
 
+  /// Index of the run's i-th entry from its front (i < run_.size()).
+  [[nodiscard]] std::size_t run_index(std::size_t i) const {
+    return (run_head_ + i) & (run_.size() - 1);
+  }
+
+  /// True when the next event is the run's front rather than the heap's
+  /// top.  Only valid when !empty().
+  [[nodiscard]] bool run_is_next() const {
+    return heap_.empty() ||
+           (run_size_ != 0 && earlier(run_[run_head_], heap_.front()));
+  }
+
+  /// Append to the run's tail, doubling the ring when it is full.
+  void run_push(const HeapEntry& e);
+
   /// Slot `s` lives at pool_[s / kPoolChunk][s % kPoolChunk].  A deque
   /// would allocate a node per two events as the pool grows.
   static constexpr std::size_t kPoolChunk = 64;
@@ -152,7 +174,12 @@ class EventQueue {
   std::vector<std::unique_ptr<Event[]>> pool_;  ///< stable payload slots
   std::size_t pool_size_ = 0;                   ///< slots handed out
   std::vector<std::uint32_t> free_;   ///< recycled slot indices
-  std::vector<HeapEntry> heap_;       ///< explicit binary min-heap
+  std::vector<HeapEntry> heap_;       ///< explicit 4-ary min-heap
+  /// Sorted run: a ring of power-of-two size (empty until the first
+  /// push), live entries at [run_head_, run_head_ + run_size_) mod size.
+  std::vector<HeapEntry> run_;
+  std::size_t run_head_ = 0;
+  std::size_t run_size_ = 0;
   std::uint64_t next_seq_ = 0;
 };
 

@@ -77,8 +77,9 @@ class WireWriter {
 
  private:
   void raw(const void* p, std::size_t n) {
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    buf_.insert(buf_.end(), b, b + n);
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    std::memcpy(buf_.data() + at, p, n);
   }
   std::vector<std::uint8_t> buf_;
 };

@@ -44,17 +44,18 @@ Generator::Generator(const graph::Distribution& dist, const Spec& spec)
     const auto n = static_cast<std::uint64_t>(dist.per_process[p].size());
     auto it = by_size.find(n);
     if (it == by_size.end()) {
+      const double theta = spec_.zipf_theta;
       ZipfParams z;
       z.n = n;
-      z.theta = spec_.zipf_theta;
       for (std::uint64_t i = 1; i <= n; ++i) {
-        z.zetan += 1.0 / std::pow(static_cast<double>(i), z.theta);
+        z.zetan += 1.0 / std::pow(static_cast<double>(i), theta);
       }
-      z.alpha = 1.0 / (1.0 - z.theta);
+      z.half_pow_theta = std::pow(0.5, theta);
+      z.alpha = 1.0 / (1.0 - theta);
       z.eta = n < 2 ? 0.0
                     : (1.0 - std::pow(2.0 / static_cast<double>(n),
-                                      1.0 - z.theta)) /
-                          (1.0 - (1.0 + std::pow(0.5, z.theta)) / z.zetan);
+                                      1.0 - theta)) /
+                          (1.0 - (1.0 + z.half_pow_theta) / z.zetan);
       it = by_size.emplace(n, z).first;
     }
     zipf_[p] = it->second;
@@ -67,7 +68,7 @@ std::uint64_t Generator::zipf_rank(const ZipfParams& z, double u) {
   if (z.n < 2) return 0;
   const double uz = u * z.zetan;
   if (uz < 1.0) return 0;
-  if (uz < 1.0 + std::pow(0.5, z.theta)) return 1;
+  if (uz < 1.0 + z.half_pow_theta) return 1;
   const double r = static_cast<double>(z.n) *
                    std::pow(z.eta * u - z.eta + 1.0, z.alpha);
   auto rank = static_cast<std::uint64_t>(r);

@@ -111,7 +111,7 @@ class Generator {
   struct ZipfParams {
     std::uint64_t n = 0;
     double zetan = 0.0;
-    double theta = 0.0;
+    double half_pow_theta = 0.0;  ///< 0.5^theta, hoisted off the per-op path
     double alpha = 0.0;
     double eta = 0.0;
   };

@@ -422,6 +422,45 @@ TEST(CausalBufferTest, SteadyStateIsAllocationFree) {
 }
 
 // ------------------------------------------------- steady-state allocation
+// The event queue alone under the hold model the simulators run: once the
+// pool, the sorted run and the heap have reached the depth's high-water
+// mark, popping one event and scheduling one later allocates nothing, and
+// the pops keep time order.
+TEST(SteadyStateAllocations, EventQueueHoldLoopIsAllocationFree) {
+  constexpr int kDepth = 1024;
+  constexpr int kEvents = 10'000;
+  EventQueue q;
+  Rng rng(11);
+  std::int64_t now = 0;
+  std::uint64_t inversions = 0;
+  const auto pop = [&] {
+    Event& e = q.pop_ref();
+    if (e.when.us < now) ++inversions;
+    now = e.when.us;
+    q.release(e);
+  };
+  // Pop one, push one up to 2 ms later: some pushes follow the latest
+  // pending time and join the run, the rest go to the heap.
+  const auto hold = [&] {
+    pop();
+    q.schedule_timer(TimePoint{now + rng.range(1, 2000)}, 0, 0);
+  };
+  for (int i = 0; i < kDepth; ++i) {
+    q.schedule_timer(TimePoint{rng.range(0, 2000)}, 0, 0);
+  }
+  for (int i = 0; i < kEvents; ++i) hold();
+
+  g_alloc_count.store(0);
+  g_count_allocs.store(true);
+  for (int i = 0; i < kEvents; ++i) hold();
+  g_count_allocs.store(false);
+  EXPECT_EQ(g_alloc_count.load(), 0u);
+  EXPECT_EQ(q.size(), static_cast<std::size_t>(kDepth));
+  EXPECT_EQ(q.pool_slots(), static_cast<std::size_t>(kDepth));
+  while (!q.empty()) pop();
+  EXPECT_EQ(inversions, 0u);
+}
+
 // The tentpole's hard gate: once the pools are warm, delivering messages
 // must not allocate per message.  A PRAM workload on a clique-rich ring
 // multiplies messages per write, so an allocation-per-message regression

@@ -1,7 +1,8 @@
 // The parallel root's building blocks, each pinned on its own:
 //
 //   * the keyed EventQueue the shards run on — events pop in
-//     (when, key) order whatever order they were pushed in, and the
+//     (when, key) order whatever order they were pushed in, checked
+//     against a sorted reference through its run and its heap, and the
 //     canonical key packs (class, origin, seq) order-preservingly and
 //     rejects fields that would bleed into their neighbours;
 //   * the lock-free recorder modes — one thread per process records the
@@ -19,11 +20,13 @@
 #include <algorithm>
 #include <filesystem>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <system_error>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "mcs/recorder.h"
@@ -77,6 +80,122 @@ TEST(KeyedEventQueue, ShuffledPushesPopInWhenKeyOrder) {
   }
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.scheduled_total(), 0u);  // keyed events are not counted
+}
+
+/// An EventQueue driven beside a sorted reference: every pop must return
+/// the reference's smallest (when, key), and next_time() and size() must
+/// agree with it before each pop.
+struct DifferentialQueue {
+  EventQueue q;
+  std::set<std::pair<std::int64_t, std::uint64_t>> ref;
+  std::size_t pops = 0;
+
+  void push(std::int64_t when_us, std::uint64_t key) {
+    Event& e = q.alloc(TimePoint{when_us}, Event::Type::kTimer, key);
+    e.timer_tag = key;
+    EXPECT_TRUE(ref.emplace(when_us, key).second) << "key reused";
+  }
+
+  /// Pops one event (the reference must be non-empty) and returns its time.
+  std::int64_t pop() {
+    EXPECT_EQ(q.size(), ref.size());
+    const auto [when_us, key] = *ref.begin();
+    ref.erase(ref.begin());
+    EXPECT_EQ(q.next_time().us, when_us) << "pop " << pops;
+    Event& e = q.pop_ref();
+    EXPECT_EQ(e.when.us, when_us) << "pop " << pops;
+    EXPECT_EQ(e.seq, key) << "pop " << pops;
+    EXPECT_EQ(e.timer_tag, key) << "pop " << pops;
+    q.release(e);
+    ++pops;
+    return when_us;
+  }
+
+  void drain() {
+    while (!ref.empty()) pop();
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.size(), 0u);
+  }
+};
+
+// The queue appends in-order pushes to a sorted run and sends the rest to
+// its heap; whichever side an event took, the pops must follow (when, key).
+// Each seed mixes hold-model steps (pop one, push one at or after the popped
+// time), in-order runs of pushes broken by earlier ones, times on a coarse
+// grid so many events tie on `when`, and the parallel root's canonical keys.
+TEST(KeyedEventQueue, MixedPushesMatchSortedReference) {
+  constexpr ProcessId kOrigins = 64;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    DifferentialQueue dq;
+    std::vector<std::uint64_t> seq(kOrigins, 0);
+    const auto key = [&] {
+      const auto origin = static_cast<ProcessId>(rng.below(kOrigins));
+      return ParallelSimulator::canonical_key(
+          rng.below(3), origin, seq[static_cast<std::size_t>(origin)]++);
+    };
+    std::int64_t now = 0;   // time of the last pop
+    std::int64_t tail = 0;  // latest time pushed so far
+    for (int step = 0; step < 4000; ++step) {
+      const std::uint64_t what = rng.below(10);
+      if (what < 4 && !dq.ref.empty()) {
+        // Hold model: pop the next event, schedule one after it.
+        now = dq.pop();
+        dq.push(now + 100 * rng.range(0, 10), key());
+      } else if (what < 7) {
+        // An in-order run: each push ties or follows the previous one.
+        for (std::uint64_t i = rng.below(24); i-- > 0;) {
+          tail += 100 * rng.range(0, 1);
+          dq.push(tail, key());
+        }
+      } else if (what < 9) {
+        // A push between the last pop and the latest time pushed: most
+        // sort before the run's tail.
+        dq.push(now + 100 * rng.range(0, (tail - now) / 100), key());
+      } else {
+        for (std::uint64_t i = rng.below(16); i-- > 0 && !dq.ref.empty();) {
+          now = dq.pop();
+        }
+      }
+      tail = std::max(tail, now);
+    }
+    dq.drain();
+    if (HasFailure()) return;
+  }
+}
+
+// The run is a power-of-two ring: pops advance its head, so appends wrap
+// around the end of the buffer, and a full ring doubles while its head is
+// mid-buffer.  Heap events pushed in between must still pop in place.
+TEST(KeyedEventQueue, RunWrapsAndGrowsWhileNonEmpty) {
+  DifferentialQueue dq;
+  std::uint64_t key = 0;
+  std::int64_t t = 0;
+  for (int round = 0; round < 6; ++round) {
+    for (int i = 0; i < 40 + 30 * round; ++i) dq.push(t += 10, key++);
+    dq.push(t - 15, key++);  // earlier than the tail: onto the heap
+    for (int i = 0; i < 30; ++i) dq.pop();
+  }
+  dq.drain();
+}
+
+// Pops alternate between the run and the heap: the heap holds events both
+// before the run's front and between its entries while the run empties.
+TEST(KeyedEventQueue, RunDrainsBesideHeapEventsOnBothSides) {
+  DifferentialQueue dq;
+  for (std::uint64_t k = 0; k < 50; ++k) {
+    dq.push(100 * static_cast<std::int64_t>(k + 1), k);
+  }
+  // Each earlier than the tail (t = 5000): before the front, between
+  // entries, and tied on `when` with a run entry but keyed after it.
+  for (std::uint64_t k = 0; k < 50; ++k) {
+    dq.push(100 * static_cast<std::int64_t>(k) + 50, 100 + k);
+  }
+  dq.push(100, 1000);
+  dq.push(2500, 1001);
+  dq.drain();
+  EXPECT_EQ(dq.pops, 102u);
 }
 
 TEST(KeyedEventQueue, CanonicalKeyOrdersClassThenOriginThenSeq) {

@@ -523,11 +523,15 @@ TEST(Sockets, AdHocFramesCarryExactlyTheRecipientsEntries) {
         for (std::uint32_t k = 0; k < counters; ++k) (void)r.i64();
         control += mcs::StaticRelevance::entry_bytes(counters);
         if (y >= tracked.size() || tracked[y] == 0) {
-          violations.push_back("p" + std::to_string(m.to) + " got x" +
-                               std::to_string(y) + ", which it does not track");
+          std::string v = "p";
+          v += std::to_string(m.to) + " got x" + std::to_string(y) +
+               ", which it does not track";
+          violations.push_back(std::move(v));
         } else if (counters != analysis->clique_size[y]) {
-          violations.push_back("x" + std::to_string(y) + " entry has " +
-                               std::to_string(counters) + " counters");
+          std::string v = "x";
+          v += std::to_string(y) + " entry has " + std::to_string(counters) +
+               " counters";
+          violations.push_back(std::move(v));
         }
       }
       if (!r.done()) violations.push_back("trailing bytes after the entries");
