@@ -75,7 +75,7 @@ using Script = std::vector<ScriptOp>;
 /// runtime.  Every step is scheduled through the root's seam
 /// (RootTransport::schedule_at, owned by this client's process): the
 /// simulators queue it at its virtual time, the wall-clock roots post it
-/// to the process's mailbox.  A completion never issues the next op
+/// to the process's mailbox for the same time on their clock.  A completion never issues the next op
 /// inline, so a stream of any length runs in constant stack depth.
 ///
 /// Closed loop (scripts; generators with arrival_rate == 0): op k+1 is

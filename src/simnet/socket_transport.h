@@ -213,12 +213,11 @@ class SocketTransport final : public RootTransport,
 
   /// Run `task` on the mailbox thread owning local process `who`.
   void post(ProcessId who, std::function<void()> task);
-  /// The root seam: posts `fn` to `owner`'s mailbox.  There is no
-  /// virtual clock to wait on, so `when` (think time) is ignored.
+  /// The root seam: runs `fn` on `owner`'s mailbox once now() reaches
+  /// `when`, so a script's think time is wall time here.
   void schedule_at(TimePoint when, ProcessId owner,
                    std::function<void()> fn) override {
-    (void)when;
-    post(owner, std::move(fn));
+    exec_.post_at(local_index(owner), when, std::move(fn));
   }
 
   // -- Transport ------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <sys/timerfd.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <ctime>
 #include <utility>
@@ -119,9 +120,26 @@ void MailboxExecutor::set_timer(std::size_t slot, Duration delay,
   auto& mb = mailbox(slot);
   add_pending();
   std::unique_lock lock(mb.mu);
-  mb.timers.push(TimerItem{std::chrono::steady_clock::now() +
-                               std::chrono::microseconds(delay.us),
-                           tag});
+  mb.timers.push_back(TimerItem{std::chrono::steady_clock::now() +
+                                    std::chrono::microseconds(delay.us),
+                                tag, nullptr});
+  std::push_heap(mb.timers.begin(), mb.timers.end(), std::greater<>{});
+  wake(mb, lock);
+}
+
+void MailboxExecutor::post_at(std::size_t slot, TimePoint when,
+                              std::function<void()> task) {
+  if (when <= now()) {
+    post(slot, std::move(task));
+    return;
+  }
+  auto& mb = mailbox(slot);
+  add_pending();
+  std::unique_lock lock(mb.mu);
+  mb.timers.push_back(
+      TimerItem{start_time_ + std::chrono::microseconds(when.us), 0,
+                std::move(task)});
+  std::push_heap(mb.timers.begin(), mb.timers.end(), std::greater<>{});
   wake(mb, lock);
 }
 
@@ -223,7 +241,7 @@ void MailboxExecutor::worker_loop(Mailbox& mb) {
   while (true) {
     const auto timer_due = [&] {
       return !mb.timers.empty() &&
-             mb.timers.top().deadline <= std::chrono::steady_clock::now();
+             mb.timers.front().deadline <= std::chrono::steady_clock::now();
     };
     if (!running_.load()) break;
     const bool ready = !mb.messages.empty() || !mb.tasks.empty() || timer_due();
@@ -234,7 +252,7 @@ void MailboxExecutor::worker_loop(Mailbox& mb) {
       // armed after this point writes the eventfd, and the next pass
       // re-arms the timerfd.
       std::optional<std::chrono::steady_clock::time_point> deadline;
-      if (!ready && !mb.timers.empty()) deadline = mb.timers.top().deadline;
+      if (!ready && !mb.timers.empty()) deadline = mb.timers.front().deadline;
       mb.parked = !ready;
       lock.unlock();
       if (deadline && deadline != mb.armed) {
@@ -275,10 +293,15 @@ void MailboxExecutor::worker_loop(Mailbox& mb) {
         lock.unlock();
         delivery_.deliver(*mb.ep, m);
       } else {
-        const TimerTag tag = mb.timers.top().tag;
-        mb.timers.pop();
+        std::pop_heap(mb.timers.begin(), mb.timers.end(), std::greater<>{});
+        TimerItem due = std::move(mb.timers.back());
+        mb.timers.pop_back();
         lock.unlock();
-        mb.ep->on_timer(tag);
+        if (due.task) {
+          due.task();
+        } else {
+          mb.ep->on_timer(due.tag);
+        }
       }
     } catch (...) {
       failure = std::current_exception();

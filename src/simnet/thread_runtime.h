@@ -30,7 +30,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <queue>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -108,6 +107,9 @@ class MailboxExecutor {
   void enqueue(std::size_t slot, Message m);
   /// Fire `ep->on_timer(tag)` on `slot`'s worker after `delay`.
   void set_timer(std::size_t slot, Duration delay, TimerTag tag);
+  /// Run `task` on `slot`'s worker once now() reaches `when` (at once if
+  /// it already has): a wall-clock root's schedule_at.
+  void post_at(std::size_t slot, TimePoint when, std::function<void()> task);
 
   /// On `slot`'s worker: park on `fd` too, and call
   /// readable(tag) on that worker whenever it has bytes (or EOF) to read.
@@ -150,15 +152,16 @@ class MailboxExecutor {
   [[nodiscard]] bool has_queued() const;
 
  private:
+  using Task = std::function<void()>;
+
   struct TimerItem {
     std::chrono::steady_clock::time_point deadline;
     TimerTag tag = 0;
+    Task task;  ///< runs instead of ep->on_timer(tag) when set (post_at)
     friend bool operator>(const TimerItem& a, const TimerItem& b) {
       return a.deadline > b.deadline;
     }
   };
-
-  using Task = std::function<void()>;
 
   /// One per slot: its queues, timers, endpoint and worker thread.
   struct Mailbox {
@@ -172,8 +175,9 @@ class MailboxExecutor {
         RecyclingAlloc<Message>(&chunk_pool)};
     std::deque<Task, RecyclingAlloc<Task>> tasks{
         RecyclingAlloc<Task>(&chunk_pool)};
-    std::priority_queue<TimerItem, std::vector<TimerItem>, std::greater<>>
-        timers;
+    /// Min-heap on deadline (std::push_heap/pop_heap with greater<>), so
+    /// a due item's task can be moved out before it is popped.
+    std::vector<TimerItem> timers;
     Endpoint* ep = nullptr;
     std::thread worker;
     int epoll_fd = -1;
@@ -246,12 +250,11 @@ class ThreadRuntime final : public RootTransport,
   void post(ProcessId who, std::function<void()> task) {
     exec_.post(static_cast<std::size_t>(who), std::move(task));
   }
-  /// The root seam: posts `fn` to `owner`'s mailbox.  There is no
-  /// virtual clock to wait on, so `when` (think time) is ignored.
+  /// The root seam: runs `fn` on `owner`'s mailbox once now() reaches
+  /// `when`, so a script's think time is wall time here.
   void schedule_at(TimePoint when, ProcessId owner,
                    std::function<void()> fn) override {
-    (void)when;
-    post(owner, std::move(fn));
+    exec_.post_at(static_cast<std::size_t>(owner), when, std::move(fn));
   }
 
   // -- Transport interface ---------------------------------------------------

@@ -89,8 +89,8 @@ class RootTransport : public HostTransport {
  public:
   /// Run `fn` at `when` on behalf of process `owner`.  The simulator
   /// ignores `owner`; the parallel simulator routes by it (shard and
-  /// canonical ordering slot); the wall-clock roots post `fn` to `owner`'s
-  /// mailbox and ignore `when`.
+  /// canonical ordering slot); the wall-clock roots run `fn` on `owner`'s
+  /// mailbox worker once their clock reaches `when`.
   virtual void schedule_at(TimePoint when, ProcessId owner,
                            std::function<void()> fn) = 0;
 };

@@ -9,7 +9,9 @@
 // fault destroyed and the recovery machinery (ARQ retransmission +
 // crash re-sync) failed to repair shows up as a (value, provenance)
 // mismatch against the lossless baseline — per protocol, per seed, per
-// scenario family.
+// scenario family, per root.  The baseline always runs on the simulator;
+// the faulty run goes to the root under test, where the scenario's
+// timeline maps 1 simulated µs onto 1 µs of the root's clock.
 
 #include <gtest/gtest.h>
 
@@ -31,12 +33,13 @@ Scenario make_scenario(FaultFamily f) {
                                      f == FaultFamily::kLoss ? 0.1 : 0.02);
 }
 
-class Convergence
-    : public ::testing::TestWithParam<std::tuple<ProtocolKind, FaultFamily, int>> {
-};
+using ConvergenceParam =
+    std::tuple<ProtocolKind, FaultFamily, int, EngineRuntime>;
+
+class Convergence : public ::testing::TestWithParam<ConvergenceParam> {};
 
 TEST_P(Convergence, FaultyRunEndsInLosslessReplicaState) {
-  const auto [kind, family, seed] = GetParam();
+  const auto [kind, family, seed, runtime] = GetParam();
   const auto dist = graph::topo::clusters(2, 3, true);  // 6 processes
 
   WorkloadSpec spec;
@@ -56,9 +59,19 @@ TEST_P(Convergence, FaultyRunEndsInLosslessReplicaState) {
                            .distribution = &dist,
                            .scripts = &scripts,
                            .scenario = &scenario,
+                           .runtime = runtime,
                            .sim_seed = static_cast<std::uint64_t>(seed)});
 
   EXPECT_TRUE(faulty.used_reliable_transport);
+  EXPECT_EQ(faulty.unfinished_clients, 0u);
+  // The family's fault really bit: every cell crosses a 10% loss or a
+  // partition with traffic on both sides of it.
+  if (family == FaultFamily::kLoss) {
+    EXPECT_GT(faulty.drops.loss, 0u);
+  }
+  if (family == FaultFamily::kPartition) {
+    EXPECT_GT(faulty.drops.severed, 0u);
+  }
   ASSERT_EQ(faulty.final_replicas.size(), baseline.final_replicas.size());
   for (std::size_t p = 0; p < baseline.final_replicas.size(); ++p) {
     const auto& want = baseline.final_replicas[p];
@@ -79,23 +92,46 @@ TEST_P(Convergence, FaultyRunEndsInLosslessReplicaState) {
 }
 
 std::string convergence_name(
-    const ::testing::TestParamInfo<std::tuple<ProtocolKind, FaultFamily, int>>&
-        info) {
+    const ::testing::TestParamInfo<ConvergenceParam>& info) {
   std::string s = to_string(std::get<0>(info.param));
   for (char& c : s) {
     if (c == '-') c = '_';
   }
-  return s + "_" + family_name(std::get<1>(info.param)) + "_s" +
-         std::to_string(std::get<2>(info.param));
+  s += std::string("_") + family_name(std::get<1>(info.param)) + "_s" +
+       std::to_string(std::get<2>(info.param));
+  switch (std::get<3>(info.param)) {
+    case EngineRuntime::kSimulator:
+      break;
+    case EngineRuntime::kParallelSim:
+      s += "_parallel";
+      break;
+    case EngineRuntime::kThreads:
+      s += "_threads";
+      break;
+    case EngineRuntime::kSockets:
+      s += "_sockets";
+      break;
+  }
+  return s;
 }
+
+const auto kFamilies = ::testing::Values(
+    FaultFamily::kLoss, FaultFamily::kPartition, FaultFamily::kCrash);
 
 INSTANTIATE_TEST_SUITE_P(
     AllProtocols, Convergence,
-    ::testing::Combine(::testing::ValuesIn(all_protocols()),
-                       ::testing::Values(FaultFamily::kLoss,
-                                         FaultFamily::kPartition,
-                                         FaultFamily::kCrash),
-                       ::testing::Values(1, 2, 3)),
+    ::testing::Combine(::testing::ValuesIn(all_protocols()), kFamilies,
+                       ::testing::Values(1, 2, 3),
+                       ::testing::Values(EngineRuntime::kSimulator)),
+    convergence_name);
+
+// The same cells on the wall-clock roots, one seed: fault *timing* there
+// depends on the OS scheduler, so the seed axis adds little.
+INSTANTIATE_TEST_SUITE_P(
+    WallClock, Convergence,
+    ::testing::Combine(::testing::ValuesIn(all_protocols()), kFamilies,
+                       ::testing::Values(1),
+                       ::testing::Values(EngineRuntime::kSockets)),
     convergence_name);
 
 }  // namespace
