@@ -180,13 +180,15 @@ if [ "$SANITIZE" = "tsan" ]; then
   # the mailbox-executor suites (threads + sockets), the traffic ledger's
   # owner-thread writes (NetworkStats, one slot per process), the engine's
   # per-owner latency histograms (WorkloadEngine: one per shard or
-  # mailbox worker), its handler-failure runs on both roots and the
-  # socket root's own
-  # worker-side read/write, backlog, detector, stop and hostile-connection
-  # tests until one fails, up to three more times.
+  # mailbox worker), its handler-failure and fault-window runs on both
+  # roots, the scenario convergence cells on both wall-clock roots (the
+  # timeline thread writing ChannelFaults while workers read it) and the
+  # socket root's own worker-side read/write, backlog, detector, stop,
+  # crash-window and hostile-connection tests until one fails, up to
+  # three more times.
   echo "== test: parallel and wall-clock suites, repeated =="
   (cd "$BUILD_DIR" && ctest --output-on-failure -j "$JOBS" \
-      -R 'Parallel|NetworkStats|WorkloadEngine|QuantumBoundary|CrossShard|ShardAssignment|ThreadRuntime|ThreadedProtocol|SocketStacks|MailboxExecutor|WallClockRun|Sockets\.(WorkersFlooding|BusyWorker|HaltDoesNot|RejectedFrames|MidStreamDisconnects)|SocketFrames|SocketReadBuffer' \
+      -R 'Parallel|NetworkStats|WorkloadEngine|QuantumBoundary|CrossShard|ShardAssignment|ThreadRuntime|ThreadedProtocol|SocketStacks|MailboxExecutor|WallClockRun|WallClock/Convergence|Sockets\.(WorkersFlooding|BusyWorker|HaltDoesNot|RejectedFrames|MidStreamDisconnects|ScenarioCrash)|SocketFrames|SocketReadBuffer' \
       --repeat until-fail:3)
 fi
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <thread>
 
 #include "sharegraph/sharding.h"
 #include "simnet/parallel_sim.h"
@@ -390,148 +389,46 @@ ScenarioRunResult run_parallel(EngineConfig& config) {
                         sim.state_bytes()});
 }
 
-ScenarioRunResult run_threads(const EngineConfig& config) {
-  PARDSM_CHECK(config.scenario == nullptr,
-               "fault timelines require the simulator runtime");
-  PARDSM_CHECK(!needs_reliable(config),
-               "the ARQ layer requires the simulator runtime");
-  // Loud rejection rather than a silently-lossless run: the thread
-  // runtime takes no channel options or latency model from the engine.
-  PARDSM_CHECK(config.channel.drop_probability == 0.0 &&
-                   config.channel.duplicate_probability == 0.0,
-               "lossy channels require the simulator runtime");
+/// The run body of both wall-clock roots, ThreadRuntime and
+/// SocketTransport.  A scenario's structural events fire on the root's
+/// timeline thread at their time on its clock (1 simulated µs = 1 µs),
+/// each holding a pending unit until it has fired, so quiescence waits
+/// for the last one — a crashed process's client is stalled until its
+/// recovery.  Probability windows are resolved per message and need no
+/// entry: a window that outlasts the traffic does not delay the end.
+ScenarioRunResult run_wall_clock(const EngineConfig& config,
+                                 WallClockRoot& root) {
   PARDSM_CHECK(config.latency == nullptr,
                "latency models require the simulator runtime");
+  // Declares m and reserves the exposure maps before any worker runs (the
+  // sockets root then rejects frames naming a variable outside [0, m)).
+  root.stats().set_var_hint(config.distribution->var_count);
+  Stack stack(config, root);
+  // Declared after everything the workers and the timeline touch, so they
+  // are joined first on every exit path.
+  const HaltOnExit halt_on_exit(root);
 
-  ThreadRuntime rt;
-  // The runtime only ever learns n; the distribution's variable count
-  // reserves the exposure maps before any mailbox worker runs.
-  rt.stats().set_var_hint(config.distribution->var_count);
-  Stack stack(config, rt);
-  const HaltOnExit halt_on_exit(rt);
-
-  rt.start();
-  stack.start_clients();
-  const bool quiet = rt.await_quiescence(config.quiesce_timeout);
-  PARDSM_CHECK(quiet, "thread runtime failed to quiesce — protocol stuck?");
-  rt.stop();
-  return stack.collect({rt.stats(), rt.now()});
-}
-
-ScenarioRunResult run_sockets(const EngineConfig& config) {
-  const std::size_t n = config.distribution->process_count();
-  PARDSM_CHECK(config.latency == nullptr,
-               "latency models require the simulator runtime");
-  PARDSM_CHECK(config.channel.drop_probability == 0.0 &&
-                   config.channel.duplicate_probability == 0.0,
-               "channel loss on the sockets runtime is modelled by "
-               "SocketOptions.chaos, not ChannelOptions");
-  PARDSM_CHECK(config.sockets.local_ids.empty(),
-               "EngineRuntime::kSockets runs all-local — multi-process "
-               "deployments are driven by pardsm_node");
-  PARDSM_CHECK(config.scenario == nullptr ||
-                   config.scenario->max_process() == kNoProcess ||
-                   static_cast<std::size_t>(config.scenario->max_process()) < n,
-               "scenario mentions a process outside the system");
-
-  SocketOptions socket_options = config.sockets;
-  socket_options.total_processes = n;
-  SocketTransport st(std::move(socket_options));
-  // Declares m (start() then rejects frames naming a variable outside
-  // [0, m)) and reserves the exposure maps before any worker runs.
-  st.stats().set_var_hint(config.distribution->var_count);
-  Stack stack(config, st);
-  const ScenarioHooks hooks = stack.hooks();
-
-  // -- scenario replay on the wall clock ------------------------------------
-  // There is no Network to install a RateOverride on, so the timeline is
-  // walked explicitly: 1 simulated µs = 1 wall µs from the epoch.  At each
-  // window edge every pair's loss/duplication rate is re-sampled into the
-  // socket layer's atomic per-pair rates (draws come from the same
-  // deterministic chaos streams); structural events map onto
-  // set_severed()/set_down() plus the crash/recover hooks posted to the
-  // owner mailbox.  Partitions are counted cuts, exactly as in Network.
-  std::vector<int> cut_count(n * n, 0);
-  const auto apply_instant = [&](TimePoint t) {
-    if (config.scenario == nullptr) return;
-    for (const FaultEvent* ep : config.scenario->execution_order()) {
-      const FaultEvent& e = *ep;
-      if (e.at != t) continue;
-      switch (e.type) {
-        case FaultEvent::Type::kSever:
-        case FaultEvent::Type::kHeal: {
-          const std::vector<std::size_t> gid = Scenario::group_ids(e, n);
-          const int delta = e.type == FaultEvent::Type::kSever ? 1 : -1;
-          for (std::size_t i = 0; i < n; ++i) {
-            for (std::size_t j = 0; j < n; ++j) {
-              if (i == j || gid[i] == gid[j]) continue;
-              int& cuts = cut_count[i * n + j];
-              cuts += delta;
-              st.set_severed(static_cast<ProcessId>(i),
-                             static_cast<ProcessId>(j), cuts > 0);
-            }
+  if (config.scenario != nullptr) {
+    // A crash or recovery is posted from the timeline to its victim's
+    // worker, in timeline order: no delivery to the victim can fall
+    // between its down flag and its process's crash() or recover() (one
+    // that did would be acked by the ARQ layer and then dropped).
+    config.scenario->apply(
+        root.faults(), kTimeZero, stack.hooks(),
+        [&root](TimePoint at, ProcessId victim, std::function<void()> fn) {
+          if (victim != kNoProcess) {
+            fn = [&root, victim, fn = std::move(fn)] { root.post(victim, fn); };
           }
-          break;
-        }
-        case FaultEvent::Type::kCrash:
-          st.set_down(e.a, true);
-          st.post(e.a, [&hooks, p = e.a, at = e.at] { hooks.on_crash(p, at); });
-          break;
-        case FaultEvent::Type::kRecover:
-          st.set_down(e.a, false);
-          st.post(e.a,
-                  [&hooks, p = e.a, at = e.at] { hooks.on_recover(p, at); });
-          break;
-      }
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        if (i == j) continue;
-        const auto a = static_cast<ProcessId>(i);
-        const auto b = static_cast<ProcessId>(j);
-        st.set_loss_rate(a, b,
-                         std::max(0.0, config.scenario->loss_rate(a, b, t)));
-        st.set_duplicate_rate(
-            a, b, std::max(0.0, config.scenario->duplicate_rate(a, b, t)));
-      }
-    }
-  };
-
-  std::vector<TimePoint> edges;
-  if (config.scenario != nullptr) edges = config.scenario->window_edges();
-
-  // Declared after `hooks`, which the posted crash/recover tasks capture.
-  const HaltOnExit halt_on_exit(st);
-  st.start();
-  // Edges at t <= 0 take effect before the first message, exactly like
-  // Scenario::apply(): a timeline that starts lossy is lossy from op one.
-  apply_instant(kTimeZero);
-  // A thread walks the later edges, if there are any.
-  std::thread timeline;
-  if (!edges.empty() && edges.back() > kTimeZero) {
-    timeline = std::thread([&] {
-      const auto epoch = std::chrono::steady_clock::now();
-      for (TimePoint t : edges) {
-        if (t <= kTimeZero) continue;
-        std::this_thread::sleep_until(epoch + std::chrono::microseconds(t.us));
-        apply_instant(t);
-      }
-    });
+          root.at_time(at, std::move(fn));
+        });
   }
+  root.start();
   stack.start_clients();
-
-  // The timeline must run to completion before quiescence means anything:
-  // a crashed process's client is stalled (zero pending work) until the
-  // recovery event resumes it.
-  if (timeline.joinable()) timeline.join();
-  const bool quiet = st.await_quiescence(config.quiesce_timeout);
-  PARDSM_CHECK(quiet, "sockets runtime failed to quiesce — protocol stuck?");
-
-  ScenarioRunResult result =
-      stack.collect({st.stats(), st.now(), 0, st.drops()});
-  result.socket_counters = st.counters();
-  st.stop();
-  return result;
+  const bool quiet = root.await_quiescence(config.quiesce_timeout);
+  PARDSM_CHECK(quiet, "wall-clock runtime failed to quiesce — protocol stuck?");
+  const TimePoint finished_at = root.now();
+  root.stop();
+  return stack.collect({root.stats(), finished_at, 0, root.drops()});
 }
 
 }  // namespace
@@ -554,12 +451,23 @@ ScenarioRunResult run(EngineConfig config) {
                  "open-loop arrival rates require a simulator runtime");
   }
   switch (config.runtime) {
-    case EngineRuntime::kThreads:
-      return run_threads(config);
+    case EngineRuntime::kThreads: {
+      ThreadRuntime rt(config.channel, config.sim_seed);
+      return run_wall_clock(config, rt);
+    }
     case EngineRuntime::kParallelSim:
       return run_parallel(config);
-    case EngineRuntime::kSockets:
-      return run_sockets(config);
+    case EngineRuntime::kSockets: {
+      PARDSM_CHECK(config.sockets.local_ids.empty(),
+                   "EngineRuntime::kSockets runs all-local — multi-process "
+                   "deployments are driven by pardsm_node");
+      SocketOptions options = config.sockets;
+      options.total_processes = config.distribution->process_count();
+      SocketTransport st(std::move(options), config.channel);
+      ScenarioRunResult result = run_wall_clock(config, st);
+      result.socket_counters = st.counters();
+      return result;
+    }
     case EngineRuntime::kSimulator:
       break;
   }

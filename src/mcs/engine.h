@@ -265,10 +265,11 @@ enum class EngineRuntime : std::uint8_t {
   kParallelSim,  ///< sharded deterministic simulator (worker threads)
   /// Real TCP sockets over loopback, all endpoints in this OS process
   /// (SocketTransport root; pardsm_node drives the multi-process shape).
-  /// Fault timelines replay on the wall clock — 1 simulated µs = 1 µs —
-  /// with loss/duplication windows mapped onto the socket layer's
-  /// deterministic chaos streams.  Message *timing* is as
-  /// non-deterministic as kThreads; fault draws are reproducible.
+  /// Like kThreads, it runs fault timelines on the wall clock (1
+  /// simulated µs = 1 µs) through the same ChannelFaults as the
+  /// simulators, its loss and duplication drawn per frame from the
+  /// channel's seeded chaos stream.  Message *timing* is as
+  /// non-deterministic as kThreads.
   kSockets,
 };
 
@@ -304,9 +305,13 @@ struct EngineConfig {
   const Scenario* scenario = nullptr;
   EngineRuntime runtime = EngineRuntime::kSimulator;
 
-  // -- simulator ------------------------------------------------------------
+  // -- channel, on every root -----------------------------------------------
+  /// Seeds the simulators' channel streams and kThreads' fault draws.
   std::uint64_t sim_seed = 1;
+  /// Default loss and duplication rates (and, on the simulators, FIFO).
   ChannelOptions channel{};
+
+  // -- simulator ------------------------------------------------------------
   std::unique_ptr<LatencyModel> latency{};  ///< null = constant 1ms
 
   // -- parallel simulator ---------------------------------------------------
@@ -328,7 +333,7 @@ struct EngineConfig {
   /// point-to-point fanout).
   MulticastService* multicast = nullptr;
 
-  // -- thread runtime -------------------------------------------------------
+  // -- wall-clock runtimes --------------------------------------------------
   /// Bound on the wait for quiescence (kThreads and kSockets).
   std::chrono::milliseconds quiesce_timeout{10000};
 
@@ -341,9 +346,10 @@ struct EngineConfig {
 
 /// Execute the configured run.  Deterministic per config on the simulator
 /// runtimes; timing is non-deterministic by design on kThreads and
-/// kSockets (the sockets root still replays fault timelines and runs the
-/// full transport stack — chaos and backoff draws are seeded, only the
-/// wall-clock interleaving varies; see docs/DEPLOYMENT.md).
+/// kSockets, which run the same fault timelines and transport stack on
+/// the wall clock — their fault, chaos and backoff draws are seeded, only
+/// the interleaving varies (docs/SCENARIOS.md, docs/DEPLOYMENT.md).  A
+/// latency model or an open-loop workload needs a simulator runtime.
 [[nodiscard]] ScenarioRunResult run(EngineConfig config);
 
 }  // namespace pardsm::mcs

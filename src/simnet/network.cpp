@@ -38,22 +38,36 @@ DeliveryPlan Network::plan_delivery(ProcessId from, ProcessId to,
                        [this]() -> Rng& { return fault_rng_; });
 }
 
+// A cut count's one writer updates it with a relaxed load and store (no
+// read-modify-write: nobody else writes it).
+
 void ChannelFaults::sever(ProcessId from, ProcessId to) {
   check_pair(from, to, "sever: bad process");
-  ++severed_.get_or_insert(pair(from, to), 0);
+  std::uint32_t& cuts = severed_.get_or_insert(pair(from, to), 0);
+  std::atomic_ref<std::uint32_t>(cuts).store(cuts + 1,
+                                             std::memory_order_relaxed);
   refresh_fault_flag();
 }
 
 void ChannelFaults::heal(ProcessId from, ProcessId to) {
   check_pair(from, to, "heal: bad process");
   std::uint32_t* cuts = severed_.find(pair(from, to));
-  if (cuts != nullptr && *cuts > 0) --*cuts;
+  if (cuts != nullptr && *cuts > 0) {
+    std::atomic_ref<std::uint32_t>(*cuts).store(*cuts - 1,
+                                                std::memory_order_relaxed);
+  }
 }
 
 bool ChannelFaults::severed(ProcessId from, ProcessId to) const {
   check_pair(from, to, "severed: bad process");
   const std::uint32_t* cuts = severed_.find(pair(from, to));
-  return cuts != nullptr && *cuts != 0;
+  return cuts != nullptr && relaxed_load(*cuts) != 0;
+}
+
+void ChannelFaults::reserve_cut(ProcessId from, ProcessId to) {
+  check_pair(from, to, "reserve_cut: bad process");
+  (void)severed_.get_or_insert(pair(from, to), 0);
+  refresh_fault_flag();
 }
 
 void ChannelFaults::set_loss(ProcessId from, ProcessId to,
@@ -121,23 +135,15 @@ double ChannelFaults::effective_duplicate(ProcessId from, ProcessId to,
 void ChannelFaults::set_down(ProcessId p, bool down) {
   PARDSM_CHECK(p >= 0 && static_cast<std::size_t>(p) < n_,
                "set_down: bad process");
-  auto& slot = down_[static_cast<std::size_t>(p)];
-  const std::uint8_t next = down ? 1 : 0;
-  if (slot != next) {
-    if (down) {
-      ++down_count_;
-    } else {
-      --down_count_;
-    }
-    slot = next;
-    refresh_fault_flag();
-  }
+  std::atomic_ref<std::uint8_t>(down_[static_cast<std::size_t>(p)])
+      .store(down ? 1 : 0, std::memory_order_relaxed);
+  refresh_fault_flag(down);
 }
 
 bool ChannelFaults::is_down(ProcessId p) const {
   PARDSM_CHECK(p >= 0 && static_cast<std::size_t>(p) < n_,
                "is_down: bad process");
-  return down_[static_cast<std::size_t>(p)] != 0;
+  return relaxed_load(down_[static_cast<std::size_t>(p)]) != 0;
 }
 
 }  // namespace pardsm

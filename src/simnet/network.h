@@ -1,12 +1,13 @@
 // Channel behaviour: latency, FIFO ordering, loss, duplication, partitions
 // and process downtime.
 //
-// ChannelState::plan alone decides *when* (and whether, and how many
-// times) a sent message is delivered, on both deterministic roots: it
-// reads the run's shared ChannelFaults and updates one owner's
+// ChannelFaults is every root's fault state, and its fate() alone decides
+// whether (and how many times) a sent message arrives.  On both
+// deterministic roots ChannelState::plan adds *when*, updating one owner's
 // ChannelState (the Simulator's Network holds one, each ParallelSimulator
-// shard another).  Nothing here touches the event queue, so channel
-// semantics can be unit-tested in isolation.
+// shard another); the wall-clock roots ask fate() in their send.  Nothing
+// here touches the event queue, so channel semantics can be unit-tested
+// in isolation.
 //
 // RNG stream isolation: the caller supplies a latency stream and a fault
 // stream.  The latency stream is drawn exactly once per send, before any
@@ -18,7 +19,9 @@
 // tests/test_scenario.cpp pins this.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -78,6 +81,14 @@ class RateOverride {
                            TimePoint now) const = 0;
 };
 
+/// Relaxed atomic load of a field that one writer may update while other
+/// threads read it (std::atomic_ref): a plain load on x86.
+template <typename T>
+[[nodiscard]] T relaxed_load(const T& field) {
+  return std::atomic_ref<T>(const_cast<T&>(field))
+      .load(std::memory_order_relaxed);
+}
+
 /// Why messages were dropped (scenario benches report the split).
 struct DropCounters {
   std::uint64_t loss = 0;       ///< probabilistic channel loss
@@ -92,12 +103,24 @@ struct DropCounters {
   [[nodiscard]] std::uint64_t total() const {
     return loss + severed + down + in_flight + dead_channel;
   }
+
+};
+
+/// What the run's faults do to one sent message: the copies that arrive
+/// (0, 1 or 2) and, when none does, the counter of the drop's cause.
+struct SendFate {
+  int copies = 1;
+  std::uint64_t DropCounters::*cause = nullptr;
 };
 
 /// Fault state of a run's channels, shared by every owner of channel
-/// state.  Only global events write it (scenario closures on the
-/// Simulator, stop-the-world globals on the ParallelSimulator); planning
-/// only reads it, so parallel shards read it concurrently.
+/// state.  Scenario events change cut counts and down flags while owner
+/// threads read them, so those and the has-faults flag are relaxed
+/// atomics.  Each has one writer: on the simulators the event loop or the
+/// stop-the-world global; on a wall-clock root the timeline thread for
+/// cuts and each process's own worker for its down flag (the has-faults
+/// flag is only ever set).  Rates, the RateOverride and the cut table's
+/// entries are set before the run starts (Scenario::apply reserves them).
 class ChannelFaults {
  public:
   /// `options` seeds the default loss and duplication rates.
@@ -111,6 +134,9 @@ class ChannelFaults {
   void sever(ProcessId from, ProcessId to);
   void heal(ProcessId from, ProcessId to);
   [[nodiscard]] bool severed(ProcessId from, ProcessId to) const;
+  /// Insert the pair's zero cut entry before readers run: a later
+  /// sever/heal of it then neither inserts nor rehashes.
+  void reserve_cut(ProcessId from, ProcessId to);
 
   /// Dynamic per-pair loss/duplication rates: a default (seeded from
   /// ChannelOptions) plus sparse per-pair overrides.  set_*_all rewrites
@@ -144,6 +170,19 @@ class ChannelFaults {
   void set_down(ProcessId p, bool down);
   [[nodiscard]] bool is_down(ProcessId p) const;
 
+  /// False only while no fault was ever configured (see has_faults_).
+  [[nodiscard]] bool has_faults() const { return relaxed_load(has_faults_); }
+
+  /// The fate of a message (from, to) sent at `now` on a checked pair: a
+  /// cut pair, then a down endpoint drop it without a draw; else loss and
+  /// then duplication are drawn from `fault_rng()` (returning Rng&) at the
+  /// effective rates plus the caller's `extra` ones (the sockets root's
+  /// chaos), capped at 1.  A zero rate calls no fault_rng().
+  template <typename FaultRng>
+  [[nodiscard]] SendFate fate(ProcessId from, ProcessId to, TimePoint now,
+                              FaultRng&& fault_rng, double extra_loss = 0.0,
+                              double extra_duplicate = 0.0) const;
+
   /// Explicit override entries across the loss, duplication and cut
   /// tables.  An entry count, not a pair count: a pair carrying several
   /// kinds of override contributes once per kind, and a healed pair keeps
@@ -166,14 +205,13 @@ class ChannelFaults {
   void check_pair(ProcessId from, ProcessId to, const char* what) const;
 
  private:
-  /// The plan reads the tables directly: its caller has checked the pair.
-  friend struct ChannelState;
-
-  void refresh_fault_flag() {
-    has_faults_ = override_ != nullptr || default_loss_ > 0.0 ||
-                  default_duplicate_ > 0.0 || loss_.size() != 0 ||
-                  duplicate_.size() != 0 || severed_.size() != 0 ||
-                  down_count_ != 0;
+  /// Only ever sets the flag, so concurrent writers all store `true`.
+  void refresh_fault_flag(bool down = false) {
+    if (down || override_ != nullptr || default_loss_ > 0.0 ||
+        default_duplicate_ > 0.0 || loss_.size() != 0 ||
+        duplicate_.size() != 0 || severed_.size() != 0) {
+      std::atomic_ref<bool>(has_faults_).store(true, std::memory_order_relaxed);
+    }
   }
 
   std::size_t n_;
@@ -188,20 +226,41 @@ class ChannelFaults {
   PairMap<double> duplicate_;
   std::shared_ptr<const RateOverride> override_;
   std::vector<std::uint8_t> down_;
-  std::size_t down_count_ = 0;  ///< processes currently down
-  /// False only while no fault was ever configured: planning then skips
-  /// every lookup here and never touches the fault stream.  Conservative
-  /// (a healed cut keeps it set) and observably free, since
-  /// Rng::chance(0.0) consumes no draw.
+  /// False only while no fault was ever configured: fate() then skips
+  /// every lookup here and never touches the fault stream.  Sticky (a
+  /// cleared rate, a healed or reserved cut, a recovered process keep it
+  /// set) and observably free, since Rng::chance(0.0) consumes no draw.
   bool has_faults_ = false;
 };
+
+template <typename FaultRng>
+SendFate ChannelFaults::fate(ProcessId from, ProcessId to, TimePoint now,
+                             FaultRng&& fault_rng, double extra_loss,
+                             double extra_duplicate) const {
+  double loss = extra_loss;
+  double duplicate = extra_duplicate;
+  if (has_faults()) {
+    if (const std::uint32_t* cuts = severed_.find(pair(from, to));
+        cuts != nullptr && relaxed_load(*cuts) != 0) {
+      return {0, &DropCounters::severed};
+    }
+    if (relaxed_load(down_[static_cast<std::size_t>(from)]) != 0 ||
+        relaxed_load(down_[static_cast<std::size_t>(to)]) != 0) {
+      return {0, &DropCounters::down};
+    }
+    loss = std::min(1.0, loss + effective_loss(from, to, now));
+    duplicate = std::min(1.0, duplicate + effective_duplicate(from, to, now));
+  }
+  if (loss > 0.0 && fault_rng().chance(loss)) return {0, &DropCounters::loss};
+  return {duplicate > 0.0 && fault_rng().chance(duplicate) ? 2 : 1};
+}
 
 /// One owner's channel state: its latency model, the FIFO clamp of the
 /// directed pairs it sends on, and its drop counters.
 struct ChannelState {
   /// Decide the fate of one message sent at `send_time` (the pair must be
-  /// valid).  Draws latency once from `latency_rng`; calls `fault_rng()`
-  /// (returning Rng&) only when a fault is configured, so a caller that
+  /// valid).  Draws latency once from `latency_rng`; fate() calls
+  /// `fault_rng()` only when a fault is configured, so a caller that
   /// builds its fault stream per message builds none on a fault-free run.
   /// With `fifo`, delivery times per directed pair strictly increase.
   template <typename FaultRng>
@@ -234,25 +293,14 @@ DeliveryPlan ChannelState::plan(const ChannelFaults& faults, ProcessId from,
   // Drawn unconditionally, before any fault decision: this pins the
   // latency stream position per send.
   const Duration lat = sample(latency_rng);
-  const std::size_t ij = faults.pair(from, to);
-  if (faults.has_faults_) {
-    if (const std::uint32_t* cuts = faults.severed_.find(ij);
-        cuts != nullptr && *cuts != 0) {
-      ++drops.severed;
-      return {};
-    }
-    if (faults.down_[static_cast<std::size_t>(from)] != 0 ||
-        faults.down_[static_cast<std::size_t>(to)] != 0) {
-      ++drops.down;
-      return {};
-    }
-    if (fault_rng().chance(faults.effective_loss(from, to, send_time))) {
-      ++drops.loss;
-      return {};
-    }
+  const SendFate fate = faults.fate(from, to, send_time, fault_rng);
+  if (fate.copies == 0) {
+    ++(drops.*fate.cause);
+    return {};
   }
 
   DeliveryPlan deliveries;
+  const std::size_t ij = faults.pair(from, to);
   const auto clamp_push = [&](TimePoint at) {
     if (fifo) {
       // The reference is used before any further insertion can rehash.
@@ -263,8 +311,7 @@ DeliveryPlan ChannelState::plan(const ChannelFaults& faults, ProcessId from,
     deliveries.push(at);
   };
   clamp_push(send_time + lat);
-  if (faults.has_faults_ &&
-      fault_rng().chance(faults.effective_duplicate(from, to, send_time))) {
+  if (fate.copies == 2) {
     // The extra copy must not displace anyone's latency-stream draw.
     clamp_push(send_time + sample(fault_rng()));
   }

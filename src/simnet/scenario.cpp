@@ -57,8 +57,10 @@ double Scenario::window_rate(const std::vector<ProbWindow>& windows,
   return rate;
 }
 
-std::vector<std::size_t> Scenario::group_ids(const FaultEvent& e,
-                                             std::size_t n) {
+template <typename Fn>
+void Scenario::for_each_cut(const FaultEvent& e, std::size_t n, Fn&& fn) {
+  // Group id per process: listed processes get their group's index,
+  // everyone else a singleton id, so a pair is cut iff its ids differ.
   std::vector<std::size_t> gid(n);
   std::size_t next = e.groups.size();
   for (std::size_t p = 0; p < n; ++p) gid[p] = next++;
@@ -69,7 +71,13 @@ std::vector<std::size_t> Scenario::group_ids(const FaultEvent& e,
       gid[static_cast<std::size_t>(p)] = g;
     }
   }
-  return gid;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i != j && gid[i] != gid[j]) {
+        fn(static_cast<ProcessId>(i), static_cast<ProcessId>(j));
+      }
+    }
+  }
 }
 
 Scenario& Scenario::add(FaultEvent e) {
@@ -147,7 +155,6 @@ Scenario& Scenario::crash(ProcessId p, TimePoint at, TimePoint recover_at) {
   }
   crash_windows_.emplace_back(p, at, recover_at);
   faulty_ = true;
-  ++crashes_;
   add({FaultEvent::Type::kCrash, at, p, {}});
   return add({FaultEvent::Type::kRecover, recover_at, p, {}});
 }
@@ -157,22 +164,11 @@ void Scenario::fire(const FaultEvent& e, ChannelFaults& faults,
   const auto n = faults.process_count();
   switch (e.type) {
     case FaultEvent::Type::kSever:
-    case FaultEvent::Type::kHeal: {
-      const auto gid = group_ids(e, n);
-      for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < n; ++j) {
-          if (i == j || gid[i] == gid[j]) continue;
-          const auto a = static_cast<ProcessId>(i);
-          const auto b = static_cast<ProcessId>(j);
-          if (e.type == FaultEvent::Type::kSever) {
-            faults.sever(a, b);
-          } else {
-            faults.heal(a, b);
-          }
-        }
-      }
+      for_each_cut(e, n, [&](ProcessId a, ProcessId b) { faults.sever(a, b); });
       break;
-    }
+    case FaultEvent::Type::kHeal:
+      for_each_cut(e, n, [&](ProcessId a, ProcessId b) { faults.heal(a, b); });
+      break;
     case FaultEvent::Type::kCrash:
       faults.set_down(e.a, true);
       if (hooks.on_crash) hooks.on_crash(e.a, e.at);
@@ -182,25 +178,6 @@ void Scenario::fire(const FaultEvent& e, ChannelFaults& faults,
       if (hooks.on_recover) hooks.on_recover(e.a, e.at);
       break;
   }
-}
-
-std::vector<TimePoint> Scenario::window_edges() const {
-  std::vector<TimePoint> edges;
-  const auto add = [&edges](TimePoint t) {
-    if (t != kTimeForever) edges.push_back(t);
-  };
-  for (const ProbWindow& w : loss_windows_) {
-    add(w.open);
-    add(w.close);
-  }
-  for (const ProbWindow& w : dup_windows_) {
-    add(w.open);
-    add(w.close);
-  }
-  for (const FaultEvent& e : events_) add(e.at);
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-  return edges;
 }
 
 std::vector<const FaultEvent*> Scenario::execution_order() const {
@@ -227,6 +204,13 @@ void Scenario::apply(ChannelFaults& faults, TimePoint now,
   if (!loss_windows_.empty() || !dup_windows_.empty()) {
     faults.set_rate_override(std::make_shared<Rates>(this));
   }
+  for (const FaultEvent& e : events_) {
+    if (e.type == FaultEvent::Type::kSever) {
+      for_each_cut(e, faults.process_count(), [&](ProcessId a, ProcessId b) {
+        faults.reserve_cut(a, b);
+      });
+    }
+  }
   // Structural events, in timeline order independent of builder call
   // order: by time, closing edges before opening edges at equal times,
   // builder order as the tie break (stable sort).
@@ -235,14 +219,15 @@ void Scenario::apply(ChannelFaults& faults, TimePoint now,
     if (e.at <= now) {
       fire(e, faults, hooks);
     } else {
-      schedule(e.at, [this, &faults, hooks, &e] { fire(e, faults, hooks); });
+      schedule(e.at, e.a,
+               [this, &faults, hooks, &e] { fire(e, faults, hooks); });
     }
   }
 }
 
 void Scenario::apply(Simulator& sim, ScenarioHooks hooks) const {
   apply(sim.ensure_network(), sim.now(), hooks,
-        [&sim](TimePoint at, std::function<void()> fn) {
+        [&sim](TimePoint at, ProcessId, std::function<void()> fn) {
           sim.schedule_at(at, std::move(fn));
         });
 }
@@ -252,7 +237,7 @@ void Scenario::apply(ParallelSimulator& sim, ScenarioHooks hooks) const {
   // stop-the-world global: the coordinator fires it with every worker
   // parked, at its exact time (windows never span a global's instant).
   apply(sim.faults(), sim.now(), hooks,
-        [&sim](TimePoint at, std::function<void()> fn) {
+        [&sim](TimePoint at, ProcessId, std::function<void()> fn) {
           sim.schedule_global(at, std::move(fn));
         });
 }

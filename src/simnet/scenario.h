@@ -8,25 +8,27 @@
 //    .partition({{0, 1, 2}, {3, 4, 5}}, after(millis(2)), after(millis(6)))
 //    .crash(1, after(millis(3)), after(millis(5)));
 //
-// apply() installs the probability windows as the run's plan-time rate
+// apply() installs the probability windows as the run's send-time rate
 // source and turns the structural events (partitions, crashes) into
 // scheduled closures mutating the run's ChannelFaults (severed pairs,
-// down flags), so the same Scenario replays bit-identically for a given
-// simulator seed — fault *timing* is scripted, fault *draws* (which
-// message is lost) come from the channel's dedicated fault RNG stream.
+// down flags) — simulator events, parallel globals, or entries on a
+// wall-clock root's timeline, where 1 simulated µs is 1 µs.  On the
+// simulators the same Scenario replays bit-identically for a given seed:
+// fault *timing* is scripted, fault *draws* (which message is lost) come
+// from the channel's dedicated fault RNG stream.
 // Crash and recovery additionally call back into the driver (hooks) so
 // the MCS layer can drop in-flight state and re-sync replicas; the simnet
 // layer itself knows nothing about protocols.  Both the rate source and
 // the scheduled closures reference the Scenario, which must therefore
 // outlive the run.
 //
-// Probability windows are *state*, not deltas, and they are resolved at
-// message-planning time through a RateOverride (network.h): a message sent
-// at t faces "the most recently opened window covering the pair at t,
-// else the ChannelOptions base".  Nested, crossed and same-instant
+// Probability windows are *state*, not deltas, and they are resolved per
+// message at its send time through a RateOverride (network.h): a message
+// sent at t faces "the most recently opened window covering the pair at
+// t, else the ChannelOptions base".  Nested, crossed and same-instant
 // windows therefore all compose without ordering surprises, and a window
-// that outlasts the traffic never delays quiescence (no simulator events
-// exist for window boundaries).  Partitions are counted cuts: overlapping
+// that outlasts the traffic never delays quiescence on any root (window
+// edges are no events).  Partitions are counted cuts: overlapping
 // partitions keep a pair severed until every cut covering it heals.
 // Crash windows of one process must not overlap (enforced at build time).
 //
@@ -56,8 +58,9 @@ class Simulator;
 /// Scenario call sites read `s.crash(1, after(millis(3)), after(millis(5)))`.
 constexpr TimePoint after(Duration d) { return kTimeZero + d; }
 
-/// Driver callbacks for crash events (invoked inside the event loop, at
-/// the event's simulated time).
+/// Driver callbacks for crash events, invoked where the event fires: in
+/// the event loop at its simulated time, or on a wall-clock root on the
+/// victim's own worker.
 struct ScenarioHooks {
   std::function<void(ProcessId, TimePoint)> on_crash;
   std::function<void(ProcessId, TimePoint)> on_recover;
@@ -138,9 +141,6 @@ class Scenario {
   // -- introspection --------------------------------------------------------
 
   [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] const std::vector<FaultEvent>& events() const {
-    return events_;
-  }
   [[nodiscard]] bool empty() const {
     return events_.empty() && loss_windows_.empty() && dup_windows_.empty();
   }
@@ -149,15 +149,6 @@ class Scenario {
   /// partitions, crashes): the run must then go through ReliableTransport
   /// for the protocols' reliable-FIFO liveness assumption to hold.
   [[nodiscard]] bool faulty() const { return faulty_; }
-
-  /// True if the timeline contains crash events (drivers wire crash hooks
-  /// and expect re-sync traffic).
-  [[nodiscard]] bool has_crashes() const { return crashes_ > 0; }
-  [[nodiscard]] std::size_t crash_count() const { return crashes_; }
-
-  /// Largest process id mentioned anywhere (validation against the run's
-  /// actual process count).
-  [[nodiscard]] ProcessId max_process() const { return max_process_; }
 
   // -- execution ------------------------------------------------------------
 
@@ -175,33 +166,18 @@ class Scenario {
   /// which is the only time that state may change.
   void apply(ParallelSimulator& sim, ScenarioHooks hooks = {}) const;
 
-  // -- sockets-root replay ---------------------------------------------------
-  // The sockets engine cannot install a RateOverride (it keeps no
-  // ChannelFaults); it instead samples the windows and walks the event list
-  // itself, mapping simulated microseconds onto wall time.
-
-  /// The loss rate the timeline imposes on (from, to) at simulated time
-  /// `now`, or -1 when no window covers the pair (use the base rate).
-  [[nodiscard]] double loss_rate(ProcessId from, ProcessId to,
-                                 TimePoint now) const {
-    return window_rate(loss_windows_, from, to, now);
-  }
-  /// Same for duplication windows.
-  [[nodiscard]] double duplicate_rate(ProcessId from, ProcessId to,
-                                      TimePoint now) const {
-    return window_rate(dup_windows_, from, to, now);
-  }
-  /// Edge times of every probability window (rate-change instants a
-  /// wall-clock replay must visit), plus the structural event times.
-  [[nodiscard]] std::vector<TimePoint> window_edges() const;
-  /// The structural timeline in execution order (by time, closing edges
-  /// before opening edges, builder order as the tie break).
-  [[nodiscard]] std::vector<const FaultEvent*> execution_order() const;
-  /// Group id per process under partition event `e` over n processes:
-  /// listed processes get their group's index, everyone else a singleton
-  /// id, so a pair is cut iff its ids differ.  Checks every listed id.
-  [[nodiscard]] static std::vector<std::size_t> group_ids(const FaultEvent& e,
-                                                          std::size_t n);
+  /// The body both variants above wrap, which a wall-clock root calls
+  /// before it starts: install the windows on `faults`, reserve the cut
+  /// entry of every pair a partition will cut, fire events at t <= now at
+  /// once and hand each later one to `schedule(at, victim, fn)`.  `fn`
+  /// changes the fault state and runs the hooks; `victim` is the crashed
+  /// or recovered process, kNoProcess for a sever or heal.  A wall-clock
+  /// root runs `fn` for a victim on the victim's own worker, so none of
+  /// its deliveries falls between its down flag and its hook.
+  using Schedule =
+      std::function<void(TimePoint, ProcessId, std::function<void()>)>;
+  void apply(ChannelFaults& faults, TimePoint now, const ScenarioHooks& hooks,
+             const Schedule& schedule) const;
 
  private:
   /// RateOverride over the window lists (defined in scenario.cpp).
@@ -211,13 +187,15 @@ class Scenario {
   Scenario& add_window(std::vector<ProbWindow>& windows, ProcessId a,
                        ProcessId b, double probability, TimePoint from,
                        TimePoint until, const char* what);
-  using Schedule = std::function<void(TimePoint, std::function<void()>)>;
-  /// The one apply body: install the windows on `faults`, fire events at
-  /// t <= now at once and hand each later one to `schedule`.
-  void apply(ChannelFaults& faults, TimePoint now, const ScenarioHooks& hooks,
-             const Schedule& schedule) const;
   void fire(const FaultEvent& e, ChannelFaults& faults,
             const ScenarioHooks& hooks) const;
+  /// Call `fn(from, to)` for every directed pair partition event `e` cuts
+  /// (or heals) over `n` processes.  Checks every listed id.
+  template <typename Fn>
+  static void for_each_cut(const FaultEvent& e, std::size_t n, Fn&& fn);
+  /// The structural timeline in execution order (by time, closing edges
+  /// before opening edges, builder order as the tie break).
+  [[nodiscard]] std::vector<const FaultEvent*> execution_order() const;
   /// The rate the most recently opened active window imposes on (from,
   /// to) at `now`, or -1 when no window covers it.
   [[nodiscard]] static double window_rate(
@@ -231,7 +209,7 @@ class Scenario {
   /// Crash windows per process (overlap rejection), as (at, recover_at).
   std::vector<std::tuple<ProcessId, TimePoint, TimePoint>> crash_windows_;
   bool faulty_ = false;
-  std::size_t crashes_ = 0;
+  /// Largest process id mentioned anywhere (checked against the run's).
   ProcessId max_process_ = kNoProcess;
 };
 

@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
+#include <optional>
 
 #include "simnet/check.h"
 #include "simnet/rng.h"
@@ -86,8 +87,9 @@ timespec to_timespec(std::chrono::nanoseconds d) {
 
 }  // namespace
 
-SocketTransport::SocketTransport(SocketOptions options)
-    : options_(std::move(options)) {
+SocketTransport::SocketTransport(SocketOptions options,
+                                 ChannelOptions channel)
+    : WallClockRoot(channel), options_(std::move(options)) {
   PARDSM_CHECK(options_.total_processes > 0, "sockets: need total_processes");
   PARDSM_CHECK(options_.total_processes <= 1024,
                "sockets: at most 1024 processes");
@@ -101,11 +103,6 @@ SocketTransport::SocketTransport(SocketOptions options)
   }
   options_.addrs.resize(n);
   slot_of_.assign(n, -1);
-  rates_ = std::vector<PairRates>(n * n);
-  severed_ = std::make_unique<std::atomic<bool>[]>(n * n);
-  down_ = std::make_unique<std::atomic<bool>[]>(n);
-  for (std::size_t i = 0; i < n * n; ++i) severed_[i].store(false);
-  for (std::size_t i = 0; i < n; ++i) down_[i].store(false);
   peers_ = std::make_unique<PeerState[]>(n);
   stats_.resize(n);
   stop_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
@@ -150,6 +147,7 @@ void SocketTransport::start() {
   PARDSM_CHECK(exec_.size() == options_.local_ids.size(),
                "start: not all local endpoints registered");
   var_count_ = stats_.var_hint();
+  (void)faults();
 
   // Listener: inherited fd (bootstrap respawn path) or bind our own.
   if (options_.listen_fd >= 0) {
@@ -209,18 +207,16 @@ void SocketTransport::start() {
     }
   }
 
-  exec_.start();
   for (auto& ch : channels_) {
     OutChannel* raw = ch.get();
     raw->writer = std::thread([this, raw] { writer_loop(*raw); });
   }
   acceptor_ = std::thread([this] { acceptor_loop(); });
   detector_ = std::thread([this] { detector_loop(); });
-}
-
-void SocketTransport::stop() {
-  halt();
-  rethrow_failure();
+  // Last, so the root's clock starts once every thread is up: a caller's
+  // first schedule_at and a scenario's timeline share time zero.  The
+  // acceptor's adopt tasks wait in the mailboxes until then.
+  exec_.start();
 }
 
 void SocketTransport::halt() {
@@ -277,10 +273,6 @@ bool SocketTransport::drain(std::chrono::milliseconds idle,
   return false;
 }
 
-void SocketTransport::post(ProcessId who, std::function<void()> task) {
-  exec_.post(local_index(who), std::move(task));
-}
-
 void SocketTransport::send(ProcessId from, ProcessId to, BodyRef body,
                            MessageMeta meta) {
   PARDSM_CHECK(to >= 0 &&
@@ -290,79 +282,55 @@ void SocketTransport::send(ProcessId from, ProcessId to, BodyRef body,
   PARDSM_CHECK(exec_.on_worker(local_index(from)),
                "send: caller is not the sender's mailbox worker");
   exec_.note_activity();
+  Message m = stamp(from, to, std::move(body), std::move(meta));
 
-  Message m;
-  m.from = from;
-  m.to = to;
-  m.body = std::move(body);
-  m.meta = std::move(meta);
-  m.id = next_msg_id_.fetch_add(1);
-  m.send_time = now();
-  stats_.on_send(m);
-
-  // Scenario faults: severed pair / down process drop at the sender.
-  if (severed_[pair_index(from, to)].load(std::memory_order_relaxed)) {
-    bump(drops_.severed);
-    return;
-  }
-  if (down_[static_cast<std::size_t>(from)].load(std::memory_order_relaxed) ||
-      down_[static_cast<std::size_t>(to)].load(std::memory_order_relaxed)) {
-    bump(drops_.down);
-    return;
-  }
-
-  if (to == from) {
+  // Fault and chaos decisions, drawn from a counter-based stream so they
+  // depend on (seed, pair, frame index) only.  All sends on a given pair
+  // originate on the sender's mailbox thread, so the per-channel counter
+  // (and encoding buffer) needs no lock.  A self-send has no channel; its
+  // stream is keyed on the message id instead.
+  OutChannel* ch = to == from ? nullptr : &channel(from, to);
+  std::optional<Rng> rng;
+  const auto draws = [&]() -> Rng& {
+    if (!rng) {
+      rng.emplace(counter_rng(options_.chaos.seed,
+                              static_cast<std::uint64_t>(from),
+                              static_cast<std::uint64_t>(to),
+                              ch != nullptr ? ch->chaos_counter++ : m.id,
+                              kChaosStreamTag));
+    }
+    return *rng;
+  };
+  const ChaosOptions& chaos = options_.chaos;
+  const SendFate f =
+      fate(m, draws, ch != nullptr ? chaos.drop_probability : 0,
+           ch != nullptr ? chaos.duplicate_probability : 0);
+  if (f.cause == &DropCounters::loss) bump(counters_.chaos_drops);
+  const int copies = f.copies;
+  if (ch == nullptr) {
     // Self-delivery: straight to our own mailbox (no socket, no chaos).
-    exec_.add_pending();
     m.deliver_time = m.send_time;
-    exec_.enqueue(local_index(to), std::move(m));
+    enqueue(std::move(m), copies);
     return;
   }
+  if (copies == 0) return;
 
-  OutChannel& ch = channel(from, to);
-
-  // Chaos + scenario-rate decisions, drawn from a counter-based stream so
-  // they depend on (seed, pair, frame index) only.  All sends on a given
-  // pair originate on the sender's mailbox thread, so the per-channel
-  // counter (and encoding buffer) needs no lock.
-  int copies = 1;
   Duration delay{};
   bool disconnect = false;
-  const PairRates& rates = rates_[pair_index(from, to)];
-  const double loss_rate = std::min(
-      1.0, options_.chaos.drop_probability +
-               rates.loss.load(std::memory_order_relaxed));
-  const double dup_rate = std::min(
-      1.0, options_.chaos.duplicate_probability +
-               rates.dup.load(std::memory_order_relaxed));
-  if (options_.chaos.any() || loss_rate > 0.0 || dup_rate > 0.0) {
-    Rng rng = counter_rng(options_.chaos.seed,
-                          static_cast<std::uint64_t>(from),
-                          static_cast<std::uint64_t>(to), ch.chaos_counter++,
-                          kChaosStreamTag);
-    if (rng.chance(loss_rate)) copies = 0;
-    if (copies == 1 && rng.chance(dup_rate)) copies = 2;
-    if (options_.chaos.delay_max.us > 0) {
-      const std::int64_t span =
-          options_.chaos.delay_max.us - options_.chaos.delay_min.us;
-      delay = Duration{options_.chaos.delay_min.us +
-                       (span > 0 ? static_cast<std::int64_t>(
-                                       rng.below(
-                                           static_cast<std::uint64_t>(span) +
-                                           1))
+  if (chaos.any()) {
+    if (chaos.delay_max.us > 0) {
+      const std::int64_t span = chaos.delay_max.us - chaos.delay_min.us;
+      delay = Duration{chaos.delay_min.us +
+                       (span > 0 ? static_cast<std::int64_t>(draws().below(
+                                       static_cast<std::uint64_t>(span) + 1))
                                  : 0)};
     }
-    disconnect = rng.chance(options_.chaos.disconnect_probability);
-  }
-  if (copies == 0) {
-    bump(drops_.loss);
-    bump(counters_.chaos_drops);
-    return;
+    disconnect = draws().chance(chaos.disconnect_probability);
   }
 
   // Serialize once into the channel's buffer:
   // [u32 length][type][from][to][id][meta][body].
-  WireWriter& w = ch.frame;
+  WireWriter& w = ch->frame;
   w.clear();
   w.u32(0);
   w.u8(kFrameMsg);
@@ -388,10 +356,10 @@ void SocketTransport::send(ProcessId from, ProcessId to, BodyRef body,
   // receiving handler returns; one to a remote process until its last
   // byte is written (write_or_queue / flush_front).
   const bool local_dest = is_local(to);
-  std::lock_guard lock(ch.mu);
+  std::lock_guard lock(ch->mu);
   if (copies == 1 && delay.us == 0 && !disconnect) {
     if (local_dest) exec_.add_pending();
-    write_or_queue(ch, bytes, size, !local_dest);
+    write_or_queue(*ch, bytes, size, !local_dest);
     return;
   }
   // Chaos frames always go through the writer thread, which honours the
@@ -399,38 +367,13 @@ void SocketTransport::send(ProcessId from, ProcessId to, BodyRef body,
   const auto earliest = steady_now() + std::chrono::microseconds(delay.us);
   for (int c = 0; c < copies; ++c) {
     exec_.add_pending();
-    QueuedFrame& qf = ch.queue.emplace_back();
+    QueuedFrame& qf = ch->queue.emplace_back();
     qf.bytes.assign(bytes, bytes + size);
     qf.earliest = earliest;
     qf.counts_pending = !local_dest;
     qf.chaos_disconnect = disconnect && c + 1 == copies;
   }
-  ch.cv.notify_one();
-}
-
-void SocketTransport::set_timer(ProcessId who, Duration delay, TimerTag tag) {
-  exec_.set_timer(local_index(who), delay, tag);
-}
-
-std::size_t SocketTransport::process_count() const {
-  return options_.total_processes;
-}
-
-void SocketTransport::set_severed(ProcessId a, ProcessId b, bool severed) {
-  severed_[pair_index(a, b)].store(severed, std::memory_order_relaxed);
-}
-
-void SocketTransport::set_down(ProcessId p, bool down) {
-  down_[static_cast<std::size_t>(p)].store(down, std::memory_order_relaxed);
-}
-
-void SocketTransport::set_loss_rate(ProcessId a, ProcessId b, double rate) {
-  rates_[pair_index(a, b)].loss.store(rate, std::memory_order_relaxed);
-}
-
-void SocketTransport::set_duplicate_rate(ProcessId a, ProcessId b,
-                                         double rate) {
-  rates_[pair_index(a, b)].dup.store(rate, std::memory_order_relaxed);
+  ch->cv.notify_one();
 }
 
 void SocketTransport::set_peer_callback(PeerCallback cb) {
@@ -484,31 +427,23 @@ void SocketTransport::send_control(ProcessId to, std::uint32_t code,
 
 std::uint16_t SocketTransport::port() const { return listen_port_; }
 
-DropCounters SocketTransport::drops() const {
-  DropCounters d;
-  d.loss = load(drops_.loss);
-  d.severed = load(drops_.severed);
-  d.down = load(drops_.down);
-  return d;
-}
-
 SocketCounters SocketTransport::counters() const {
   SocketCounters c;
-  c.frames_sent = load(counters_.frames_sent);
-  c.frames_received = load(counters_.frames_received);
-  c.frames_rejected = load(counters_.frames_rejected);
-  c.bytes_sent = load(counters_.bytes_sent);
-  c.bytes_received = load(counters_.bytes_received);
-  c.heartbeats_sent = load(counters_.heartbeats_sent);
-  c.heartbeats_received = load(counters_.heartbeats_received);
-  c.dials = load(counters_.dials);
-  c.reconnects = load(counters_.reconnects);
-  c.chaos_drops = load(counters_.chaos_drops);
-  c.chaos_duplicates = load(counters_.chaos_duplicates);
-  c.chaos_disconnects = load(counters_.chaos_disconnects);
-  c.chaos_delays = load(counters_.chaos_delays);
-  c.peer_down_events = load(counters_.peer_down_events);
-  c.peer_up_events = load(counters_.peer_up_events);
+  c.frames_sent = relaxed_load(counters_.frames_sent);
+  c.frames_received = relaxed_load(counters_.frames_received);
+  c.frames_rejected = relaxed_load(counters_.frames_rejected);
+  c.bytes_sent = relaxed_load(counters_.bytes_sent);
+  c.bytes_received = relaxed_load(counters_.bytes_received);
+  c.heartbeats_sent = relaxed_load(counters_.heartbeats_sent);
+  c.heartbeats_received = relaxed_load(counters_.heartbeats_received);
+  c.dials = relaxed_load(counters_.dials);
+  c.reconnects = relaxed_load(counters_.reconnects);
+  c.chaos_drops = relaxed_load(counters_.chaos_drops);
+  c.chaos_duplicates = relaxed_load(counters_.chaos_duplicates);
+  c.chaos_disconnects = relaxed_load(counters_.chaos_disconnects);
+  c.chaos_delays = relaxed_load(counters_.chaos_delays);
+  c.peer_down_events = relaxed_load(counters_.peer_down_events);
+  c.peer_up_events = relaxed_load(counters_.peer_up_events);
   return c;
 }
 
@@ -1081,22 +1016,6 @@ void SocketTransport::detector_loop() {
       report_peer(peer, false, inc);
     }
   }
-}
-
-// -- mailbox delivery --------------------------------------------------------
-
-void SocketTransport::deliver(Endpoint& ep, const Message& m) {
-  if (down_[static_cast<std::size_t>(m.to)].load(std::memory_order_relaxed)) {
-    // Fail-pause window (scenario set_down): suppress the delivery *below*
-    // the decorator shims, like the simulator's network does.  The ARQ
-    // layer never sees (or acks) the message, so it repairs it after
-    // recovery — an op in flight at crash completes late instead of losing
-    // its response above the reliable layer.
-    bump(drops_.down);
-    return;
-  }
-  stats_.on_deliver(m);
-  ep.on_message(m);
 }
 
 }  // namespace pardsm

@@ -2,15 +2,14 @@
 // OS processes (or over loopback within one).
 //
 // SocketTransport is the fourth HostTransport root, next to Simulator,
-// ThreadRuntime and ParallelSimulator.  Endpoints registered here run on
-// the same MailboxExecutor as ThreadRuntime's (simnet/thread_runtime.h):
-// this root owns the channels, the acceptor, the failure detector and
-// chaos, and hands the executor its mailboxes, timers and quiescence
-// ledger.  Every message is serialized (simnet/wire.h), framed and written
-// onto a real TCP connection — even when sender and receiver live in the
-// same OS process — and is delivered to its endpoint on that endpoint's
-// worker, where the fail-pause window of set_down() suppresses it.  Two
-// deployment shapes share the implementation:
+// ThreadRuntime and ParallelSimulator.  It shares WallClockRoot with
+// ThreadRuntime (simnet/thread_runtime.h): the same MailboxExecutor,
+// clock, ledger and fault state.  This root owns the channels, the
+// acceptor, the failure detector and chaos.  Every message is serialized
+// (simnet/wire.h), framed and written onto a real TCP connection — even
+// when sender and receiver live in the same OS process — and is
+// delivered to its endpoint on that endpoint's worker.  Two deployment
+// shapes share the implementation:
 //
 //   * all-local (EngineRuntime::kSockets): every endpoint is registered in
 //     one process, ids 0..n-1 in order, one auto-bound loopback listener.
@@ -50,12 +49,13 @@
 //     frame, reporting transitions through set_peer_callback — the hook
 //     the engine routes into McsProcess crash()/recover() + RSYNC.
 //
-// ChaosOptions injects faults at the socket layer: sender-side frame drops
-// and duplications, head-of-line delivery delays and deliberate
-// mid-stream disconnects, all drawn from counter-based streams so a chaos
-// run is reproducible.  Scenario loss/duplication windows map onto
-// set_loss_rate()/set_duplicate_rate(); partitions map onto set_severed()
-// — the property net (P1-P6) runs unmodified above.
+// Faults: send() asks the run's ChannelFaults (WallClockRoot) for each
+// frame's fate, as every root does.  ChaosOptions adds socket-layer
+// faults: sender-side frame drops and duplications (their rates add to
+// the ChannelFaults rates), head-of-line delays and deliberate mid-stream
+// disconnects.  Every draw comes from the channel's counter-based stream,
+// so a chaos run is reproducible.  The property net (P1-P6) runs
+// unmodified above.
 //
 // Wire format: [u32 length][u8 frame type][payload ...], little-endian.
 // See docs/DEPLOYMENT.md for the full frame catalogue and tuning guide.
@@ -172,14 +172,10 @@ struct SocketCounters {
 };
 
 /// TCP transport root.  See the file comment for the architecture.
-class SocketTransport final : public RootTransport,
-                              private MailboxExecutor::Delivery {
+class SocketTransport final : public WallClockRoot {
  public:
-  explicit SocketTransport(SocketOptions options);
+  explicit SocketTransport(SocketOptions options, ChannelOptions channel = {});
   ~SocketTransport() override;
-
-  SocketTransport(const SocketTransport&) = delete;
-  SocketTransport& operator=(const SocketTransport&) = delete;
 
   /// Register the endpoint for the next id in options.local_ids (or the
   /// next sequential id when local_ids is empty).  Pre-start only.
@@ -189,63 +185,23 @@ class SocketTransport final : public RootTransport,
   void set_peer_addr(ProcessId p, std::string host_port);
 
   /// Bind the listener, spawn mailbox/writer/acceptor/detector threads.
-  void start();
+  void start() override;
+  /// Join every thread and close all sockets.
+  void halt() override;
 
-  /// Stop and join every thread; closes all sockets.  Then rethrows a
-  /// mailbox handler exception await_quiescence has not (MailboxExecutor).
-  void stop();
-  /// stop() without the rethrow.  Idempotent.
-  void halt();
-  /// Rethrow (and release) a held mailbox handler exception, if any.
-  void rethrow_failure() { exec_.rethrow_failure(); }
-
-  /// All-local shape only: block until no queued message, running handler,
-  /// pending timer or undelivered frame remains.  Returns true on
-  /// quiescence, false on timeout.
-  bool await_quiescence(std::chrono::milliseconds timeout) {
-    return exec_.await_quiescence(timeout);
-  }
-
-  /// Multi-process settle: block until no local activity (message, task or
-  /// non-heartbeat frame) has happened for `idle`, or `timeout` elapses.
-  /// Returns true if the idle window was observed.
+  /// Multi-process settle (await_quiescence works all-local only): block
+  /// until no local activity (message, task or non-heartbeat frame) has
+  /// happened for `idle`, or `timeout` elapses.  Returns true if the idle
+  /// window was observed.
   bool drain(std::chrono::milliseconds idle, std::chrono::milliseconds timeout);
-
-  /// Run `task` on the mailbox thread owning local process `who`.
-  void post(ProcessId who, std::function<void()> task);
-  /// The root seam: runs `fn` on `owner`'s mailbox once now() reaches
-  /// `when`, so a script's think time is wall time here.
-  void schedule_at(TimePoint when, ProcessId owner,
-                   std::function<void()> fn) override {
-    exec_.post_at(local_index(owner), when, std::move(fn));
-  }
 
   // -- Transport ------------------------------------------------------------
   /// Runs on `from`'s worker only (checked): post() it there.
   void send(ProcessId from, ProcessId to, BodyRef body,
             MessageMeta meta) override;
-  [[nodiscard]] TimePoint now() const override { return exec_.now(); }
-  void set_timer(ProcessId who, Duration delay, TimerTag tag) override;
-  [[nodiscard]] std::size_t process_count() const override;
-  /// Concurrent arena: bodies are created and decoded on mailbox workers
-  /// (and app threads) and recycle from any of them.
-  [[nodiscard]] BodyArena& arena(ProcessId owner) override {
-    (void)owner;
-    return arena_;
+  [[nodiscard]] std::size_t process_count() const override {
+    return options_.total_processes;
   }
-
-  // -- fault injection / scenario hooks -------------------------------------
-  /// Sever / heal the directed pair (a -> b): sends are dropped at the
-  /// sender (counted in drops().severed).
-  void set_severed(ProcessId a, ProcessId b, bool severed);
-  /// Take a process down / up: frames from and to it are dropped at the
-  /// sender (counted in drops().down).
-  void set_down(ProcessId p, bool down);
-  /// Time-varying probabilistic loss/duplication on (a -> b) — the socket
-  /// mapping of Scenario's ProbWindow rates.  Draws share the chaos
-  /// streams, so they are deterministic too.
-  void set_loss_rate(ProcessId a, ProcessId b, double rate);
-  void set_duplicate_rate(ProcessId a, ProcessId b, double rate);
 
   // -- peer liveness ---------------------------------------------------------
   /// Callback invoked when the failure detector changes its mind about a
@@ -272,12 +228,9 @@ class SocketTransport final : public RootTransport,
   // -- introspection ---------------------------------------------------------
   /// The port the listener is bound to (valid after start()).
   [[nodiscard]] std::uint16_t port() const;
-  /// Declare the run's variable count m here (set_var_hint) before
-  /// start(): a MSG frame from a process outside [0, n) or mentioning a
-  /// variable outside [0, m) is rejected on the receiving worker.  Each
-  /// process's slot is written by its worker; read after stop().
-  [[nodiscard]] NetworkStats& stats() { return stats_; }
-  [[nodiscard]] DropCounters drops() const;
+  /// Declare the run's variable count m with stats().set_var_hint(m)
+  /// before start(): a MSG frame from a process outside [0, n) or
+  /// mentioning a variable outside [0, m) is rejected on its worker.
   [[nodiscard]] SocketCounters counters() const;
 
  private:
@@ -334,27 +287,19 @@ class SocketTransport final : public RootTransport,
     std::uint64_t incarnation = 0;         ///< guarded by peers_mu_
   };
 
-  /// Per-directed-pair scenario rates (socket ProbWindow mapping).
-  struct PairRates {
-    std::atomic<double> loss{0.0};
-    std::atomic<double> dup{0.0};
-  };
-
   [[nodiscard]] bool is_local(ProcessId p) const {
     return p >= 0 && static_cast<std::size_t>(p) < slot_of_.size() &&
            slot_of_[static_cast<std::size_t>(p)] >= 0;
   }
   [[nodiscard]] std::size_t local_index(ProcessId p) const;
-  [[nodiscard]] std::size_t pair_index(ProcessId a, ProcessId b) const {
-    return static_cast<std::size_t>(a) * options_.total_processes +
-           static_cast<std::size_t>(b);
-  }
   [[nodiscard]] OutChannel& channel(ProcessId from, ProcessId to) {
     return *out_[local_index(from) * options_.total_processes +
                  static_cast<std::size_t>(to)];
   }
 
-  void deliver(Endpoint& ep, const Message& m) override;
+  [[nodiscard]] std::size_t slot(ProcessId p) const override {
+    return local_index(p);
+  }
   void readable(void* tag) override;
 
   // -- writing
@@ -385,34 +330,19 @@ class SocketTransport final : public RootTransport,
   [[nodiscard]] bool has_unread(ProcessId p);
   void report_peer(ProcessId p, bool up, std::uint64_t incarnation);
 
-  /// Counters are plain fields bumped atomically, so the hot paths take
-  /// no lock and counters()/drops() read a consistent-enough snapshot.
-  static void bump(std::uint64_t& field, std::uint64_t by = 1) {
-    std::atomic_ref<std::uint64_t>(field).fetch_add(
-        by, std::memory_order_relaxed);
-  }
-  [[nodiscard]] static std::uint64_t load(std::uint64_t& field) {
-    return std::atomic_ref<std::uint64_t>(field).load(
-        std::memory_order_relaxed);
-  }
   [[nodiscard]] std::chrono::steady_clock::time_point steady_now() const {
     return std::chrono::steady_clock::now();
   }
 
   SocketOptions options_;
-  BodyArena arena_{/*concurrent=*/true};
   std::vector<ProcessId> local_ids_;  ///< registration order = exec_ slot
   std::vector<int> slot_of_;          ///< by ProcessId; -1 = not local
   std::vector<std::unique_ptr<OutChannel>> channels_;
   std::vector<OutChannel*> out_;  ///< [slot * n + to]; null when to == from
 
-  NetworkStats stats_;
+  /// Plain fields bumped atomically, so the hot paths take no lock and
+  /// counters() reads a consistent-enough snapshot.
   mutable SocketCounters counters_;
-  mutable DropCounters drops_;
-
-  std::vector<PairRates> rates_;                  ///< n*n scenario rates
-  std::unique_ptr<std::atomic<bool>[]> severed_;  ///< n*n
-  std::unique_ptr<std::atomic<bool>[]> down_;     ///< n
 
   mutable std::mutex peers_mu_;
   std::unique_ptr<PeerState[]> peers_;  ///< n
@@ -432,14 +362,9 @@ class SocketTransport final : public RootTransport,
   std::uint64_t accepted_ = 0;  ///< acceptor only
 
   std::atomic<bool> running_{false};
-  std::atomic<std::uint64_t> next_msg_id_{1};
   /// Variable count declared through stats() before start(); MSG frames
   /// mentioning a variable outside [0, var_count_) are rejected.
   std::size_t var_count_ = 0;
-
-  // Last: its workers deliver into arena bodies, stats_ and drops_, so it
-  // must be destroyed (and its threads joined) before any of them.
-  MailboxExecutor exec_{*this};
 };
 
 }  // namespace pardsm

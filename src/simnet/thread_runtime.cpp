@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "simnet/check.h"
+#include "simnet/rng.h"
 
 namespace pardsm {
 
@@ -64,11 +65,40 @@ void MailboxExecutor::start() {
     Mailbox* raw = mb.get();
     raw->worker = std::thread([this, raw] { worker_loop(*raw); });
   }
+  if (!timeline_.empty()) {
+    std::stable_sort(
+        timeline_.begin(), timeline_.end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+    timeline_thread_ = std::jthread(
+        [this](const std::stop_token& stop) { timeline_loop(stop); });
+  }
 }
 
-void MailboxExecutor::stop() {
-  halt();
-  rethrow_failure();
+void MailboxExecutor::at_time(TimePoint when, std::function<void()> fn) {
+  PARDSM_CHECK(!running_.load(), "at_time: runtime already started");
+  add_pending();
+  timeline_.emplace_back(when, std::move(fn));
+}
+
+void MailboxExecutor::timeline_loop(const std::stop_token& stop) {
+  // A private mutex: the stop request alone wakes the wait.
+  std::mutex mu;
+  std::unique_lock lock(mu);
+  std::condition_variable_any sleep;
+  for (auto& [when, fn] : timeline_) {
+    if (sleep.wait_until(lock, stop,
+                         start_time_ + std::chrono::microseconds(when.us),
+                         [&stop] { return stop.stop_requested(); })) {
+      return;
+    }
+    std::exception_ptr failure;
+    try {
+      fn();
+    } catch (...) {
+      failure = std::current_exception();
+    }
+    finish_handled(std::move(failure));
+  }
 }
 
 void MailboxExecutor::halt() {
@@ -80,6 +110,7 @@ void MailboxExecutor::halt() {
   for (auto& mb : mailboxes_) {
     if (mb->worker.joinable()) mb->worker.join();
   }
+  timeline_thread_ = {};  // requests stop and joins
 }
 
 bool MailboxExecutor::on_worker(std::size_t slot) const {
@@ -118,27 +149,28 @@ void MailboxExecutor::enqueue(std::size_t slot, Message m) {
 void MailboxExecutor::set_timer(std::size_t slot, Duration delay,
                                 TimerTag tag) {
   auto& mb = mailbox(slot);
-  add_pending();
-  std::unique_lock lock(mb.mu);
-  mb.timers.push_back(TimerItem{std::chrono::steady_clock::now() +
-                                    std::chrono::microseconds(delay.us),
-                                tag, nullptr});
-  std::push_heap(mb.timers.begin(), mb.timers.end(), std::greater<>{});
-  wake(mb, lock);
+  push_timer(mb,
+             std::chrono::steady_clock::now() +
+                 std::chrono::microseconds(delay.us),
+             [ep = mb.ep, tag] { ep->on_timer(tag); });
 }
 
 void MailboxExecutor::post_at(std::size_t slot, TimePoint when,
                               std::function<void()> task) {
   if (when <= now()) {
     post(slot, std::move(task));
-    return;
+  } else {
+    push_timer(mailbox(slot),
+               start_time_ + std::chrono::microseconds(when.us),
+               std::move(task));
   }
-  auto& mb = mailbox(slot);
+}
+
+void MailboxExecutor::push_timer(
+    Mailbox& mb, std::chrono::steady_clock::time_point deadline, Task task) {
   add_pending();
   std::unique_lock lock(mb.mu);
-  mb.timers.push_back(
-      TimerItem{start_time_ + std::chrono::microseconds(when.us), 0,
-                std::move(task)});
+  mb.timers.push_back(TimerItem{deadline, std::move(task)});
   std::push_heap(mb.timers.begin(), mb.timers.end(), std::greater<>{});
   wake(mb, lock);
 }
@@ -294,14 +326,10 @@ void MailboxExecutor::worker_loop(Mailbox& mb) {
         delivery_.deliver(*mb.ep, m);
       } else {
         std::pop_heap(mb.timers.begin(), mb.timers.end(), std::greater<>{});
-        TimerItem due = std::move(mb.timers.back());
+        const Task task = std::move(mb.timers.back().task);
         mb.timers.pop_back();
         lock.unlock();
-        if (due.task) {
-          due.task();
-        } else {
-          mb.ep->on_timer(due.tag);
-        }
+        task();
       }
     } catch (...) {
       failure = std::current_exception();
@@ -320,13 +348,57 @@ void MailboxExecutor::finish_handled(std::exception_ptr failure) {
   finish_item();
 }
 
+// -- WallClockRoot ------------------------------------------------------------
+
+ChannelFaults& WallClockRoot::faults() {
+  if (!faults_) faults_.emplace(process_count(), channel_);
+  return *faults_;
+}
+
+Message WallClockRoot::stamp(ProcessId from, ProcessId to, BodyRef body,
+                             MessageMeta meta) {
+  Message m;
+  m.from = from;
+  m.to = to;
+  m.body = std::move(body);
+  m.meta = std::move(meta);
+  m.id = next_msg_id_.fetch_add(1);
+  m.send_time = now();
+  stats_.on_send(m);
+  return m;
+}
+
+void WallClockRoot::enqueue(Message&& m, int copies) {
+  const std::size_t to = slot(m.to);
+  for (int c = copies; c > 0; --c) {
+    exec_.add_pending();
+    exec_.enqueue(to, c > 1 ? Message(m) : std::move(m));
+  }
+}
+
+void WallClockRoot::deliver(Endpoint& ep, const Message& m) {
+  if (faults_->has_faults() && faults_->is_down(m.to)) {
+    bump(drops_.in_flight);
+    return;
+  }
+  stats_.on_deliver(m);
+  ep.on_message(m);
+}
+
 // -- ThreadRuntime ------------------------------------------------------------
+
+namespace {
+/// Fault-draw stream tag (counter_rng).
+constexpr std::uint64_t kFaultStreamTag = 0x4641554CULL;  // "FAUL"
+}  // namespace
 
 ProcessId ThreadRuntime::add_endpoint(Endpoint* ep) {
   return static_cast<ProcessId>(exec_.add(ep));
 }
 
 void ThreadRuntime::start() {
+  (void)faults();
+  draws_.assign(exec_.size() * exec_.size(), 0);
   stats_.resize(exec_.size());
   exec_.start();
 }
@@ -337,16 +409,21 @@ void ThreadRuntime::send(ProcessId from, ProcessId to, BodyRef body,
                "send: bad destination");
   PARDSM_CHECK(exec_.on_worker(static_cast<std::size_t>(from)),
                "send: caller is not the sender's mailbox worker");
-  Message m;
-  m.from = from;
-  m.to = to;
-  m.body = std::move(body);
-  m.meta = std::move(meta);
-  m.id = next_msg_id_.fetch_add(1);
-  m.send_time = now();
-  stats_.on_send(m);
-  exec_.add_pending();
-  exec_.enqueue(static_cast<std::size_t>(to), std::move(m));
+  Message m = stamp(from, to, std::move(body), std::move(meta));
+  // Built on first use only: a fault-free send makes no stream.
+  std::optional<Rng> rng;
+  const SendFate f = fate(m, [&]() -> Rng& {
+    if (!rng) {
+      const std::size_t ij =
+          static_cast<std::size_t>(from) * exec_.size() +
+          static_cast<std::size_t>(to);
+      rng.emplace(counter_rng(seed_, static_cast<std::uint64_t>(from),
+                              static_cast<std::uint64_t>(to), draws_[ij]++,
+                              kFaultStreamTag));
+    }
+    return *rng;
+  });
+  enqueue(std::move(m), f.copies);
 }
 
 }  // namespace pardsm

@@ -9,15 +9,16 @@
 // The per-process automaton lives in MailboxExecutor: one worker thread
 // per registered endpoint, reacting to one task, message or due timer at
 // a time, plus the quiescence ledger that tells a driver when every queue
-// has drained.  Both wall-clock roots run on it: ThreadRuntime is the
-// executor plus an in-memory send, and SocketTransport (socket_transport.h)
-// registers each process's inbound TCP connections with its worker, which
-// reads and delivers their frames itself.
+// has drained.  Both wall-clock roots run on it through WallClockRoot
+// (clock, ledger, fault state): ThreadRuntime adds an in-memory send, and
+// SocketTransport (socket_transport.h) registers each process's inbound
+// TCP connections with its worker, which reads and delivers their frames
+// itself.
 //
 // Delivery guarantees: per sender-receiver pair, FIFO (a mailbox is a
-// mutex-protected queue appended in program order), lossless and
-// duplicate-free.  There is no artificial latency; asynchrony comes from
-// the OS scheduler.
+// mutex-protected queue appended in program order); lossless and
+// duplicate-free unless the run's faults say otherwise.  There is no
+// artificial latency; asynchrony comes from the OS scheduler.
 #pragma once
 
 #include <atomic>
@@ -30,6 +31,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <stop_token>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -58,6 +60,9 @@ namespace pardsm {
 /// polls its descriptors every kItemsPerPoll items, so a busy mailbox
 /// cannot starve its sockets.  Each slot holds three descriptors of its
 /// own (epoll, eventfd, timerfd).
+///
+/// Timeline: at_time() entries run in time order, each at its time on the
+/// executor's clock, on one more thread (the root's scenario timeline).
 class MailboxExecutor {
  public:
   /// The root's steps, called on the worker thread.  deliver() runs for
@@ -88,15 +93,13 @@ class MailboxExecutor {
   /// may act for that process (send on its behalf, write its ledger slot).
   [[nodiscard]] bool on_worker(std::size_t slot) const;
 
-  /// Reset the clock epoch and spawn one worker per slot.
+  /// Reset the clock epoch and spawn one worker per slot, and the
+  /// timeline thread when at_time() scheduled anything.
   void start();
-  /// Wake and join every worker; queued items are abandoned (pair with
-  /// await_quiescence for a clean shutdown).  Idempotent.  Then rethrows
-  /// a handler exception no earlier call has rethrown (see
-  /// await_quiescence).
-  void stop();
-  /// stop() without the rethrow: for destructors, and for a root that
-  /// still has threads of its own to join before it reports.
+  /// Wake and join every worker and the timeline thread; queued items and
+  /// timeline entries are abandoned (pair with await_quiescence for a
+  /// clean shutdown).  Idempotent.  A held handler exception stays for
+  /// rethrow_failure().
   void halt();
 
   /// Run `task` on `slot`'s worker.
@@ -110,6 +113,11 @@ class MailboxExecutor {
   /// Run `task` on `slot`'s worker once now() reaches `when` (at once if
   /// it already has): a wall-clock root's schedule_at.
   void post_at(std::size_t slot, TimePoint when, std::function<void()> task);
+  /// Before start(): run `fn` on the timeline thread once now() reaches
+  /// `when`, after every entry with an earlier time or an earlier call.
+  /// It holds a pending unit until it has run; a throw is kept like a
+  /// handler's.
+  void at_time(TimePoint when, std::function<void()> fn);
 
   /// On `slot`'s worker: park on `fd` too, and call
   /// readable(tag) on that worker whenever it has bytes (or EOF) to read.
@@ -133,8 +141,8 @@ class MailboxExecutor {
   /// Handler failures: a task, delivery or timer handler that throws does
   /// not end the process.  Its worker keeps the first exception (later
   /// ones are dropped until that one is rethrown), releases the item's
-  /// pending unit and carries on; await_quiescence, rethrow_failure or
-  /// stop() hands it to the caller, once.  An exception nobody collects is
+  /// pending unit and carries on; await_quiescence or rethrow_failure
+  /// (the roots' stop()) hands it to the caller, once.  An exception nobody collects is
   /// dropped by the destructor.  The other workers carry on too, so a
   /// caller that unwinds must halt the root before destroying what its
   /// handlers touch (HaltOnExit).
@@ -156,8 +164,7 @@ class MailboxExecutor {
 
   struct TimerItem {
     std::chrono::steady_clock::time_point deadline;
-    TimerTag tag = 0;
-    Task task;  ///< runs instead of ep->on_timer(tag) when set (post_at)
+    Task task;
     friend bool operator>(const TimerItem& a, const TimerItem& b) {
       return a.deadline > b.deadline;
     }
@@ -199,6 +206,11 @@ class MailboxExecutor {
   void poll_descriptors(Mailbox& mb, bool block);
   /// After a queue push under `lock`: release it and wake the worker.
   static void wake(Mailbox& mb, std::unique_lock<std::mutex>& lock);
+  /// Run `task` on `mb`'s worker at `deadline` (set_timer, post_at).
+  void push_timer(Mailbox& mb, std::chrono::steady_clock::time_point deadline,
+                  Task task);
+  /// Run the timeline entries at their times until stopped.
+  void timeline_loop(const std::stop_token& stop);
   /// Close out a handled item: keep its failure, note activity, release
   /// its pending unit.
   void finish_handled(std::exception_ptr failure);
@@ -214,59 +226,54 @@ class MailboxExecutor {
   std::exception_ptr failure_;  ///< guarded by quiesce_mu_
   std::atomic<std::uint64_t> activity_{0};
   std::chrono::steady_clock::time_point start_time_;
+  /// Entries in call order, stable-sorted by time at start(); only the
+  /// timeline thread reads them after that.
+  std::vector<std::pair<TimePoint, Task>> timeline_;
+  std::jthread timeline_thread_;
 };
 
-/// Transport implementation where every endpoint runs on its own thread.
-class ThreadRuntime final : public RootTransport,
-                            private MailboxExecutor::Delivery {
+/// What both wall-clock roots (ThreadRuntime, SocketTransport) build on
+/// their MailboxExecutor: the clock, the concurrent arena, the traffic
+/// ledger, message ids and the fault state.  Process p runs on slot(p).
+///
+/// Faults: one ChannelFaults, which Scenario::apply drives from the
+/// timeline thread (at_time()) and, for a crash or recovery, from the
+/// victim's worker.  A send asks its fate as the simulators' plan does; a
+/// message reaching a down receiver is dropped below the decorator shims,
+/// counted as in flight as on the simulators, so the ARQ layer repairs it
+/// after recovery.
+class WallClockRoot : public RootTransport,
+                      protected MailboxExecutor::Delivery {
  public:
-  ThreadRuntime() = default;
-  ~ThreadRuntime() override { halt(); }
+  WallClockRoot(const WallClockRoot&) = delete;
+  WallClockRoot& operator=(const WallClockRoot&) = delete;
 
-  ThreadRuntime(const ThreadRuntime&) = delete;
-  ThreadRuntime& operator=(const ThreadRuntime&) = delete;
-
-  /// Register an endpoint; must be called before start().
-  ProcessId add_endpoint(Endpoint* ep) override;
-
-  /// Spawn one thread per endpoint and begin processing.
-  void start();
-
-  /// Block until no queued work, no running handler and no pending timer
-  /// remains, or until `timeout` elapses.  Returns true on quiescence.
-  bool await_quiescence(std::chrono::milliseconds timeout) {
-    return exec_.await_quiescence(timeout);
+  /// Spawn the root's threads and begin processing (after every
+  /// add_endpoint and any fault configuration).
+  virtual void start() = 0;
+  /// Join every thread; queued work is abandoned (pair with
+  /// await_quiescence for a clean shutdown).  Idempotent.
+  virtual void halt() = 0;
+  /// halt(), then rethrow a handler exception await_quiescence has not.
+  void stop() {
+    halt();
+    rethrow_failure();
   }
 
-  /// Stop all threads (after draining is the caller's responsibility —
-  /// pair with await_quiescence for clean shutdown) and join them.
-  /// Rethrows a handler exception await_quiescence has not.
-  void stop() { exec_.stop(); }
-  /// stop() without the rethrow.  Idempotent.
-  void halt() { exec_.halt(); }
-
-  /// Run `task` on the thread owning process `who`.  This is how drivers
+  /// Run `task` on the worker owning process `who`.  This is how drivers
   /// invoke protocol operations without data races.
   void post(ProcessId who, std::function<void()> task) {
-    exec_.post(static_cast<std::size_t>(who), std::move(task));
+    exec_.post(slot(who), std::move(task));
   }
-  /// The root seam: runs `fn` on `owner`'s mailbox once now() reaches
+  /// The root seam: runs `fn` on `owner`'s worker once now() reaches
   /// `when`, so a script's think time is wall time here.
   void schedule_at(TimePoint when, ProcessId owner,
                    std::function<void()> fn) override {
-    exec_.post_at(static_cast<std::size_t>(owner), when, std::move(fn));
+    exec_.post_at(slot(owner), when, std::move(fn));
   }
-
-  // -- Transport interface ---------------------------------------------------
-  /// Runs on `from`'s worker only (checked): post() it there.
-  void send(ProcessId from, ProcessId to, BodyRef body,
-            MessageMeta meta) override;
   [[nodiscard]] TimePoint now() const override { return exec_.now(); }
   void set_timer(ProcessId who, Duration delay, TimerTag tag) override {
-    exec_.set_timer(static_cast<std::size_t>(who), delay, tag);
-  }
-  [[nodiscard]] std::size_t process_count() const override {
-    return exec_.size();
+    exec_.set_timer(slot(who), delay, tag);
   }
   /// Concurrent arena: bodies cross worker threads, so refcounts are
   /// atomic and freelists locked.
@@ -275,40 +282,129 @@ class ThreadRuntime final : public RootTransport,
     return arena_;
   }
 
+  /// Block until no queued work, running handler, pending timer or
+  /// timeline entry remains, or `timeout` elapses.  True on quiescence.
+  bool await_quiescence(std::chrono::milliseconds timeout) {
+    return exec_.await_quiescence(timeout);
+  }
+  /// Rethrow (and release) a held handler exception, if any.
+  void rethrow_failure() { exec_.rethrow_failure(); }
+
   /// Each process's slot is written by its worker (send and delivery);
   /// read after await_quiescence() or stop().
   [[nodiscard]] NetworkStats& stats() { return stats_; }
 
- private:
-  void deliver(Endpoint& ep, const Message& m) override {
-    stats_.on_deliver(m);
-    ep.on_message(m);
+  /// The run's fault state over process_count() processes; the first
+  /// call fixes n.  Configure it, or Scenario::apply it, before start().
+  [[nodiscard]] ChannelFaults& faults();
+  /// Run `fn` at `when` on the root's timeline thread (before start()).
+  void at_time(TimePoint when, std::function<void()> fn) {
+    exec_.at_time(when, std::move(fn));
+  }
+  /// Messages dropped by the faults so far, by cause.
+  [[nodiscard]] DropCounters drops() const {
+    return {relaxed_load(drops_.loss), relaxed_load(drops_.severed),
+            relaxed_load(drops_.down), relaxed_load(drops_.in_flight)};
   }
 
-  // Declaration order is destruction order reversed: the executor (whose
-  // queued messages hold arena bodies and whose workers touch stats_)
-  // goes first.
+ protected:
+  /// `channel` seeds the default loss and duplication rates (its fifo
+  /// flag is moot: mailboxes and TCP connections are FIFO).
+  explicit WallClockRoot(const ChannelOptions& channel) : channel_(channel) {}
+  ~WallClockRoot() override = default;
+
+  [[nodiscard]] virtual std::size_t slot(ProcessId p) const = 0;
+
+  /// A message from `from` to `to`, stamped with its id and send time and
+  /// entered in the sender's ledger.
+  Message stamp(ProcessId from, ProcessId to, BodyRef body, MessageMeta meta);
+  /// ChannelFaults::fate of `m`, sent now; a drop is counted by cause.
+  template <typename FaultRng>
+  SendFate fate(const Message& m, FaultRng&& fault_rng,
+                double extra_loss = 0.0, double extra_duplicate = 0.0) {
+    const SendFate f = faults_->fate(m.from, m.to, m.send_time, fault_rng,
+                                     extra_loss, extra_duplicate);
+    if (f.copies == 0) bump(drops_.*f.cause);
+    return f;
+  }
+  /// Queue `copies` of `m` on its receiver's mailbox.
+  void enqueue(Message&& m, int copies);
+  /// Counters many threads bump are plain fields updated atomically.
+  static void bump(std::uint64_t& field, std::uint64_t by = 1) {
+    std::atomic_ref<std::uint64_t>(field).fetch_add(
+        by, std::memory_order_relaxed);
+  }
+
   BodyArena arena_{/*concurrent=*/true};
   NetworkStats stats_;
+
+ private:
+  void deliver(Endpoint& ep, const Message& m) override;
+
+  ChannelOptions channel_;
+  std::optional<ChannelFaults> faults_;
+  DropCounters drops_;  ///< bumped by every worker
   std::atomic<std::uint64_t> next_msg_id_{1};
+
+ protected:
+  // Last, so it is destroyed first: its queued messages hold arena bodies
+  // and its workers touch stats_ and the faults.  (A derived root halts
+  // it in its own destructor, before its own members go.)
   MailboxExecutor exec_{*this};
+};
+
+/// Transport implementation where every endpoint runs on its own thread.
+///
+/// Faults (WallClockRoot): loss and duplication draw from counter streams
+/// seeded by `seed` and keyed on (sender, receiver, the pair's message
+/// index), like the sockets root's chaos stream, so the i-th message of a
+/// pair meets the same draw however the OS interleaves other traffic.
+/// There is no latency model.
+class ThreadRuntime final : public WallClockRoot {
+ public:
+  explicit ThreadRuntime(ChannelOptions channel = {}, std::uint64_t seed = 1)
+      : WallClockRoot(channel), seed_(seed) {}
+  ~ThreadRuntime() override { halt(); }
+
+  /// Register an endpoint; must be called before start() and faults().
+  ProcessId add_endpoint(Endpoint* ep) override;
+
+  /// Spawn one thread per endpoint and begin processing.
+  void start() override;
+  void halt() override { exec_.halt(); }
+
+  /// Runs on `from`'s worker only (checked): post() it there.
+  void send(ProcessId from, ProcessId to, BodyRef body,
+            MessageMeta meta) override;
+  [[nodiscard]] std::size_t process_count() const override {
+    return exec_.size();
+  }
+
+ private:
+  [[nodiscard]] std::size_t slot(ProcessId p) const override {
+    return static_cast<std::size_t>(p);
+  }
+
+  std::uint64_t seed_;
+  /// Fault draws so far per directed pair [from * n + to]; row `from` is
+  /// written only by from's worker.
+  std::vector<std::uint64_t> draws_;
 };
 
 /// Halts a wall-clock root (ThreadRuntime, SocketTransport) when it goes
 /// out of scope.  Declared after everything the root's handlers touch, it
 /// joins the workers before that state is destroyed, also when a rethrown
 /// handler exception or a failed check unwinds the scope.
-template <class Root>
 class HaltOnExit {
  public:
-  explicit HaltOnExit(Root& root) : root_(root) {}
+  explicit HaltOnExit(WallClockRoot& root) : root_(root) {}
   ~HaltOnExit() { root_.halt(); }
 
   HaltOnExit(const HaltOnExit&) = delete;
   HaltOnExit& operator=(const HaltOnExit&) = delete;
 
  private:
-  Root& root_;
+  WallClockRoot& root_;
 };
 
 }  // namespace pardsm

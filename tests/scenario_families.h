@@ -29,10 +29,12 @@ inline const char* family_name(FaultFamily f) {
 
 /// The canonical six-process timeline of one family: `loss` everywhere for
 /// the whole run, plus the family's structural fault — a 3|3 partition over
-/// 2..8ms, or a crash of process 1 over 3..7ms.  Suites pick the loss rate
-/// (the sweep stresses one rate across families; convergence pairs a high
-/// pure-loss rate with milder structural cells).
-inline Scenario make_fault_scenario(FaultFamily family, double loss) {
+/// 2..8 units, or a crash of process 1 over 3..7 units (1 unit = 1 ms by
+/// default).  Suites pick the loss rate (the sweep stresses one rate across
+/// families; convergence pairs a high pure-loss rate with milder
+/// structural cells).
+inline Scenario make_fault_scenario(FaultFamily family, double loss,
+                                    Duration unit = millis(1)) {
   Scenario s(std::string(family_name(family)) + "-loss" +
              std::to_string(loss));
   if (loss > 0.0) s.set_loss(loss);
@@ -40,11 +42,10 @@ inline Scenario make_fault_scenario(FaultFamily family, double loss) {
     case FaultFamily::kLoss:
       break;
     case FaultFamily::kPartition:
-      s.partition({{0, 1, 2}, {3, 4, 5}}, after(millis(2)),
-                  after(millis(8)));
+      s.partition({{0, 1, 2}, {3, 4, 5}}, after(unit * 2), after(unit * 8));
       break;
     case FaultFamily::kCrash:
-      s.crash(1, after(millis(3)), after(millis(7)));
+      s.crash(1, after(unit * 3), after(unit * 7));
       break;
   }
   return s;

@@ -251,8 +251,14 @@ TEST(Scenario, OverlappingPartitionsComposeCutsAreCounted) {
     EXPECT_FALSE(sim.network().severed(0, 2));  // outer healed too
   });
   s.apply(sim);
+  // apply() reserves the cut entry of every pair either partition will
+  // cut (8 + 6 ordered pairs, 4 shared) before any event fires, so no
+  // sever or heal inserts into the table while readers probe it.
+  EXPECT_EQ(sim.network().override_entries(), 10u);
+  EXPECT_FALSE(sim.network().severed(0, 1));
   sim.run();
   EXPECT_TRUE(probed);
+  EXPECT_EQ(sim.network().override_entries(), 10u);
 }
 
 TEST(Scenario, SameTimeWindowEdgesCloseBeforeTheyOpen) {

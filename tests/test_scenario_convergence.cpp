@@ -28,9 +28,9 @@ using golden::family_name;
 
 /// The canonical family timelines with convergence's loss pairing: a high
 /// pure-loss rate, milder background loss for the structural families.
-Scenario make_scenario(FaultFamily f) {
-  return golden::make_fault_scenario(f,
-                                     f == FaultFamily::kLoss ? 0.1 : 0.02);
+Scenario make_scenario(FaultFamily f, Duration unit) {
+  return golden::make_fault_scenario(f, f == FaultFamily::kLoss ? 0.1 : 0.02,
+                                     unit);
 }
 
 using ConvergenceParam =
@@ -42,11 +42,20 @@ TEST_P(Convergence, FaultyRunEndsInLosslessReplicaState) {
   const auto [kind, family, seed, runtime] = GetParam();
   const auto dist = graph::topo::clusters(2, 3, true);  // 6 processes
 
+  // On a wall-clock root the fault windows and the ops meet on the OS
+  // scheduler's clock, where thread start-up alone can stall a run for
+  // tens of ms under a sanitizer: there the timeline and the think time
+  // run 10x slower and the script is longer, so traffic crosses every
+  // window however late the threads get going.
+  const bool wall_clock = runtime == EngineRuntime::kThreads ||
+                          runtime == EngineRuntime::kSockets;
+  const Duration unit = wall_clock ? millis(10) : millis(1);
+
   WorkloadSpec spec;
-  spec.ops_per_process = 6;
+  spec.ops_per_process = wall_clock ? 12 : 6;
   spec.read_fraction = 0.4;
   spec.seed = static_cast<std::uint64_t>(seed) * 977 + 11;
-  spec.think_time = millis(1);  // ops overlap the fault windows
+  spec.think_time = unit;  // ops overlap the fault windows
   const auto scripts = make_single_writer_scripts(dist, spec);
 
   const auto baseline = run({.protocol = kind,
@@ -54,7 +63,7 @@ TEST_P(Convergence, FaultyRunEndsInLosslessReplicaState) {
                              .scripts = &scripts,
                              .sim_seed = static_cast<std::uint64_t>(seed)});
 
-  const Scenario scenario = make_scenario(family);
+  const Scenario scenario = make_scenario(family, unit);
   const auto faulty = run({.protocol = kind,
                            .distribution = &dist,
                            .scripts = &scripts,
@@ -64,6 +73,10 @@ TEST_P(Convergence, FaultyRunEndsInLosslessReplicaState) {
 
   EXPECT_TRUE(faulty.used_reliable_transport);
   EXPECT_EQ(faulty.unfinished_clients, 0u);
+  // Every message sent is delivered or counted under exactly one drop
+  // cause (the families never duplicate, and no channel dies).
+  EXPECT_EQ(faulty.total_traffic.msgs_sent,
+            faulty.total_traffic.msgs_received + faulty.drops.total());
   // The family's fault really bit: every cell crosses a 10% loss or a
   // partition with traffic on both sides of it.
   if (family == FaultFamily::kLoss) {
@@ -125,13 +138,21 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(EngineRuntime::kSimulator)),
     convergence_name);
 
+INSTANTIATE_TEST_SUITE_P(
+    Parallel, Convergence,
+    ::testing::Combine(::testing::ValuesIn(all_protocols()), kFamilies,
+                       ::testing::Values(1),
+                       ::testing::Values(EngineRuntime::kParallelSim)),
+    convergence_name);
+
 // The same cells on the wall-clock roots, one seed: fault *timing* there
 // depends on the OS scheduler, so the seed axis adds little.
 INSTANTIATE_TEST_SUITE_P(
     WallClock, Convergence,
     ::testing::Combine(::testing::ValuesIn(all_protocols()), kFamilies,
                        ::testing::Values(1),
-                       ::testing::Values(EngineRuntime::kSockets)),
+                       ::testing::Values(EngineRuntime::kThreads,
+                                         EngineRuntime::kSockets)),
     convergence_name);
 
 }  // namespace

@@ -260,18 +260,22 @@ TEST(Sockets, ScenarioCrashRecoverRepairsBelowArqOverSockets) {
   const auto ref = reference_run(kind, w);
 
   Scenario scenario("socket-crash");
-  scenario.crash(2, after(millis(15)), after(millis(200)));
+  scenario.crash(2, after(millis(40)), after(millis(240)));
 
   mcs::EngineConfig config = socket_config(kind, w);
   config.scenario = &scenario;
   // Every frame rides a 20-60ms head-of-line delay: traffic issued before
-  // the crash at 15ms arrives inside the window and is dropped as "down".
+  // the crash at 40ms (late enough for a sanitizer build's thread
+  // start-up) arrives inside the window and is dropped at the receiver as
+  // in flight (as on the simulators); retransmissions sent to the crashed
+  // process inside the window drop at the sender as down.
   config.sockets.chaos.delay_min = millis(20);
   config.sockets.chaos.delay_max = millis(60);
   const auto r = mcs::run(std::move(config));
 
   EXPECT_TRUE(r.used_reliable_transport);  // faulty scenario => ARQ
   EXPECT_EQ(r.crashes, 1u);
+  EXPECT_GT(r.drops.in_flight, 0u);
   EXPECT_GT(r.drops.down, 0u);
   EXPECT_GT(r.retransmissions, 0u);
   EXPECT_GT(r.resync_messages, 0u);

@@ -395,6 +395,31 @@ TEST_P(WallClockRun, HandlerExceptionFailsTheRunWithItsMessage) {
             "multicast failed");
 }
 
+// A probability window is resolved per message, so one that outlasts the
+// traffic must not keep the run alive: the run ends at quiescence, as on
+// the simulators, not when the 30 s window closes.
+TEST_P(WallClockRun, LossWindowOutlastingTheTrafficDoesNotDelayTheEnd) {
+  const auto dist = graph::topo::clusters(2, 3, true);
+  WorkloadSpec spec;
+  spec.ops_per_process = 20;
+  spec.read_fraction = 0.4;
+  spec.seed = 5;
+  const auto scripts = make_single_writer_scripts(dist, spec);
+  Scenario scenario("long-loss-window");
+  scenario.set_loss(0.05, kTimeZero, after(seconds(30)));
+  const auto began = std::chrono::steady_clock::now();
+  const auto r = run({.protocol = ProtocolKind::kPramPartial,
+                      .distribution = &dist,
+                      .scripts = &scripts,
+                      .scenario = &scenario,
+                      .runtime = GetParam()});
+  const auto took = std::chrono::steady_clock::now() - began;
+  EXPECT_LT(took, std::chrono::seconds(10));
+  EXPECT_TRUE(r.used_reliable_transport);
+  EXPECT_EQ(r.unfinished_clients, 0u);
+  EXPECT_LT(r.finished_at, after(seconds(10)));
+}
+
 INSTANTIATE_TEST_SUITE_P(Roots, WallClockRun,
                          ::testing::Values(EngineRuntime::kThreads,
                                            EngineRuntime::kSockets),
