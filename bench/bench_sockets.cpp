@@ -3,7 +3,8 @@
 // kSockets — real TCP frames over loopback, mailbox threads, wire
 // serialization), so the table prices what the simulator abstracts away:
 // frame encoding, kernel round trips, heartbeats and — in the chaos rows
-// — ARQ repair of genuine socket-level frame loss.
+// (10% channel loss, drawn per frame at the socket sender) — ARQ repair
+// of frames genuinely never written.
 //
 // Model-level columns (messages, bytes, ops) are identical between the
 // two runtimes by construction (same protocol, same scripts; conservation
@@ -87,7 +88,7 @@ void sweep(bu::Harness& h) {
     for (const double chaos_drop : {0.0, 0.1}) {
       EngineConfig config = base_config(kind, w);
       config.runtime = EngineRuntime::kSockets;
-      config.sockets.chaos.drop_probability = chaos_drop;
+      config.channel.drop_probability = chaos_drop;
       ScenarioRunResult r;
       const std::uint64_t ns = bu::time_ns([&] { r = run(std::move(config)); });
       const std::string label =
@@ -116,8 +117,7 @@ void sweep(bu::Harness& h) {
                 static_cast<double>(r.socket_counters.bytes_sent)},
                {"heartbeats_sent",
                 static_cast<double>(r.socket_counters.heartbeats_sent)},
-               {"chaos_drops",
-                static_cast<double>(r.socket_counters.chaos_drops)},
+               {"loss_drops", static_cast<double>(r.drops.loss)},
                {"retransmissions", static_cast<double>(r.retransmissions)},
            }});
     }

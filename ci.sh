@@ -148,7 +148,7 @@ if [ "${SOCKETS_SMOKE:-0}" != "0" ]; then
   # cannot refill a killed node's whole replica (docs/DEPLOYMENT.md).
   echo "== sockets smoke: in-process socket suites =="
   (cd "$BUILD_DIR" && ctest --output-on-failure -j "$JOBS" \
-      -R 'Sockets\.|SocketStacks')
+      -R 'Sockets\.|SocketStacks|NodeSpec\.')
   NODE="$BUILD_DIR/src/apps/pardsm_node"
   echo "== sockets smoke: lossless multi-process sweep =="
   for proto in pram-partial sequencer-sc; do

@@ -19,9 +19,10 @@
 //   pardsm_node --node <spec> <result>
 //     One node.  Parses the spec, instantiates its McsProcess above a
 //     SocketTransport (local_ids = {node}) — through a ReliableTransport
-//     when the spec's chaos drops or duplicates frames — runs its script with
-//     wall-clock think-time pacing, and participates in the DONE/FINISH
-//     control-frame barrier: every node reports DONE to node 0 when its
+//     when the spec's channel drops or duplicates frames (needs_arq, the
+//     engine's rule) — runs its script with wall-clock think-time
+//     pacing, and participates in the DONE/FINISH control-frame
+//     barrier: every node reports DONE to node 0 when its
 //     script (and, after a respawn, its re-sync) completed; node 0
 //     broadcasts FINISH when all n are done; everyone then drains and
 //     writes its result file.  A respawned node announces itself with a
@@ -152,17 +153,12 @@ int run_node(const std::string& spec_path, const std::string& result_path) {
   const std::size_t n = spec.distribution.process_count();
   const auto me_id = spec.node;
 
-  SocketTransport st(spec.sockets);
+  SocketTransport st(spec.sockets, spec.channel, spec.seed);
   // Declares m: frames mentioning a variable outside it are rejected, and
   // the exposure maps are reserved (as the engine does in-process).
   st.stats().set_var_hint(spec.distribution.var_count);
-  // Chaos that loses or duplicates frames needs ARQ above the sockets, as
-  // the engine's automatic reliability mode arranges in-process.
-  const ChaosOptions& chaos = spec.sockets.chaos;
   std::optional<ReliableTransport> arq;
-  if (chaos.drop_probability > 0.0 || chaos.duplicate_probability > 0.0) {
-    arq.emplace(st, ReliableOptions{});
-  }
+  if (needs_arq(spec.channel)) arq.emplace(st, ReliableOptions{});
   HostTransport& stack = arq ? static_cast<HostTransport&>(*arq) : st;
   HistoryRecorder recorder(n, spec.distribution.var_count);
   auto processes = make_processes(spec.protocol, spec.distribution, recorder);
@@ -207,7 +203,7 @@ int run_node(const std::string& spec_path, const std::string& result_path) {
   // A respawned node rejoins through the crash/recovery machinery: its
   // fresh replicas are re-synced from the share-graph neighbours before
   // the script re-runs (kill tests give the victim an idempotent script).
-  if (spec.incarnation > 1) {
+  if (spec.sockets.incarnation > 1) {
     on_mailbox(st, me_id, [&] {
       me.crash();
       me.recover();
@@ -243,7 +239,7 @@ int run_node(const std::string& spec_path, const std::string& result_path) {
       st.send_control(static_cast<ProcessId>(p), kCtrlFinish, 0);
     }
   } else {
-    st.send_control(0, kCtrlDone, spec.incarnation);
+    st.send_control(0, kCtrlDone, spec.sockets.incarnation);
     std::unique_lock<std::mutex> lk(barrier_mu);
     if (!barrier_cv.wait_until(lk, deadline, [&] { return finish; })) {
       std::cerr << "pardsm_node: node " << me_id
@@ -275,7 +271,7 @@ int run_node(const std::string& spec_path, const std::string& result_path) {
   std::ostringstream out;
   out << "pardsm-node-result-v1\n";
   out << "node " << me_id << "\n";
-  out << "incarnation " << spec.incarnation << "\n";
+  out << "incarnation " << spec.sockets.incarnation << "\n";
   out << "sent " << traffic.msgs_sent << " "
       << traffic.control_bytes_sent + traffic.payload_bytes_sent << "\n";
   out << "received " << traffic.msgs_received << " "
@@ -456,12 +452,12 @@ int run_spawn(const std::string& exe, const SpawnOptions& opt) {
     spec.protocol = protocol;
     spec.distribution = dist;
     spec.scripts = scripts;
-    spec.addrs = addrs;
     spec.node = static_cast<ProcessId>(p);
-    spec.incarnation = incarnation;
-    spec.listen_fd = listen_fds[p];
+    spec.channel.drop_probability = opt.chaos_drop;
+    spec.sockets.addrs = addrs;
+    spec.sockets.incarnation = incarnation;
+    spec.sockets.listen_fd = listen_fds[p];
     spec.sockets.chaos.disconnect_probability = opt.chaos_disconnect;
-    spec.sockets.chaos.drop_probability = opt.chaos_drop;
     return spec;
   };
 

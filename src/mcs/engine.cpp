@@ -1,6 +1,7 @@
 #include "mcs/engine.h"
 
 #include <algorithm>
+#include <chrono>
 #include <optional>
 
 #include "sharegraph/sharding.h"
@@ -104,7 +105,19 @@ void Client::complete(TimePoint t0) {
   }
 }
 
+bool needs_arq(const ChannelOptions& channel, const Scenario* scenario) {
+  // Socket chaos never needs ARQ: a delayed frame still arrives in order,
+  // and frames queued across an injected disconnect are flushed in order
+  // after the reconnect's HELLO.
+  return channel.drop_probability > 0.0 ||
+         channel.duplicate_probability > 0.0 ||
+         (scenario != nullptr && scenario->faulty());
+}
+
 namespace {
+
+/// A wall-clock run that has not quiesced by then fails.
+constexpr std::chrono::seconds kQuiesceTimeout{10};
 
 /// Whether this config routes through the ARQ layer.
 bool needs_reliable(const EngineConfig& config) {
@@ -116,16 +129,7 @@ bool needs_reliable(const EngineConfig& config) {
     case ReliabilityMode::kAuto:
       break;
   }
-  // Socket chaos that can *lose* frames (drops, duplicates) needs ARQ just
-  // like a lossy simulated channel; delays and disconnects do not — queued
-  // frames survive a reconnect and arrive in order after the HELLO.
-  const bool lossy_chaos =
-      config.runtime == EngineRuntime::kSockets &&
-      (config.sockets.chaos.drop_probability > 0.0 ||
-       config.sockets.chaos.duplicate_probability > 0.0);
-  return (config.scenario != nullptr && config.scenario->faulty()) ||
-         config.channel.drop_probability > 0.0 ||
-         config.channel.duplicate_probability > 0.0 || lossy_chaos;
+  return needs_arq(config.channel, config.scenario);
 }
 
 /// The root's share of the result: where time, events, drops and channel
@@ -156,24 +160,19 @@ class Stack {
   /// Assemble bottom-up on `root`.  Faulty runs go through the ARQ layer:
   /// the protocols assume reliable FIFO channels for liveness, and
   /// recovery traffic must be charged to the same ledger as everything
-  /// else.  The batching layer coalesces either above it (frames ride
-  /// single DATA frames) or below it (DATA/ACK frames coalesce).  The
-  /// decorators' per-process shims only ever run on their owner's thread
-  /// or shard, which makes them safe on every root unmodified.
+  /// else.  The batching layer coalesces above it, so a frame rides one
+  /// DATA frame.  The decorators' per-process shims only ever run on
+  /// their owner's thread or shard, which makes them safe on every root
+  /// unmodified.
   /// `shard_of` is the parallel root's process → shard assignment (unused
   /// elsewhere).
   Stack(const EngineConfig& config, RootTransport& root,
         const std::vector<int>& shard_of = {})
       : dist_(*config.distribution),
         recorder_(dist_.process_count(), dist_.var_count) {
-    const bool batching =
-        config.force_batching_layer || config.batching.window.us > 0;
     HostTransport* top = &root;
-    if (batching && config.batch_placement == BatchPlacement::kBelowReliable) {
-      top = &batch_.emplace(*top, config.batching);
-    }
     if (needs_reliable(config)) top = &rel_.emplace(*top, config.reliable);
-    if (batching && config.batch_placement == BatchPlacement::kAboveReliable) {
+    if (config.batching.window.us > 0) {
       top = &batch_.emplace(*top, config.batching);
     }
 
@@ -371,7 +370,6 @@ ScenarioRunResult run_parallel(EngineConfig& config) {
   options.channel = config.channel;
   options.latency = std::move(config.latency);
   options.num_threads = config.parallel.num_threads;
-  options.quantum = config.parallel.quantum;
   const std::vector<int> shard_of = graph::shard_assignment(
       dist, static_cast<int>(config.parallel.num_threads));
   options.shard_of = shard_of;
@@ -424,7 +422,7 @@ ScenarioRunResult run_wall_clock(const EngineConfig& config,
   }
   root.start();
   stack.start_clients();
-  const bool quiet = root.await_quiescence(config.quiesce_timeout);
+  const bool quiet = root.await_quiescence(kQuiesceTimeout);
   PARDSM_CHECK(quiet, "wall-clock runtime failed to quiesce — protocol stuck?");
   const TimePoint finished_at = root.now();
   root.stop();
@@ -463,7 +461,7 @@ ScenarioRunResult run(EngineConfig config) {
                    "deployments are driven by pardsm_node");
       SocketOptions options = config.sockets;
       options.total_processes = config.distribution->process_count();
-      SocketTransport st(std::move(options), config.channel);
+      SocketTransport st(std::move(options), config.channel, config.sim_seed);
       ScenarioRunResult result = run_wall_clock(config, st);
       result.socket_counters = st.counters();
       return result;

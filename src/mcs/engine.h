@@ -2,11 +2,11 @@
 //
 // An EngineConfig names a complete experiment — protocol, distribution,
 // the load (per-process scripts, or a generated streaming workload), the
-// transport stack (raw / ARQ / batching, in either stacking order), an
-// optional fault timeline and the runtime to execute on — and run()
-// executes it.  run() is the only batch entry point: every bench, test and
-// example names what it needs with designated initializers (in declaration
-// order) and leaves the rest at the defaults,
+// transport stack (raw / ARQ / batching above ARQ), an optional fault
+// timeline, the channel and its seed, and the runtime to execute on — and
+// run() executes it.  run() is the only batch entry point: every bench,
+// test and example names what it needs with designated initializers (in
+// declaration order) and leaves the rest at the defaults,
 //
 //   auto r = mcs::run({.protocol = ProtocolKind::kCausalPartialAdHoc,
 //                      .distribution = &dist,
@@ -21,10 +21,9 @@
 //
 //   Simulator | ThreadRuntime |
 //   ParallelSimulator | SocketTransport  (root RootTransport)
-//     └─ BatchingTransport               (placement kBelowReliable)
-//         └─ ReliableTransport           (when the run needs ARQ)
-//             └─ BatchingTransport       (placement kAboveReliable, default)
-//                 └─ McsProcess endpoints, each driven by one Client
+//     └─ ReliableTransport               (when the run needs ARQ)
+//         └─ BatchingTransport           (when the window is positive)
+//             └─ McsProcess endpoints, each driven by one Client
 //
 // Layers are only constructed when configured: a lossless, unbatched run
 // wires processes straight to the root runtime.  The Client schedules
@@ -33,7 +32,6 @@
 // four roots.
 #pragma once
 
-#include <chrono>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -236,8 +234,7 @@ struct ScenarioRunResult : RunResult {
 
 /// When the run must be routed through the ARQ layer.
 enum class ReliabilityMode : std::uint8_t {
-  /// ReliableTransport iff the scenario is faulty or the channel can drop
-  /// or duplicate.
+  /// ReliableTransport iff needs_arq(channel, scenario).
   kAuto,
   /// Raw channel even when lossy: the fault-injection tests exercise
   /// protocol *safety* on an unrepaired channel, where lost completions
@@ -247,16 +244,11 @@ enum class ReliabilityMode : std::uint8_t {
   kAlways,
 };
 
-/// Where the batching layer sits relative to the ARQ layer (only relevant
-/// when both are configured).
-enum class BatchPlacement : std::uint8_t {
-  /// app → batching → ARQ: whole frames are acknowledged/retransmitted as
-  /// one DATA frame — fewer acks.  The default.
-  kAboveReliable,
-  /// app → ARQ → batching: DATA and ACK frames coalesce on the wire; keep
-  /// window well below the retransmit timer.
-  kBelowReliable,
-};
+/// The kAuto rule, also applied by pardsm_node: a run needs the ARQ layer
+/// iff its channel can drop or duplicate or its scenario (if any) is
+/// faulty.  The protocols assume reliable FIFO channels for liveness.
+[[nodiscard]] bool needs_arq(const ChannelOptions& channel,
+                             const Scenario* scenario = nullptr);
 
 /// Which runtime executes the run.
 enum class EngineRuntime : std::uint8_t {
@@ -267,8 +259,8 @@ enum class EngineRuntime : std::uint8_t {
   /// (SocketTransport root; pardsm_node drives the multi-process shape).
   /// Like kThreads, it runs fault timelines on the wall clock (1
   /// simulated µs = 1 µs) through the same ChannelFaults as the
-  /// simulators, its loss and duplication drawn per frame from the
-  /// channel's seeded chaos stream.  Message *timing* is as
+  /// simulators, and draws loss and duplication per frame exactly as
+  /// kThreads does: same seed, same draws.  Message *timing* is as
   /// non-deterministic as kThreads.
   kSockets,
 };
@@ -281,10 +273,8 @@ struct ParallelOptions {
   /// Worker thread count == shard count.  Results are independent of this
   /// value: the canonical event order and counter-based RNG streams make
   /// a run a pure function of (config, seed), not of the thread count.
+  /// The barrier window is always the latency model's lower bound.
   unsigned num_threads = 4;
-  /// Conservative barrier window; zero derives the largest safe value
-  /// from the latency model's lower bound.
-  Duration quantum{};
 };
 
 /// Everything one system run needs.  Pointer members are borrowed and
@@ -306,7 +296,8 @@ struct EngineConfig {
   EngineRuntime runtime = EngineRuntime::kSimulator;
 
   // -- channel, on every root -----------------------------------------------
-  /// Seeds the simulators' channel streams and kThreads' fault draws.
+  /// Seeds every draw of the run: the simulators' channel streams and the
+  /// wall-clock roots' fault, chaos and dial-jitter streams.
   std::uint64_t sim_seed = 1;
   /// Default loss and duplication rates (and, on the simulators, FIFO).
   ChannelOptions channel{};
@@ -322,24 +313,16 @@ struct EngineConfig {
   /// ARQ configuration.  The default effectively never gives up: scenario
   /// liveness comes from healing timelines, not retransmit caps.
   ReliableOptions reliable{millis(40), 1'000'000};
-  /// Batching window 0 = no batching layer at all (unless forced below).
+  /// Batching window 0 = no batching layer at all.  A batching layer
+  /// always sits above the ARQ layer.
   BatchingOptions batching{};
-  BatchPlacement batch_placement = BatchPlacement::kAboveReliable;
-  /// Construct the batching layer even at window 0 (the pass-through
-  /// regression in tests/test_transport_conformance.cpp pins that this is
-  /// bit-identical to no layer).
-  bool force_batching_layer = false;
   /// Multicast expansion injected into every process (null = the default
   /// point-to-point fanout).
   MulticastService* multicast = nullptr;
 
-  // -- wall-clock runtimes --------------------------------------------------
-  /// Bound on the wait for quiescence (kThreads and kSockets).
-  std::chrono::milliseconds quiesce_timeout{10000};
-
   // -- sockets runtime ------------------------------------------------------
-  /// Socket-root knobs (heartbeats, backoff, chaos injection).  The engine
-  /// always runs the all-local loopback shape: total_processes and
+  /// Socket-root knobs (heartbeats, chaos disconnects and delays).  The
+  /// engine always runs the all-local loopback shape: total_processes and
   /// local_ids are derived from the distribution and must be left alone.
   SocketOptions sockets{};
 };
@@ -347,9 +330,11 @@ struct EngineConfig {
 /// Execute the configured run.  Deterministic per config on the simulator
 /// runtimes; timing is non-deterministic by design on kThreads and
 /// kSockets, which run the same fault timelines and transport stack on
-/// the wall clock — their fault, chaos and backoff draws are seeded, only
-/// the interleaving varies (docs/SCENARIOS.md, docs/DEPLOYMENT.md).  A
-/// latency model or an open-loop workload needs a simulator runtime.
+/// the wall clock — their fault, chaos and backoff draws come from
+/// sim_seed, only the interleaving varies (docs/SCENARIOS.md,
+/// docs/DEPLOYMENT.md).  A wall-clock run that has not quiesced after
+/// 10 s fails.  A latency model or an open-loop workload needs a
+/// simulator runtime.
 [[nodiscard]] ScenarioRunResult run(EngineConfig config);
 
 }  // namespace pardsm::mcs

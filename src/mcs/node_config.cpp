@@ -1,5 +1,7 @@
 #include "mcs/node_config.h"
 
+#include <array>
+#include <charconv>
 #include <sstream>
 
 #include "simnet/check.h"
@@ -12,6 +14,14 @@ namespace {
 void expect_done(std::istringstream& in, const std::string& line) {
   std::string extra;
   PARDSM_CHECK(!(in >> extra), "node spec: trailing tokens on line: " + line);
+}
+
+/// The shortest text that parses back to exactly `v` (a stream's default
+/// six significant digits would round a rate on its way to the child).
+std::string exact(double v) {
+  std::array<char, 32> buf{};
+  const auto r = std::to_chars(buf.data(), buf.data() + buf.size(), v);
+  return {buf.data(), r.ptr};
 }
 
 }  // namespace
@@ -45,26 +55,23 @@ std::string serialize_node_spec(const NodeSpec& spec) {
           << " " << op.value << " " << op.delay.us << "\n";
     }
   }
-  for (std::size_t p = 0; p < spec.addrs.size(); ++p) {
-    out << "addr " << p << " " << spec.addrs[p] << "\n";
+  const SocketOptions& s = spec.sockets;
+  for (std::size_t p = 0; p < s.addrs.size(); ++p) {
+    out << "addr " << p << " " << s.addrs[p] << "\n";
   }
   out << "node " << spec.node << "\n";
-  out << "incarnation " << spec.incarnation << "\n";
-  out << "listen_fd " << spec.listen_fd << "\n";
-  const SocketOptions& s = spec.sockets;
+  out << "channel_drop " << exact(spec.channel.drop_probability) << "\n";
+  out << "channel_duplicate " << exact(spec.channel.duplicate_probability)
+      << "\n";
+  out << "seed " << spec.seed << "\n";
+  out << "incarnation " << s.incarnation << "\n";
+  out << "listen_fd " << s.listen_fd << "\n";
   out << "heartbeat_period_us " << s.heartbeat_period.us << "\n";
   out << "heartbeat_timeout_us " << s.heartbeat_timeout.us << "\n";
-  out << "dial_backoff_base_us " << s.dial_backoff_base.us << "\n";
-  out << "dial_backoff_max_us " << s.dial_backoff_max.us << "\n";
-  out << "dial_backoff_factor " << s.dial_backoff_factor << "\n";
-  out << "dial_jitter " << s.dial_jitter << "\n";
-  out << "backoff_seed " << s.backoff_seed << "\n";
-  out << "chaos_drop " << s.chaos.drop_probability << "\n";
-  out << "chaos_duplicate " << s.chaos.duplicate_probability << "\n";
-  out << "chaos_disconnect " << s.chaos.disconnect_probability << "\n";
+  out << "chaos_disconnect " << exact(s.chaos.disconnect_probability)
+      << "\n";
   out << "chaos_delay_min_us " << s.chaos.delay_min.us << "\n";
   out << "chaos_delay_max_us " << s.chaos.delay_max.us << "\n";
-  out << "chaos_seed " << s.chaos.seed << "\n";
   out << "drain_idle_ms " << spec.drain_idle_ms << "\n";
   out << "drain_timeout_ms " << spec.drain_timeout_ms << "\n";
   out << "end\n";
@@ -104,7 +111,7 @@ NodeSpec parse_node_spec(const std::string& text) {
                    "node spec: bad process count: " + line);
       spec.distribution.per_process.resize(processes);
       spec.scripts.resize(processes);
-      spec.addrs.resize(processes);
+      spec.sockets.addrs.resize(processes);
     } else if (key == "vars") {
       in >> spec.distribution.var_count;
     } else if (key == "holds") {
@@ -113,6 +120,7 @@ NodeSpec parse_node_spec(const std::string& text) {
       PARDSM_CHECK(p < processes, "node spec: holds out of range: " + line);
       VarId x = kNoVar;
       while (in >> x) spec.distribution.per_process[p].push_back(x);
+      PARDSM_CHECK(in.eof(), "node spec: malformed line: " + line);
       continue;  // consumed to end of line
     } else if (key == "op") {
       std::size_t p = 0;
@@ -131,39 +139,29 @@ NodeSpec parse_node_spec(const std::string& text) {
       std::string addr;
       in >> p >> addr;
       PARDSM_CHECK(p < processes, "node spec: addr out of range: " + line);
-      spec.addrs[p] = addr;
+      spec.sockets.addrs[p] = addr;
     } else if (key == "node") {
       in >> spec.node;
+    } else if (key == "channel_drop") {
+      in >> spec.channel.drop_probability;
+    } else if (key == "channel_duplicate") {
+      in >> spec.channel.duplicate_probability;
+    } else if (key == "seed") {
+      in >> spec.seed;
     } else if (key == "incarnation") {
-      in >> spec.incarnation;
+      in >> spec.sockets.incarnation;
     } else if (key == "listen_fd") {
-      in >> spec.listen_fd;
+      in >> spec.sockets.listen_fd;
     } else if (key == "heartbeat_period_us") {
       in >> spec.sockets.heartbeat_period.us;
     } else if (key == "heartbeat_timeout_us") {
       in >> spec.sockets.heartbeat_timeout.us;
-    } else if (key == "dial_backoff_base_us") {
-      in >> spec.sockets.dial_backoff_base.us;
-    } else if (key == "dial_backoff_max_us") {
-      in >> spec.sockets.dial_backoff_max.us;
-    } else if (key == "dial_backoff_factor") {
-      in >> spec.sockets.dial_backoff_factor;
-    } else if (key == "dial_jitter") {
-      in >> spec.sockets.dial_jitter;
-    } else if (key == "backoff_seed") {
-      in >> spec.sockets.backoff_seed;
-    } else if (key == "chaos_drop") {
-      in >> spec.sockets.chaos.drop_probability;
-    } else if (key == "chaos_duplicate") {
-      in >> spec.sockets.chaos.duplicate_probability;
     } else if (key == "chaos_disconnect") {
       in >> spec.sockets.chaos.disconnect_probability;
     } else if (key == "chaos_delay_min_us") {
       in >> spec.sockets.chaos.delay_min.us;
     } else if (key == "chaos_delay_max_us") {
       in >> spec.sockets.chaos.delay_max.us;
-    } else if (key == "chaos_seed") {
-      in >> spec.sockets.chaos.seed;
     } else if (key == "drain_idle_ms") {
       in >> spec.drain_idle_ms;
     } else if (key == "drain_timeout_ms") {
@@ -180,16 +178,11 @@ NodeSpec parse_node_spec(const std::string& text) {
   PARDSM_CHECK(spec.node != kNoProcess &&
                    static_cast<std::size_t>(spec.node) < processes,
                "node spec: node id out of range");
-  for (std::size_t p = 0; p < processes; ++p) {
-    PARDSM_CHECK(!spec.addrs[p].empty(),
-                 "node spec: missing addr for a process");
+  for (const std::string& addr : spec.sockets.addrs) {
+    PARDSM_CHECK(!addr.empty(), "node spec: missing addr for a process");
   }
-  // The child fills in its SocketOptions identity from the spec fields.
   spec.sockets.total_processes = processes;
   spec.sockets.local_ids = {spec.node};
-  spec.sockets.addrs = spec.addrs;
-  spec.sockets.listen_fd = spec.listen_fd;
-  spec.sockets.incarnation = spec.incarnation;
   return spec;
 }
 

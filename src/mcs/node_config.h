@@ -3,17 +3,19 @@
 //
 // A NodeSpec is everything one OS process needs to join a multi-process
 // deployment: the protocol, the full variable distribution (every node
-// derives the same share graph), every process's script, every peer's
-// address, and the socket-root tuning knobs.  The parent writes one spec
-// per child (differing only in `node`, `incarnation` and `listen_fd`) to
-// a file; the child parses it back with parse_node_spec().
+// derives the same share graph), every process's script, the run's
+// channel rates and seed, every peer's address and the socket-root
+// tuning knobs.  The parent writes one spec per child (differing only in
+// `node` and the sockets' `incarnation` and `listen_fd`) to a file; the
+// child parses it back with parse_node_spec().
 //
 // The format is a deliberately boring line-oriented text file — one
 // "key value..." pair per line, `#` comments, order-insensitive except
-// that the magic line comes first — so a spec is diffable in a failing
-// CI log and writable by hand for ad-hoc deployments (docs/DEPLOYMENT.md
-// walks through one).  parse errors throw std::logic_error with the
-// offending line.
+// that the magic line comes first and `processes` precedes every `holds`,
+// `op` and `addr` line (they are range-checked against it) — so a spec
+// is diffable in a failing CI log and writable by hand for ad-hoc
+// deployments (docs/DEPLOYMENT.md walks through one).  parse errors
+// throw std::logic_error with the offending line.
 #pragma once
 
 #include <cstdint>
@@ -31,17 +33,21 @@ struct NodeSpec {
   ProtocolKind protocol = ProtocolKind::kPramPartial;
   graph::Distribution distribution;
   std::vector<Script> scripts;  ///< one per process (all nodes know all)
-  std::vector<std::string> addrs;  ///< "host:port" per process
 
   /// Which process this spec instantiates.
   ProcessId node = kNoProcess;
-  std::uint64_t incarnation = 1;
-  /// Listening socket inherited from the spawn parent (-1 = bind our own
-  /// at addrs[node]).  Never serialized as anything but a number; the fd
-  /// itself travels by inheritance across fork/exec.
-  int listen_fd = -1;
 
-  /// Socket-root tuning (heartbeats, backoff, chaos) — applied verbatim.
+  /// The run's loss and duplication rates (a lossy channel puts ARQ above
+  /// the sockets, as needs_arq decides in-process) and the seed of every
+  /// draw, as EngineConfig::channel and sim_seed.
+  ChannelOptions channel;
+  std::uint64_t seed = 1;
+
+  /// The socket root's options, applied verbatim: peer addresses ("host:
+  /// port" per process), this process's incarnation and inherited
+  /// listening socket (-1 = bind our own at addrs[node]; the fd travels
+  /// by inheritance across fork/exec), heartbeats and chaos.  Parsing
+  /// derives total_processes and local_ids = {node}.
   SocketOptions sockets;
 
   /// Settle parameters: a node is done when no non-heartbeat activity has

@@ -11,6 +11,10 @@ namespace {
 /// pass through unchanged.
 constexpr TimerTag kBatchTimerBit = 1ULL << 62;
 
+/// A destination's queue flushes when it reaches this many messages,
+/// which bounds frame size and memory.
+constexpr std::size_t kMaxBatch = 64;
+
 /// Frame kind, interned once.
 const KindId kBatchKind("BATCH");
 
@@ -54,7 +58,7 @@ class BatchingTransport::Shim final : public Endpoint {
       flush_to(to);
       return;
     }
-    if (queue.size() >= owner_.options_.max_batch) {
+    if (queue.size() >= kMaxBatch) {
       flush_to(to);
       return;
     }
@@ -148,8 +152,7 @@ class BatchingTransport::Shim final : public Endpoint {
 BatchingTransport::BatchingTransport(HostTransport& lower,
                                      BatchingOptions options)
     : lower_(lower), options_(options) {
-  PARDSM_CHECK(options_.window.us >= 0, "batching window must be >= 0");
-  PARDSM_CHECK(options_.max_batch >= 2, "max_batch below 2 cannot batch");
+  PARDSM_CHECK(options_.window.us > 0, "batching window must be positive");
 }
 
 BatchingTransport::~BatchingTransport() = default;
@@ -169,12 +172,6 @@ void BatchingTransport::send(ProcessId from, ProcessId to, BodyRef body,
                              MessageMeta meta) {
   PARDSM_CHECK(from >= 0 && static_cast<std::size_t>(from) < shims_.size(),
                "send: bad sender");
-  if (options_.window.us == 0) {
-    // Exact pass-through: no queue, no timer, no stats — bit-identical to
-    // the stack without this layer.
-    lower_.send(from, to, std::move(body), std::move(meta));
-    return;
-  }
   shims_[static_cast<std::size_t>(from)]->send_app(to, std::move(body),
                                                    std::move(meta));
 }

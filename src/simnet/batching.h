@@ -6,15 +6,13 @@
 // stackable decorator (see HostTransport in transport.h): protocol sends
 // to the same destination are held in a per-(sender, destination) queue
 // and flushed as one piggybacked BatchFrame when the sender's coalescing
-// window expires, when the queue reaches max_batch, or immediately when
-// an urgent message (MessageMeta::urgent) arrives for that destination.
+// window expires, when the queue reaches 64 messages, or immediately
+// when an urgent message (MessageMeta::urgent) arrives for that
+// destination.
 //
 // Byte-accounting contract (docs/BATCHING.md; NetworkStats sees frames,
 // the application sees the original messages):
 //
-//   * window == 0: exact pass-through.  Every send goes straight to the
-//     layer below — bit-identical traffic, timing and stats (the golden
-//     regression in tests/test_transport_conformance.cpp pins this).
 //   * singleton flush: a queue holding one message at flush time is sent
 //     unwrapped — identical bytes to the unbatched send, just delayed.
 //   * k >= 2 messages flush as ONE frame: control bytes are the sum of
@@ -33,12 +31,13 @@
 // original metadata, so protocols cannot tell they were batched (except
 // by the clock).
 //
-// Stacking: compose over the raw Simulator, over ReliableTransport
-// (frames become single ARQ DATA frames — fewer acks), or under it
-// (DATA/ACK frames coalesce; keep window << retransmit_after).  Under the
-// ThreadRuntime the per-sender state is only touched by the owning
-// process's thread (sends and flush timers both run there), so batching
-// is preemption-safe too.
+// Stacking: the engine always places the layer above ReliableTransport
+// when both are configured, so a frame becomes one ARQ DATA frame and is
+// acknowledged and resent whole (fewer acks).  The layer itself composes
+// over any HostTransport — the conformance tests also stack it under ARQ
+// by hand.  On the wall-clock roots the per-sender state is only touched
+// by the owning process's thread (sends and flush timers both run
+// there), so batching is preemption-safe too.
 #pragma once
 
 #include <cstdint>
@@ -54,10 +53,9 @@ namespace pardsm {
 /// Options for the batching layer.
 struct BatchingOptions {
   /// Coalescing window per sender: the longest a non-urgent message waits
-  /// in a queue.  Zero = exact pass-through (no queues, no timers).
+  /// in a queue.  The engine builds no layer at zero; the layer itself
+  /// requires a positive window.
   Duration window{};
-  /// Flush a destination's queue when it reaches this many messages.
-  std::size_t max_batch = 64;
 };
 
 /// Per-member framing overhead inside a BatchFrame (length + kind marker).
@@ -117,8 +115,6 @@ class BatchingTransport final : public HostTransport {
   [[nodiscard]] BodyArena& arena(ProcessId owner) override {
     return lower_.arena(owner);
   }
-
-  [[nodiscard]] const BatchingOptions& options() const { return options_; }
 
   /// Counters summed over all senders.
   [[nodiscard]] BatchingStats stats() const;

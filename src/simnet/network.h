@@ -19,7 +19,6 @@
 // tests/test_scenario.cpp pins this.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -176,12 +175,10 @@ class ChannelFaults {
   /// The fate of a message (from, to) sent at `now` on a checked pair: a
   /// cut pair, then a down endpoint drop it without a draw; else loss and
   /// then duplication are drawn from `fault_rng()` (returning Rng&) at the
-  /// effective rates plus the caller's `extra` ones (the sockets root's
-  /// chaos), capped at 1.  A zero rate calls no fault_rng().
+  /// effective rates.  A zero rate calls no fault_rng().
   template <typename FaultRng>
   [[nodiscard]] SendFate fate(ProcessId from, ProcessId to, TimePoint now,
-                              FaultRng&& fault_rng, double extra_loss = 0.0,
-                              double extra_duplicate = 0.0) const;
+                              FaultRng&& fault_rng) const;
 
   /// Explicit override entries across the loss, duplication and cut
   /// tables.  An entry count, not a pair count: a pair carrying several
@@ -235,23 +232,19 @@ class ChannelFaults {
 
 template <typename FaultRng>
 SendFate ChannelFaults::fate(ProcessId from, ProcessId to, TimePoint now,
-                             FaultRng&& fault_rng, double extra_loss,
-                             double extra_duplicate) const {
-  double loss = extra_loss;
-  double duplicate = extra_duplicate;
-  if (has_faults()) {
-    if (const std::uint32_t* cuts = severed_.find(pair(from, to));
-        cuts != nullptr && relaxed_load(*cuts) != 0) {
-      return {0, &DropCounters::severed};
-    }
-    if (relaxed_load(down_[static_cast<std::size_t>(from)]) != 0 ||
-        relaxed_load(down_[static_cast<std::size_t>(to)]) != 0) {
-      return {0, &DropCounters::down};
-    }
-    loss = std::min(1.0, loss + effective_loss(from, to, now));
-    duplicate = std::min(1.0, duplicate + effective_duplicate(from, to, now));
+                             FaultRng&& fault_rng) const {
+  if (!has_faults()) return {};
+  if (const std::uint32_t* cuts = severed_.find(pair(from, to));
+      cuts != nullptr && relaxed_load(*cuts) != 0) {
+    return {0, &DropCounters::severed};
   }
+  if (relaxed_load(down_[static_cast<std::size_t>(from)]) != 0 ||
+      relaxed_load(down_[static_cast<std::size_t>(to)]) != 0) {
+    return {0, &DropCounters::down};
+  }
+  const double loss = effective_loss(from, to, now);
   if (loss > 0.0 && fault_rng().chance(loss)) return {0, &DropCounters::loss};
+  const double duplicate = effective_duplicate(from, to, now);
   return {duplicate > 0.0 && fault_rng().chance(duplicate) ? 2 : 1};
 }
 

@@ -84,12 +84,10 @@ void ParallelSimulator::freeze() {
   if (!options_.latency) {
     options_.latency = std::make_unique<ConstantLatency>(millis(1));
   }
-  const Duration floor = options_.latency->lower_bound();
-  PARDSM_CHECK(floor.us >= 1, "freeze: latency lower bound below 1us");
-  quantum_ = options_.quantum.us > 0 ? options_.quantum : floor;
-  PARDSM_CHECK(quantum_ <= floor,
-               "freeze: quantum exceeds the latency lower bound — a message "
-               "could arrive inside the window it was sent in");
+  // The barrier window is the largest safe one: no message sent in a
+  // window can arrive inside it.
+  quantum_ = options_.latency->lower_bound();
+  PARDSM_CHECK(quantum_.us >= 1, "freeze: latency lower bound below 1us");
 
   const auto num_shards = static_cast<int>(options_.num_threads);
   if (options_.shard_of.empty()) {

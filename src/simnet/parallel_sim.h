@@ -2,11 +2,11 @@
 //
 // ParallelSimulator shards the event queue across worker threads by
 // process and synchronizes the shards with conservative barrier quanta:
-// a window [T, T+Q) with Q no larger than the channel's minimum latency
-// guarantees that every message sent inside the window delivers at or
-// after the window's end, so shards can drain their local queues
-// independently and exchange cross-shard deliveries at the barrier.
-// No shard ever receives an event earlier than its local clock.
+// a window [T, T+Q) with Q the latency model's lower bound guarantees
+// that every message sent inside the window delivers at or after the
+// window's end, so shards can drain their local queues independently
+// and exchange cross-shard deliveries at the barrier.  No shard ever
+// receives an event earlier than its local clock.
 //
 // Determinism story (docs/PARALLEL.md):
 //
@@ -69,9 +69,6 @@ struct ParallelSimOptions {
   /// Shard count == thread count: the calling thread drains shard 0 and
   /// num_threads - 1 helper threads drain the rest (1 spawns none).
   unsigned num_threads = 4;
-  /// Barrier window size; {} (zero) derives the largest safe value from
-  /// the latency model's lower_bound().  Must not exceed it.
-  Duration quantum{};
   /// Explicit shard per process (size n, values in [0, num_threads)).
   /// Empty = round-robin by process id.  graph::shard_assignment derives
   /// one from the share graph (cells of near-disjoint topologies map to

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "simnet/check.h"
-#include "simnet/rng.h"
 #include "simnet/wire.h"
 
 namespace pardsm {
@@ -67,9 +66,6 @@ const wire::BodyRegistrar arq_ack_codec(
 /// pass through unchanged.
 constexpr TimerTag kArqTimerBit = 1ULL << 63;
 
-/// Stream tag of the retransmit-jitter draws (see ReliableOptions::jitter).
-constexpr std::uint64_t kJitterStreamTag = 0xA7'0B0F;
-
 /// Cumulative-ack kind, interned once.
 const KindId kAckKind("ARQ:ACK");
 
@@ -130,9 +126,7 @@ class ReliableTransport::Shim final : public Endpoint {
     out.unacked.fit(out.first, seq - out.first + 1);
     Pending& pending = out.unacked[seq];
     pending.frame = BodyRef::adopt(frame);
-    pending.interval = owner_.options_.retransmit_after;
-    pending.deadline =
-        owner_.lower_.now() + jittered(to, out, pending.interval);
+    pending.deadline = owner_.lower_.now() + owner_.options_.retransmit_after;
     pending.retries = 0;
     transmit(to, pending.frame);
     arm_until(pending.deadline);
@@ -242,14 +236,12 @@ class ReliableTransport::Shim final : public Endpoint {
   struct Pending {
     BodyRef frame;         ///< always a DataFrame
     TimePoint deadline{};  ///< resend when no ACK covers it by then
-    Duration interval{};   ///< timeout the deadline was last set from
     std::uint32_t retries = 0;
   };
   struct Outgoing {
     std::uint64_t first = 1;     ///< oldest unacked seq
     std::uint64_t next_seq = 0;  ///< newest seq sent; unacked: [first, it]
     SeqRing<Pending> unacked;
-    std::uint64_t jitter_draws = 0;  ///< per-destination draw index
     bool dead = false;
   };
   struct Incoming {
@@ -294,9 +286,8 @@ class ReliableTransport::Shim final : public Endpoint {
     }
   }
 
-  /// Resend one frame and push its deadline out, backing the timeout off;
-  /// returns false if the frame exhausted max_retransmits instead (the
-  /// channel just died).
+  /// Resend one frame and push its deadline out; returns false if the
+  /// frame exhausted max_retransmits instead (the channel just died).
   bool resend(ProcessId to, Outgoing& out, Pending& pending) {
     const ReliableOptions& o = owner_.options_;
     if (++pending.retries > o.max_retransmits) {
@@ -304,13 +295,7 @@ class ReliableTransport::Shim final : public Endpoint {
       return false;
     }
     ++retransmissions_;
-    const auto grown = static_cast<std::int64_t>(
-        static_cast<double>(pending.interval.us) *
-        std::max(o.backoff_factor, 1.0));
-    pending.interval =
-        Duration{std::min<std::int64_t>(grown, interval_cap().us)};
-    pending.deadline =
-        owner_.lower_.now() + jittered(to, out, pending.interval);
+    pending.deadline = owner_.lower_.now() + o.retransmit_after;
     transmit(to, pending.frame);
     return true;
   }
@@ -323,29 +308,6 @@ class ReliableTransport::Shim final : public Endpoint {
     }
     out.dead = true;
     dead_targets_.push_back(to);
-  }
-
-  /// Scale `interval` by a deterministic jitter factor in
-  /// [1 - jitter, 1 + jitter].  The draw is keyed on logical coordinates
-  /// (seed, sender, destination, draw index), so it does not depend on the
-  /// interleaving of timers across destinations or processes.
-  Duration jittered(ProcessId to, Outgoing& out, Duration interval) const {
-    const double j = owner_.options_.jitter;
-    if (j <= 0.0) return interval;
-    Rng rng = counter_rng(owner_.options_.jitter_seed,
-                          static_cast<std::uint64_t>(self_),
-                          static_cast<std::uint64_t>(to), out.jitter_draws++,
-                          kJitterStreamTag);
-    const double factor = 1.0 + j * (2.0 * rng.uniform01() - 1.0);
-    const auto us = static_cast<std::int64_t>(
-        static_cast<double>(interval.us) * factor);
-    return Duration{std::max<std::int64_t>(us, 1)};
-  }
-
-  [[nodiscard]] Duration interval_cap() const {
-    return owner_.options_.retransmit_max.us > 0
-               ? owner_.options_.retransmit_max
-               : Duration{owner_.options_.retransmit_after.us * 32};
   }
 
   /// Make sure the ARQ timer fires no later than `deadline`.  Extra timers

@@ -5,11 +5,12 @@
 // Network: every payload is wrapped in a DATA frame with a per-directed-
 // pair sequence number; the receiver delivers in sequence exactly once and
 // answers every DATA frame with a cumulative ACK.  The sender resends a
-// frame only when it looks lost: when its own deadline passes without an
-// ACK covering it, or straight away when a duplicate ACK says the
-// receiver holds a later frame past it and the frame has not been resent
-// yet (selective repeat, no go-back-N).  Unacked and out-of-order frames
-// live in seq-indexed rings that stop allocating once warm.
+// frame only when it looks lost: when its own deadline — a fixed
+// retransmit_after past its last send — passes without an ACK covering
+// it, or straight away when a duplicate ACK says the receiver holds a
+// later frame past it and the frame has not been resent yet (selective
+// repeat, no go-back-N).  Unacked and out-of-order frames live in
+// seq-indexed rings that stop allocating once warm.
 //
 // Usage mirrors a plain Transport:
 //
@@ -52,7 +53,9 @@ namespace pardsm {
 /// latency is set by the per-frame deadline, not by protocol complexity:
 /// a frame lost to a fault window is resent at its first deadline after
 /// the window closes, or at once if a later frame draws a duplicate ACK
-/// before the frame was ever resent (bench_scenarios measures this).
+/// before the frame was ever resent (bench_scenarios measures this).  The
+/// timeout is fixed: it neither backs off nor jitters, so a simulated
+/// run's resend schedule is a function of its loss draws alone.
 ///
 /// When one frame exhausts `max_retransmits` the directed channel is
 /// declared dead: its pending frames are dropped (counted in
@@ -65,22 +68,6 @@ struct ReliableOptions {
   /// Declare a directed channel dead after this many retransmissions of
   /// one frame.  The one-shot duplicate-ACK resend counts too.
   std::uint32_t max_retransmits = 100;
-
-  // Members below are appended so existing two-field aggregate inits keep
-  // their meaning; the defaults keep a fixed retransmit_after timeout.
-
-  /// Multiplier applied to a frame's timeout on each of its resends
-  /// (capped exponential backoff).  <= 1.0 keeps the timeout fixed.
-  double backoff_factor = 1.0;
-  /// Timeout cap for the backoff.  Zero means 32x retransmit_after.
-  Duration retransmit_max{};
-  /// Jitter amplitude: each timeout is scaled by a factor uniform in
-  /// [1 - jitter, 1 + jitter].  Draws come from a counter-based stream
-  /// keyed on (jitter_seed, sender, destination, draw index), so they are
-  /// independent of timer interleaving.  Zero disables jitter.
-  double jitter = 0.0;
-  /// Seed of the jitter stream.
-  std::uint64_t jitter_seed = 0x51C0'0C15ULL;
 };
 
 /// Exactly-once, per-pair-FIFO transport decorator.

@@ -37,8 +37,13 @@ enum FrameType : std::uint8_t {
 constexpr std::uint32_t kHelloPayload = 1 + 4 + 4 + 8;
 constexpr std::size_t kHelloBytes = 4 + kHelloPayload;
 
-/// Chaos / jitter stream tags (counter_rng).
-constexpr std::uint64_t kChaosStreamTag = 0xC4A05;
+/// Redial backoff: the delay doubles from kDialBackoffBase per failed
+/// attempt up to kDialBackoffMax, then scales by a factor uniform in
+/// [1 - kDialJitter, 1 + kDialJitter].
+constexpr Duration kDialBackoffBase = millis(5);
+constexpr Duration kDialBackoffMax = millis(300);
+constexpr double kDialJitter = 0.25;
+/// Dial-jitter stream tag (counter_rng).
 constexpr std::uint64_t kDialJitterTag = 0xD1A1;
 
 /// Upper bound on one frame — a corrupt length prefix must not drive a
@@ -88,8 +93,8 @@ timespec to_timespec(std::chrono::nanoseconds d) {
 }  // namespace
 
 SocketTransport::SocketTransport(SocketOptions options,
-                                 ChannelOptions channel)
-    : WallClockRoot(channel), options_(std::move(options)) {
+                                 ChannelOptions channel, std::uint64_t seed)
+    : WallClockRoot(channel, seed), options_(std::move(options)) {
   PARDSM_CHECK(options_.total_processes > 0, "sockets: need total_processes");
   PARDSM_CHECK(options_.total_processes <= 1024,
                "sockets: at most 1024 processes");
@@ -284,30 +289,13 @@ void SocketTransport::send(ProcessId from, ProcessId to, BodyRef body,
   exec_.note_activity();
   Message m = stamp(from, to, std::move(body), std::move(meta));
 
-  // Fault and chaos decisions, drawn from a counter-based stream so they
-  // depend on (seed, pair, frame index) only.  All sends on a given pair
-  // originate on the sender's mailbox thread, so the per-channel counter
-  // (and encoding buffer) needs no lock.  A self-send has no channel; its
-  // stream is keyed on the message id instead.
-  OutChannel* ch = to == from ? nullptr : &channel(from, to);
-  std::optional<Rng> rng;
-  const auto draws = [&]() -> Rng& {
-    if (!rng) {
-      rng.emplace(counter_rng(options_.chaos.seed,
-                              static_cast<std::uint64_t>(from),
-                              static_cast<std::uint64_t>(to),
-                              ch != nullptr ? ch->chaos_counter++ : m.id,
-                              kChaosStreamTag));
-    }
-    return *rng;
-  };
-  const ChaosOptions& chaos = options_.chaos;
-  const SendFate f =
-      fate(m, draws, ch != nullptr ? chaos.drop_probability : 0,
-           ch != nullptr ? chaos.duplicate_probability : 0);
-  if (f.cause == &DropCounters::loss) bump(counters_.chaos_drops);
-  const int copies = f.copies;
-  if (ch == nullptr) {
+  // Fault and then chaos decisions, drawn from the frame's counter-based
+  // stream so they depend on (seed, pair, frame index) only.  All sends on
+  // a given pair originate on the sender's mailbox thread, so the pair's
+  // stream index (and the channel's encoding buffer) needs no lock.
+  std::optional<Rng> stream;
+  const int copies = fate(m, stream).copies;
+  if (to == from) {
     // Self-delivery: straight to our own mailbox (no socket, no chaos).
     m.deliver_time = m.send_time;
     enqueue(std::move(m), copies);
@@ -315,22 +303,25 @@ void SocketTransport::send(ProcessId from, ProcessId to, BodyRef body,
   }
   if (copies == 0) return;
 
+  const ChaosOptions& chaos = options_.chaos;
   Duration delay{};
   bool disconnect = false;
   if (chaos.any()) {
+    Rng& rng = draws(m, stream);
     if (chaos.delay_max.us > 0) {
       const std::int64_t span = chaos.delay_max.us - chaos.delay_min.us;
       delay = Duration{chaos.delay_min.us +
-                       (span > 0 ? static_cast<std::int64_t>(draws().below(
+                       (span > 0 ? static_cast<std::int64_t>(rng.below(
                                        static_cast<std::uint64_t>(span) + 1))
                                  : 0)};
     }
-    disconnect = draws().chance(chaos.disconnect_probability);
+    disconnect = rng.chance(chaos.disconnect_probability);
   }
 
   // Serialize once into the channel's buffer:
   // [u32 length][type][from][to][id][meta][body].
-  WireWriter& w = ch->frame;
+  OutChannel& ch = channel(from, to);
+  WireWriter& w = ch.frame;
   w.clear();
   w.u32(0);
   w.u8(kFrameMsg);
@@ -356,10 +347,10 @@ void SocketTransport::send(ProcessId from, ProcessId to, BodyRef body,
   // receiving handler returns; one to a remote process until its last
   // byte is written (write_or_queue / flush_front).
   const bool local_dest = is_local(to);
-  std::lock_guard lock(ch->mu);
+  std::lock_guard lock(ch.mu);
   if (copies == 1 && delay.us == 0 && !disconnect) {
     if (local_dest) exec_.add_pending();
-    write_or_queue(*ch, bytes, size, !local_dest);
+    write_or_queue(ch, bytes, size, !local_dest);
     return;
   }
   // Chaos frames always go through the writer thread, which honours the
@@ -367,13 +358,13 @@ void SocketTransport::send(ProcessId from, ProcessId to, BodyRef body,
   const auto earliest = steady_now() + std::chrono::microseconds(delay.us);
   for (int c = 0; c < copies; ++c) {
     exec_.add_pending();
-    QueuedFrame& qf = ch->queue.emplace_back();
+    QueuedFrame& qf = ch.queue.emplace_back();
     qf.bytes.assign(bytes, bytes + size);
     qf.earliest = earliest;
     qf.counts_pending = !local_dest;
     qf.chaos_disconnect = disconnect && c + 1 == copies;
   }
-  ch->cv.notify_one();
+  ch.cv.notify_one();
 }
 
 void SocketTransport::set_peer_callback(PeerCallback cb) {
@@ -438,7 +429,6 @@ SocketCounters SocketTransport::counters() const {
   c.heartbeats_received = relaxed_load(counters_.heartbeats_received);
   c.dials = relaxed_load(counters_.dials);
   c.reconnects = relaxed_load(counters_.reconnects);
-  c.chaos_drops = relaxed_load(counters_.chaos_drops);
   c.chaos_duplicates = relaxed_load(counters_.chaos_duplicates);
   c.chaos_disconnects = relaxed_load(counters_.chaos_disconnects);
   c.chaos_delays = relaxed_load(counters_.chaos_delays);
@@ -569,25 +559,17 @@ int SocketTransport::dial(OutChannel& ch) {
     // Capped exponential backoff with deterministic jitter before the next
     // attempt.  The jitter draw is keyed on (seed, pair, attempt index),
     // not on wall time, so a run's dial schedule is reproducible.
-    const std::uint64_t attempt = ch.dial_attempts++;
-    double backoff_us =
-        static_cast<double>(options_.dial_backoff_base.us);
-    for (std::uint64_t i = 0; i < std::min<std::uint64_t>(attempt, 32); ++i) {
-      backoff_us *= std::max(options_.dial_backoff_factor, 1.0);
-      if (backoff_us >=
-          static_cast<double>(options_.dial_backoff_max.us)) {
-        break;
-      }
+    std::int64_t capped_us = kDialBackoffBase.us;
+    for (std::uint64_t i = ch.dial_attempts++;
+         i > 0 && capped_us < kDialBackoffMax.us; --i) {
+      capped_us = std::min(capped_us * 2, kDialBackoffMax.us);
     }
-    backoff_us = std::min(backoff_us,
-                          static_cast<double>(options_.dial_backoff_max.us));
-    if (options_.dial_jitter > 0.0) {
-      Rng rng = counter_rng(options_.backoff_seed,
-                            static_cast<std::uint64_t>(ch.from),
-                            static_cast<std::uint64_t>(ch.to),
-                            ch.jitter_counter++, kDialJitterTag);
-      backoff_us *= 1.0 + options_.dial_jitter * (2.0 * rng.uniform01() - 1.0);
-    }
+    Rng rng = counter_rng(seed(), static_cast<std::uint64_t>(ch.from),
+                          static_cast<std::uint64_t>(ch.to),
+                          ch.jitter_counter++, kDialJitterTag);
+    const double backoff_us =
+        static_cast<double>(capped_us) *
+        (1.0 + kDialJitter * (2.0 * rng.uniform01() - 1.0));
     std::unique_lock lock(ch.mu);
     ch.cv.wait_for(lock,
                    std::chrono::microseconds(

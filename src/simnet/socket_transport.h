@@ -29,14 +29,15 @@
 // Threads besides the workers:
 //
 //   * one writer per directed pair (sender-owned outbound channel).  It
-//     dials, redials with capped exponential backoff plus deterministic
-//     jitter (counter_rng keyed on (seed, from, to, attempt) — independent
-//     of thread interleaving), and sends HEARTBEAT frames when the channel
-//     is idle.  It also writes whatever a worker could not: the unwritten
-//     rest of a frame the socket buffer did not take, frames queued behind
-//     such a backlog or behind a broken connection (retained across the
-//     reconnect and flushed in order after the HELLO), and chaos-delayed
-//     or duplicated frames.  A worker never waits for buffer space.
+//     dials, redials with capped exponential backoff (5 ms doubling to
+//     300 ms) plus deterministic jitter of up to 25% (counter_rng keyed on
+//     (seed, from, to, attempt) — independent of thread interleaving), and
+//     sends HEARTBEAT frames when the channel is idle.  It also writes
+//     whatever a worker could not: the unwritten rest of a frame the
+//     socket buffer did not take, frames queued behind such a backlog or
+//     behind a broken connection (retained across the reconnect and
+//     flushed in order after the HELLO), and chaos-delayed or duplicated
+//     frames.  A worker never waits for buffer space.
 //   * one acceptor.  It reads each new connection's HELLO — [from, to,
 //     incarnation], within heartbeat_timeout, without blocking other
 //     accepts — and hands the connection to the worker of `to`.  A
@@ -50,12 +51,13 @@
 //     the engine routes into McsProcess crash()/recover() + RSYNC.
 //
 // Faults: send() asks the run's ChannelFaults (WallClockRoot) for each
-// frame's fate, as every root does.  ChaosOptions adds socket-layer
-// faults: sender-side frame drops and duplications (their rates add to
-// the ChannelFaults rates), head-of-line delays and deliberate mid-stream
-// disconnects.  Every draw comes from the channel's counter-based stream,
-// so a chaos run is reproducible.  The property net (P1-P6) runs
-// unmodified above.
+// frame's fate, as every root does: loss and duplication rates come from
+// ChannelOptions and the scenario only.  ChaosOptions adds the
+// socket-layer faults no simulator has: head-of-line delays and
+// deliberate mid-stream disconnects.  Every draw comes from the frame's
+// counter-based stream (WallClockRoot::draws, seeded by the run's seed),
+// the chaos draws after the fault draws, so a chaos run is reproducible.
+// The property net (P1-P6) runs unmodified above.
 //
 // Wire format: [u32 length][u8 frame type][payload ...], little-endian.
 // See docs/DEPLOYMENT.md for the full frame catalogue and tuning guide.
@@ -83,13 +85,11 @@
 
 namespace pardsm {
 
-/// Socket-layer fault injection (all decisions sender-side, deterministic
-/// given the seed and the per-pair frame counters).
+/// Socket-layer fault injection with no simulator analogue (frame loss
+/// and duplication are ChannelOptions rates).  All decisions are
+/// sender-side, deterministic given the run's seed and the per-pair frame
+/// counters.
 struct ChaosOptions {
-  /// Probability a data frame is silently not sent.
-  double drop_probability = 0.0;
-  /// Probability a data frame is enqueued twice.
-  double duplicate_probability = 0.0;
   /// Probability the connection is closed right after writing a frame
   /// (exercises reconnection; the frame itself arrives).
   double disconnect_probability = 0.0;
@@ -97,11 +97,9 @@ struct ChaosOptions {
   /// (later frames on the pair queue behind it — FIFO is preserved).
   Duration delay_min{};
   Duration delay_max{};
-  std::uint64_t seed = 0x50C'CA05;
 
   [[nodiscard]] bool any() const {
-    return drop_probability > 0.0 || duplicate_probability > 0.0 ||
-           disconnect_probability > 0.0 || delay_max.us > 0;
+    return disconnect_probability > 0.0 || delay_max.us > 0;
   }
 };
 
@@ -132,14 +130,6 @@ struct SocketOptions {
   /// down.  Must comfortably exceed heartbeat_period.
   Duration heartbeat_timeout = millis(150);
 
-  /// Reconnect/dial backoff: base delay, cap, multiplier and jitter
-  /// amplitude (fraction of the delay, deterministic draws).
-  Duration dial_backoff_base = millis(5);
-  Duration dial_backoff_max = millis(300);
-  double dial_backoff_factor = 2.0;
-  double dial_jitter = 0.25;
-  std::uint64_t backoff_seed = 0xD1A1'B0FF;
-
   ChaosOptions chaos;
 };
 
@@ -163,8 +153,7 @@ struct SocketCounters {
   std::uint64_t dials = 0;             ///< connection attempts
   std::uint64_t reconnects = 0;        ///< re-dials after an established
                                        ///< connection broke
-  std::uint64_t chaos_drops = 0;
-  std::uint64_t chaos_duplicates = 0;
+  std::uint64_t chaos_duplicates = 0;  ///< frames sent twice
   std::uint64_t chaos_disconnects = 0;
   std::uint64_t chaos_delays = 0;
   std::uint64_t peer_down_events = 0;  ///< failure-detector transitions
@@ -174,7 +163,10 @@ struct SocketCounters {
 /// TCP transport root.  See the file comment for the architecture.
 class SocketTransport final : public WallClockRoot {
  public:
-  explicit SocketTransport(SocketOptions options, ChannelOptions channel = {});
+  /// `channel` and `seed` as ThreadRuntime's: the run's default rates and
+  /// the seed of every draw (faults, chaos, dial jitter).
+  explicit SocketTransport(SocketOptions options, ChannelOptions channel = {},
+                           std::uint64_t seed = 1);
   ~SocketTransport() override;
 
   /// Register the endpoint for the next id in options.local_ids (or the
@@ -257,9 +249,8 @@ class SocketTransport final : public WallClockRoot {
     bool broken = false;               ///< guarded by mu: redial
     std::uint64_t frames_written = 0;  ///< guarded by mu: idleness
     std::thread writer;
-    WireWriter frame;                 ///< sender's worker: MSG encoding
-    std::uint64_t chaos_counter = 0;  ///< sender's worker: chaos stream
-    std::uint64_t dial_attempts = 0;  ///< writer: consecutive failures
+    WireWriter frame;                  ///< sender's worker: MSG encoding
+    std::uint64_t dial_attempts = 0;   ///< writer: consecutive failures
     std::uint64_t jitter_counter = 0;  ///< writer
     bool was_connected = false;        ///< writer
   };

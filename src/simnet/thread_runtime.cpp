@@ -350,8 +350,17 @@ void MailboxExecutor::finish_handled(std::exception_ptr failure) {
 
 // -- WallClockRoot ------------------------------------------------------------
 
+namespace {
+/// Draw stream tag (counter_rng).
+constexpr std::uint64_t kFaultStreamTag = 0x4641554CULL;  // "FAUL"
+}  // namespace
+
 ChannelFaults& WallClockRoot::faults() {
-  if (!faults_) faults_.emplace(process_count(), channel_);
+  if (!faults_) {
+    const std::size_t n = process_count();
+    faults_.emplace(n, channel_);
+    pair_streams_.assign(n * n, 0);
+  }
   return *faults_;
 }
 
@@ -366,6 +375,16 @@ Message WallClockRoot::stamp(ProcessId from, ProcessId to, BodyRef body,
   m.send_time = now();
   stats_.on_send(m);
   return m;
+}
+
+Rng& WallClockRoot::draws(const Message& m, std::optional<Rng>& stream) {
+  if (!stream) {
+    const std::size_t ij = faults_->pair(m.from, m.to);
+    stream.emplace(counter_rng(seed_, static_cast<std::uint64_t>(m.from),
+                               static_cast<std::uint64_t>(m.to),
+                               pair_streams_[ij]++, kFaultStreamTag));
+  }
+  return *stream;
 }
 
 void WallClockRoot::enqueue(Message&& m, int copies) {
@@ -387,18 +406,12 @@ void WallClockRoot::deliver(Endpoint& ep, const Message& m) {
 
 // -- ThreadRuntime ------------------------------------------------------------
 
-namespace {
-/// Fault-draw stream tag (counter_rng).
-constexpr std::uint64_t kFaultStreamTag = 0x4641554CULL;  // "FAUL"
-}  // namespace
-
 ProcessId ThreadRuntime::add_endpoint(Endpoint* ep) {
   return static_cast<ProcessId>(exec_.add(ep));
 }
 
 void ThreadRuntime::start() {
   (void)faults();
-  draws_.assign(exec_.size() * exec_.size(), 0);
   stats_.resize(exec_.size());
   exec_.start();
 }
@@ -410,19 +423,8 @@ void ThreadRuntime::send(ProcessId from, ProcessId to, BodyRef body,
   PARDSM_CHECK(exec_.on_worker(static_cast<std::size_t>(from)),
                "send: caller is not the sender's mailbox worker");
   Message m = stamp(from, to, std::move(body), std::move(meta));
-  // Built on first use only: a fault-free send makes no stream.
-  std::optional<Rng> rng;
-  const SendFate f = fate(m, [&]() -> Rng& {
-    if (!rng) {
-      const std::size_t ij =
-          static_cast<std::size_t>(from) * exec_.size() +
-          static_cast<std::size_t>(to);
-      rng.emplace(counter_rng(seed_, static_cast<std::uint64_t>(from),
-                              static_cast<std::uint64_t>(to), draws_[ij]++,
-                              kFaultStreamTag));
-    }
-    return *rng;
-  });
+  std::optional<Rng> stream;
+  const SendFate f = fate(m, stream);
   enqueue(std::move(m), f.copies);
 }
 

@@ -234,7 +234,8 @@ class MailboxExecutor {
 
 /// What both wall-clock roots (ThreadRuntime, SocketTransport) build on
 /// their MailboxExecutor: the clock, the concurrent arena, the traffic
-/// ledger, message ids and the fault state.  Process p runs on slot(p).
+/// ledger, message ids, the fault state and its draws.  Process p runs on
+/// slot(p).
 ///
 /// Faults: one ChannelFaults, which Scenario::apply drives from the
 /// timeline thread (at_time()) and, for a crash or recovery, from the
@@ -242,6 +243,12 @@ class MailboxExecutor {
 /// message reaching a down receiver is dropped below the decorator shims,
 /// counted as in flight as on the simulators, so the ARQ layer repairs it
 /// after recovery.
+///
+/// Draws: each sent message has its own counter stream, seeded by the
+/// run's seed and keyed on (sender, receiver, the pair's message index),
+/// so the i-th message of a pair meets the same draws however the OS
+/// interleaves other traffic.  A stream is built on its first draw only,
+/// and only then takes its index: a fault-free send makes none.
 class WallClockRoot : public RootTransport,
                       protected MailboxExecutor::Delivery {
  public:
@@ -309,24 +316,28 @@ class WallClockRoot : public RootTransport,
 
  protected:
   /// `channel` seeds the default loss and duplication rates (its fifo
-  /// flag is moot: mailboxes and TCP connections are FIFO).
-  explicit WallClockRoot(const ChannelOptions& channel) : channel_(channel) {}
+  /// flag is moot: mailboxes and TCP connections are FIFO); `seed` seeds
+  /// every draw the root makes.
+  WallClockRoot(const ChannelOptions& channel, std::uint64_t seed)
+      : channel_(channel), seed_(seed) {}
   ~WallClockRoot() override = default;
 
   [[nodiscard]] virtual std::size_t slot(ProcessId p) const = 0;
+  [[nodiscard]] std::uint64_t seed() const { return seed_; }
 
   /// A message from `from` to `to`, stamped with its id and send time and
   /// entered in the sender's ledger.
   Message stamp(ProcessId from, ProcessId to, BodyRef body, MessageMeta meta);
-  /// ChannelFaults::fate of `m`, sent now; a drop is counted by cause.
-  template <typename FaultRng>
-  SendFate fate(const Message& m, FaultRng&& fault_rng,
-                double extra_loss = 0.0, double extra_duplicate = 0.0) {
-    const SendFate f = faults_->fate(m.from, m.to, m.send_time, fault_rng,
-                                     extra_loss, extra_duplicate);
+  /// ChannelFaults::fate of `m`, sent now, drawn from draws(m, stream); a
+  /// drop is counted by cause.  Runs on the sender's worker.
+  SendFate fate(const Message& m, std::optional<Rng>& stream) {
+    const SendFate f = faults_->fate(
+        m.from, m.to, m.send_time, [&]() -> Rng& { return draws(m, stream); });
     if (f.copies == 0) bump(drops_.*f.cause);
     return f;
   }
+  /// `m`'s draw stream, built into `stream` on the first call.
+  Rng& draws(const Message& m, std::optional<Rng>& stream);
   /// Queue `copies` of `m` on its receiver's mailbox.
   void enqueue(Message&& m, int copies);
   /// Counters many threads bump are plain fields updated atomically.
@@ -342,7 +353,11 @@ class WallClockRoot : public RootTransport,
   void deliver(Endpoint& ep, const Message& m) override;
 
   ChannelOptions channel_;
+  std::uint64_t seed_;
   std::optional<ChannelFaults> faults_;
+  /// Draw streams built so far per directed pair [from * n + to]; row
+  /// `from` is written only by from's worker.
+  std::vector<std::uint64_t> pair_streams_;
   DropCounters drops_;  ///< bumped by every worker
   std::atomic<std::uint64_t> next_msg_id_{1};
 
@@ -354,16 +369,12 @@ class WallClockRoot : public RootTransport,
 };
 
 /// Transport implementation where every endpoint runs on its own thread.
-///
-/// Faults (WallClockRoot): loss and duplication draw from counter streams
-/// seeded by `seed` and keyed on (sender, receiver, the pair's message
-/// index), like the sockets root's chaos stream, so the i-th message of a
-/// pair meets the same draw however the OS interleaves other traffic.
-/// There is no latency model.
+/// Its loss and duplication draw from WallClockRoot's per-message streams;
+/// there is no latency model.
 class ThreadRuntime final : public WallClockRoot {
  public:
   explicit ThreadRuntime(ChannelOptions channel = {}, std::uint64_t seed = 1)
-      : WallClockRoot(channel), seed_(seed) {}
+      : WallClockRoot(channel, seed) {}
   ~ThreadRuntime() override { halt(); }
 
   /// Register an endpoint; must be called before start() and faults().
@@ -384,11 +395,6 @@ class ThreadRuntime final : public WallClockRoot {
   [[nodiscard]] std::size_t slot(ProcessId p) const override {
     return static_cast<std::size_t>(p);
   }
-
-  std::uint64_t seed_;
-  /// Fault draws so far per directed pair [from * n + to]; row `from` is
-  /// written only by from's worker.
-  std::vector<std::uint64_t> draws_;
 };
 
 /// Halts a wall-clock root (ThreadRuntime, SocketTransport) when it goes

@@ -362,97 +362,6 @@ TEST(Reliable, LossyBatchedAdHocResendsAboutOncePerDrop) {
 }
 
 // ---------------------------------------------------------------------------
-// Backoff: capped exponential growth of each frame's timeout + deterministic
-// jitter (ReliableOptions.backoff_factor / retransmit_max / jitter).
-// ---------------------------------------------------------------------------
-
-ReliableOptions backoff_options() {
-  ReliableOptions o;
-  o.retransmit_after = millis(20);
-  o.max_retransmits = 1'000'000;
-  o.backoff_factor = 2.0;
-  o.retransmit_max = millis(200);
-  o.jitter = 0.25;
-  return o;
-}
-
-TEST(Reliable, BackoffDeliversExactlyOnceUnderHeavyLoss) {
-  Simulator sim(lossy(0.4, 0.2, 3));
-  ReliableTransport rel(sim, backoff_options());
-  Collector sender_side, receiver;
-  const ProcessId s = rel.add_endpoint(&sender_side);
-  const ProcessId r = rel.add_endpoint(&receiver);
-
-  sim.schedule_at(kTimeZero, [&] {
-    for (int i = 0; i < 100; ++i) {
-      auto* body = new_body<Payload>();
-      body->n = i;
-      rel.send(s, r, BodyRef::adopt(body), MessageMeta{"SEQ", 4, 0, {}});
-    }
-  });
-  sim.run();
-
-  ASSERT_EQ(receiver.got.size(), 100u);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(receiver.got[i], i);
-  EXPECT_GT(rel.retransmissions(), 0u);
-  EXPECT_TRUE(rel.dead_channels().empty());
-}
-
-TEST(Reliable, BackoffIsDeterministicPerSeed) {
-  const auto run_once = [](std::uint64_t jitter_seed) {
-    Simulator sim(lossy(0.35, 0.1, 7));
-    ReliableOptions o = backoff_options();
-    o.jitter_seed = jitter_seed;
-    ReliableTransport rel(sim, o);
-    Collector sender_side, receiver;
-    const ProcessId s = rel.add_endpoint(&sender_side);
-    const ProcessId r = rel.add_endpoint(&receiver);
-    sim.schedule_at(kTimeZero, [&] {
-      for (int i = 0; i < 50; ++i) {
-        auto* body = new_body<Payload>();
-        body->n = i;
-        rel.send(s, r, BodyRef::adopt(body), MessageMeta{"SEQ", 4, 0, {}});
-      }
-    });
-    sim.run();
-    EXPECT_EQ(receiver.got.size(), 50u);
-    return std::make_pair(rel.retransmissions(), sim.now().us);
-  };
-  // Same seed, same run — the jitter stream is a pure function of
-  // (seed, pair, draw index), never of scheduling history.
-  EXPECT_EQ(run_once(11), run_once(11));
-  // A different seed perturbs the retransmit schedule.
-  EXPECT_NE(run_once(11), run_once(12));
-}
-
-// The engine's lossy scenario sweep still completes with backoff enabled:
-// same protocol liveness, the knobs only reshape *when* repairs happen.
-TEST(Reliable, BackoffUnderLossyScenarioSweep) {
-  const auto dist = graph::topo::ring(4);
-  mcs::WorkloadSpec spec;
-  spec.ops_per_process = 6;
-  spec.seed = 5;
-  const auto scripts = mcs::make_random_scripts(dist, spec);
-  for (const double loss : {0.1, 0.3}) {
-    SCOPED_TRACE(loss);
-    Scenario scenario("sweep");
-    scenario.set_loss(loss);
-    mcs::EngineConfig config;
-    config.protocol = mcs::ProtocolKind::kPramPartial;
-    config.distribution = &dist;
-    config.scripts = &scripts;
-    config.scenario = &scenario;
-    config.reliable = backoff_options();
-    const auto r = mcs::run(std::move(config));
-    EXPECT_TRUE(r.used_reliable_transport);
-    EXPECT_EQ(r.unfinished_clients, 0u);
-    EXPECT_TRUE(r.dead_channels.empty());
-    EXPECT_TRUE(
-        hist::check_history(r.history, hist::Criterion::kPram).consistent);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Retransmit exhaustion degrades the channel to dead (counted drops,
 // reported pairs) instead of tearing down the whole run.
 // ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 // Sockets runtime end-to-end: every protocol over real loopback TCP, the
-// decorator stacks composed above the socket root, chaos injection routed
+// decorator stacks composed above the socket root, channel loss routed
 // through ARQ, scenario crash/recover with RSYNC on the wall clock, the
 // receiver-side heartbeat failure detector (also under a busy worker),
 // the ad-hoc protocol's per-recipient wire, rejected-frame and
@@ -30,6 +30,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -38,6 +39,7 @@
 #include "mcs/causal_partial_adhoc.h"
 #include "mcs/driver.h"
 #include "mcs/factory.h"
+#include "mcs/node_config.h"
 #include "sharegraph/topologies.h"
 #include "simnet/socket_transport.h"
 #include "simnet/wire.h"
@@ -158,24 +160,17 @@ TEST(Sockets, TransportStacksComposeAboveSocketRoot) {
     const char* name;
     mcs::ReliabilityMode reliability;
     Duration window;
-    mcs::BatchPlacement placement;
   };
   const Case cases[] = {
-      {"arq-only", mcs::ReliabilityMode::kAlways, Duration{},
-       mcs::BatchPlacement::kAboveReliable},
-      {"batching-only", mcs::ReliabilityMode::kAuto, millis(1),
-       mcs::BatchPlacement::kAboveReliable},
-      {"batching-over-arq", mcs::ReliabilityMode::kAlways, millis(1),
-       mcs::BatchPlacement::kAboveReliable},
-      {"arq-over-batching", mcs::ReliabilityMode::kAlways, millis(1),
-       mcs::BatchPlacement::kBelowReliable},
+      {"arq-only", mcs::ReliabilityMode::kAlways, Duration{}},
+      {"batching-only", mcs::ReliabilityMode::kAuto, millis(1)},
+      {"batching-over-arq", mcs::ReliabilityMode::kAlways, millis(1)},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     mcs::EngineConfig config = socket_config(kind, w);
     config.reliability = c.reliability;
     config.batching.window = c.window;
-    config.batch_placement = c.placement;
     const auto r = mcs::run(std::move(config));
 
     EXPECT_EQ(r.used_reliable_transport,
@@ -189,9 +184,9 @@ TEST(Sockets, TransportStacksComposeAboveSocketRoot) {
 }
 
 // ---------------------------------------------------------------------------
-// Chaos injection: frame drops/duplicates at the socket layer force the
-// run through ARQ (ReliabilityMode::kAuto), which repairs them — same
-// liveness story as simulated channel loss, now on a real wire.
+// Channel loss and duplication, drawn per frame at the socket sender,
+// force the run through ARQ (ReliabilityMode::kAuto), which repairs them
+// — same liveness story as simulated channel loss, now on a real wire.
 // ---------------------------------------------------------------------------
 
 TEST(Sockets, ChaosLossAutoRoutesThroughArqAndConverges) {
@@ -200,12 +195,12 @@ TEST(Sockets, ChaosLossAutoRoutesThroughArqAndConverges) {
   const auto ref = reference_run(kind, w);
 
   mcs::EngineConfig config = socket_config(kind, w);
-  config.sockets.chaos.drop_probability = 0.15;
-  config.sockets.chaos.duplicate_probability = 0.05;
+  config.channel.drop_probability = 0.15;
+  config.channel.duplicate_probability = 0.05;
   const auto r = mcs::run(std::move(config));
 
   EXPECT_TRUE(r.used_reliable_transport);
-  EXPECT_GT(r.socket_counters.chaos_drops, 0u);
+  EXPECT_GT(r.drops.loss, 0u);
   EXPECT_GT(r.retransmissions, 0u);
   EXPECT_EQ(r.unfinished_clients, 0u);
   EXPECT_TRUE(r.dead_channels.empty());
@@ -858,6 +853,117 @@ TEST(Sockets, HaltDoesNotWaitOutTheDetectorTick) {
   const auto begin = std::chrono::steady_clock::now();
   transport.halt();
   EXPECT_LT(std::chrono::steady_clock::now() - begin, 500ms);
+}
+
+// ---------------------------------------------------------------------------
+// NodeSpec: the text contract between the pardsm_node parent and its
+// children.  A spec survives serialization unchanged, and a line the
+// parser does not know, or one naming a process outside the system, fails
+// the parse instead of half-configuring a node.
+// ---------------------------------------------------------------------------
+
+mcs::NodeSpec sample_spec() {
+  const Workload w = make_workload(3, 2, 5);
+  mcs::NodeSpec spec;
+  spec.protocol = mcs::ProtocolKind::kCachePartial;
+  spec.distribution = w.dist;
+  spec.scripts = w.scripts;
+  spec.node = 1;
+  spec.channel.drop_probability = 0.1;
+  spec.channel.duplicate_probability = 1.0 / 3;  // no short decimal form
+  spec.seed = 77;
+  spec.sockets.addrs = {"127.0.0.1:4000", "127.0.0.1:4001", "127.0.0.1:4002"};
+  spec.sockets.incarnation = 3;
+  spec.sockets.listen_fd = 9;
+  spec.sockets.heartbeat_period = millis(10);
+  spec.sockets.heartbeat_timeout = millis(90);
+  spec.sockets.chaos.disconnect_probability = 0.2;
+  spec.sockets.chaos.delay_min = millis(1);
+  spec.sockets.chaos.delay_max = millis(4);
+  spec.drain_idle_ms = 50;
+  spec.drain_timeout_ms = 900;
+  return spec;
+}
+
+/// `text` with `line` added just before its end line.
+std::string with_line(const std::string& text, const std::string& line) {
+  const std::string end = "end\n";
+  EXPECT_EQ(text.substr(text.size() - end.size()), end);
+  return text.substr(0, text.size() - end.size()) + line + "\n" + end;
+}
+
+/// The message parse_node_spec throws on `text` ("" when it parses).
+std::string parse_error(const std::string& text) {
+  try {
+    (void)mcs::parse_node_spec(text);
+  } catch (const std::logic_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(NodeSpec, SerializeParseSerializeIsTheIdentity) {
+  const std::string text = mcs::serialize_node_spec(sample_spec());
+  const mcs::NodeSpec parsed = mcs::parse_node_spec(text);
+  EXPECT_EQ(mcs::serialize_node_spec(parsed), text);
+
+  EXPECT_EQ(parsed.protocol, mcs::ProtocolKind::kCachePartial);
+  EXPECT_EQ(parsed.distribution.per_process,
+            sample_spec().distribution.per_process);
+  EXPECT_EQ(parsed.node, 1);
+  EXPECT_EQ(parsed.channel.drop_probability, 0.1);
+  EXPECT_EQ(parsed.channel.duplicate_probability, 1.0 / 3);
+  EXPECT_EQ(parsed.seed, 77u);
+  EXPECT_EQ(parsed.sockets.addrs, sample_spec().sockets.addrs);
+  EXPECT_EQ(parsed.sockets.incarnation, 3u);
+  EXPECT_EQ(parsed.sockets.listen_fd, 9);
+  EXPECT_EQ(parsed.sockets.heartbeat_period, millis(10));
+  EXPECT_EQ(parsed.sockets.heartbeat_timeout, millis(90));
+  EXPECT_EQ(parsed.sockets.chaos.disconnect_probability, 0.2);
+  EXPECT_EQ(parsed.sockets.chaos.delay_min, millis(1));
+  EXPECT_EQ(parsed.sockets.chaos.delay_max, millis(4));
+  EXPECT_EQ(parsed.drain_idle_ms, 50u);
+  EXPECT_EQ(parsed.drain_timeout_ms, 900u);
+  // Derived, not serialized: this node's identity in the socket root.
+  EXPECT_EQ(parsed.sockets.total_processes, 3u);
+  EXPECT_EQ(parsed.sockets.local_ids, std::vector<ProcessId>{1});
+}
+
+// Loss and duplication are channel rates and every draw is seeded by the
+// run's seed, so the socket-only rate, seed and backoff keys are gone.
+TEST(NodeSpec, DeletedKeysAreUnknown) {
+  const std::string text = mcs::serialize_node_spec(sample_spec());
+  for (const char* line :
+       {"dial_backoff_base_us 5000", "dial_backoff_max_us 300000",
+        "dial_backoff_factor 2", "dial_jitter 0.25", "backoff_seed 7",
+        "chaos_drop 0.1", "chaos_duplicate 0.1", "chaos_seed 7"}) {
+    SCOPED_TRACE(line);
+    const std::string error = parse_error(with_line(text, line));
+    EXPECT_NE(error.find("unknown key"), std::string::npos) << error;
+  }
+}
+
+TEST(NodeSpec, TrailingTokensAndProcessesOutsideTheSystemAreRejected) {
+  const std::string text = mcs::serialize_node_spec(sample_spec());
+  ASSERT_EQ(parse_error(text), "");
+  const struct {
+    const char* line;
+    const char* error;
+  } cases[] = {
+      {"seed 7 8", "trailing tokens"},
+      {"channel_drop 0.1 x", "trailing tokens"},
+      {"node 1 2", "trailing tokens"},
+      {"op 0 w 0 1 0 9", "trailing tokens"},
+      {"holds 0 1 x", "malformed line"},
+      {"holds 3 0", "holds out of range"},
+      {"op 3 w 0 1 0", "op out of range"},
+      {"addr 3 127.0.0.1:4003", "addr out of range"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.line);
+    const std::string error = parse_error(with_line(text, c.line));
+    EXPECT_NE(error.find(c.error), std::string::npos) << error;
+  }
 }
 
 // ---------------------------------------------------------------------------

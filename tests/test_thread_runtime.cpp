@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <exception>
 #include <memory>
 #include <stdexcept>
@@ -22,6 +23,7 @@
 #include "sharegraph/topologies.h"
 #include "simnet/socket_transport.h"
 #include "simnet/thread_runtime.h"
+#include "simnet/wire.h"
 
 namespace pardsm::mcs {
 namespace {
@@ -418,6 +420,74 @@ TEST_P(WallClockRun, LossWindowOutlastingTheTrafficDoesNotDelayTheEnd) {
   EXPECT_TRUE(r.used_reliable_transport);
   EXPECT_EQ(r.unfinished_clients, 0u);
   EXPECT_LT(r.finished_at, after(seconds(10)));
+}
+
+/// An indexed message the sockets root can put on the wire.
+struct Indexed final : MessageBody {
+  std::uint32_t index = 0;
+  [[nodiscard]] std::uint32_t wire_type() const override {
+    return wire::kTestPayload;
+  }
+  void wire_encode(WireWriter& w) const override { w.u32(index); }
+};
+const wire::BodyRegistrar kIndexedCodec(
+    wire::kTestPayload, [](WireReader& r, BodyArena& arena) -> BodyRef {
+      Indexed* body = arena.create<Indexed>();
+      body->index = r.u32();
+      return BodyRef::adopt(body);
+    });
+
+/// The indices, in arrival order, of 200 indexed messages one sender's
+/// worker sends to one receiver on `root` (channel loss, no ARQ).
+template <class Root>
+std::vector<std::uint32_t> survivors(Root& root) {
+  struct Sink final : Endpoint {
+    std::vector<std::uint32_t> got;
+    void on_message(const Message& m) override {
+      got.push_back(m.as<Indexed>()->index);
+    }
+  };
+  Sink sender;
+  Sink receiver;
+  const ProcessId s = root.add_endpoint(&sender);
+  const ProcessId r = root.add_endpoint(&receiver);
+  root.start();
+  root.post(s, [&] {
+    for (std::uint32_t i = 0; i < 200; ++i) {
+      Indexed* body = root.arena(s).template create<Indexed>();
+      body->index = i;
+      root.send(s, r, BodyRef::adopt(body), MessageMeta{"IDX", 4, 0, {}});
+    }
+  });
+  EXPECT_TRUE(root.await_quiescence(std::chrono::milliseconds(5000)));
+  root.stop();
+  return receiver.got;
+}
+
+std::vector<std::uint32_t> survivors(EngineRuntime runtime,
+                                     std::uint64_t seed) {
+  const ChannelOptions lossy{.drop_probability = 0.3};
+  if (runtime == EngineRuntime::kThreads) {
+    ThreadRuntime root(lossy, seed);
+    return survivors(root);
+  }
+  SocketOptions o;
+  o.total_processes = 2;
+  SocketTransport root(std::move(o), lossy, seed);
+  return survivors(root);
+}
+
+// Both wall-clock roots draw a message's loss from one stream, seeded by
+// the run's seed and keyed on (sender, receiver, the pair's message
+// index): a seed loses the same messages on either root, however the OS
+// schedules them, and another seed loses others.
+TEST_P(WallClockRun, ChannelLossDrawsOneStreamOnEveryRoot) {
+  const std::vector<std::uint32_t> kept = survivors(GetParam(), 7);
+  EXPECT_GT(kept.size(), 100u);
+  EXPECT_LT(kept.size(), 200u);
+  EXPECT_EQ(kept, survivors(EngineRuntime::kThreads, 7));
+  EXPECT_EQ(kept, survivors(EngineRuntime::kSockets, 7));
+  EXPECT_NE(kept, survivors(GetParam(), 8));
 }
 
 INSTANTIATE_TEST_SUITE_P(Roots, WallClockRun,

@@ -3,10 +3,7 @@
 // of the two decorators — must deliver the same contract to the layer
 // above: per-pair FIFO, timers in time order with tags intact, and stats
 // attribution per the documented byte-accounting rules (reliable.h,
-// docs/BATCHING.md).  Plus the window=0 golden regression: an engine run
-// with a forced pass-through batching layer is bit-identical to the run
-// without the layer, for all nine protocols on all three golden
-// topologies.
+// docs/BATCHING.md).
 
 #include <gtest/gtest.h>
 
@@ -14,8 +11,9 @@
 #include <string>
 #include <vector>
 
-#include "golden_metrics_common.h"
+#include "mcs/driver.h"
 #include "mcs/engine.h"
+#include "sharegraph/topologies.h"
 #include "simnet/batching.h"
 #include "simnet/reliable.h"
 #include "simnet/simulator.h"
@@ -303,67 +301,6 @@ TEST(TransportConformance, UrgentBypassesWindow) {
     EXPECT_EQ(c.got[0].at, kTimeZero + millis(1));
     // Non-urgent: held for the window, then one hop.
     EXPECT_EQ(b.got[0].at, kTimeZero + kWindow + millis(1));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Window=0 golden regression: a forced pass-through batching layer is
-// bit-identical to no batching layer, for all nine protocols on all three
-// golden topologies — messages, bytes, exposure fingerprint, events,
-// quiescence time and the full recorded history.
-// ---------------------------------------------------------------------------
-
-golden::Metrics engine_metrics(mcs::ProtocolKind kind,
-                               const graph::Distribution& dist,
-                               bool forced_window0_layer,
-                               std::string* history_out) {
-  mcs::WorkloadSpec spec;
-  spec.ops_per_process = 8;
-  spec.read_fraction = 0.5;
-  spec.seed = 42;
-  const auto scripts = mcs::make_random_scripts(dist, spec);
-
-  mcs::EngineConfig config;
-  config.protocol = kind;
-  config.distribution = &dist;
-  config.scripts = &scripts;
-  config.reliability = mcs::ReliabilityMode::kNever;
-  config.force_batching_layer = forced_window0_layer;  // window stays 0
-  const auto r = mcs::run(std::move(config));
-
-  golden::Metrics out;
-  out.messages = r.total_traffic.msgs_sent;
-  out.bytes = r.total_traffic.wire_bytes_sent();
-  out.exposure_hash = 1469598103934665603ULL;  // FNV offset basis
-  for (std::size_t x = 0; x < dist.var_count; ++x) {
-    for (ProcessId p : r.observed_relevant[x]) {
-      golden::fnv1a(out.exposure_hash, static_cast<std::uint64_t>(p));
-      golden::fnv1a(out.exposure_hash, x);
-    }
-  }
-  out.events = r.events;
-  out.finished_us = r.finished_at.us;
-  *history_out = r.history.to_string();
-  return out;
-}
-
-TEST(TransportConformance, Window0BatchingLayerIsBitIdentical) {
-  for (const auto& topo : golden::golden_topologies()) {
-    for (auto kind : mcs::all_protocols()) {
-      SCOPED_TRACE(std::string(mcs::to_string(kind)) + " on " + topo.name);
-      std::string history_plain;
-      std::string history_layered;
-      const auto plain =
-          engine_metrics(kind, topo.dist, false, &history_plain);
-      const auto layered =
-          engine_metrics(kind, topo.dist, true, &history_layered);
-      EXPECT_EQ(plain.messages, layered.messages);
-      EXPECT_EQ(plain.bytes, layered.bytes);
-      EXPECT_EQ(plain.exposure_hash, layered.exposure_hash);
-      EXPECT_EQ(plain.events, layered.events);
-      EXPECT_EQ(plain.finished_us, layered.finished_us);
-      EXPECT_EQ(history_plain, history_layered);
-    }
   }
 }
 
