@@ -6,8 +6,9 @@
 // variable) exposure matrix.  test_golden_metrics.cpp asserts these tuples
 // against values captured before the allocation-free hot-path refactor;
 // golden_metrics_gen.cpp reprints the table when a protocol legitimately
-// changes its message complexity.  measure_scenario and measure_parallel
-// reduce a faulty run, and a run on the parallel root, the same way.
+// changes its message complexity.  measure_scenario, measure_parallel and
+// measure_adhoc_lossy reduce a faulty run, a run on the parallel root and
+// a run of perfbench's sim-adhoc-lossy shape the same way.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +18,9 @@
 #include "mcs/driver.h"
 #include "scenario_families.h"
 #include "sharegraph/topologies.h"
+#include "simnet/rng.h"
 #include "simnet/scenario.h"
+#include "workload/generator.h"
 
 namespace pardsm::golden {
 
@@ -211,6 +214,63 @@ inline ParallelMetrics measure_parallel(mcs::ProtocolKind kind,
   out.in_flight = r.drops.in_flight;
   out.events = r.events;
   out.finished_us = r.finished_at.us;
+  return out;
+}
+
+/// The reduced signature of one run of perfbench's sim-adhoc-lossy shape:
+/// the ad-hoc protocol's Theorem-1 metadata through a 1 ms batching
+/// window over ARQ on a 1%-loss channel.  The event queue's run/heap
+/// split and the ad-hoc dependency walk sit on this path, so a change to
+/// either must leave every field as it is.
+struct AdHocLossyMetrics {
+  std::uint64_t messages = 0;          ///< total msgs_sent (incl. ARQ)
+  std::uint64_t bytes = 0;             ///< total wire bytes sent
+  std::uint64_t events = 0;            ///< simulator events fired
+  std::uint64_t retransmissions = 0;   ///< ARQ retransmits
+  std::uint64_t updates_buffered = 0;  ///< checks that parked an update
+  std::uint64_t replicas_digest = 0;   ///< mix_word chain over replicas
+};
+
+/// Ad-hoc on random_replication(8, 32, 3, 7), read-50 uniform, open loop
+/// at 1000 op/s per process, 200 ops per process, op seed 42, sim seed 7,
+/// 1% loss (ARQ by the kAuto rule) and a 1 ms batching window.
+inline AdHocLossyMetrics measure_adhoc_lossy() {
+  const auto dist = graph::topo::random_replication(8, 32, 3, 7);
+  workload::Spec spec;
+  spec.ops_per_process = 200;
+  spec.read_fraction = 0.5;
+  spec.arrival_rate = 1000.0;
+  spec.seed = 42;
+  mcs::EngineConfig c;
+  c.protocol = mcs::ProtocolKind::kCausalPartialAdHoc;
+  c.distribution = &dist;
+  c.workload = &spec;
+  c.record_history = false;
+  c.sim_seed = 7;
+  c.channel.drop_probability = 0.01;
+  c.batching.window = millis(1);
+  const auto r = mcs::run(std::move(c));
+
+  AdHocLossyMetrics out;
+  out.messages = r.total_traffic.msgs_sent;
+  out.bytes = r.total_traffic.wire_bytes_sent();
+  out.events = r.events;
+  out.retransmissions = r.retransmissions;
+  for (const mcs::ProtocolStats& s : r.protocol_stats) {
+    out.updates_buffered += s.updates_buffered;
+  }
+  for (const auto& replicas : r.final_replicas) {
+    for (const mcs::ReplicaEntry& e : replicas) {
+      out.replicas_digest =
+          mix_word(out.replicas_digest, static_cast<std::uint64_t>(e.x));
+      out.replicas_digest =
+          mix_word(out.replicas_digest, static_cast<std::uint64_t>(e.value));
+      out.replicas_digest = mix_word(
+          out.replicas_digest, static_cast<std::uint64_t>(e.source.writer));
+      out.replicas_digest = mix_word(
+          out.replicas_digest, static_cast<std::uint64_t>(e.source.seq));
+    }
+  }
   return out;
 }
 

@@ -3,7 +3,7 @@
 //   $ ./tests/golden_metrics_gen
 //
 // Paste each block of the output over its array (kGolden,
-// kGoldenScenario, kGoldenParallel).  Only do this when a protocol's
+// kGoldenScenario, kGoldenParallel, kGoldenAdHocLossy).  Only do this when a protocol's
 // message complexity *legitimately* changes (new protocol feature, new
 // accounting); for pure engine/performance work the table must stay
 // byte-identical — that is the point of the gate.
@@ -64,5 +64,16 @@ int main() {
           static_cast<long long>(m.finished_us));
     }
   }
+  const auto a = golden::measure_adhoc_lossy();
+  std::printf(
+      "\n// sim-adhoc-lossy shape (paste over kGoldenAdHocLossy)\n"
+      "// generated by golden_metrics_gen — do not hand-edit\n"
+      "    %lluull, %lluull, %lluull, %lluull, %lluull, %lluull,\n",
+      static_cast<unsigned long long>(a.messages),
+      static_cast<unsigned long long>(a.bytes),
+      static_cast<unsigned long long>(a.events),
+      static_cast<unsigned long long>(a.retransmissions),
+      static_cast<unsigned long long>(a.updates_buffered),
+      static_cast<unsigned long long>(a.replicas_digest));
   return 0;
 }

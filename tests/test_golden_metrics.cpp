@@ -150,6 +150,24 @@ constexpr GoldenParallelRow kGoldenParallel[] = {
     {"processor-partial", "crash", 108ull, 7408ull, 5ull, 2ull, 0ull, 4ull, 2ull, 165ull, 82741},
 };
 
+struct GoldenAdHocLossyRow {
+  std::uint64_t messages;
+  std::uint64_t bytes;
+  std::uint64_t events;
+  std::uint64_t retransmissions;
+  std::uint64_t updates_buffered;
+  std::uint64_t replicas_digest;
+};
+
+/// perfbench's sim-adhoc-lossy shape at 200 ops per process (see
+/// golden::measure_adhoc_lossy): several event cadences (1 ms delivery
+/// and batching, 40 ms ARQ timers) through the event queue, and every
+/// ad-hoc dependency walk of a process that tracks all 32 variables.
+constexpr GoldenAdHocLossyRow kGoldenAdHocLossy = {
+    // generated by golden_metrics_gen — do not hand-edit
+    7441ull, 6161464ull, 9536ull, 46ull, 890ull, 11504493705686703284ull,
+};
+
 TEST(GoldenMetrics, EveryProtocolEveryTopologyBitIdentical) {
   std::map<std::string, mcs::ProtocolKind> kinds;
   for (auto kind : mcs::all_protocols()) {
@@ -224,6 +242,16 @@ TEST(GoldenMetrics, ParallelRootEveryFaultCellBitIdentical) {
   }
   EXPECT_EQ(checked,
             std::size(golden::kParallelCells) * mcs::all_protocols().size());
+}
+
+TEST(GoldenMetrics, AdHocLossyBatchedShapeBitIdentical) {
+  const auto m = golden::measure_adhoc_lossy();
+  EXPECT_EQ(m.messages, kGoldenAdHocLossy.messages);
+  EXPECT_EQ(m.bytes, kGoldenAdHocLossy.bytes);
+  EXPECT_EQ(m.events, kGoldenAdHocLossy.events);
+  EXPECT_EQ(m.retransmissions, kGoldenAdHocLossy.retransmissions);
+  EXPECT_EQ(m.updates_buffered, kGoldenAdHocLossy.updates_buffered);
+  EXPECT_EQ(m.replicas_digest, kGoldenAdHocLossy.replicas_digest);
 }
 
 }  // namespace
