@@ -27,9 +27,12 @@
 #   PERFBENCH=1 ./ci.sh     # the repo benchmark's own checks: perfbench
 #                           # --smoke (every workload, both modes, each
 #                           # metric present, finite, in its unit) and
-#                           # --selftest (simulator counts repeat per seed)
-#                           # — a src/ change that breaks either fails here
-#                           # first (perfbench/run.py builds .bench_build/)
+#                           # --selftest (simulator counts repeat per seed),
+#                           # its output diffed against the committed
+#                           # tests/golden/perfbench_selftest.txt — a src/
+#                           # change that breaks either or moves a count
+#                           # fails here first (perfbench/run.py builds
+#                           # .bench_build/)
 #   LINT=1 ./ci.sh          # static analysis: pardsm_lint over src/ (the
 #                           # determinism / rng / pooled-reset / unordered /
 #                           # layer-DAG contracts, docs/LINT.md), the
@@ -48,8 +51,12 @@ if [ "${PERFBENCH:-0}" != "0" ]; then
   # perfbench builds itself (Release, its own tree); nothing else is needed.
   echo "== perfbench: smoke =="
   python3 perfbench/run.py --smoke
-  echo "== perfbench: seed determinism =="
-  python3 perfbench/run.py --selftest
+  echo "== perfbench: seed determinism and committed counts =="
+  # The simulator workloads' per-seed counts are committed: a change that
+  # moves any of them (msgs, bytes, events, retransmissions, buffered
+  # checks, replica digest) fails here until the copy is updated with it.
+  python3 perfbench/run.py --selftest > .bench_build/perfbench_selftest.txt
+  diff -u tests/golden/perfbench_selftest.txt .bench_build/perfbench_selftest.txt
   echo "== done (perfbench) =="
   exit 0
 fi

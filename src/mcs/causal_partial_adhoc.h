@@ -23,11 +23,23 @@
 // the y metadata.  (tests/test_property_sweep.cpp and
 // tests/test_theorem1.cpp validate this against the exact checker over
 // hoop-rich topologies.)
+//
+// The metadata is costed in bytes, not in receiver time.  Every process's
+// snapshot layout is fixed by the distribution (StaticRelevance::layout),
+// so a writer's snapshot copies only its counters and points at its
+// layout, and each receiver compiles once, per sender w, the variables
+// both track into maximal spans that are contiguous on both sides.  The
+// dependency check walks those spans: one comparison per counter, no
+// per-entry lookup.  A frame decoded from the wire holds the same
+// counters packed (only the recipient's entries); its entry list is
+// checked once against the expected (y, |C(y)|) list and then walked by
+// the same spans at their packed offsets.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "mcs/causal_buffer.h"
@@ -35,6 +47,14 @@
 #include "sharegraph/hoops.h"
 
 namespace pardsm::mcs {
+
+/// One entry of a dependency snapshot: variable y and its |C(y)|
+/// counters, at [begin, begin + size) of the snapshot's flat counters.
+struct DepEntry {
+  VarId y = kNoVar;
+  std::uint32_t begin = 0;
+  std::uint32_t size = 0;
+};
 
 /// Offline share-graph analysis shared by all processes of a system.
 struct StaticRelevance {
@@ -45,8 +65,11 @@ struct StaticRelevance {
   /// dependency entry on y.
   std::vector<std::uint32_t> clique_size;
 
-  /// tracks[p] = sorted variables y with p ∈ R(y).
-  std::vector<std::vector<VarId>> tracks;
+  /// layout[p]: p's dependency snapshot layout — one entry per variable
+  /// y with p ∈ R(y), ascending, y's |C(y)| counters at [begin, begin +
+  /// size) of p's flat counter array.  Immutable: writers' snapshots and
+  /// receivers' span tables point into it.
+  std::vector<std::vector<DepEntry>> layout;
 
   /// tracks_mask[p][y] != 0 iff p ∈ R(y): O(1) membership for the
   /// per-recipient restriction of a dependency snapshot.
@@ -72,21 +95,13 @@ struct StaticRelevance {
   /// entry per variable both track.  The protocol charges this per
   /// recipient and core::predict models with it.
   [[nodiscard]] std::uint64_t control_bytes(ProcessId w, ProcessId q) const {
-    return pair_control_bytes[static_cast<std::size_t>(w) * tracks.size() +
+    return pair_control_bytes[static_cast<std::size_t>(w) * layout.size() +
                               static_cast<std::size_t>(q)];
   }
 
   /// Build from a distribution (enumerates nothing; polynomial).
   static std::shared_ptr<const StaticRelevance> analyze(
       const graph::Distribution& dist);
-};
-
-/// One entry of a dependency snapshot: variable y and its |C(y)|
-/// counters, at [begin, begin + size) of the snapshot's flat counters.
-struct DepEntry {
-  VarId y = kNoVar;
-  std::uint32_t begin = 0;
-  std::uint32_t size = 0;
 };
 
 struct AdHocMsg;
@@ -118,10 +133,39 @@ class CausalPartialAdHocProcess final : public McsProcess {
   static constexpr std::uint32_t kUntracked = 0xFFFF'FFFFU;
   static constexpr std::size_t kNotWriter = static_cast<std::size_t>(-1);
 
+  /// One stretch of counters that a sender's snapshot and this process's
+  /// counters both hold contiguously and in the same order: `size`
+  /// counters from `theirs` in the sender's full snapshot (`packed` in a
+  /// decoded one, which holds only this process's entries) against
+  /// counters_[mine, mine + size).
+  struct DepSpan {
+    std::uint32_t theirs = 0;
+    std::uint32_t packed = 0;
+    std::uint32_t mine = 0;
+    std::uint32_t size = 0;
+  };
+
+  /// A sender and the index of its first span in spans_.
+  struct Sender {
+    ProcessId who = kNoProcess;
+    std::uint32_t first = 0;
+  };
+
   /// key_base_[y], or kUntracked for any y this process does not track.
   [[nodiscard]] std::uint32_t base_of(VarId y) const;
   /// Position of `k` in C(y) (ascending ids), or kNotWriter if k ∉ C(y).
   [[nodiscard]] std::size_t writer_pos(VarId y, ProcessId k) const;
+
+  /// Build senders_ and spans_ from the analysis: the pairs it costs
+  /// towards this process and both ends' layouts.
+  void compile_spans();
+  /// spans_[first, last) of sender `from`, which must be in senders_.
+  [[nodiscard]] std::pair<std::size_t, std::size_t> spans_of(
+      ProcessId from) const;
+  /// True iff a decoded snapshot from `from` holds exactly the entries
+  /// both track, in `from`'s order: (y, |C(y)|) each.
+  [[nodiscard]] bool expected_entries(ProcessId from,
+                                      const DepSnapshotBody& snap) const;
 
   [[nodiscard]] Readiness check(const Message& m, std::uint64_t& resume) const;
   std::uint32_t deliver(const Message& m);
@@ -136,17 +180,20 @@ class CausalPartialAdHocProcess final : public McsProcess {
   BodyPool<AdHocMsg>* msg_pool_ = nullptr;
   BodyPool<DepSnapshotBody>* snap_pool_ = nullptr;
   std::shared_ptr<const StaticRelevance> analysis_;
-  /// All seen-counters in one flat array: tracked y owns the |C(y)|
-  /// counters from key_base_[y] on, one per C(y) member in ascending-id
-  /// order.  A counter's index is its CausalBuffer key, so the key table
-  /// holds Σ|C(y)| heads over tracked y — neither m·n nor |tracks|·n —
-  /// and check() stays a straight array walk with no map lookups.
+  /// All seen-counters in one flat array, laid out as
+  /// StaticRelevance::layout[self]: tracked y owns the |C(y)| counters
+  /// from key_base_[y] on, one per C(y) member in ascending-id order.  A
+  /// counter's index is its CausalBuffer key, so the key table holds
+  /// Σ|C(y)| heads over tracked y — neither m·n nor |tracks|·n.
   std::vector<std::int64_t> counters_;
   /// key_base_[y]: index of y's first counter, or kUntracked.
   std::vector<std::uint32_t> key_base_;
-  /// The layout of this process's dependency snapshot: one entry per
-  /// tracked variable, ascending, over the whole of counters_.
-  std::vector<DepEntry> own_entries_;
+  /// Every process that can send here (a writer of a variable this
+  /// process tracks), ascending, with where its spans start in spans_
+  /// (they end where the next sender's start).  Sized by the senders this
+  /// process hears from, not by n.
+  std::vector<Sender> senders_;
+  std::vector<DepSpan> spans_;
   std::int64_t next_write_seq_ = 0;
   CausalBuffer buffer_;
 };

@@ -310,9 +310,8 @@ struct EngineConfig {
 
   // -- transport stack ------------------------------------------------------
   ReliabilityMode reliability = ReliabilityMode::kAuto;
-  /// ARQ configuration.  The default effectively never gives up: scenario
-  /// liveness comes from healing timelines, not retransmit caps.
-  ReliableOptions reliable{millis(40), 1'000'000};
+  /// ARQ configuration; the default effectively never gives up.
+  ReliableOptions reliable{};
   /// Batching window 0 = no batching layer at all.  A batching layer
   /// always sits above the ARQ layer.
   BatchingOptions batching{};

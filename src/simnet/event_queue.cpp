@@ -25,8 +25,19 @@ Event& EventQueue::alloc(TimePoint when, Event::Type type,
   e.seq = key;
   e.slot = slot;
   const HeapEntry entry{when, key, slot};
-  if (run_size_ == 0 || !earlier(entry, run_[run_index(run_size_ - 1)])) {
-    run_push(entry);
+  // Best fit.  The live runs' tails decrease with their index: a run opens
+  // only for a push earlier than every tail, and a push joins the first
+  // run whose tail is not after it, so every run before that one keeps a
+  // later tail.  The first run that fits is therefore the one whose tail
+  // is latest, and a one-cadence workload stops at run 0.
+  for (std::size_t i = 0; i < live_runs_; ++i) {
+    if (!earlier(entry, runs_[i].tail)) {
+      runs_[i].push(entry);
+      return e;
+    }
+  }
+  if (live_runs_ < kMaxRuns) {
+    runs_[live_runs_++].push(entry);
   } else {
     heap_.push_back(entry);
     sift_up(heap_.size() - 1);
@@ -34,17 +45,18 @@ Event& EventQueue::alloc(TimePoint when, Event::Type type,
   return e;
 }
 
-void EventQueue::run_push(const HeapEntry& e) {
-  if (run_size_ == run_.size()) {
-    // Unroll the ring into a buffer twice its size, front first (the
-    // first ring holds as many entries as one pool chunk holds events).
-    std::vector<HeapEntry> grown(run_.empty() ? kPoolChunk : 2 * run_.size());
-    for (std::size_t i = 0; i < run_size_; ++i) grown[i] = run_[run_index(i)];
-    run_.swap(grown);
-    run_head_ = 0;
-  }
-  run_[run_index(run_size_)] = e;
-  ++run_size_;
+void EventQueue::Run::grow() {
+  // The first ring holds as many entries as one pool chunk holds events.
+  std::vector<HeapEntry> grown(ring.empty() ? kPoolChunk : 2 * ring.size());
+  for (std::size_t i = 0; i < size; ++i) grown[i] = ring[index(i)];
+  ring.swap(grown);
+  head = 0;
+}
+
+std::size_t EventQueue::size() const {
+  std::size_t n = heap_.size();
+  for (std::size_t i = 0; i < live_runs_; ++i) n += runs_[i].size;
+  return n;
 }
 
 void EventQueue::schedule(TimePoint when, std::function<void()> fn) {
@@ -66,7 +78,8 @@ void EventQueue::schedule_timer(TimePoint when, ProcessId who,
 
 TimePoint EventQueue::next_time() const {
   PARDSM_CHECK(!empty(), "next_time on empty queue");
-  return run_is_next() ? run_[run_head_].when : heap_.front().when;
+  const std::size_t src = next_source();
+  return src == kHeap ? heap_.front().when : runs_[src].front().when;
 }
 
 Event EventQueue::pop() {
@@ -77,10 +90,17 @@ Event EventQueue::pop() {
 
 Event& EventQueue::pop_ref() {
   PARDSM_CHECK(!empty(), "pop on empty queue");
-  if (run_is_next()) {
-    const std::uint32_t slot = run_[run_head_].slot;
-    run_head_ = run_index(1);
-    --run_size_;
+  const std::size_t src = next_source();
+  if (src != kHeap) {
+    Run& r = runs_[src];
+    const std::uint32_t slot = r.front().slot;
+    r.head = r.index(1);
+    if (--r.size == 0) {
+      // Its tail was pending after every event of a run with an earlier
+      // tail, so those runs are empty already: this is the last live run.
+      PARDSM_DCHECK(src + 1 == live_runs_, "event queue: runs out of order");
+      --live_runs_;
+    }
     return slot_at(slot);
   }
   const HeapEntry top = heap_.front();

@@ -18,18 +18,30 @@
 //     chunks, so scheduling from inside a firing handler never invalidates
 //     anything).  The pool grows to the peak queue depth once, a chunk of
 //     kPoolChunk events per allocation, and is then reused.
-//   * The priority queue is a sorted run in front of a 4-ary heap, both
-//     over 24-byte (when, key, slot) entries that never move the payload.
-//     A push whose (when, key) is not earlier than the run's tail (or
-//     finds the run empty) is appended to the run, a power-of-two ring,
-//     in O(1); any other push goes to the heap (hole-insertion sifts).
-//     Simulations push mostly in order (a constant latency, clients on a
-//     common tick grid, insertion-sequence keys), so most events never
-//     touch the heap.  The run is sorted by construction and a pop takes
-//     the earlier of its front and the heap's top, so the pop sequence is
-//     the same total (when, key) order a heap alone would give.
+//   * The priority queue is up to kMaxRuns sorted runs in front of a 4-ary
+//     heap, all over 24-byte (when, key, slot) entries that never move the
+//     payload.  Each run is a power-of-two ring, sorted by construction.
+//     A push goes to the live run whose tail is the latest one not after
+//     its (when, key) (best fit), appended in O(1); if no live run fits
+//     and fewer than kMaxRuns are live, it opens a new run; only the rest
+//     go to the heap (hole-insertion sifts).  Simulations push a few
+//     interleaved in-order streams — a constant latency, clients on a
+//     common tick grid, ARQ deadlines a fixed timeout out, all keyed by
+//     insertion sequence — so each cadence keeps its own run and most
+//     events never touch the heap.  Best fit matters: a push sent to
+//     another fitting run would leave a far tail (a 40 ms timer) on the
+//     run a near cadence (1 ms deliveries) needs, and that cadence would
+//     then fall to the heap.  Best fit also keeps the live runs' tails in
+//     decreasing order of their index, so the first run that fits is the
+//     best one, and a run empties only after every run behind it has:
+//     live runs stay packed at the front of the array, and a one-cadence
+//     workload pays one tail comparison per push and one front
+//     comparison per pop.  A pop takes the earliest of the live runs'
+//     fronts and the heap's top, so the pop sequence is the same total
+//     (when, key) order a heap alone would give.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -66,10 +78,10 @@ struct Event {
 class EventQueue {
  public:
   /// Take a slot from the free list (growing the pool if exhausted), stamp
-  /// (type, when, key) and push its entry onto the run or the heap; the
+  /// (type, when, key) and push its entry onto a run or the heap; the
   /// caller fills the payload.  Keys must be unique among pending events,
-  /// so the pop order is a total order independent of which side an event
-  /// took and of the heap's shape.
+  /// so the pop order is a total order independent of which run or heap
+  /// an event took and of the heap's shape.
   Event& alloc(TimePoint when, Event::Type type, std::uint64_t key);
 
   /// Schedule `fn` to run at absolute time `when` (driver/test path).
@@ -82,10 +94,10 @@ class EventQueue {
   void schedule_timer(TimePoint when, ProcessId who, std::uint64_t tag);
 
   /// True if no events remain.
-  [[nodiscard]] bool empty() const { return run_size_ == 0 && heap_.empty(); }
+  [[nodiscard]] bool empty() const { return live_runs_ == 0 && heap_.empty(); }
 
   /// Number of pending events.
-  [[nodiscard]] std::size_t size() const { return run_size_ + heap_.size(); }
+  [[nodiscard]] std::size_t size() const;
 
   /// Time of the next event; only valid when !empty().
   [[nodiscard]] TimePoint next_time() const;
@@ -109,6 +121,10 @@ class EventQueue {
   /// alloc() calls are not counted).
   [[nodiscard]] std::uint64_t scheduled_total() const { return next_seq_; }
 
+  /// Pending events on the heap rather than in a run (diagnostics: tests
+  /// pin which pushes the runs absorb).
+  [[nodiscard]] std::size_t heap_size() const { return heap_.size(); }
+
   /// Pool slots ever allocated (== peak queue depth; tests assert reuse).
   [[nodiscard]] std::size_t pool_slots() const { return pool_size_; }
 
@@ -126,7 +142,7 @@ class EventQueue {
   }
 
  private:
-  /// What the run and the heap actually store and move.
+  /// What the runs and the heap actually store and move.
   struct HeapEntry {
     TimePoint when{};
     std::uint64_t seq = 0;
@@ -141,28 +157,64 @@ class EventQueue {
   /// the heap's shape.
   static constexpr std::size_t kArity = 4;
 
+  /// Sorted runs live at once: enough for the cadences one simulation
+  /// interleaves (deliveries, batching flushes, ARQ deadlines, client
+  /// ticks); a fixed constant, so the push scan stays a short loop.
+  static constexpr std::size_t kMaxRuns = 4;
+
+  /// Index of next_source() that names the heap rather than a run.
+  static constexpr std::size_t kHeap = kMaxRuns;
+
   static bool earlier(const HeapEntry& a, const HeapEntry& b) {
     if (a.when != b.when) return a.when < b.when;
     return a.seq < b.seq;
   }
 
+  /// A sorted run: a ring of power-of-two size (empty until its first
+  /// push), live entries at [head, head + size) mod ring.size().  A ring
+  /// keeps its capacity when its run empties and is reused by the next
+  /// run opened in its place.
+  struct Run {
+    std::vector<HeapEntry> ring;
+    std::size_t head = 0;
+    std::size_t size = 0;
+    /// A copy of the last entry, so the push scan reads one field.
+    HeapEntry tail{};
+
+    [[nodiscard]] std::size_t index(std::size_t i) const {
+      return (head + i) & (ring.size() - 1);
+    }
+    [[nodiscard]] const HeapEntry& front() const { return ring[head]; }
+    /// Append to the tail.
+    void push(const HeapEntry& e) {
+      if (size == ring.size()) grow();
+      ring[index(size)] = e;
+      ++size;
+      tail = e;
+    }
+    /// Unroll the ring into a buffer twice its size, front first.
+    void grow();
+  };
+
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
 
-  /// Index of the run's i-th entry from its front (i < run_.size()).
-  [[nodiscard]] std::size_t run_index(std::size_t i) const {
-    return (run_head_ + i) & (run_.size() - 1);
-  }
 
-  /// True when the next event is the run's front rather than the heap's
-  /// top.  Only valid when !empty().
-  [[nodiscard]] bool run_is_next() const {
-    return heap_.empty() ||
-           (run_size_ != 0 && earlier(run_[run_head_], heap_.front()));
+  /// Where the next event sits: the index of the live run whose front is
+  /// earliest, or kHeap when the heap's top is earlier than every front.
+  /// Only valid when !empty().
+  [[nodiscard]] std::size_t next_source() const {
+    std::size_t src = kHeap;
+    const HeapEntry* first = heap_.empty() ? nullptr : &heap_.front();
+    for (std::size_t i = 0; i < live_runs_; ++i) {
+      const HeapEntry& f = runs_[i].front();
+      if (first == nullptr || earlier(f, *first)) {
+        first = &f;
+        src = i;
+      }
+    }
+    return src;
   }
-
-  /// Append to the run's tail, doubling the ring when it is full.
-  void run_push(const HeapEntry& e);
 
   /// Slot `s` lives at pool_[s / kPoolChunk][s % kPoolChunk].  A deque
   /// would allocate a node per two events as the pool grows.
@@ -175,11 +227,9 @@ class EventQueue {
   std::size_t pool_size_ = 0;                   ///< slots handed out
   std::vector<std::uint32_t> free_;   ///< recycled slot indices
   std::vector<HeapEntry> heap_;       ///< explicit 4-ary min-heap
-  /// Sorted run: a ring of power-of-two size (empty until the first
-  /// push), live entries at [run_head_, run_head_ + run_size_) mod size.
-  std::vector<HeapEntry> run_;
-  std::size_t run_head_ = 0;
-  std::size_t run_size_ = 0;
+  /// Sorted runs; runs_[0, live_runs_) are the non-empty ones.
+  std::array<Run, kMaxRuns> runs_;
+  std::size_t live_runs_ = 0;
   std::uint64_t next_seq_ = 0;
 };
 

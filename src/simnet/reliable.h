@@ -66,8 +66,11 @@ struct ReliableOptions {
   /// since it was last sent without an ACK covering it.
   Duration retransmit_after = millis(40);
   /// Declare a directed channel dead after this many retransmissions of
-  /// one frame.  The one-shot duplicate-ACK resend counts too.
-  std::uint32_t max_retransmits = 100;
+  /// one frame.  The one-shot duplicate-ACK resend counts too.  The one
+  /// bound of every root and of pardsm_node: effectively never (11 hours
+  /// of 40 ms timeouts), since scenario liveness comes from healing
+  /// timelines, not retransmit caps.
+  std::uint32_t max_retransmits = 1'000'000;
 };
 
 /// Exactly-once, per-pair-FIFO transport decorator.

@@ -163,14 +163,9 @@ void SocketTransport::start() {
     const int one = 1;
     ::setsockopt(own_listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
     sockaddr_in addr{};
-    if (options_.listen_addr.empty()) {
-      addr.sin_family = AF_INET;
-      addr.sin_port = 0;
-      inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    } else {
-      PARDSM_CHECK(parse_addr(options_.listen_addr, &addr),
-                   "sockets: bad listen_addr");
-    }
+    addr.sin_family = AF_INET;
+    addr.sin_port = 0;
+    inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
     PARDSM_CHECK(::bind(own_listen_fd_,
                         reinterpret_cast<const sockaddr*>(&addr),
                         sizeof(addr)) == 0,
@@ -335,7 +330,7 @@ void SocketTransport::send(ProcessId from, ProcessId to, BodyRef body,
   const std::uint8_t* bytes = w.bytes().data();
   const std::size_t size = w.size();
 
-  if (copies == 2) bump(counters_.chaos_duplicates);
+  if (copies == 2) bump(counters_.duplicates);
   if (delay.us > 0) bump(counters_.chaos_delays);
   if (disconnect) bump(counters_.chaos_disconnects);
   // Counted before any byte moves: the receiver may deliver (and the run
@@ -429,7 +424,7 @@ SocketCounters SocketTransport::counters() const {
   c.heartbeats_received = relaxed_load(counters_.heartbeats_received);
   c.dials = relaxed_load(counters_.dials);
   c.reconnects = relaxed_load(counters_.reconnects);
-  c.chaos_duplicates = relaxed_load(counters_.chaos_duplicates);
+  c.duplicates = relaxed_load(counters_.duplicates);
   c.chaos_disconnects = relaxed_load(counters_.chaos_disconnects);
   c.chaos_delays = relaxed_load(counters_.chaos_delays);
   c.peer_down_events = relaxed_load(counters_.peer_down_events);

@@ -114,12 +114,10 @@ struct SocketOptions {
   /// (or an empty vector) means "this transport's own listener" — the
   /// all-local loopback shape.  set_peer_addr() edits entries pre-start.
   std::vector<std::string> addrs;
-  /// Address to listen on; empty = 127.0.0.1 with a kernel-chosen port
-  /// (query with port()).  Ignored when listen_fd is given.
-  std::string listen_addr;
   /// Pre-bound listening socket inherited from a bootstrap parent (so a
   /// respawned node reuses the same binding and peers' reconnect attempts
-  /// queue in the kernel backlog across the kill).  -1 = bind our own.
+  /// queue in the kernel backlog across the kill).  -1 = bind our own on
+  /// 127.0.0.1 with a kernel-chosen port (query with port()).
   int listen_fd = -1;
   /// This process's incarnation (bumped by the bootstrap on respawn).
   std::uint64_t incarnation = 1;
@@ -153,7 +151,8 @@ struct SocketCounters {
   std::uint64_t dials = 0;             ///< connection attempts
   std::uint64_t reconnects = 0;        ///< re-dials after an established
                                        ///< connection broke
-  std::uint64_t chaos_duplicates = 0;  ///< frames sent twice
+  /// Frames sent twice: channel and scenario duplication.
+  std::uint64_t duplicates = 0;
   std::uint64_t chaos_disconnects = 0;
   std::uint64_t chaos_delays = 0;
   std::uint64_t peer_down_events = 0;  ///< failure-detector transitions

@@ -4,9 +4,11 @@
 // wrapping), the small-buffer variable list (inline → heap spill), the
 // wake-indexed causal buffer (rescan-equivalent delivery order), the ARQ
 // layer's seq-indexed rings, the socket root's frame path, the wire
-// decoders', ARQ receiver's, socket reader's and PRAM receiver's defences
-// against hostile frames, and the allocation shapes of the per-process
-// ledgers (sized by what a process touches, never by m or a VarId).
+// decoders', ARQ receiver's, socket reader's, PRAM receiver's and ad-hoc
+// receiver's defences against hostile frames, the ad-hoc span walk over
+// in-process and decoded snapshots, and the allocation shapes of the
+// per-process ledgers (sized by what a process touches, never by m or a
+// VarId).
 
 #include <gtest/gtest.h>
 
@@ -28,6 +30,7 @@
 #include <vector>
 
 #include "mcs/causal_buffer.h"
+#include "mcs/causal_partial_adhoc.h"
 #include "mcs/driver.h"
 #include "mcs/factory.h"
 #include "mcs/replica_store.h"
@@ -458,6 +461,53 @@ TEST(SteadyStateAllocations, EventQueueHoldLoopIsAllocationFree) {
   EXPECT_EQ(q.size(), static_cast<std::size_t>(kDepth));
   EXPECT_EQ(q.pool_slots(), static_cast<std::size_t>(kDepth));
   while (!q.empty()) pop();
+  EXPECT_EQ(inversions, 0u);
+}
+
+// Two cadences under the hold model, as a lossy batched run schedules
+// them: each pop schedules a delivery 1 ms out, and every third also an
+// ARQ-style deadline 40 ms out that cancels nothing.  Once every run's
+// ring, the pool and the heap have reached the high-water mark, the loop
+// allocates nothing and the pops keep time order.
+TEST(SteadyStateAllocations, EventQueueTwoCadenceHoldLoopIsAllocationFree) {
+  constexpr int kEvents = 20'000;
+  EventQueue q;
+  std::int64_t now = 0;
+  std::uint64_t inversions = 0;
+  std::uint64_t deliveries = 0;
+  // Pop one event; a deadline re-arms nothing, a delivery schedules the
+  // next delivery (1.000 to 1.006 ms out) and, one time in three, a
+  // deadline.  The schedule is periodic, so the depth is too.
+  const auto hold = [&] {
+    Event& e = q.pop_ref();
+    if (e.when.us < now) ++inversions;
+    now = e.when.us;
+    const bool deadline = e.timer_tag == 1;
+    q.release(e);
+    if (deadline) return;
+    const auto n = static_cast<std::int64_t>(deliveries++);
+    q.schedule_timer(TimePoint{now + 1'000 + n % 7}, 0, 0);
+    if (n % 3 == 0) q.schedule_timer(TimePoint{now + 40'000}, 0, 1);
+  };
+  for (int i = 0; i < 64; ++i) {
+    q.schedule_timer(TimePoint{i * 16}, 0, 0);
+  }
+  for (int i = 0; i < kEvents; ++i) hold();
+  const std::size_t slots = q.pool_slots();
+
+  g_alloc_count.store(0);
+  g_count_allocs.store(true);
+  for (int i = 0; i < kEvents; ++i) hold();
+  g_count_allocs.store(false);
+  EXPECT_EQ(g_alloc_count.load(), 0u);
+  EXPECT_EQ(q.pool_slots(), slots);
+  EXPECT_EQ(q.heap_size(), 0u);
+  while (!q.empty()) {
+    Event& e = q.pop_ref();
+    if (e.when.us < now) ++inversions;
+    now = e.when.us;
+    q.release(e);
+  }
   EXPECT_EQ(inversions, 0u);
 }
 
@@ -1076,6 +1126,289 @@ TEST(HostileFrames, PramUpdateFromOutsideTheCliqueIsRejected) {
   receiver.on_message(update_from(1, 0));
   EXPECT_EQ(receiver.store().get(0).value, 77);
   EXPECT_EQ(receiver.stats().updates_applied, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// The ad-hoc receiver walks a sender's snapshot through per-sender spans:
+// the variables both track, merged where both layouts are contiguous.  A
+// snapshot shared in process and its wire-decoded copy (packed: only the
+// recipient's entries) must walk alike, and a decoded entry list other
+// than the expected (y, |C(y)|) intersection must be rejected.
+
+namespace adhoc_spans {
+
+/// A transport that keeps every message its processes send, undelivered.
+class CapturingTransport final : public Transport {
+ public:
+  explicit CapturingTransport(std::size_t n) : n_(n) {}
+  void send(ProcessId from, ProcessId to, BodyRef body,
+            MessageMeta meta) override {
+    Message m;
+    m.from = from;
+    m.to = to;
+    m.body = std::move(body);
+    m.meta = std::move(meta);
+    sent.push_back(std::move(m));
+  }
+  [[nodiscard]] TimePoint now() const override { return kTimeZero; }
+  void set_timer(ProcessId, Duration, TimerTag) override {}
+  [[nodiscard]] std::size_t process_count() const override { return n_; }
+
+  std::vector<Message> sent;
+
+ private:
+  std::size_t n_;
+};
+
+/// n ad-hoc processes over one capturing transport.
+struct System {
+  explicit System(const graph::Distribution& d)
+      : dist(d),
+        recorder(dist.process_count(), dist.var_count),
+        transport(dist.process_count()),
+        procs(mcs::make_processes(mcs::ProtocolKind::kCausalPartialAdHoc,
+                                  dist, recorder)) {
+    for (auto& p : procs) p->attach(transport);
+  }
+  const graph::Distribution& dist;
+  mcs::HistoryRecorder recorder;
+  CapturingTransport transport;
+  std::vector<std::unique_ptr<mcs::McsProcess>> procs;
+};
+
+/// Largest number of spans any (sender, receiver) pair needs: breaks in
+/// the shared variables' contiguity on either side, counted from the
+/// layouts directly.
+std::size_t max_spans(const mcs::StaticRelevance& a) {
+  const std::size_t n = a.layout.size();
+  std::size_t most = 0;
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t w = 0; w < n; ++w) {
+      if (w == r || a.control_bytes(static_cast<ProcessId>(w),
+                                    static_cast<ProcessId>(r)) == 0) {
+        continue;
+      }
+      std::size_t spans = 0;
+      bool joined = false;  // the previous variable was shared
+      for (std::size_t y = 0; y < a.tracks_mask[r].size(); ++y) {
+        const bool in_w = a.tracks_mask[w][y] != 0;
+        const bool in_r = a.tracks_mask[r][y] != 0;
+        if (in_w && in_r) {
+          spans += joined ? 0 : 1;
+          joined = true;
+        } else if (in_w || in_r) {
+          joined = false;
+        }
+      }
+      most = std::max(most, spans);
+    }
+  }
+  return most;
+}
+
+/// Writes at random processes of `src`; after each, with probability one
+/// half, every message sent so far reaches its recipient in send order
+/// (which is causal), so later writes depend on earlier ones.  Returns
+/// every message in send order; the snapshots point into `src`'s
+/// analysis, so `src` must outlive them.
+std::vector<Message> causal_traffic(System& src, std::uint64_t seed,
+                                    int writes) {
+  const graph::Distribution& dist = src.dist;
+  Rng rng(seed);
+  std::size_t delivered = 0;
+  for (int i = 0; i < writes; ++i) {
+    const auto p = static_cast<std::size_t>(rng.below(dist.process_count()));
+    const auto& vars = dist.per_process[p];
+    const VarId x = vars[rng.below(vars.size())];
+    src.procs[p]->write(x, 1000 + i, [] {});
+    if (rng.below(2) == 0) {
+      for (; delivered < src.transport.sent.size(); ++delivered) {
+        const Message& m = src.transport.sent[delivered];
+        src.procs[static_cast<std::size_t>(m.to)]->on_message(m);
+      }
+    }
+  }
+  return std::move(src.transport.sent);
+}
+
+/// The recipient's state after one arrival: the checks that parked an
+/// update, the updates applied, and every seen counter.
+std::vector<std::int64_t> state_of(const mcs::McsProcess& proc,
+                                   const graph::Distribution& dist) {
+  const auto& adhoc =
+      static_cast<const mcs::CausalPartialAdHocProcess&>(proc);
+  std::vector<std::int64_t> out = {
+      static_cast<std::int64_t>(proc.stats().updates_buffered),
+      static_cast<std::int64_t>(proc.stats().updates_applied)};
+  for (std::size_t y = 0; y < dist.var_count; ++y) {
+    for (std::size_t k = 0; k < dist.process_count(); ++k) {
+      out.push_back(
+          adhoc.seen(static_cast<VarId>(y), static_cast<ProcessId>(k)));
+    }
+  }
+  return out;
+}
+
+Message decoded_copy(const Message& m, BodyArena& arena) {
+  WireWriter w;
+  wire::encode_body(w, *m.body);
+  WireReader r(w.bytes());
+  Message out = m;
+  out.body = wire::decode_body(r, arena);
+  EXPECT_TRUE(r.done());
+  return out;
+}
+
+}  // namespace adhoc_spans
+
+// Random replication with r = 2 leaves hoops on some variables only, so
+// processes track different sets and a sender's shared variables are
+// scattered over both layouts (up to 4 and 5 spans per pair).  The same
+// shuffled arrival sequence, once as the writers' shared bodies and once
+// as wire-decoded copies, must park and deliver identically at every
+// arrival.
+TEST(AdHocSpans, DecodedSnapshotsWalkLikeSharedOnes) {
+  using namespace adhoc_spans;
+  for (const std::uint64_t topo_seed : {3u, 4u}) {
+    const auto dist = graph::topo::random_replication(10, 14, 2, topo_seed);
+    SCOPED_TRACE("topology seed " + std::to_string(topo_seed));
+    ASSERT_GE(max_spans(*mcs::StaticRelevance::analyze(dist)), 4u);
+
+    System src(dist);
+    std::vector<Message> log = causal_traffic(src, 17 + topo_seed, 400);
+    ASSERT_GT(log.size(), 400u);
+    Rng rng(5);
+    for (std::size_t i = log.size(); i > 1; --i) {
+      std::swap(log[i - 1], log[rng.below(i)]);
+    }
+
+    BodyArena arena(/*concurrent=*/false);  // outlives both systems
+    System shared(dist);
+    System decoded(dist);
+    std::size_t mismatches = 0;
+    for (const Message& m : log) {
+      const auto to = static_cast<std::size_t>(m.to);
+      shared.procs[to]->on_message(m);
+      decoded.procs[to]->on_message(decoded_copy(m, arena));
+      if (state_of(*shared.procs[to], dist) !=
+          state_of(*decoded.procs[to], dist)) {
+        ++mismatches;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u);
+    std::uint64_t buffered = 0;
+    for (std::size_t p = 0; p < dist.process_count(); ++p) {
+      const auto& a = *shared.procs[p];
+      const auto& b = *decoded.procs[p];
+      buffered += a.stats().updates_buffered;
+      EXPECT_EQ(a.stats().updates_buffered, b.stats().updates_buffered);
+      EXPECT_EQ(a.stats().updates_applied, b.stats().updates_applied);
+      for (VarId x : dist.per_process[p]) {
+        EXPECT_EQ(a.store().get(x).source, b.store().get(x).source);
+      }
+    }
+    // The shuffle makes updates wait on each other's dependencies.
+    EXPECT_GT(buffered, 0u);
+  }
+}
+
+// A decoded snapshot is outside input: its entries must be exactly the
+// variables sender and recipient both track, in order, each with |C(y)|
+// counters.  A frame missing an entry, adding one, swapping two or
+// miscounting one is rejected before any dependency walk; the unaltered
+// frame is accepted.
+TEST(HostileFrames, AdHocEntriesOtherThanTheSharedListAreRejected) {
+  using namespace adhoc_spans;
+  const auto dist = graph::topo::random_replication(10, 14, 2, 4);
+  const auto analysis = mcs::StaticRelevance::analyze(dist);
+  System src(dist);
+  const std::vector<Message> log = causal_traffic(src, 21, 40);
+  // The first message whose recipient shares at least two variables with
+  // its sender, so entries can be swapped.
+  struct Entry {
+    std::int32_t y;
+    std::vector<std::int64_t> counters;
+  };
+  const Message* base = nullptr;
+  std::vector<Entry> entries;
+  WireWriter head;  // everything up to the entry count
+  for (const Message& m : log) {
+    WireWriter w;
+    wire::encode_body(w, *m.body);
+    WireReader r(w.bytes());
+    WireWriter h;
+    h.u32(r.u32());       // tag
+    h.i32(r.i32());       // x
+    h.i64(r.i64());       // v
+    h.boolean(r.boolean());
+    wire::put_write_id(h, wire::get_write_id(r));
+    h.i64(r.i64());  // var_seq
+    std::vector<Entry> es(r.u32());
+    for (Entry& e : es) {
+      e.y = r.i32();
+      e.counters.resize(r.u32());
+      for (auto& c : e.counters) c = r.i64();
+    }
+    if (es.size() >= 2) {
+      base = &m;
+      entries = std::move(es);
+      head = std::move(h);
+      break;
+    }
+  }
+  ASSERT_NE(base, nullptr);
+  // A variable the recipient does not track.
+  const auto& mask = analysis->tracks_mask[static_cast<std::size_t>(base->to)];
+  std::int32_t untracked = -1;
+  for (std::size_t y = 0; y < mask.size(); ++y) {
+    if (mask[y] == 0) untracked = static_cast<std::int32_t>(y);
+  }
+  ASSERT_GE(untracked, 0);
+
+  const auto frame = [&](const std::vector<Entry>& es) {
+    WireWriter w;
+    for (std::uint8_t b : head.bytes()) w.u8(b);
+    w.u32(static_cast<std::uint32_t>(es.size()));
+    for (const Entry& e : es) {
+      w.i32(e.y);
+      w.u32(static_cast<std::uint32_t>(e.counters.size()));
+      for (std::int64_t c : e.counters) w.i64(c);
+    }
+    return w.take();
+  };
+  const auto deliver = [&](const std::vector<Entry>& es) {
+    BodyArena arena(/*concurrent=*/false);
+    System fresh(dist);
+    const std::vector<std::uint8_t> bytes = frame(es);
+    WireReader r(bytes);
+    Message m = *base;
+    m.body = wire::decode_body(r, arena);
+    std::string error;
+    try {
+      fresh.procs[static_cast<std::size_t>(m.to)]->on_message(m);
+    } catch (const std::logic_error& e) {
+      error = e.what();
+    }
+    return error;
+  };
+
+  EXPECT_EQ(deliver(entries), "");
+  std::vector<std::vector<Entry>> bad;
+  bad.push_back(entries);
+  bad.back().pop_back();  // an entry missing
+  bad.push_back(entries);
+  bad.back().push_back({untracked, {0, 0}});  // an untracked entry added
+  bad.push_back(entries);
+  std::swap(bad.back()[0], bad.back()[1]);  // out of order
+  bad.push_back(entries);
+  bad.back()[0].counters.push_back(0);  // |C(y)| + 1 counters
+  bad.push_back(entries);
+  bad.back()[1].counters.pop_back();  // |C(y)| - 1 counters
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    SCOPED_TRACE("mutation " + std::to_string(i));
+    EXPECT_NE(deliver(bad[i]).find("dependency entries are not"),
+              std::string::npos);
+  }
 }
 
 // ----------------------------------------------------- allocation shapes

@@ -2,7 +2,8 @@
 //
 //   * the keyed EventQueue the shards run on — events pop in
 //     (when, key) order whatever order they were pushed in, checked
-//     against a sorted reference through its run and its heap, and the
+//     against a sorted reference through its runs and its heap; best-fit
+//     placement keeps interleaved cadences off the heap, and the
 //     canonical key packs (class, origin, seq) order-preservingly and
 //     rejects fields that would bleed into their neighbours;
 //   * the lock-free recorder modes — one thread per process records the
@@ -19,6 +20,8 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -196,6 +199,85 @@ TEST(KeyedEventQueue, RunDrainsBesideHeapEventsOnBothSides) {
   dq.push(2500, 1001);
   dq.drain();
   EXPECT_EQ(dq.pops, 102u);
+}
+
+// Two cadences — eight delivery chains re-armed 1 ms out and ARQ-style
+// deadlines 40 ms out — plus an occasional far timer, as a lossy batched
+// run schedules them.  Best fit keeps each cadence on a run of its own: a
+// deadline never lands on the run the deliveries extend, so nothing falls
+// to the heap.  (A deadline placed on the delivery run, the fitting run
+// with the earliest tail, would push every later delivery to a new run,
+// then to the heap.)
+TEST(KeyedEventQueue, TwoCadencesAndFarTimersStayOffTheHeap) {
+  DifferentialQueue dq;
+  std::uint64_t key = 0;
+  for (std::int64_t chain = 0; chain < 8; ++chain) dq.push(chain * 100, key++);
+  std::set<std::uint64_t> timers;  // keys of deadlines and far timers
+  for (int step = 0; step < 6000; ++step) {
+    const bool timer = timers.erase(dq.ref.begin()->second) != 0;
+    const std::int64_t now = dq.pop();
+    if (timer) continue;
+    dq.push(now + 1'000, key++);
+    if (step % 3 == 0) {
+      timers.insert(key);
+      dq.push(now + 40'000, key++);
+    }
+    if (step % 700 == 0) {
+      timers.insert(key);
+      dq.push(now + 1'000'000, key++);
+    }
+    ASSERT_EQ(dq.q.heap_size(), 0u) << "step " << step;
+  }
+  dq.drain();
+}
+
+// Six cadences, each re-armed by its own pop, outnumber the runs: the
+// pushes no run can take go to the heap, and pops still interleave runs
+// and heap in (when, key) order.
+TEST(KeyedEventQueue, MoreCadencesThanRunsFallBackToTheHeap) {
+  constexpr std::int64_t kPeriods[] = {700, 1'000, 1'300, 2'900, 40'000,
+                                       41'000};
+  DifferentialQueue dq;
+  std::uint64_t key = 0;
+  std::map<std::uint64_t, std::size_t> cadence;  // key -> index in kPeriods
+  for (std::size_t c = 0; c < std::size(kPeriods); ++c) {
+    cadence[key] = c;
+    dq.push(kPeriods[c], key++);
+  }
+  std::size_t heap_peak = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const std::uint64_t popped = dq.ref.begin()->second;
+    const std::int64_t now = dq.pop();
+    const std::size_t c = cadence.at(popped);
+    cadence.erase(popped);
+    cadence[key] = c;
+    dq.push(now + kPeriods[c], key++);
+    heap_peak = std::max(heap_peak, dq.q.heap_size());
+  }
+  EXPECT_GT(heap_peak, 0u);
+  dq.drain();
+}
+
+// A run that empties while an earlier-opened one is still live leaves the
+// array (only the last live run can: its tail is the earliest), and the
+// next push that fits no live run reopens a run in its slot.  Pops must
+// see every live run, old and reopened, and the heap stays unused.
+TEST(KeyedEventQueue, EmptiedRunLeavesAndReopensWhileOthersAreLive) {
+  DifferentialQueue dq;
+  std::uint64_t key = 0;
+  for (std::int64_t t = 10'000; t <= 12'000; t += 100) dq.push(t, key++);
+  for (std::int64_t t = 100; t <= 900; t += 100) dq.push(t, key++);
+  EXPECT_EQ(dq.q.heap_size(), 0u);
+  for (int i = 0; i < 9; ++i) dq.pop();  // the near run drains: 100 .. 900
+  dq.push(1'000, key++);  // earlier than the far run's tail: a new run
+  dq.push(1'100, key++);
+  dq.push(950, key++);    // earlier than both tails: a third run
+  dq.push(12'100, key++);
+  EXPECT_EQ(dq.pop(), 950);  // the third run drains first
+  dq.push(990, key++);       // and reopens in its slot
+  dq.push(5'000, key++);
+  EXPECT_EQ(dq.q.heap_size(), 0u);
+  dq.drain();
 }
 
 TEST(KeyedEventQueue, CanonicalKeyOrdersClassThenOriginThenSeq) {
