@@ -349,7 +349,6 @@ void CausalPartialAdHocProcess::handle_message(const Message& m) {
   // A decoded snapshot is outside input: its entries must be exactly the
   // ones the span table expects, checked once here, before any walk.
   const DepSnapshotBody* snap = u->snapshot();
-  PARDSM_CHECK(snap != nullptr, "ad-hoc: message without dependencies");
   PARDSM_CHECK(snap->layout != nullptr || expected_entries(m.from, *snap),
                "ad-hoc: dependency entries are not the (y, |C(y)|) list "
                "both ends track");

@@ -67,8 +67,8 @@ struct StaticRelevance {
 
   /// layout[p]: p's dependency snapshot layout — one entry per variable
   /// y with p ∈ R(y), ascending, y's |C(y)| counters at [begin, begin +
-  /// size) of p's flat counter array.  Immutable: writers' snapshots and
-  /// receivers' span tables point into it.
+  /// size) of p's flat counter array.  Immutable: writers' snapshots
+  /// point into it.
   std::vector<std::vector<DepEntry>> layout;
 
   /// tracks_mask[p][y] != 0 iff p ∈ R(y): O(1) membership for the

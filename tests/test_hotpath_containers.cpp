@@ -465,19 +465,17 @@ TEST(SteadyStateAllocations, EventQueueHoldLoopIsAllocationFree) {
 }
 
 // Two cadences under the hold model, as a lossy batched run schedules
-// them: each pop schedules a delivery 1 ms out, and every third also an
-// ARQ-style deadline 40 ms out that cancels nothing.  Once every run's
-// ring, the pool and the heap have reached the high-water mark, the loop
-// allocates nothing and the pops keep time order.
+// them: a popped delivery schedules the next one 1.000 to 1.006 ms out
+// and, one time in three, an ARQ-style deadline 40 ms out; a popped
+// deadline schedules nothing.  The schedule is periodic, so once every
+// run's ring and the pool have reached the high-water mark the loop
+// allocates nothing, the heap stays unused and the pops keep time order.
 TEST(SteadyStateAllocations, EventQueueTwoCadenceHoldLoopIsAllocationFree) {
   constexpr int kEvents = 20'000;
   EventQueue q;
   std::int64_t now = 0;
   std::uint64_t inversions = 0;
   std::uint64_t deliveries = 0;
-  // Pop one event; a deadline re-arms nothing, a delivery schedules the
-  // next delivery (1.000 to 1.006 ms out) and, one time in three, a
-  // deadline.  The schedule is periodic, so the depth is too.
   const auto hold = [&] {
     Event& e = q.pop_ref();
     if (e.when.us < now) ++inversions;
