@@ -133,10 +133,10 @@ const KindId kRefreshKind("RFSH");
 
 }  // namespace
 
-AtomicHomeProcess::AtomicHomeProcess(ProcessId self,
-                                     const graph::Distribution& dist,
-                                     HistoryRecorder& recorder)
-    : McsProcess(self, dist, recorder) {}
+AtomicHomeProcess::AtomicHomeProcess(
+    ProcessId self, const graph::Distribution& dist, HistoryRecorder& recorder,
+    std::shared_ptr<const CliqueTable> cliques)
+    : McsProcess(self, dist, recorder, std::move(cliques)) {}
 
 void AtomicHomeProcess::on_attach() {
   read_req_pool_ = &arena().pool<AtomicReadRequest>();
@@ -294,7 +294,7 @@ void AtomicHomeProcess::handle_message(const Message& m) {
     pending.done();
     return;
   }
-  const auto* refresh = m.as<AtomicRefresh>();
+  const auto* refresh = m.try_as<AtomicRefresh>();
   PARDSM_CHECK(refresh != nullptr, "atomic-home: unexpected body");
   // Standby copy; never read while this process is not the home.
   if (replicates(refresh->x)) {

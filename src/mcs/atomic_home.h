@@ -33,7 +33,8 @@ struct AtomicRefresh;
 class AtomicHomeProcess final : public McsProcess {
  public:
   AtomicHomeProcess(ProcessId self, const graph::Distribution& dist,
-                    HistoryRecorder& recorder);
+                    HistoryRecorder& recorder,
+                    std::shared_ptr<const CliqueTable> cliques);
 
   void read(VarId x, ReadCallback done) override;
   void write(VarId x, Value v, WriteCallback done) override;

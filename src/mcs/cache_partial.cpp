@@ -41,10 +41,10 @@ const wire::BodyRegistrar cache_commit_codec(
 
 }  // namespace
 
-CachePartialProcess::CachePartialProcess(ProcessId self,
-                                         const graph::Distribution& dist,
-                                         HistoryRecorder& recorder)
-    : McsProcess(self, dist, recorder) {}
+CachePartialProcess::CachePartialProcess(
+    ProcessId self, const graph::Distribution& dist, HistoryRecorder& recorder,
+    std::shared_ptr<const CliqueTable> cliques)
+    : McsProcess(self, dist, recorder, std::move(cliques)) {}
 
 void CachePartialProcess::on_attach() {
   request_pool_ = &arena().pool<detail::CacheWriteReq>();
@@ -174,7 +174,7 @@ void CachePartialProcess::handle_commit(const Message& m) {
 bool CachePartialProcess::commit_ready(const Message&) { return true; }
 
 void CachePartialProcess::apply_commit(const Message& m) {
-  const auto* c = m.as<detail::CacheCommit>();
+  const auto* c = m.try_as<detail::CacheCommit>();
   PARDSM_CHECK(c != nullptr, "cache: unexpected commit body");
   // Duplicate suppression: originals arrive in var_seq order (FIFO from
   // the home); a late duplicate must not revert the replica.
@@ -206,7 +206,7 @@ void CachePartialProcess::handle_message(const Message& m) {
              req->prior_counts);
     return;
   }
-  PARDSM_CHECK(m.as<detail::CacheCommit>() != nullptr,
+  PARDSM_CHECK(m.try_as<detail::CacheCommit>() != nullptr,
                "cache: unexpected message body");
   handle_commit(m);
 }

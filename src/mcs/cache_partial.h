@@ -30,7 +30,8 @@ namespace pardsm::mcs {
 class CachePartialProcess : public McsProcess {
  public:
   CachePartialProcess(ProcessId self, const graph::Distribution& dist,
-                      HistoryRecorder& recorder);
+                      HistoryRecorder& recorder,
+                      std::shared_ptr<const CliqueTable> cliques);
 
   void read(VarId x, ReadCallback done) override;
   void write(VarId x, Value v, WriteCallback done) override;

@@ -55,10 +55,11 @@ const KindId kUpdateKind("CUPD");
 
 }  // namespace
 
-CausalFullProcess::CausalFullProcess(ProcessId self,
-                                     const graph::Distribution& dist,
-                                     HistoryRecorder& recorder)
-    : McsProcess(self, dist, recorder), vc_(dist.process_count()) {
+CausalFullProcess::CausalFullProcess(
+    ProcessId self, const graph::Distribution& dist, HistoryRecorder& recorder,
+    std::shared_ptr<const CliqueTable> cliques)
+    : McsProcess(self, dist, recorder, std::move(cliques)),
+      vc_(dist.process_count()) {
   // Replace the partial store with a complete one.
   mutable_store() = ReplicaStore(all_vars(dist));
   buffer_.set_key_count(dist.process_count());
@@ -101,18 +102,20 @@ void CausalFullProcess::write(VarId x, Value v, WriteCallback done) {
 }
 
 void CausalFullProcess::handle_message(const Message& m) {
+  // Checked before the buffer holds it, so check/deliver can rely on it.
+  PARDSM_CHECK(m.try_as<CausalUpdate>() != nullptr,
+               "causal-full: unexpected message body");
   buffer_.arrive(m, *this, mutable_stats());
 }
 
 Readiness CausalFullProcess::check(const Message& m,
                                    std::uint64_t& resume) const {
-  const auto* u = m.as<CausalUpdate>();
-  PARDSM_CHECK(u != nullptr, "causal-full: unexpected message body");
+  const auto* u = m.try_as<CausalUpdate>();
   return clock_readiness(vc_, u->vc, m.from, resume);
 }
 
 std::uint32_t CausalFullProcess::deliver(const Message& m) {
-  const auto* u = m.as<CausalUpdate>();
+  const auto* u = m.try_as<CausalUpdate>();
   vc_.merge(u->vc);  // raises only vc_[m.from]: ready means the rest is ≤
   mutable_store().put(u->x, u->v, u->id);
   ++mutable_stats().updates_applied;

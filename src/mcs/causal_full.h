@@ -22,7 +22,8 @@ struct CausalUpdate;
 class CausalFullProcess final : public McsProcess {
  public:
   CausalFullProcess(ProcessId self, const graph::Distribution& dist,
-                    HistoryRecorder& recorder);
+                    HistoryRecorder& recorder,
+                    std::shared_ptr<const CliqueTable> cliques);
 
   void read(VarId x, ReadCallback done) override;
   void write(VarId x, Value v, WriteCallback done) override;

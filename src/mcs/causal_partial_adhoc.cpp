@@ -187,9 +187,10 @@ std::shared_ptr<const StaticRelevance> StaticRelevance::analyze(
 
 CausalPartialAdHocProcess::CausalPartialAdHocProcess(
     ProcessId self, const graph::Distribution& dist,
-    HistoryRecorder& recorder,
+    HistoryRecorder& recorder, std::shared_ptr<const CliqueTable> cliques,
     std::shared_ptr<const StaticRelevance> analysis)
-    : McsProcess(self, dist, recorder), analysis_(std::move(analysis)) {
+    : McsProcess(self, dist, recorder, std::move(cliques)),
+      analysis_(std::move(analysis)) {
   PARDSM_CHECK(analysis_ != nullptr, "ad-hoc protocol needs analysis");
   key_base_.assign(dist.var_count, kUntracked);
   const auto& own = analysis_->layout[static_cast<std::size_t>(self)];
@@ -369,7 +370,7 @@ std::uint32_t CausalPartialAdHocProcess::fifo_key(const AdHocMsg& u,
 
 Readiness CausalPartialAdHocProcess::check(const Message& m,
                                            std::uint64_t& resume) const {
-  const auto* u = m.as<AdHocMsg>();
+  const auto* u = m.try_as<AdHocMsg>();  // checked by handle_message
 
   // Per-(writer, var) FIFO: this must be the next write of the sender on x
   // that we incorporate; a write already counted is a stale copy.
@@ -409,7 +410,7 @@ Readiness CausalPartialAdHocProcess::check(const Message& m,
 }
 
 std::uint32_t CausalPartialAdHocProcess::deliver(const Message& m) {
-  const auto* u = m.as<AdHocMsg>();
+  const auto* u = m.try_as<AdHocMsg>();  // checked by handle_message
   const std::uint32_t key = fifo_key(*u, m.from);
   counters_[key] = u->var_seq;
   if (u->has_value && replicates(u->x)) {

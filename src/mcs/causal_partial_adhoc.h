@@ -112,6 +112,7 @@ class CausalPartialAdHocProcess final : public McsProcess {
  public:
   CausalPartialAdHocProcess(ProcessId self, const graph::Distribution& dist,
                             HistoryRecorder& recorder,
+                            std::shared_ptr<const CliqueTable> cliques,
                             std::shared_ptr<const StaticRelevance> analysis);
 
   void read(VarId x, ReadCallback done) override;

@@ -52,9 +52,10 @@ const KindId kNotifyKind("PNOT");
 }  // namespace
 
 CausalPartialNaiveProcess::CausalPartialNaiveProcess(
-    ProcessId self, const graph::Distribution& dist,
-    HistoryRecorder& recorder)
-    : McsProcess(self, dist, recorder), vc_(dist.process_count()) {
+    ProcessId self, const graph::Distribution& dist, HistoryRecorder& recorder,
+    std::shared_ptr<const CliqueTable> cliques)
+    : McsProcess(self, dist, recorder, std::move(cliques)),
+      vc_(dist.process_count()) {
   buffer_.set_key_count(dist.process_count());
 }
 
@@ -116,18 +117,20 @@ void CausalPartialNaiveProcess::write(VarId x, Value v, WriteCallback done) {
 }
 
 void CausalPartialNaiveProcess::handle_message(const Message& m) {
+  // Checked before the buffer holds it, so check/deliver can rely on it.
+  PARDSM_CHECK(m.try_as<PartialCausalMsg>() != nullptr,
+               "causal-partial: unexpected message body");
   buffer_.arrive(m, *this, mutable_stats());
 }
 
 Readiness CausalPartialNaiveProcess::check(const Message& m,
                                            std::uint64_t& resume) const {
-  const auto* u = m.as<PartialCausalMsg>();
-  PARDSM_CHECK(u != nullptr, "causal-partial: unexpected message body");
+  const auto* u = m.try_as<PartialCausalMsg>();
   return clock_readiness(vc_, u->vc, m.from, resume);
 }
 
 std::uint32_t CausalPartialNaiveProcess::deliver(const Message& m) {
-  const auto* u = m.as<PartialCausalMsg>();
+  const auto* u = m.try_as<PartialCausalMsg>();
   vc_.merge(u->vc);  // raises only vc_[m.from]: ready means the rest is ≤
   if (u->has_value && replicates(u->x)) {
     mutable_store().put(u->x, u->v, u->id);

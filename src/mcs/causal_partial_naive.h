@@ -24,7 +24,8 @@ struct PartialCausalMsg;
 class CausalPartialNaiveProcess final : public McsProcess {
  public:
   CausalPartialNaiveProcess(ProcessId self, const graph::Distribution& dist,
-                            HistoryRecorder& recorder);
+                            HistoryRecorder& recorder,
+                            std::shared_ptr<const CliqueTable> cliques);
 
   void read(VarId x, ReadCallback done) override;
   void write(VarId x, Value v, WriteCallback done) override;

@@ -266,9 +266,9 @@ enum class EngineRuntime : std::uint8_t {
 };
 
 /// Parallel-simulator knobs (EngineRuntime::kParallelSim).  The shard
-/// assignment itself is derived from the share graph (cells of
-/// near-disjoint topologies map onto their own shards; connected
-/// topologies round-robin by process id) — see graph::shard_assignment.
+/// assignment itself is derived from the share graph (small cells stay
+/// whole on one shard; a connected share graph is cut into contiguous
+/// process-id blocks) — see graph::shard_assignment.
 struct ParallelOptions {
   /// Worker thread count == shard count.  Results are independent of this
   /// value: the canonical event order and counter-based RNG streams make

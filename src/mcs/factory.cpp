@@ -19,6 +19,9 @@ std::vector<std::unique_ptr<McsProcess>> make_processes(
   std::vector<std::unique_ptr<McsProcess>> out;
   out.reserve(n);
 
+  // One C(x) table for the whole system, shared before any constructor
+  // runs (a constructor may consult replicas_of).
+  const auto cliques = std::make_shared<const CliqueTable>(dist);
   std::shared_ptr<const StaticRelevance> analysis;
   if (kind == ProtocolKind::kCausalPartialAdHoc) {
     analysis = StaticRelevance::analyze(dist);
@@ -28,45 +31,43 @@ std::vector<std::unique_ptr<McsProcess>> make_processes(
     const auto self = static_cast<ProcessId>(p);
     switch (kind) {
       case ProtocolKind::kAtomicHome:
-        out.push_back(
-            std::make_unique<AtomicHomeProcess>(self, dist, recorder));
+        out.push_back(std::make_unique<AtomicHomeProcess>(self, dist,
+                                                          recorder, cliques));
         break;
       case ProtocolKind::kSequencerSC:
-        out.push_back(
-            std::make_unique<SequencerScProcess>(self, dist, recorder));
+        out.push_back(std::make_unique<SequencerScProcess>(
+            self, dist, recorder, cliques));
         break;
       case ProtocolKind::kCausalFull:
-        out.push_back(
-            std::make_unique<CausalFullProcess>(self, dist, recorder));
+        out.push_back(std::make_unique<CausalFullProcess>(self, dist,
+                                                          recorder, cliques));
         break;
       case ProtocolKind::kCausalPartialNaive:
-        out.push_back(std::make_unique<CausalPartialNaiveProcess>(self, dist,
-                                                                  recorder));
+        out.push_back(std::make_unique<CausalPartialNaiveProcess>(
+            self, dist, recorder, cliques));
         break;
       case ProtocolKind::kCausalPartialAdHoc:
         out.push_back(std::make_unique<CausalPartialAdHocProcess>(
-            self, dist, recorder, analysis));
+            self, dist, recorder, cliques, analysis));
         break;
       case ProtocolKind::kPramPartial:
-        out.push_back(
-            std::make_unique<PramPartialProcess>(self, dist, recorder));
+        out.push_back(std::make_unique<PramPartialProcess>(
+            self, dist, recorder, cliques));
         break;
       case ProtocolKind::kSlowPartial:
-        out.push_back(
-            std::make_unique<SlowPartialProcess>(self, dist, recorder));
+        out.push_back(std::make_unique<SlowPartialProcess>(
+            self, dist, recorder, cliques));
         break;
       case ProtocolKind::kCachePartial:
-        out.push_back(
-            std::make_unique<CachePartialProcess>(self, dist, recorder));
+        out.push_back(std::make_unique<CachePartialProcess>(
+            self, dist, recorder, cliques));
         break;
       case ProtocolKind::kProcessorPartial:
-        out.push_back(
-            std::make_unique<ProcessorPartialProcess>(self, dist, recorder));
+        out.push_back(std::make_unique<ProcessorPartialProcess>(
+            self, dist, recorder, cliques));
         break;
     }
   }
-  const auto cliques = std::make_shared<const CliqueTable>(dist);
-  for (auto& proc : out) proc->use_clique_table(cliques);
   return out;
 }
 

@@ -37,10 +37,10 @@ const KindId kUpdateKind("PRAM");
 
 }  // namespace
 
-PramPartialProcess::PramPartialProcess(ProcessId self,
-                                       const graph::Distribution& dist,
-                                       HistoryRecorder& recorder)
-    : McsProcess(self, dist, recorder) {}
+PramPartialProcess::PramPartialProcess(
+    ProcessId self, const graph::Distribution& dist, HistoryRecorder& recorder,
+    std::shared_ptr<const CliqueTable> cliques)
+    : McsProcess(self, dist, recorder, std::move(cliques)) {}
 
 void PramPartialProcess::on_attach() {
   update_pool_ = &arena().pool<PramUpdate>();
@@ -87,7 +87,7 @@ void PramPartialProcess::write(VarId x, Value v, WriteCallback done) {
 }
 
 void PramPartialProcess::handle_message(const Message& m) {
-  const auto* u = m.as<PramUpdate>();
+  const auto* u = m.try_as<PramUpdate>();
   PARDSM_CHECK(u != nullptr, "pram: unexpected message body");
   PARDSM_CHECK(replicates(u->x), "pram: update for unreplicated variable");
   // Every C(x) member but self is a neighbour, so the sender must be both.

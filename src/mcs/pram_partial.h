@@ -30,7 +30,8 @@ struct PramUpdate;
 class PramPartialProcess final : public McsProcess {
  public:
   PramPartialProcess(ProcessId self, const graph::Distribution& dist,
-                     HistoryRecorder& recorder);
+                     HistoryRecorder& recorder,
+                     std::shared_ptr<const CliqueTable> cliques);
 
   void read(VarId x, ReadCallback done) override;
   void write(VarId x, Value v, WriteCallback done) override;

@@ -5,9 +5,9 @@
 namespace pardsm::mcs {
 
 ProcessorPartialProcess::ProcessorPartialProcess(
-    ProcessId self, const graph::Distribution& dist,
-    HistoryRecorder& recorder)
-    : CachePartialProcess(self, dist, recorder) {}
+    ProcessId self, const graph::Distribution& dist, HistoryRecorder& recorder,
+    std::shared_ptr<const CliqueTable> cliques)
+    : CachePartialProcess(self, dist, recorder, std::move(cliques)) {}
 
 detail::PriorCounts ProcessorPartialProcess::prior_counts_for(VarId x) {
   detail::PriorCounts priors;
@@ -22,7 +22,7 @@ detail::PriorCounts ProcessorPartialProcess::prior_counts_for(VarId x) {
 }
 
 bool ProcessorPartialProcess::commit_ready(const Message& m) {
-  const auto* c = m.as<detail::CacheCommit>();
+  const auto* c = m.try_as<detail::CacheCommit>();
   PARDSM_CHECK(c != nullptr, "processor: unexpected commit body");
   const std::int64_t* need = detail::find_prior(c->prior_counts, id());
   if (need == nullptr) return true;  // no constraint for us

@@ -34,7 +34,8 @@ namespace pardsm::mcs {
 class ProcessorPartialProcess final : public CachePartialProcess {
  public:
   ProcessorPartialProcess(ProcessId self, const graph::Distribution& dist,
-                          HistoryRecorder& recorder);
+                          HistoryRecorder& recorder,
+                          std::shared_ptr<const CliqueTable> cliques);
 
   [[nodiscard]] std::string name() const override {
     return "processor-partial";

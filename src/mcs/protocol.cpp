@@ -196,7 +196,7 @@ void McsProcess::start_resync() {
 }
 
 void McsProcess::serve_resync_request(const Message& m) {
-  const auto* req = m.as<ResyncRequest>();
+  const auto* req = m.try_as<ResyncRequest>();
   PARDSM_CHECK(req != nullptr, "re-sync request with foreign body");
   auto* body = arena().create<ResyncResponse>();
   body->epoch = req->epoch;
@@ -217,7 +217,7 @@ void McsProcess::serve_resync_request(const Message& m) {
 }
 
 void McsProcess::absorb_resync_response(const Message& m) {
-  const auto* resp = m.as<ResyncResponse>();
+  const auto* resp = m.try_as<ResyncResponse>();
   PARDSM_CHECK(resp != nullptr, "re-sync response with foreign body");
   if (resp->epoch != resync_epoch_ || pending_resyncs_ == 0) return;
 

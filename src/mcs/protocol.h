@@ -132,16 +132,14 @@ class McsProcess : public Endpoint {
   /// afterwards via attach() because process ids are assigned by the
   /// runtime at registration time.
   McsProcess(ProcessId self, const graph::Distribution& dist,
-             HistoryRecorder& recorder)
+             HistoryRecorder& recorder,
+             std::shared_ptr<const CliqueTable> cliques)
       : self_(self),
         dist_(dist),
         recorder_(recorder),
-        store_(dist.per_process.at(static_cast<std::size_t>(self))) {}
-
-  /// Share one clique table across all processes of a system (the factory
-  /// calls this; a process constructed stand-alone builds its own lazily).
-  void use_clique_table(std::shared_ptr<const CliqueTable> table) {
-    cliques_ = std::move(table);
+        store_(dist.per_process.at(static_cast<std::size_t>(self))),
+        cliques_(std::move(cliques)) {
+    PARDSM_CHECK(cliques_ != nullptr, "McsProcess needs the clique table");
   }
 
   /// Wire the transport (after runtime registration).  on_attach() lets
@@ -282,7 +280,6 @@ class McsProcess : public Endpoint {
   /// C(x) as a sorted list from the cached table (no allocation per call,
   /// unlike Distribution::replicas_of).
   [[nodiscard]] const std::vector<ProcessId>& replicas_of(VarId x) const {
-    if (!cliques_) cliques_ = std::make_shared<CliqueTable>(dist_);
     return cliques_->clique(x);
   }
   /// True if process q replicates x (binary search of the cached C(x)).
@@ -341,8 +338,8 @@ class McsProcess : public Endpoint {
   ProtocolStats pstats_;
   Transport* transport_ = nullptr;
   MulticastService* mcast_ = &MulticastService::fanout();
-  /// Shared (or lazily self-built) C(x) table; mutable for the lazy path.
-  mutable std::shared_ptr<const CliqueTable> cliques_;
+  /// The system's C(x) table, shared by all its processes.
+  std::shared_ptr<const CliqueTable> cliques_;
 
   // -- crash / re-sync state ------------------------------------------------
   bool crashed_ = false;

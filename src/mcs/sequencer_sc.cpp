@@ -72,10 +72,10 @@ const KindId kCommitKind("WCMT");
 
 }  // namespace
 
-SequencerScProcess::SequencerScProcess(ProcessId self,
-                                       const graph::Distribution& dist,
-                                       HistoryRecorder& recorder)
-    : McsProcess(self, dist, recorder) {}
+SequencerScProcess::SequencerScProcess(
+    ProcessId self, const graph::Distribution& dist, HistoryRecorder& recorder,
+    std::shared_ptr<const CliqueTable> cliques)
+    : McsProcess(self, dist, recorder, std::move(cliques)) {}
 
 void SequencerScProcess::on_attach() {
   request_pool_ = &arena().pool<SeqWriteRequest>();
@@ -176,7 +176,7 @@ void SequencerScProcess::handle_message(const Message& m) {
     sequence_write(req->x, req->v, req->id, m.from, req->invoked);
     return;
   }
-  const auto* commit = m.as<SeqWriteCommit>();
+  const auto* commit = m.try_as<SeqWriteCommit>();
   PARDSM_CHECK(commit != nullptr, "sequencer-sc: unexpected message body");
   apply_commit(commit->x, commit->v, commit->id, commit->requester,
                commit->invoked, commit->gseq);

@@ -35,7 +35,8 @@ class SequencerScProcess final : public McsProcess {
   static constexpr ProcessId kSequencer = 0;
 
   SequencerScProcess(ProcessId self, const graph::Distribution& dist,
-                     HistoryRecorder& recorder);
+                     HistoryRecorder& recorder,
+                     std::shared_ptr<const CliqueTable> cliques);
 
   void read(VarId x, ReadCallback done) override;
   void write(VarId x, Value v, WriteCallback done) override;

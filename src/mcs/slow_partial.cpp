@@ -51,10 +51,10 @@ const KindId kUpdateKind("SLOW");
 
 }  // namespace
 
-SlowPartialProcess::SlowPartialProcess(ProcessId self,
-                                       const graph::Distribution& dist,
-                                       HistoryRecorder& recorder)
-    : McsProcess(self, dist, recorder) {}
+SlowPartialProcess::SlowPartialProcess(
+    ProcessId self, const graph::Distribution& dist, HistoryRecorder& recorder,
+    std::shared_ptr<const CliqueTable> cliques)
+    : McsProcess(self, dist, recorder, std::move(cliques)) {}
 
 void SlowPartialProcess::on_attach() {
   update_pool_ = &arena().pool<SlowUpdate>();
@@ -92,7 +92,7 @@ void SlowPartialProcess::write(VarId x, Value v, WriteCallback done) {
 }
 
 void SlowPartialProcess::handle_message(const Message& m) {
-  const auto* u = m.as<SlowUpdate>();
+  const auto* u = m.try_as<SlowUpdate>();
   PARDSM_CHECK(u != nullptr, "slow: unexpected message body");
   Pending p;
   p.x = u->x;

@@ -28,7 +28,8 @@ struct SlowUpdate;
 class SlowPartialProcess final : public McsProcess {
  public:
   SlowPartialProcess(ProcessId self, const graph::Distribution& dist,
-                     HistoryRecorder& recorder);
+                     HistoryRecorder& recorder,
+                     std::shared_ptr<const CliqueTable> cliques);
 
   void read(VarId x, ReadCallback done) override;
   void write(VarId x, Value v, WriteCallback done) override;

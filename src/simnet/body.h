@@ -21,7 +21,8 @@
 //                      SocketTransport, ParallelSimulator shards) locks the
 //                      freelist and stamps bodies for atomic refcounting.
 //   * body_type_id<T>() — process-wide dense tag (< 256) used both for
-//                      arena slots and for Message::as<T> tag dispatch.
+//                      arena slots and for Message::try_as<T> tag
+//                      dispatch.
 //
 // Threading contract (docs/HOTPATH.md has the long version): a body's
 // refcount discipline is fixed at creation by the arena that made it.
@@ -114,7 +115,7 @@ class MessageBody {
   mutable std::atomic<std::uint32_t> rc_{0};
   /// Owning pool (nullptr = make_body heap object, deleted on release).
   BodyPoolBase* pool_ = nullptr;
-  /// body_type_id<DerivedT>() — drives Message::as<T> tag dispatch.
+  /// body_type_id<DerivedT>() — drives Message::try_as<T> tag dispatch.
   BodyTypeId type_id_ = 0;
   /// True when the refcount may be touched from multiple threads.
   bool shared_ = false;

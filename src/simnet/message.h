@@ -17,7 +17,6 @@
 #include <type_traits>
 
 #include "simnet/body.h"
-#include "simnet/check.h"
 #include "simnet/ids.h"
 #include "simnet/kind_table.h"
 #include "simnet/sim_time.h"
@@ -66,21 +65,10 @@ struct Message {
   TimePoint send_time{};
   TimePoint deliver_time{};
 
-  /// Typed access to the body for handlers that KNOW the type (they
-  /// dispatched on meta.kind already): a tag compare, not a dynamic_cast.
-  /// A mismatch is a protocol bug — debug builds assert instead of
-  /// letting a wrong-body read look like a dropped message.
-  template <typename T>
-  [[nodiscard]] const T* as() const {
-    using U = std::remove_cv_t<T>;
-    PARDSM_DCHECK(body &&
-                      detail::BodyAccess::type_of(*body) == body_type_id<U>(),
-                  "Message::as<T>: body type mismatch");
-    return static_cast<const T*>(body.get());
-  }
-
-  /// Typed access for genuine dispatch chains (shims that inspect traffic
-  /// of several kinds): nullptr when the body is not exactly a T.
+  /// Typed access to the body: a tag compare, not a dynamic_cast, and
+  /// nullptr when the body is not exactly a T.  A delivered body may come
+  /// from a peer's wire frame, so the check holds in release builds too:
+  /// a handler rejects a foreign body instead of reading it as its own.
   template <typename T>
   [[nodiscard]] const T* try_as() const {
     using U = std::remove_cv_t<T>;

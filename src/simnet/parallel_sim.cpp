@@ -56,7 +56,8 @@ std::uint32_t await_change(const std::atomic<std::uint32_t>& a,
 }  // namespace
 
 ParallelSimulator::ParallelSimulator(ParallelSimOptions options)
-    : options_(std::move(options)) {
+    : options_(std::move(options)),
+      shard_of_(std::move(options_.shard_of)) {
   PARDSM_CHECK(options_.num_threads >= 1,
                "ParallelSimulator needs at least one worker");
   channel_seed_ = mix_word(options_.seed, kTagChannel);
@@ -90,18 +91,17 @@ void ParallelSimulator::freeze() {
   PARDSM_CHECK(quantum_.us >= 1, "freeze: latency lower bound below 1us");
 
   const auto num_shards = static_cast<int>(options_.num_threads);
-  if (options_.shard_of.empty()) {
+  if (shard_of_.empty()) {
     shard_of_.resize(n);
     for (std::size_t p = 0; p < n; ++p) {
-      shard_of_[p] = static_cast<int>(p) % num_shards;
+      shard_of_[p] = block_shard(p, n, num_shards);
     }
   } else {
-    PARDSM_CHECK(options_.shard_of.size() == n,
+    PARDSM_CHECK(shard_of_.size() == n,
                  "freeze: shard_of must cover every process");
-    for (int s : options_.shard_of) {
+    for (int s : shard_of_) {
       PARDSM_CHECK(s >= 0 && s < num_shards, "freeze: shard out of range");
     }
-    shard_of_ = options_.shard_of;
   }
 
   shards_.reserve(options_.num_threads);
@@ -110,7 +110,8 @@ void ParallelSimulator::freeze() {
     shards_.push_back(std::make_unique<Shard>(
         ChannelState{.fifo = options_.channel.fifo,
                      .latency = options_.latency->clone(),
-                     .floor = quantum_}));
+                     .floor = quantum_},
+        options_.num_threads));
   }
   faults_.emplace(n, options_.channel);
 
@@ -186,19 +187,26 @@ void ParallelSimulator::plan_and_schedule(Shard& ss, Message&& m) {
       *faults_, from, to, m.send_time, lat_rng, fault_stream);
 
   Shard* ctx = current_shard();
-  const int dest_shard = shard_of_[static_cast<std::size_t>(to)];
-  Shard& ds = *shards_[static_cast<std::size_t>(dest_shard)];
-  // Cross-shard deliveries park in the sender's outbox until the barrier;
-  // the coordinator merges them before the next window.  Delivery lands at
-  // or after the window's end, so the detour is never late.
+  const auto dest_shard =
+      static_cast<std::size_t>(shard_of_[static_cast<std::size_t>(to)]);
+  Shard& ds = *shards_[dest_shard];
+  // A worker parks a cross-shard delivery in its box for the destination
+  // shard, which pulls it at the start of the next window.  Delivery lands
+  // at or after this window's end, so the detour is never late.  The
+  // coordinator (workers parked) queues directly.
   const bool cross = ctx != nullptr && &ds != ctx;
   for (std::size_t i = 0; i < deliveries.size(); ++i) {
     const TimePoint when = deliveries[i];
     // A duplicate orders after its original: (send_seq << 1) | copy.
     const std::uint64_t key = canonical_key(
         kDeliverClass, from, (send_seq << 1) | static_cast<std::uint64_t>(i));
+    if (cross) {
+      ss.parked_min[parity_] = std::min(ss.parked_min[parity_], when);
+    }
     Message& slot =
-        cross ? ss.outbox.emplace_back(Outgoing{when, key, {}}).msg
+        cross ? ss.outbox[parity_][dest_shard]
+                    .emplace_back(Outgoing{when, key, {}})
+                    .msg
               : ds.queue.alloc(when, Event::Type::kDeliver, key).msg;
     if (i + 1 < deliveries.size()) {
       slot = m;  // duplicated delivery keeps a copy
@@ -294,6 +302,18 @@ void ParallelSimulator::drain_shard(unsigned w) noexcept {
   tl_shard_ctx = {this, &shard};
   try {
     EventQueue& queue = shard.queue;
+    // The previous window's senders are done with these boxes, and this
+    // window's park into the other parity's.  Queue order is the
+    // canonical key, so the pull order is irrelevant to execution order.
+    for (const auto& src : shards_) {
+      std::vector<Outgoing>& box = src->outbox[parity_ ^ 1U][w];
+      for (Outgoing& o : box) {
+        queue.alloc(o.when, Event::Type::kDeliver, o.key).msg =
+            std::move(o.msg);
+      }
+      box.clear();
+    }
+    shard.parked_min[parity_] = kTimeForever;
     while (!queue.empty() && queue.next_time() < window_end_) {
       // In place, as in Simulator::step: the payload stays in its pooled
       // slot while the handler runs and is recycled afterwards.
@@ -326,6 +346,7 @@ void ParallelSimulator::helper_loop(unsigned w, std::uint32_t epoch) {
 
 void ParallelSimulator::run_window(TimePoint window_end) {
   window_end_ = window_end;
+  parity_ ^= 1U;
   if (!helpers_.empty()) {
     working_.store(static_cast<std::uint32_t>(helpers_.size()),
                    std::memory_order_relaxed);
@@ -382,16 +403,17 @@ void ParallelSimulator::run() {
     }
 
     for (;;) {
+      // The earliest pending event: a queue front, or a delivery parked
+      // in the last window and not pulled yet.
       TimePoint shard_min = kTimeForever;
-      bool have_shard_event = false;
       for (const auto& shard : shards_) {
         if (!shard->queue.empty()) {
-          have_shard_event = true;
           shard_min = std::min(shard_min, shard->queue.next_time());
         }
+        shard_min = std::min(shard_min, shard->parked_min[parity_]);
       }
       const TimePoint g_min = global_min();
-      if (!have_shard_event && globals_.empty()) break;
+      if (shard_min == kTimeForever && globals_.empty()) break;
 
       if (g_min <= shard_min) {
         // Stop-the-world instant: every scenario event at this time fires
@@ -412,21 +434,7 @@ void ParallelSimulator::run() {
       if (g_min < window_end) window_end = g_min;
       coordinator_now_ = window_start;
       run_window(window_end);
-
-      // Merge the windows' cross-shard deliveries.  Queue order is the
-      // canonical key, so merge order is irrelevant to execution order.
-      std::uint64_t total_events = coordinator_events_;
-      for (auto& src : shards_) {
-        for (Outgoing& o : src->outbox) {
-          Shard& dst = *shards_[static_cast<std::size_t>(
-              shard_of_[static_cast<std::size_t>(o.msg.to)])];
-          dst.queue.alloc(o.when, Event::Type::kDeliver, o.key).msg =
-              std::move(o.msg);
-        }
-        src->outbox.clear();
-        total_events += src->events_fired;
-      }
-      PARDSM_CHECK(total_events <= options_.max_events,
+      PARDSM_CHECK(events_fired() <= options_.max_events,
                    "simulation exceeded max_events — non-terminating "
                    "protocol?");
     }

@@ -4,9 +4,20 @@
 // process and synchronizes the shards with conservative barrier quanta:
 // a window [T, T+Q) with Q the latency model's lower bound guarantees
 // that every message sent inside the window delivers at or after the
-// window's end, so shards can drain their local queues independently
-// and exchange cross-shard deliveries at the barrier.  No shard ever
-// receives an event earlier than its local clock.
+// window's end, so shards can drain their local queues independently.
+// No shard ever receives an event earlier than its local clock.
+//
+// Shards own contiguous blocks of process ids (block_shard; the engine's
+// graph::shard_assignment keeps share-graph cells whole on top), so the
+// per-process state kept in id order is written by one shard per cache
+// line.  A cross-shard delivery is parked in the sender shard's box for
+// its destination shard, one set of boxes per window parity.  At the
+// start of the next window each shard pulls the boxes addressed to it
+// from every shard into its own queue, while the senders park into the
+// other parity's boxes: no box is written and read in one window.  The
+// coordinator's serial work per window is the scan for the earliest
+// pending event (queue fronts and each shard's earliest parked delivery)
+// and the global events.
 //
 // Determinism story (docs/PARALLEL.md):
 //
@@ -15,10 +26,10 @@
 //     a pure function of the logical computation — which process sent or
 //     armed what, and in which position of its own deterministic
 //     execution — so each process handles its events in the same order
-//     for ANY thread count and ANY OS interleaving.  Each shard keeps its
-//     events in the sequential engine's pooled EventQueue, with
-//     (class, origin, sequence) packed into the queue's tie-break key
-//     (canonical_key).
+//     for ANY thread count, ANY shard assignment and ANY OS interleaving.
+//     Each shard keeps its events in the sequential engine's pooled
+//     EventQueue, with (class, origin, sequence) packed into the queue's
+//     tie-break key (canonical_key).
 //   * Channel randomness is *counter-based*: every send's latency and
 //     fault draws come from a fresh generator keyed on (run seed, sender,
 //     dest, per-pair message counter, stream tag) — see counter_rng().
@@ -39,6 +50,7 @@
 // unmodified above it.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <exception>
@@ -58,6 +70,14 @@
 
 namespace pardsm {
 
+/// The shard of process `p` when `n` processes are cut into `k`
+/// contiguous id blocks whose sizes differ by at most one: p * k / n.
+/// ParallelSimulator's default assignment, and graph::shard_assignment's
+/// rule for cutting a share-graph layout.
+[[nodiscard]] inline int block_shard(std::size_t p, std::size_t n, int k) {
+  return static_cast<int>(p * static_cast<std::size_t>(k) / n);
+}
+
 /// Configuration of a parallel simulation run.
 struct ParallelSimOptions {
   std::uint64_t seed = 1;
@@ -70,9 +90,9 @@ struct ParallelSimOptions {
   /// num_threads - 1 helper threads drain the rest (1 spawns none).
   unsigned num_threads = 4;
   /// Explicit shard per process (size n, values in [0, num_threads)).
-  /// Empty = round-robin by process id.  graph::shard_assignment derives
-  /// one from the share graph (cells of near-disjoint topologies map to
-  /// their own shards).
+  /// Empty = contiguous id blocks (block_shard).  graph::shard_assignment
+  /// derives one from the share graph (cells of near-disjoint topologies
+  /// stay whole).  The assignment never changes a result.
   std::vector<int> shard_of;
 };
 
@@ -101,7 +121,9 @@ class ParallelSimulator final : public RootTransport {
   /// Per-shard concurrent arenas: a process allocates from its shard's
   /// pools (no cross-shard freelist contention on create), while atomic
   /// refcounts + locked recycle keep cross-shard deliveries safe.  Before
-  /// freeze() the round-robin default assignment is used.
+  /// freeze() without an explicit shard_of, n is not known yet and
+  /// process p takes arena p % k (any arena is safe; only contention
+  /// differs).
   [[nodiscard]] BodyArena& arena(ProcessId owner) override {
     const auto idx = static_cast<std::size_t>(owner);
     const std::size_t shard =
@@ -189,7 +211,7 @@ class ParallelSimulator final : public RootTransport {
     std::function<void()> fire;
   };
 
-  /// A delivery bound for another shard, parked until the barrier.
+  /// A delivery bound for another shard, parked until the next window.
   struct Outgoing {
     TimePoint when{};
     std::uint64_t key = 0;  ///< canonical_key of the delivery
@@ -197,32 +219,42 @@ class ParallelSimulator final : public RootTransport {
   };
 
   /// Everything one shard owns: its event queue, the channel state of its
-  /// processes' outgoing pairs and the cross-shard deliveries the current
-  /// window produced.
-  struct Shard {
-    explicit Shard(ChannelState c) : channel(std::move(c)) {}
+  /// processes' outgoing pairs and the cross-shard deliveries its last
+  /// windows produced.  Aligned so no two shards share a cache line.
+  struct alignas(64) Shard {
+    Shard(ChannelState c, std::size_t num_shards)
+        : channel(std::move(c)),
+          outbox{std::vector<std::vector<Outgoing>>(num_shards),
+                 std::vector<std::vector<Outgoing>>(num_shards)} {}
     EventQueue queue;  ///< keyed by canonical_key
     ChannelState channel;
     PairMap<std::uint64_t> pair_seq;  ///< per-pair send counter (RNG key)
     TimePoint now{};
     std::uint64_t events_fired = 0;
-    std::vector<Outgoing> outbox;  ///< deliveries bound for other shards
+    /// outbox[parity][d]: deliveries for shard d parked in a window of
+    /// that parity; shard d empties the box in the next window.
+    std::array<std::vector<std::vector<Outgoing>>, 2> outbox;
+    /// Earliest `when` parked in a window of that parity (the parity's
+    /// last window only); kTimeForever when nothing was.
+    std::array<TimePoint, 2> parked_min{kTimeForever, kTimeForever};
   };
 
-  /// Drain shard `w` up to window_end_ on the calling thread, parking any
-  /// exception in worker_errors_[w] (run_window rethrows it once every
-  /// shard is done).
+  /// Pull shard `w`'s deliveries parked in the previous window, then drain
+  /// it up to window_end_ on the calling thread, parking any exception in
+  /// worker_errors_[w] (run_window rethrows it once every shard is done).
   void drain_shard(unsigned w) noexcept;
   void dispatch(Shard& shard, Event& e);
   /// Plan one send with ChannelState::plan over counter-based streams and
-  /// the sending shard's channel state; queue its deliveries locally or
-  /// in the outbox.
+  /// the sending shard's channel state; queue its deliveries in the
+  /// destination's queue, or park a worker's cross-shard ones in its
+  /// outbox.
   void plan_and_schedule(Shard& shard, Message&& m);
   /// Helper thread body for shard `w` (>= 1): drain a window each time
   /// epoch_ moves past `epoch`, until stop_.
   void helper_loop(unsigned w, std::uint32_t epoch);
-  /// Run one window: release the helpers, drain shard 0 on the calling
-  /// (coordinator) thread, wait for the helpers, rethrow a shard's error.
+  /// Run one window: flip the parity, release the helpers, drain shard 0
+  /// on the calling (coordinator) thread, wait for the helpers, rethrow a
+  /// shard's error.
   void run_window(TimePoint window_end);
   /// Wake every helper with the stop flag set and join them.
   void stop_helpers();
@@ -260,11 +292,12 @@ class ParallelSimulator final : public RootTransport {
   // The coordinator drains shard 0 itself; helpers_[w-1] drains shard w.
   // A window starts when the coordinator bumps epoch_ (release) and ends
   // when the last helper takes working_ to 0 (release) — both plain
-  // futex-backed atomics, no mutex.  window_end_ and stop_ are written
-  // only while every helper waits on the epoch.
+  // futex-backed atomics, no mutex.  window_end_, parity_ and stop_ are
+  // written only while every helper waits on the epoch.
   std::atomic<std::uint32_t> epoch_{0};
   std::atomic<std::uint32_t> working_{0};
   TimePoint window_end_{};
+  unsigned parity_ = 0;  ///< parity of the current (or last) window
   bool stop_ = false;
   std::vector<std::exception_ptr> worker_errors_;  ///< one slot per shard
   std::vector<std::thread> helpers_;  ///< joined by run() on every path

@@ -1126,6 +1126,51 @@ TEST(HostileFrames, PramUpdateFromOutsideTheCliqueIsRejected) {
   EXPECT_EQ(receiver.stats().updates_applied, 1u);
 }
 
+// A handler reads a body only as its own type, in release builds too: a
+// peer's frame carrying another registered body (a slow-memory update,
+// decoded from the wire) must be rejected by a PRAM process, not read as
+// a PRAM update and applied.
+TEST(HostileFrames, ForeignBodyIsRejectedNotApplied) {
+  graph::Distribution dist;
+  dist.var_count = 1;
+  dist.per_process = {{0}, {0}};
+  Simulator sim;
+  mcs::HistoryRecorder recorder(dist.process_count(), dist.var_count);
+  auto processes =
+      mcs::make_processes(mcs::ProtocolKind::kPramPartial, dist, recorder);
+  for (auto& proc : processes) {
+    ASSERT_EQ(sim.add_endpoint(proc.get()), proc->id());
+    proc->attach(sim);
+  }
+  mcs::McsProcess& receiver = *processes[0];
+  WireWriter w;
+  w.u32(wire::kSlowUpdate);
+  w.i32(0);   // x
+  w.i64(77);  // v
+  wire::put_write_id(w, WriteId{1, 0});
+  w.i64(1);  // var_seq
+  const std::vector<std::uint8_t> bytes = w.take();
+  WireReader r(bytes);
+  Message m;
+  m.from = 1;
+  m.to = receiver.id();
+  m.body = wire::decode_body(r, sim.arena(receiver.id()));
+  m.meta.kind = "PRAM";
+  m.meta.vars_mentioned = {0};
+
+  std::string error;
+  try {
+    receiver.on_message(m);
+  } catch (const std::logic_error& e) {
+    error = e.what();
+  }
+  EXPECT_NE(error.find("pram: unexpected message body"), std::string::npos)
+      << error;
+  EXPECT_EQ(receiver.store().get(0).value, kBottom);
+  EXPECT_EQ(receiver.store().version(), 0u);
+  EXPECT_EQ(receiver.stats().updates_applied, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // The ad-hoc receiver walks a sender's snapshot through per-sender spans:
 // the variables both track, merged where both layouts are contiguous.  A

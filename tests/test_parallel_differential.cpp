@@ -25,11 +25,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "history/checkers.h"
 #include "mcs/driver.h"
+#include "mcs/factory.h"
+#include "mcs/recorder.h"
 #include "sharegraph/hoops.h"
 #include "sharegraph/sharding.h"
 #include "sharegraph/topologies.h"
+#include "simnet/latency.h"
+#include "simnet/parallel_sim.h"
 
 namespace pardsm::mcs {
 namespace {
@@ -46,7 +53,7 @@ Distribution make_topo(PTopo t) {
     case PTopo::kHierarchical:
       return graph::topo::hierarchical(2, 3);  // 7 processes
     case PTopo::kOpenChain:
-      return graph::topo::open_chain(6);  // connected: hash sharding
+      return graph::topo::open_chain(6);  // connected: id blocks
   }
   return graph::topo::open_chain(6);
 }
@@ -217,26 +224,193 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 2)),
     differential_name);
 
-// The share-graph shard assignment itself: disconnected cells must map
-// whole-cell to one shard; connected topologies round-robin.
+// The share-graph shard assignment itself.  Laid out in ascending
+// min-member order, the components fill the shards in contiguous runs: a
+// cell no larger than a block stays whole, a larger one is cut at block
+// boundaries, and the shards stay balanced to within one cell.
 TEST(ShardAssignment, CellsStayTogether) {
-  const auto dist = graph::topo::sharded(4, 3, 8);  // 4 cells, 12 processes
-  const auto shard = graph::shard_assignment(dist, 2);
-  const graph::ShareGraph sg(dist);
-  for (const auto& component : sg.components()) {
-    for (ProcessId p : component) {
-      EXPECT_EQ(shard[static_cast<std::size_t>(p)],
-                shard[static_cast<std::size_t>(component.front())])
-          << "cell split across shards at p" << p;
+  struct Case {
+    graph::Distribution dist;
+    int shards;
+  };
+  const Case cases[] = {
+      {graph::topo::sharded(4, 3, 8), 2},    // 4 cells of 3
+      {graph::topo::sharded(7, 3, 14), 4},   // 7 cells over 4 shards
+      {graph::topo::sharded(2, 5, 4), 4},    // 2 cells, each cut in two
+      {graph::topo::sharded(6, 2, 6), 4},    // cells of 2, blocks of 3
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.dist.name + " on " + std::to_string(c.shards));
+    const std::size_t n = c.dist.process_count();
+    const auto k = static_cast<std::size_t>(c.shards);
+    const std::size_t block = (n + k - 1) / k;
+    const auto shard = graph::shard_assignment(c.dist, c.shards);
+    const auto components = graph::share_components(c.dist);
+    ASSERT_GT(components.size(), 1u);
+    std::vector<std::size_t> load(k, 0);
+    std::size_t largest = 1;
+    int previous = 0;
+    for (const auto& component : components) {
+      for (ProcessId p : component) {
+        const int s = shard[static_cast<std::size_t>(p)];
+        if (component.size() <= block) {
+          EXPECT_EQ(s, shard[static_cast<std::size_t>(component.front())])
+              << "cell split across shards at p" << p;
+        }
+        EXPECT_GE(s, previous) << "shard " << s << " holds no contiguous run";
+        previous = s;
+        ++load[static_cast<std::size_t>(s)];
+      }
+      if (component.size() <= block) {
+        largest = std::max(largest, component.size());
+      }
+    }
+    const double even = static_cast<double>(n) / static_cast<double>(k);
+    for (std::size_t l : load) {
+      EXPECT_LE(std::abs(static_cast<double>(l) - even),
+                static_cast<double>(largest))
+          << "unbalanced shard load " << l;
     }
   }
 }
 
-TEST(ShardAssignment, ConnectedTopologyRoundRobins) {
-  const auto dist = graph::topo::open_chain(6);
-  const auto shard = graph::shard_assignment(dist, 4);
-  for (std::size_t p = 0; p < 6; ++p) {
-    EXPECT_EQ(shard[p], static_cast<int>(p % 4));
+// A connected share graph is cut into contiguous id blocks whose sizes
+// differ by at most one: block_shard's rule, the simulator's default too.
+TEST(ShardAssignment, ConnectedTopologyCutsContiguousBlocks) {
+  for (const std::size_t n : {6u, 7u, 13u, 64u}) {
+    const auto dist = graph::topo::open_chain(n);
+    for (const int k : {2, 3, 4}) {
+      SCOPED_TRACE("n " + std::to_string(n) + " k " + std::to_string(k));
+      const auto shard = graph::shard_assignment(dist, k);
+      ASSERT_EQ(shard.size(), n);
+      std::vector<std::size_t> size(static_cast<std::size_t>(k), 0);
+      for (std::size_t p = 0; p < n; ++p) {
+        EXPECT_EQ(shard[p], block_shard(p, n, k));
+        if (p > 0) {
+          EXPECT_TRUE(shard[p] == shard[p - 1] ||
+                      shard[p] == shard[p - 1] + 1)
+              << "blocks not contiguous at p" << p;
+        }
+        ++size[static_cast<std::size_t>(shard[p])];
+      }
+      const auto [lo, hi] = std::minmax_element(size.begin(), size.end());
+      EXPECT_LE(*hi - *lo, 1u);
+      EXPECT_GE(*lo, 1u);
+    }
+  }
+}
+
+// The union-find components equal the share graph's own, on the
+// topologies the benches run and on inputs with isolated processes.
+TEST(ShardAssignment, ComponentsMatchShareGraph) {
+  graph::Distribution isolated;
+  isolated.var_count = 3;
+  isolated.per_process = {{2}, {}, {0, 2}, {1}, {}, {1, 1}};
+  const graph::Distribution inputs[] = {
+      graph::topo::random_replication(64, 48, 3, 5),
+      graph::topo::random_replication(40, 10, 2, 9),  // may split
+      graph::topo::zipf_replication(48, 16, 2, 1.2, 3),
+      graph::topo::sharded(5, 4, 10),
+      graph::topo::hierarchical(3, 3),
+      graph::topo::clusters(4, 3, false),
+      isolated,
+  };
+  for (const graph::Distribution& dist : inputs) {
+    SCOPED_TRACE(dist.name);
+    EXPECT_EQ(graph::share_components(dist),
+              graph::ShareGraph(dist).components());
+  }
+}
+
+// Which shard runs a process never changes what the run computes: the
+// canonical (when, key) order fixes every process's event order.  One
+// system on four assignments of the same 4-thread root, with loss and
+// duplication so drops count too.
+struct AssignmentRun {
+  std::uint64_t msgs = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t events = 0;
+  std::uint64_t loss = 0;
+  std::uint64_t received = 0;
+  std::vector<std::vector<Value>> replicas;
+
+  friend bool operator==(const AssignmentRun&,
+                         const AssignmentRun&) = default;
+};
+
+AssignmentRun run_with_assignment(ProtocolKind kind,
+                                  const graph::Distribution& dist,
+                                  std::vector<int> shard_of) {
+  ParallelSimOptions options;
+  options.seed = 41;
+  options.channel.drop_probability = 0.05;
+  options.channel.duplicate_probability = 0.05;
+  options.latency = std::make_unique<UniformLatency>(millis(1), millis(4));
+  options.num_threads = 4;
+  options.shard_of = std::move(shard_of);
+  ParallelSimulator sim(std::move(options));
+  sim.stats().set_var_hint(dist.var_count);
+  HistoryRecorder recorder(dist.process_count(), dist.var_count);
+  recorder.use_canonical_order();
+  auto processes = make_processes(kind, dist, recorder);
+  for (auto& proc : processes) {
+    sim.add_endpoint(proc.get());
+    proc->attach(sim);
+  }
+  sim.freeze();
+  // Every process writes each variable it holds, on a staggered cadence,
+  // and reads it back; writes here complete locally.
+  for (auto& proc : processes) {
+    McsProcess* self = proc.get();
+    const auto& held = dist.per_process[static_cast<std::size_t>(self->id())];
+    for (std::size_t i = 0; i < 4 * held.size(); ++i) {
+      const VarId x = held[i % held.size()];
+      const Value v = static_cast<Value>(self->id()) * 1000 +
+                      static_cast<Value>(i);
+      sim.schedule_at(TimePoint{static_cast<std::int64_t>(
+                          700 * i + 130 * self->id())},
+                      self->id(), [self, x, v] {
+                        self->write(x, v, [] {});
+                        self->read(x, [](Value) {});
+                      });
+    }
+  }
+  sim.run();
+
+  AssignmentRun out;
+  const ProcessTraffic total = sim.stats().total();
+  out.msgs = total.msgs_sent;
+  out.bytes = total.control_bytes_sent + total.payload_bytes_sent;
+  out.events = sim.events_fired();
+  out.loss = sim.drop_counters().loss;
+  out.received = total.msgs_received;
+  for (const auto& proc : processes) {
+    std::vector<Value>& mine = out.replicas.emplace_back();
+    for (VarId x : proc->store().vars()) {
+      mine.push_back(proc->store().get(x).value);
+    }
+  }
+  return out;
+}
+
+TEST(ShardAssignment, NeverChangesResults) {
+  const auto dist = graph::topo::random_replication(12, 16, 3, 4);
+  const std::size_t n = dist.process_count();
+  std::vector<int> blocks(n), round_robin(n), reversed(n), one_shard(n, 2);
+  for (std::size_t p = 0; p < n; ++p) {
+    blocks[p] = block_shard(p, n, 4);
+    round_robin[p] = static_cast<int>(p % 4);
+    reversed[p] = 3 - blocks[p];
+  }
+  for (const ProtocolKind kind :
+       {ProtocolKind::kPramPartial, ProtocolKind::kCausalPartialAdHoc}) {
+    SCOPED_TRACE(to_string(kind));
+    const AssignmentRun want = run_with_assignment(kind, dist, blocks);
+    EXPECT_GT(want.loss, 0u);
+    EXPECT_GT(want.msgs, 0u);
+    for (const auto& shard_of : {round_robin, reversed, one_shard}) {
+      EXPECT_EQ(run_with_assignment(kind, dist, shard_of), want);
+    }
   }
 }
 

@@ -11,6 +11,8 @@
 //   * the atomic-epoch window barrier — an exception thrown by a handler
 //     on a helper's shard or on the coordinator's own shard 0 reaches
 //     run()'s caller intact, after every thread has been joined;
+//   * the parked cross-shard hand-off — a delivery parked in one window
+//     is pulled and run in the next, even when nothing else is pending;
 //   * the traffic ledger the shards write directly — repeated run()s
 //     count what the sequential root counts;
 //   * the conservative window — every latency sample, a duplicate's
@@ -415,10 +417,11 @@ int live_threads() {
   return static_cast<int>(std::distance(it, {}));
 }
 
-/// Runs 8 tickers on 4 shards (round-robin: process p on shard p % 4) and
-/// throws from process `thrower` 5.4 ms in, in the middle of a 1 ms
-/// window.  Returns the message of the exception run() rethrew.
-std::string run_and_throw_from(ProcessId thrower) {
+/// Runs 8 tickers on 4 shards (contiguous blocks: processes 2s and 2s + 1
+/// on shard s) and throws from process `thrower`, which must live on
+/// shard `shard`, 5.4 ms in, in the middle of a 1 ms window.  Returns the
+/// message of the exception run() rethrew.
+std::string run_and_throw_from(ProcessId thrower, int shard) {
   // A sanitizer runtime starts a thread of its own along with the first
   // user thread; start it before taking the baseline.
   std::thread([] {}).join();
@@ -434,7 +437,7 @@ std::string run_and_throw_from(ProcessId thrower) {
       tickers.back()->id_ = sim.add_endpoint(tickers.back().get());
     }
     sim.freeze();
-    EXPECT_EQ(sim.shard_of(thrower), thrower % 4);
+    EXPECT_EQ(sim.shard_of(thrower), shard);
     for (auto& t : tickers) sim.set_timer(t->id_, Duration{250}, 0);
     sim.schedule_at(TimePoint{5400}, thrower, [thrower] {
       throw ShardFailure("handler of process " + std::to_string(thrower) +
@@ -454,11 +457,11 @@ std::string run_and_throw_from(ProcessId thrower) {
 }
 
 TEST(ParallelBarrier, HelperShardExceptionReachesTheCaller) {
-  EXPECT_EQ(run_and_throw_from(2), "handler of process 2 failed");
+  EXPECT_EQ(run_and_throw_from(5, /*shard=*/2), "handler of process 5 failed");
 }
 
 TEST(ParallelBarrier, CoordinatorShardExceptionReachesTheCaller) {
-  EXPECT_EQ(run_and_throw_from(4), "handler of process 4 failed");
+  EXPECT_EQ(run_and_throw_from(1, /*shard=*/0), "handler of process 1 failed");
 }
 
 TEST(ParallelBarrier, OneThreadSpawnsNoHelper) {
@@ -575,6 +578,38 @@ void send_one(double duplicate_probability) {
 TEST(ParallelWindow, DuplicateSampleBelowTheQuantumThrows) {
   EXPECT_NO_THROW(send_one(/*duplicate_probability=*/0.0));
   EXPECT_THROW(send_one(/*duplicate_probability=*/1.0), std::logic_error);
+}
+
+// A cross-shard delivery parked in a window is pending until the
+// destination shard pulls it in the next one: with nothing else queued,
+// the run must still go on and deliver it, not end with it parked.
+struct Arrivals final : Endpoint {
+  explicit Arrivals(const ParallelSimulator& sim) : sim_(sim) {}
+  void on_message(const Message&) override { at.push_back(sim_.now()); }
+  std::vector<TimePoint> at;
+
+ private:
+  const ParallelSimulator& sim_;
+};
+
+TEST(ParallelWindow, LoneParkedDeliveryStillRuns) {
+  ParallelSimOptions options;
+  options.num_threads = 4;
+  options.shard_of = {0, 3};
+  ParallelSimulator sim(std::move(options));
+  Sink a;
+  Arrivals b(sim);
+  sim.add_endpoint(&a);
+  sim.add_endpoint(&b);
+  // Sent by shard 0's worker inside the window [1 ms, 2 ms), so the
+  // delivery parks; no other event exists after that window.
+  sim.schedule_at(TimePoint{1000}, 0, [&sim] {
+    sim.send(0, 1, make_body<MessageBody>(), MessageMeta{"ONE", 4, 2, {}});
+  });
+  sim.run();
+  EXPECT_EQ(b.at, std::vector<TimePoint>{TimePoint{2000}});
+  EXPECT_EQ(sim.events_fired(), 2u);
+  EXPECT_EQ(sim.stats().total().msgs_received, 1u);
 }
 
 }  // namespace

@@ -29,7 +29,7 @@ struct Payload final : MessageBody {
 struct Collector final : Endpoint {
   std::vector<int> got;
   void on_message(const Message& m) override {
-    got.push_back(m.as<Payload>()->n);
+    got.push_back(m.try_as<Payload>()->n);
   }
 };
 

@@ -38,7 +38,7 @@ TEST(ThreadRuntime, DeliversPairwiseFifo) {
   struct Receiver final : Endpoint {
     std::vector<int> got;
     void on_message(const Message& m) override {
-      got.push_back(m.as<Body>()->n);
+      got.push_back(m.try_as<Body>()->n);
     }
   };
   struct Sender final : Endpoint {
@@ -444,7 +444,7 @@ std::vector<std::uint32_t> survivors(Root& root) {
   struct Sink final : Endpoint {
     std::vector<std::uint32_t> got;
     void on_message(const Message& m) override {
-      got.push_back(m.as<Indexed>()->index);
+      got.push_back(m.try_as<Indexed>()->index);
     }
   };
   Sink sender;

@@ -105,7 +105,7 @@ struct Collector final : Endpoint {
   };
   std::vector<Got> got;
   void on_message(const Message& m) override {
-    const auto* p = m.as<Payload>();
+    const auto* p = m.try_as<Payload>();
     ASSERT_NE(p, nullptr);
     got.push_back({p->sender, p->seq,
                    clock_ != nullptr ? clock_->now() : TimePoint{}});
