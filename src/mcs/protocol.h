@@ -128,9 +128,11 @@ class MulticastService {
 /// process).
 class McsProcess : public Endpoint {
  public:
-  /// `dist` and `recorder` must outlive the process; `transport` is wired
-  /// afterwards via attach() because process ids are assigned by the
-  /// runtime at registration time.
+  /// `dist` and `recorder` must outlive the process; `cliques` is the C(x)
+  /// table of `dist` that make_processes builds once and shares with
+  /// every process of the system.  `transport` is wired afterwards via
+  /// attach() because process ids are assigned by the runtime at
+  /// registration time.
   McsProcess(ProcessId self, const graph::Distribution& dist,
              HistoryRecorder& recorder,
              std::shared_ptr<const CliqueTable> cliques)
